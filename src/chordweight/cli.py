@@ -26,7 +26,7 @@ from .curvature import (
     verify_lie_type,
 )
 from .diagram_space import quotient_dimension
-from .diagrams import ChordDiagram, enumerate_diagrams
+from .diagrams import ENUMERATION_CAP, ChordDiagram, enumerate_diagrams
 from .jsonio import JSONFormatError, format_matrix, parse_matrix
 from .lie import check_exchange_identity, representation_from_json_dict
 from .tensors import (
@@ -128,6 +128,8 @@ def _cmd_enumerate(args, out) -> int:
 
 
 def _cmd_dims(args, out) -> int:
+    if not 0 <= args.max_n <= ENUMERATION_CAP:
+        raise CLIError(f"--max-n must be in 0..{ENUMERATION_CAP}, got {args.max_n}")
     kind = "unframed" if args.unframed else "framed"
     rows = [(n, quotient_dimension(n, kind)) for n in range(args.max_n + 1)]
     if args.format == "json":

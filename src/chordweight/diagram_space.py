@@ -2,14 +2,16 @@
 
 Generates the four-term (4T) and isolated-chord (1T) relation vectors in
 each degree, computes quotient dimensions by exact sparse elimination, and
-decides membership in the relation span.
+decides membership in the relation span.  Ranks are taken over integer
+rows indexed by basis position; each term is located by the class key of
+its raw matching, so no diagram or formal sum is built per term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import ChordDiagram, enumerate_diagrams
+from .diagrams import ChordDiagram, class_key, enumerate_diagrams
 from .formal import FormalSum
 from .linalg import sparse_rank
 
@@ -31,14 +33,13 @@ class RelationSet:
         return iter(self.vectors)
 
 
-def _reinsert(diagram: ChordDiagram, moving: int, seq: list, slot: int) -> ChordDiagram:
+def _reinsert(matching: tuple, moving: int, seq: list, slot: int) -> tuple:
+    """The raw matching after endpoint `moving` is put at `slot` of `seq`."""
     order = seq[:slot] + [moving] + seq[slot:]
-    pos = {token: i for i, token in enumerate(order)}
-    matching = [0] * len(order)
-    for p, q in diagram.chords:
-        matching[pos[p]] = pos[q]
-        matching[pos[q]] = pos[p]
-    return ChordDiagram(tuple(matching))
+    pos = [0] * len(order)
+    for i, token in enumerate(order):
+        pos[token] = i
+    return tuple([pos[matching[token]] for token in order])
 
 
 def four_term_vector(diagram: ChordDiagram, moving_chord: int, fixed_chord: int,
@@ -59,35 +60,65 @@ def four_term_vector(diagram: ChordDiagram, moving_chord: int, fixed_chord: int,
     if endpoint not in (0, 1):
         raise ValueError(f"endpoint must be 0 or 1, got {endpoint!r}")
     p = chords[moving_chord][endpoint]
-    q1, q2 = chords[fixed_chord]
     seq = [x for x in range(2 * diagram.n) if x != p]
-    total = FormalSum()
-    for anchor in (q1, q2):
+    terms = []
+    for anchor in chords[fixed_chord]:
         at = seq.index(anchor)
-        total = total + FormalSum.single(_reinsert(diagram, p, seq, at))
-        total = total - FormalSum.single(_reinsert(diagram, p, seq, at + 1))
-    return total
+        terms.append((ChordDiagram(_reinsert(diagram.matching, p, seq, at)), 1))
+        terms.append((ChordDiagram(_reinsert(diagram.matching, p, seq, at + 1)), -1))
+    return FormalSum(terms)
+
+
+def _four_term_rows(basis: tuple, index: dict) -> list:
+    """Distinct nonzero 4T rows {basis index: int} over all diagrams in basis.
+
+    index maps ``class_key`` to basis position.  The rows are those of
+    ``four_term_vector`` over every argument, deduplicated on their sorted
+    items and kept in order of first appearance.
+    """
+    rows = []
+    seen = set()
+    for diagram in basis:
+        matching = diagram.matching
+        m = len(matching)
+        # at_slot[p][t]: basis index of the diagram with endpoint p moved to
+        # slot t of the circle without p; each 4T term is one of these.
+        at_slot = []
+        for p in range(m):
+            seq = [x for x in range(m) if x != p]
+            at_slot.append([index[class_key(_reinsert(matching, p, seq, t))]
+                            for t in range(m)])
+        chords = diagram.chords
+        for u, moving in enumerate(chords):
+            for v, fixed in enumerate(chords):
+                if u == v:
+                    continue
+                for p in moving:
+                    slots = at_slot[p]
+                    row: dict = {}
+                    for anchor in fixed:
+                        at = anchor - (anchor > p)
+                        row[slots[at]] = row.get(slots[at], 0) + 1
+                        row[slots[at + 1]] = row.get(slots[at + 1], 0) - 1
+                    key = tuple(sorted((i, c) for i, c in row.items() if c))
+                    if key and key not in seen:
+                        seen.add(key)
+                        rows.append(dict(key))
+    return rows
+
+
+def _class_index(basis: tuple) -> dict:
+    return {class_key(diagram.matching): i for i, diagram in enumerate(basis)}
 
 
 def four_term_relations(n: int) -> RelationSet:
     """All 4T vectors in degree n (over-generated; rank absorbs redundancy)."""
-    vectors = []
-    seen = set()
-    if n >= 2:
-        for diagram in enumerate_diagrams(n):
-            for u in range(n):
-                for v in range(n):
-                    if u == v:
-                        continue
-                    for endpoint in (0, 1):
-                        vec = four_term_vector(diagram, u, v, endpoint)
-                        if not vec:
-                            continue
-                        key = tuple(vec.items())
-                        if key not in seen:
-                            seen.add(key)
-                            vectors.append(vec)
-    return RelationSet(n, "4T", tuple(vectors))
+    basis = enumerate_diagrams(n)
+    vectors = tuple(
+        FormalSum({basis[i]: c for i, c in row.items()})
+        for row in _four_term_rows(basis, _class_index(basis))
+    )
+    return RelationSet(n, "4T", vectors)
 
 
 def one_term_relations(n: int) -> RelationSet:
@@ -100,30 +131,21 @@ def one_term_relations(n: int) -> RelationSet:
     return RelationSet(n, "1T", vectors)
 
 
-def _relation_vectors(n: int, kind: str) -> list:
+def _relation_rows(basis: tuple, index: dict, kind: str) -> list:
+    """Integer relation rows over basis positions for the chosen kind."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    vectors = list(four_term_relations(n).vectors)
+    rows = _four_term_rows(basis, index)
     if kind == "unframed":
-        vectors.extend(one_term_relations(n).vectors)
-    return vectors
-
-
-def _rows(vectors, index) -> list:
-    rows = []
-    for vec in vectors:
-        row = {}
-        for diagram, coeff in vec.items():
-            row[index[diagram]] = coeff
-        rows.append(row)
+        rows.extend({i: 1} for i, diagram in enumerate(basis)
+                    if diagram.has_isolated_chord)
     return rows
 
 
 def quotient_dimension(n: int, kind: str = "framed") -> int:
     """Dimension of degree-n diagrams modulo the chosen relations."""
     basis = enumerate_diagrams(n)
-    index = {diagram: i for i, diagram in enumerate(basis)}
-    rank = sparse_rank(_rows(_relation_vectors(n, kind), index))
+    rank = sparse_rank(_relation_rows(basis, _class_index(basis), kind))
     return len(basis) - rank
 
 
@@ -134,10 +156,9 @@ def in_relation_span(vector: FormalSum, kind: str = "framed") -> bool:
     degrees = {diagram.n for diagram, _ in vector.items()}
     if len(degrees) != 1:
         raise ValueError(f"vector mixes degrees {sorted(degrees)}")
-    n = degrees.pop()
-    basis = enumerate_diagrams(n)
-    index = {diagram: i for i, diagram in enumerate(basis)}
-    relation_rows = _rows(_relation_vectors(n, kind), index)
+    basis = enumerate_diagrams(degrees.pop())
+    index = _class_index(basis)
+    relation_rows = _relation_rows(basis, index, kind)
     base_rank = sparse_rank(relation_rows)
-    extended = relation_rows + _rows([vector], index)
-    return sparse_rank(extended) == base_rank
+    row = {index[class_key(d.matching)]: coeff for d, coeff in vector.items()}
+    return sparse_rank(relation_rows + [row]) == base_rank

@@ -6,12 +6,18 @@ Instances are always kept in canonical form: among the 2n rotations of the
 position labels, the one whose first-occurrence chord labelling reads
 lexicographically smallest.  Rotations only; the circle is oriented, so a
 reflected diagram is a different diagram.
+
+For lookup and deduplication, ``class_key`` gives a cheaper invariant of
+the rotation class: the least rotation of the gap sequence.  It is never
+shown to users; codes, matchings and the sort order come from the
+canonical form above.
 """
 
 from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .formal import FormalSum
@@ -48,6 +54,21 @@ def _label_sequence(matching: Sequence[int], start: int) -> tuple:
             seq.append(nxt)
             nxt += 1
     return tuple(seq)
+
+
+def class_key(matching: Sequence[int]) -> tuple:
+    """Least rotation of the gap sequence g[p] = (matching[p] - p) mod 2n.
+
+    Rotating a diagram by r shifts its gap sequence cyclically by r, so two
+    matchings have the same key exactly when they are rotations of each
+    other.
+    """
+    m = len(matching)
+    gaps = [(q - p) % m for p, q in enumerate(matching)]
+    least = min(gaps, default=0)
+    doubled = tuple(gaps + gaps)
+    # the least rotation starts at a least gap
+    return min([doubled[s:s + m] for s in range(m) if gaps[s] == least], default=())
 
 
 def _matching_from_labels(seq: Sequence[int]) -> tuple:
@@ -100,7 +121,7 @@ class ChordDiagram:
     def n(self) -> int:
         return len(self.matching) // 2
 
-    @property
+    @cached_property
     def code(self) -> str:
         """The canonical label code; empty string for the bare circle."""
         seq = _label_sequence(self.matching, 0)
@@ -152,19 +173,23 @@ def rotate_matching(matching: Sequence[int], r: int) -> tuple:
 
 
 def enumerate_diagrams(n: int, cap: int = ENUMERATION_CAP) -> tuple:
-    """All canonical diagrams with n chords, sorted by code."""
+    """All canonical diagrams with n chords, sorted by code.
+
+    Every matching is generated, but only the first of each rotation class
+    (by ``class_key``) is canonicalized.
+    """
     if n < 0:
         raise ValueError("chord count must be non-negative")
     if n > cap:
         raise ValueError(f"n={n} exceeds the enumeration cap {cap}")
-    found = set()
+    found = {}
 
     def pair_up(partial: dict, free: list) -> None:
         if not free:
             matching = [0] * (2 * n)
             for p, q in partial.items():
                 matching[p] = q
-            found.add(ChordDiagram(tuple(matching)))
+            found.setdefault(class_key(matching), matching)
             return
         a = free[0]
         for k in range(1, len(free)):
@@ -175,7 +200,7 @@ def enumerate_diagrams(n: int, cap: int = ENUMERATION_CAP) -> tuple:
             del partial[a], partial[b]
 
     pair_up({}, list(range(2 * n)))
-    return tuple(sorted(found))
+    return tuple(sorted(ChordDiagram(tuple(matching)) for matching in found.values()))
 
 
 @dataclass(frozen=True)

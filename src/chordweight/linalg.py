@@ -1,15 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Dense helpers use plain Fraction arithmetic; the rank routine for relation
-matrices works on sparse integer rows with fraction-free (Bareiss-style)
-elimination, which keeps intermediate entries as minors of the input and
-avoids rational blow-up.
+Dense helpers use plain Fraction arithmetic.  The rank routine for relation
+matrices works on sparse primitive integer rows: it pivots on a shortest
+row and updates only the rows that meet the pivot column, dividing each by
+its content to keep entries small.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def identity_matrix(n: int) -> list:
@@ -171,19 +171,15 @@ def form_signature(matrix):
 
 
 def _integer_rows(rows):
-    """Clear denominators and common factors row by row."""
+    """Clear denominators and common factors row by row; drop zero rows."""
     cleaned = []
     for row in rows:
         items = {c: Fraction(v) for c, v in row.items() if v != 0}
         if not items:
             continue
-        denom = 1
-        for v in items.values():
-            denom = denom * v.denominator // gcd(denom, v.denominator)
+        denom = lcm(*(v.denominator for v in items.values()))
         ints = {c: int(v * denom) for c, v in items.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, abs(v))
+        g = gcd(*ints.values())
         cleaned.append({c: v // g for c, v in ints.items()})
     return cleaned
 
@@ -191,37 +187,58 @@ def _integer_rows(rows):
 def sparse_rank(rows) -> int:
     """Rank of a sparse rational matrix, rows given as {column: value} dicts.
 
-    Fraction-free one-step Bareiss: each elimination round replaces every
-    remaining row r by (pivot*r - r[col]*pivot_row) / previous_pivot; the
-    division is exact by Sylvester's identity, which requires scaling even
-    the rows with a zero entry in the pivot column.
+    Pivot-local fraction-free elimination over primitive integer rows.  A
+    column -> rows index finds the rows that meet each pivot column.  The
+    pivot is a shortest remaining row (Markowitz), at its column met by the
+    fewest other rows, so singleton and two-term rows go first.  Only the
+    rows containing the pivot column change, each by
+    row <- d*row - f*pivot_row with d, f the pivot and row entries divided
+    by their gcd, followed by division by the row's content.  Every step is
+    an invertible row operation over Q, so the count of pivots is the rank.
     """
-    active = _integer_rows(rows)
+    active = dict(enumerate(_integer_rows(rows)))
+    col_rows: dict = {}
+    by_len: dict = {}
+    for r, row in active.items():
+        for c in row:
+            col_rows.setdefault(c, set()).add(r)
+        by_len.setdefault(len(row), set()).add(r)
     rank = 0
-    prev = 1
     while active:
-        col = min(c for row in active for c in row)
-        piv_idx = min(
-            (i for i, row in enumerate(active) if row.get(col)),
-            key=lambda i: (len(active[i]), i),
-        )
-        piv_row = active.pop(piv_idx)
-        d = piv_row[col]
+        length = min(k for k, bucket in by_len.items() if bucket)
+        r = by_len[length].pop()
+        pivot = active.pop(r)
+        col = min(pivot, key=lambda c: len(col_rows[c]))
+        for c in pivot:
+            col_rows[c].discard(r)
+        d = pivot[col]
         rank += 1
-        nxt = []
-        for row in active:
-            f = row.get(col, 0)
-            keys = set(row) | set(piv_row) if f else set(row)
-            new = {}
-            for k in keys:
-                val = d * row.get(k, 0) - f * piv_row.get(k, 0)
+        for t in col_rows.pop(col):
+            row = active[t]
+            by_len[len(row)].discard(t)
+            f = row.pop(col)
+            g = gcd(d, f)
+            dd, ff = d // g, f // g
+            if dd != 1:
+                for c in row:
+                    row[c] *= dd
+            for c, v in pivot.items():
+                if c == col:
+                    continue
+                val = row.get(c, 0) - ff * v
                 if val:
-                    if val % prev:
-                        raise ArithmeticError("non-exact division in elimination")
-                    new[k] = val // prev
-            new.pop(col, None)
-            if new:
-                nxt.append(new)
-        active = nxt
-        prev = d
+                    if c not in row:
+                        col_rows[c].add(t)
+                    row[c] = val
+                elif c in row:
+                    del row[c]
+                    col_rows[c].discard(t)
+            if not row:
+                del active[t]
+                continue
+            content = gcd(*row.values())
+            if content != 1:
+                for c in row:
+                    row[c] //= content
+            by_len.setdefault(len(row), set()).add(t)
     return rank

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: output, formats, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -47,6 +48,17 @@ def test_dims_table(capsys):
     assert out.splitlines() == ["0 1", "1 1", "2 2", "3 3", "4 6"]
     code, out, _ = run(capsys, "dims", "--max-n", "4", "--unframed")
     assert out.splitlines() == ["0 1", "1 0", "2 1", "3 1", "4 3"]
+
+
+def test_dims_rejects_degrees_outside_the_enumeration_cap(capsys):
+    code, out, err = run(capsys, "dims", "--max-n", "-1")
+    assert (code, out) == (2, "")
+    assert "--max-n" in err
+    start = time.perf_counter()
+    code, out, err = run(capsys, "dims", "--max-n", "9")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "0..8" in err
 
 
 def test_dims_json(capsys):

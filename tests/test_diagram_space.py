@@ -30,6 +30,25 @@ def test_four_term_vector_shape():
         assert all(abs(c) <= 2 for _, c in vec.items())
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_four_term_relations_are_the_distinct_four_term_vectors(n):
+    def key(vec):
+        return frozenset(vec.terms().items())
+
+    expected = set()
+    for d in enumerate_diagrams(n):
+        for u in range(n):
+            for v in range(n):
+                if u != v:
+                    for endpoint in (0, 1):
+                        vec = four_term_vector(d, u, v, endpoint)
+                        if vec:
+                            expected.add(key(vec))
+    relations = four_term_relations(n)
+    assert len(relations) == len(expected)
+    assert {key(vec) for vec in relations} == expected
+
+
 def test_four_term_vector_arguments_checked():
     d = ChordDiagram.from_code("ABAB")
     with pytest.raises(ValueError):
@@ -62,8 +81,13 @@ def test_quotient_dimensions_match_frozen_table(n):
     assert quotient_dimension(n, "unframed") == UNFRAMED_DIMS[n]
 
 
+def test_quotient_dimensions_checked_by_the_benchmark():
+    assert quotient_dimension(6, "framed") == 19
+    assert quotient_dimension(5, "unframed") == 4
+
+
 def test_quotient_dimension_against_dense_oracle():
-    for n in range(5):
+    for n in range(6):
         basis = enumerate_diagrams(n)
         index = {d: i for i, d in enumerate(basis)}
 

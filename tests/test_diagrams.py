@@ -12,7 +12,7 @@ from chordweight import (
     restrict,
     smooth_components,
 )
-from chordweight.diagrams import canonicalize, rotate_matching
+from chordweight.diagrams import canonicalize, class_key, rotate_matching
 from chordweight.formal import FormalSum
 
 
@@ -62,9 +62,23 @@ def test_matching_validation():
         ChordDiagram((1, 0, 3))  # odd length
 
 
-@pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 2), (3, 5), (4, 18), (5, 105)])
+@pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 2), (3, 5), (4, 18), (5, 105),
+                                     (6, 902)])
 def test_enumeration_counts(n, count):
     assert len(enumerate_diagrams(n)) == count
+
+
+def test_class_key_separates_exactly_the_rotation_orbits():
+    for n in range(5):
+        orbit_of = {}
+        for k, orbit in enumerate(oracles.rotation_orbits(n)):
+            for mat in orbit:
+                orbit_of[mat] = k
+        matchings = oracles.all_matchings(n)
+        keys = {mat: class_key(mat) for mat in matchings}
+        for a in matchings:
+            for b in matchings:
+                assert (keys[a] == keys[b]) == (orbit_of[a] == orbit_of[b])
 
 
 def test_enumeration_matches_orbit_oracle():

@@ -27,6 +27,65 @@ def test_sparse_rank_matches_dense_oracle_on_random_matrices():
         assert sparse_rank(sparse) == oracles.dense_rank(dense, ncols)
 
 
+def _random_sparse_rows(rng, nrows, ncols, density):
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for j in range(ncols):
+            if rng.random() < density:
+                row[j] = rng.choice([-5, -3, -2, -1, 1, 2, 3, 7])
+        rows.append(row)
+    return rows
+
+
+def _combine(rng, rows, count):
+    """An integer combination of `count` rows drawn from rows."""
+    out = {}
+    for row in rng.sample(rows, min(count, len(rows))):
+        k = rng.choice([-3, -2, -1, 1, 2, 4])
+        for j, v in row.items():
+            out[j] = out.get(j, 0) + k * v
+    return {j: v for j, v in out.items() if v}
+
+
+def _to_dense(rows, ncols):
+    return [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
+
+
+def test_sparse_rank_on_larger_sparse_matrices():
+    """Up to 40 x 30 at about 10% density, with planted dependencies.
+
+    Dependent rows are integer combinations of other rows, duplicates and
+    negations; two-term differences of a column pair make rows that cancel
+    to zero partway through elimination; some entries are Fractions.
+    """
+    rng = random.Random(11)
+    for trial in range(60):
+        ncols = rng.randint(5, 30)
+        base = _random_sparse_rows(rng, rng.randint(1, 25), ncols, 0.1)
+        rows = list(base)
+        for _ in range(rng.randint(0, 8)):
+            rows.append(_combine(rng, base, rng.randint(2, 4)))
+        for row in rng.sample(base, min(3, len(base))):
+            rows.append(dict(row))
+            rows.append({j: -v for j, v in row.items()})
+        a, b, c = rng.sample(range(ncols), 3)
+        rows += [{a: 1, b: -1}, {b: 1, c: -1}, {a: 1, c: -1}]
+        if trial % 3 == 0:
+            rows = [{j: Fraction(v, rng.randint(1, 6)) for j, v in row.items()}
+                    for row in rows]
+        rng.shuffle(rows)
+        rows = rows[:40]
+        assert sparse_rank(rows) == oracles.dense_rank(_to_dense(rows, ncols), ncols)
+
+
+def test_sparse_rank_of_chain_identifications():
+    """x0 - x1, x1 - x2, ... cancel one another down to zero rows."""
+    rows = [{k: 1, k + 1: -1} for k in range(20)] + [{0: 1, 20: -1}, {5: 2, 15: -2}]
+    assert sparse_rank(rows) == 20
+    assert sparse_rank(rows + [{3: Fraction(1, 2)}]) == 21
+
+
 def test_solve_in_span():
     vecs = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
     assert solve_in_span(vecs, [Fraction(3), Fraction(2)]) == [1, 2]

@@ -17,7 +17,7 @@ from . import acceptance
 from .curvature import (
     check_parallel_four_term,
     curvature_symmetries,
-    holonomy_algebra,
+    holonomy_algebra,  # noqa: F401  re-exported; tracers wrap it in this namespace too
     model_from_json_dict,
     so_isomorphism,
     symmetric_triple,
@@ -254,10 +254,13 @@ def _cmd_holonomy(args, out) -> int:
         print(f"parallel four-term identity fails at {witness}",
               file=sys.stderr)
         return EXIT_CHECK_FAILED
-    hol = holonomy_algebra(model, check_model=False)
     triple = symmetric_triple(model, check_model=False)
+    hol = triple.holonomy
     triple_ok, triple_why = triple.validate()
-    lie_type_ok, lie_type_why = verify_lie_type(model)
+    if triple_ok:
+        lie_type_ok, lie_type_why = verify_lie_type(model, triple)
+    else:
+        lie_type_ok, lie_type_why = False, f"symmetric triple invalid: {triple_why}"
     iso = so_isomorphism(hol)
     d = model.dim
     if args.format == "json":

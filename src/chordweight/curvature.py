@@ -29,7 +29,8 @@ from .linalg import (
     solve_in_span,
     sparse_rank,
 )
-from .tensors import WeightTensor, evaluate
+from .sparse import IntegerView
+from .tensors import WeightTensor, evaluate, four_term_witness
 
 
 class CurvatureModel:
@@ -195,6 +196,11 @@ def constant_curvature(dim: int, metric=None, kappa=1) -> CurvatureModel:
     return CurvatureModel(g, riemann)
 
 
+# The parallel four-term sum's terms, as (sign, outgoing) per slot of the
+# second factor; see tensors.four_term_witness.
+_PARALLEL_FOUR_TERM = ((1, False), (1, False), (1, False), (-1, True))
+
+
 def check_parallel_four_term(model: CurvatureModel):
     """Four-term identity satisfied by any parallel curvature tensor.
 
@@ -205,28 +211,13 @@ def check_parallel_four_term(model: CurvatureModel):
 
     must vanish; this is the same relation as the tensor-level four-term
     check after raising an index with the metric.  Returns (True, None) or
-    (False, witness) with the first witness in lexicographic order.
+    (False, witness) with the lexicographically least witness.  The sum is
+    built from products of nonzero curvature entries only, in exact integer
+    arithmetic, so the cost scales with the number of those products.
     """
-    d = model.dim
-    R = model.riemann
-    rng = range(d)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for dd in rng:
-                    for e in rng:
-                        plane = R[e]
-                        for f in rng:
-                            Ref = plane[f]
-                            acc = Fraction(0)
-                            for x in rng:
-                                acc += (Ref[a][x] * R[x][b][c][dd]
-                                        + Ref[b][x] * R[a][x][c][dd]
-                                        + Ref[c][x] * R[a][b][x][dd]
-                                        - Ref[x][dd] * R[a][b][c][x])
-                            if acc != 0:
-                                return False, (a, b, c, dd, e, f)
-    return True, None
+    witness = four_term_witness(IntegerView(model.riemann, 4),
+                                _PARALLEL_FOUR_TERM)
+    return witness is None, witness
 
 
 @dataclass(frozen=True)
@@ -451,18 +442,21 @@ def symmetric_triple(model: CurvatureModel, check_model: bool = True) -> Symmetr
     )
 
 
-def verify_lie_type(model: CurvatureModel):
+def verify_lie_type(model: CurvatureModel, triple: SymmetricTriple | None = None):
     """Check that the model's weight tensor comes from its holonomy algebra.
 
     Builds the symmetric triple, validates it, and compares the weight
     tensor of the holonomy representation with the model's own, both
     entrywise and through evaluation on all diagrams with at most three
-    chords.  Returns (True, None) or (False, reason).
+    chords.  A caller that has already built and validated the model's
+    triple passes it as ``triple`` to skip those two steps.  Returns
+    (True, None) or (False, reason).
     """
-    triple = symmetric_triple(model)
-    ok, why = triple.validate()
-    if not ok:
-        return False, f"symmetric triple invalid: {why}"
+    if triple is None:
+        triple = symmetric_triple(model)
+        ok, why = triple.validate()
+        if not ok:
+            return False, f"symmetric triple invalid: {why}"
     hol = triple.holonomy
     if not hol.nondegenerate:
         return False, "holonomy form is degenerate"

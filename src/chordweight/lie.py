@@ -7,6 +7,7 @@ form, and representation matrices, all with exact rational entries.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from fractions import Fraction
 
 from .jsonio import (
@@ -17,6 +18,7 @@ from .jsonio import (
     parse_rational,
 )
 from .linalg import commutator, determinant, is_symmetric, mat_inv, mat_mul, trace
+from .sparse import IntegerView, least_nonzero
 from .tensors import WeightTensor
 
 
@@ -67,42 +69,66 @@ class MetrizedLieAlgebra:
 
         Checks bracket antisymmetry, the Jacobi identity, and that the form
         is symmetric, nondegenerate, and invariant under the adjoint action.
+        Each failure names the lexicographically least witness.  Every sum
+        is built from products of nonzero structure constants (and form
+        entries) only, in exact integer arithmetic, so the cost scales with
+        the number of those products rather than with m^5.
+
+        Jacobi is summed over i < j < k only.  Antisymmetry is checked first,
+        so the Jacobiator J(i,j,k,l) is totally antisymmetric in (i, j, k):
+        it vanishes when two of them are equal, and permuting them changes
+        only its sign.  The least nonzero (i, j, k, l) therefore has
+        i < j < k.
         """
-        m = self.dim
-        f = self.brackets
+        f = IntegerView(self.brackets, 3)
+        # a failure at (i,j,k) is one at (j,i,k) too, and one of the two
+        # entries is nonzero
+        bad = [w for (i, j, k), v in f.entries.items()
+               if f.entries.get((j, i, k), 0) != -v
+               for w in ((i, j, k), (j, i, k))]
+        if bad:
+            return False, "antisymmetry fails at (i,j,k)=({},{},{})".format(*min(bad))
+        # J(i,j,k,l) = S(i,j,k) + S(j,k,i) + S(k,i,j) with
+        # S(a,b,c) = sum_x f[a][b][x] f[x][c][l]; for f[p][q][x] with p < q,
+        # the third index c lands first, last, or (with sign -1 from
+        # f[k][i] = -f[i][k]) in the middle of the sorted triple.
+        jacobi = defaultdict(int)
+        first = f.by_slot(0)
+        for (p, q, x), u in f.entries.items():
+            if p >= q:
+                continue
+            for (_, c, l), v in first.get(x, ()):
+                if c > q:
+                    jacobi[p, q, c, l] += u * v
+                elif c < p:
+                    jacobi[c, p, q, l] += u * v
+                elif p < c < q:
+                    jacobi[p, c, q, l] -= u * v
+        witness = least_nonzero(jacobi)
+        if witness is not None:
+            return False, (
+                "Jacobi identity fails at (i,j,k,l)=({},{},{},{})".format(*witness)
+            )
         B = self.form
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    if f[i][j][k] != -f[j][i][k]:
-                        return False, f"antisymmetry fails at (i,j,k)=({i},{j},{k})"
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    for l in range(m):
-                        acc = Fraction(0)
-                        for x in range(m):
-                            acc += (f[i][j][x] * f[x][k][l]
-                                    + f[j][k][x] * f[x][i][l]
-                                    + f[k][i][x] * f[x][j][l])
-                        if acc != 0:
-                            return False, (
-                                f"Jacobi identity fails at (i,j,k,l)=({i},{j},{k},{l})"
-                            )
+        m = self.dim
         if not is_symmetric(B):
             return False, "form is not symmetric"
         if m and determinant(B) == 0:
             return False, "form is degenerate"
-        for z in range(m):
-            for x in range(m):
-                for y in range(m):
-                    acc = Fraction(0)
-                    for k in range(m):
-                        acc += f[z][x][k] * B[k][y] + f[z][y][k] * B[x][k]
-                    if acc != 0:
-                        return False, (
-                            f"form invariance fails at (z,x,y)=({z},{x},{y})"
-                        )
+        # sum_k f[z][x][k] B[k][y] + f[z][y][k] B[x][k], keyed by (z, x, y)
+        form = IntegerView(B, 2)
+        rows, cols = form.by_slot(0), form.by_slot(1)
+        invariance = defaultdict(int)
+        for (z, a, k), u in f.entries.items():
+            for (_, y), v in rows.get(k, ()):
+                invariance[z, a, y] += u * v
+            for (x, _), v in cols.get(k, ()):
+                invariance[z, x, a] += u * v
+        witness = least_nonzero(invariance)
+        if witness is not None:
+            return False, (
+                "form invariance fails at (z,x,y)=({},{},{})".format(*witness)
+            )
         return True, None
 
     def casimir(self) -> tuple:
@@ -219,44 +245,50 @@ def check_exchange_identity(rep: Representation):
 
     must equal sum_{ijk} Y[i][j][k] rho_i[b][a] rho_j[d][c] rho_k[f][e] for
     every index 6-tuple.  This is the algebraic reason rho(C) satisfies the
-    tensor four-term identity.  Returns (True, None) or (False, witness).
+    tensor four-term identity.  Returns (True, None) or (False, witness)
+    with the lexicographically least witness (a, b, c, d, e, f).
+
+    All three sums are built from products of nonzero entries only, in
+    exact integer arithmetic, so the cost scales with the number of those
+    products.  The Y-rho-rho-rho term contracts one rho at a time through
+    intermediates, so an input in a dense basis costs about m d^6 products
+    for that term rather than m^3 d^6.
     """
-    T = rep.weight_tensor()
-    Y = rep.algebra.structure_tensor()
-    rho = rep.matrices
-    d = rep.dimV
-    m = rep.algebra.dim
-    triples = [
-        (i, j, k, Y[i][j][k])
-        for i in range(m) for j in range(m) for k in range(m)
-        if Y[i][j][k] != 0
-    ]
-    ent = T.entry
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                for dd in range(d):
-                    for e in range(d):
-                        for f in range(d):
-                            lhs = Fraction(0)
-                            rhs = Fraction(0)
-                            for x in range(d):
-                                lhs += (ent(a, x, e, f) * ent(x, b, c, dd)
-                                        - ent(a, x, c, dd) * ent(x, b, e, f))
-                                rhs += (ent(a, b, c, x) * ent(x, dd, e, f)
-                                        - ent(a, b, x, dd) * ent(c, x, e, f))
-                            mid = Fraction(0)
-                            for i, j, k, y in triples:
-                                w = rho[i][b][a]
-                                if w == 0:
-                                    continue
-                                w *= rho[j][dd][c]
-                                if w == 0:
-                                    continue
-                                mid += y * w * rho[k][f][e]
-                            if lhs != mid or mid != rhs:
-                                return False, (a, b, c, dd, e, f)
-    return True, None
+    t = IntegerView(rep.weight_tensor().entries, 4)
+    y = IntegerView(rep.algebra.structure_tensor(), 3)
+    rho = IntegerView(rep.matrices, 3)
+    by_index = rho.by_slot(0)
+    mid_k = defaultdict(int)  # (i, j, e, f): sum_k Y[i][j][k] rho_k[f][e]
+    for (i, j, k), u in y.entries.items():
+        for (_, f, e), v in by_index.get(k, ()):
+            mid_k[i, j, e, f] += u * v
+    mid_j = defaultdict(int)  # (i, c, d, e, f): sum_j ... rho_j[d][c]
+    for (i, j, e, f), u in mid_k.items():
+        if u:
+            for (_, d, c), v in by_index.get(j, ()):
+                mid_j[i, c, d, e, f] += u * v
+    # lhs - mid and rhs - mid over the common denominator t.den^2 y.den rho.den^3
+    scale_t = y.den * rho.den ** 3
+    scale_mid = t.den ** 2
+    lhs = defaultdict(int)
+    for (i, c, d, e, f), u in mid_j.items():
+        if u:
+            u *= scale_mid
+            for (_, b, a), v in by_index.get(i, ()):
+                lhs[a, b, c, d, e, f] -= u * v
+    rhs = defaultdict(int, lhs)
+    first, second = t.by_slot(0), t.by_slot(1)
+    for (a, b, p, q), u in t.entries.items():
+        u *= scale_t
+        for (_, r, s, w), v in first.get(b, ()):
+            lhs[a, r, s, w, p, q] += u * v
+            lhs[a, r, p, q, s, w] -= u * v
+        for (_, r, s, w), v in first.get(q, ()):
+            rhs[a, b, p, r, s, w] += u * v
+        for (c, _, s, w), v in second.get(p, ()):
+            rhs[a, b, c, q, s, w] -= u * v
+    witness = least_nonzero(lhs, rhs)
+    return witness is None, witness
 
 
 def sl2_standard() -> Representation:

@@ -1,0 +1,59 @@
+"""Sparse integer views of exact rational tensors.
+
+The identity checks only ever need the nonzero entries of their inputs.  An
+``IntegerView`` keeps those entries as ``int`` numerators over one common
+denominator, so the inner loops multiply and add Python ints, and groups
+them by the index in one slot, the slot a contraction runs over.  A check
+never divides: a sum of products of entries vanishes exactly when the same
+sum of numerator products does.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+
+
+def nonzero_entries(array, rank: int, prefix=()):
+    """Yield (index tuple, value) for the nonzero entries of a nested array."""
+    if rank == 1:
+        for i, value in enumerate(array):
+            if value:
+                yield prefix + (i,), value
+    else:
+        for i, sub in enumerate(array):
+            yield from nonzero_entries(sub, rank - 1, prefix + (i,))
+
+
+class IntegerView:
+    """Nonzero entries of a rank-``rank`` nested array as ints over ``den``.
+
+    ``entries[key] / den`` is the array's entry at ``key``; keys of zero
+    entries are absent.
+    """
+
+    __slots__ = ("entries", "den", "_slots")
+
+    def __init__(self, array, rank: int):
+        values = [(key, Fraction(v)) for key, v in nonzero_entries(array, rank)]
+        den = lcm(*(v.denominator for _, v in values))
+        self.entries = {key: v.numerator * (den // v.denominator)
+                        for key, v in values}
+        self.den = den
+        self._slots = {}
+
+    def by_slot(self, slot: int) -> dict:
+        """Entries grouped by their index in ``slot``: {i: [(key, numerator)]}."""
+        index = self._slots.get(slot)
+        if index is None:
+            index = {}
+            for key, value in self.entries.items():
+                index.setdefault(key[slot], []).append((key, value))
+            self._slots[slot] = index
+        return index
+
+
+def least_nonzero(*sums):
+    """The lexicographically least key with a nonzero value in any of ``sums``."""
+    return min((key for s in sums for key, value in s.items() if value),
+               default=None)

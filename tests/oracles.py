@@ -3,13 +3,16 @@
 Everything here is deliberately naive and independent of the package code:
 orbits are computed by explicit closure under rotation (no canonical codes),
 ranks by dense division-based Gaussian elimination (the package uses sparse
-fraction-free elimination), and smoothing components by pointer walking
-(the package uses union-find).
+fraction-free elimination), smoothing components by pointer walking
+(the package uses union-find), and the identity checks by dense loops over
+every index tuple in lexicographic order (the package sums products of
+nonzero entries only).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 
 def all_matchings(n):
@@ -125,3 +128,84 @@ def walk_components(matching, signs):
             nxt = b if a == prev else a
             prev, cur = cur, nxt
     return comps
+
+
+def four_term(ent, d):
+    """(ok, witness) of the tensor four-term identity: the first failing tuple."""
+    rng = range(d)
+    for a, b, c, dd, e, f in product(rng, repeat=6):
+        total = Fraction(0)
+        for x in rng:
+            total += ent[e][f][a][x] * ent[x][b][c][dd]
+            total -= ent[e][f][x][b] * ent[a][x][c][dd]
+            total += ent[e][f][c][x] * ent[a][b][x][dd]
+            total -= ent[e][f][x][dd] * ent[a][b][c][x]
+        if total != 0:
+            return False, (a, b, c, dd, e, f)
+    return True, None
+
+
+def parallel_four_term(R, d):
+    """(ok, witness) of the parallel-curvature four-term identity."""
+    rng = range(d)
+    for a, b, c, dd, e, f in product(rng, repeat=6):
+        acc = Fraction(0)
+        for x in rng:
+            acc += (R[e][f][a][x] * R[x][b][c][dd]
+                    + R[e][f][b][x] * R[a][x][c][dd]
+                    + R[e][f][c][x] * R[a][b][x][dd]
+                    - R[e][f][x][dd] * R[a][b][c][x])
+        if acc != 0:
+            return False, (a, b, c, dd, e, f)
+    return True, None
+
+
+def metrized_algebra(f, B):
+    """(ok, message) of the metrized Lie algebra axioms, in the package's order.
+
+    Antisymmetry, Jacobi over every (i, j, k, l), symmetry of the form,
+    nondegeneracy (by dense_rank), then invariance over every (z, x, y).
+    """
+    m = len(B)
+    rng = range(m)
+    for i, j, k in product(rng, repeat=3):
+        if f[i][j][k] != -f[j][i][k]:
+            return False, f"antisymmetry fails at (i,j,k)=({i},{j},{k})"
+    for i, j, k, l in product(rng, repeat=4):
+        acc = Fraction(0)
+        for x in rng:
+            acc += (f[i][j][x] * f[x][k][l]
+                    + f[j][k][x] * f[x][i][l]
+                    + f[k][i][x] * f[x][j][l])
+        if acc != 0:
+            return False, f"Jacobi identity fails at (i,j,k,l)=({i},{j},{k},{l})"
+    if any(B[i][j] != B[j][i] for i, j in product(rng, repeat=2)):
+        return False, "form is not symmetric"
+    if dense_rank(B, m) < m:
+        return False, "form is degenerate"
+    for z, x, y in product(rng, repeat=3):
+        acc = Fraction(0)
+        for k in rng:
+            acc += f[z][x][k] * B[k][y] + f[z][y][k] * B[x][k]
+        if acc != 0:
+            return False, f"form invariance fails at (z,x,y)=({z},{x},{y})"
+    return True, None
+
+
+def exchange_identity(T, Y, rho, d, m):
+    """(ok, witness) of the two-sided exchange identity.
+
+    T is the dense rank-4 Casimir tensor, Y the structure tensor and rho the
+    representation matrices; every 6-tuple is compared term by term.
+    """
+    rng = range(d)
+    for a, b, c, dd, e, f in product(rng, repeat=6):
+        lhs = rhs = mid = Fraction(0)
+        for x in rng:
+            lhs += T[a][x][e][f] * T[x][b][c][dd] - T[a][x][c][dd] * T[x][b][e][f]
+            rhs += T[a][b][c][x] * T[x][dd][e][f] - T[a][b][x][dd] * T[c][x][e][f]
+        for i, j, k in product(range(m), repeat=3):
+            mid += Y[i][j][k] * rho[i][b][a] * rho[j][dd][c] * rho[k][f][e]
+        if lhs != mid or mid != rhs:
+            return False, (a, b, c, dd, e, f)
+    return True, None

@@ -1,10 +1,15 @@
 """End-to-end command-line behaviour: output, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import chordweight
 from chordweight import WeightTensor, constant_curvature, sl2_standard, so_standard
 from chordweight import acceptance
 from chordweight.cli import main
@@ -21,6 +26,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_check_on_a_zero_tensor_of_dimension_12_is_fast(tmp_path):
+    """A 26-byte input must not cost d^7: one fresh process, under 1 s."""
+    path = write_json(tmp_path / "zero12.json", {"dim": 12, "entries": []})
+    env = dict(os.environ, PYTHONPATH=str(Path(chordweight.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "chordweight.cli", "check", "--tensor", path],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (
+        0, "leg-symmetry: pass\nfour-term: pass\n")
+    assert elapsed < 1
 
 
 def test_enumerate_text(capsys):

@@ -1,0 +1,269 @@
+"""The four identity checks against their dense reference loops.
+
+Each check must return exactly the (ok, witness) of its oracle in
+tests/oracles.py: the same verdict and the same lexicographically least
+witness.  Inputs are seeded and cover passing and failing cases, entries
+with mixed denominators, and dense changes of basis of the builtin
+algebras and space forms.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import oracles
+from chordweight import (
+    CurvatureModel,
+    MetrizedLieAlgebra,
+    Representation,
+    WeightTensor,
+    check_exchange_identity,
+    check_four_term,
+    check_parallel_four_term,
+    constant_curvature,
+    sl2_standard,
+    so_standard,
+)
+from chordweight.linalg import mat_inv
+
+VALUES = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 3),
+          Fraction(2, 3), Fraction(3))
+SEEDS = range(12)
+
+
+def random_array(rng, shape, density):
+    if len(shape) == 1:
+        return [rng.choice(VALUES) if rng.random() < density else Fraction(0)
+                for _ in range(shape[0])]
+    return [random_array(rng, shape[1:], density) for _ in range(shape[0])]
+
+
+def dense_basis(rng, n):
+    """A random invertible n x n matrix with entries such as 1/2 and -1/3."""
+    while True:
+        P = [[rng.choice(VALUES) for _ in range(n)] for _ in range(n)]
+        try:
+            return P, mat_inv([list(row) for row in P])
+        except ValueError:
+            continue
+
+
+def rebase_representation(rep, rng):
+    """New algebra basis e'_i = sum_a P[a][i] e_a, new module basis columns of Q."""
+    m, d = rep.algebra.dim, rep.dimV
+    P, Pinv = dense_basis(rng, m)
+    Q, Qinv = dense_basis(rng, d)
+    f, B = rep.algebra.brackets, rep.algebra.form
+    brackets = [[[sum(P[a][i] * P[b][j] * f[a][b][c] * Pinv[k][c]
+                      for a in range(m) for b in range(m) for c in range(m))
+                  for k in range(m)] for j in range(m)] for i in range(m)]
+    form = [[sum(P[a][i] * B[a][b] * P[b][j] for a in range(m) for b in range(m))
+             for j in range(m)] for i in range(m)]
+    matrices = []
+    for i in range(m):
+        M = [[sum(P[a][i] * rep.matrices[a][r][c] for a in range(m))
+              for c in range(d)] for r in range(d)]
+        matrices.append([[sum(Qinv[r][x] * M[x][y] * Q[y][c]
+                              for x in range(d) for y in range(d))
+                          for c in range(d)] for r in range(d)])
+    return Representation(MetrizedLieAlgebra(brackets, form), matrices)
+
+
+def rebase_model(model, rng):
+    """The same curvature model in the basis e'_i = sum_a P[a][i] e_a."""
+    d = model.dim
+    P, Pinv = dense_basis(rng, d)
+    g, R = model.metric, model.riemann
+    rng_d = range(d)
+    metric = [[sum(P[a][i] * g[a][b] * P[b][j] for a in rng_d for b in rng_d)
+               for j in rng_d] for i in rng_d]
+    # contract one slot at a time
+    R1 = [[[[sum(P[a0][a] * R[a0][b][c][x] for a0 in rng_d) for x in rng_d]
+            for c in rng_d] for b in rng_d] for a in rng_d]
+    R2 = [[[[sum(P[b0][b] * R1[a][b0][c][x] for b0 in rng_d) for x in rng_d]
+            for c in rng_d] for b in rng_d] for a in rng_d]
+    R3 = [[[[sum(P[c0][c] * R2[a][b][c0][x] for c0 in rng_d) for x in rng_d]
+            for c in rng_d] for b in rng_d] for a in rng_d]
+    R4 = [[[[sum(Pinv[x][x0] * R3[a][b][c][x0] for x0 in rng_d) for x in rng_d]
+            for c in rng_d] for b in rng_d] for a in rng_d]
+    return CurvatureModel(metric, R4)
+
+
+def to_lists(array):
+    if isinstance(array, (list, tuple)):
+        return [to_lists(sub) for sub in array]
+    return array
+
+
+def perturbed(array, rng, images=lambda key: [(key, 1)]):
+    """A copy of a nested array with one random entry changed by delta.
+
+    ``images(key)`` lists the (key, sign) pairs changed by sign * delta, so
+    a symmetry of the array can be kept.
+    """
+    copy = to_lists(array)
+    shape = []
+    sub = copy
+    while isinstance(sub, list):
+        shape.append(len(sub))
+        sub = sub[0]
+    key = tuple(rng.randrange(n) for n in shape)
+    delta = rng.choice(VALUES)
+    for k, sign in set(images(key)):
+        row = copy
+        for i in k[:-1]:
+            row = row[i]
+        row[k[-1]] += sign * delta
+    return copy
+
+
+def leg_swap(key):
+    a, b, c, d = key
+    return [(key, 1), ((c, d, a, b), 1)]
+
+
+def antisymmetric(key):
+    i, j, k = key
+    return [(key, 1), ((j, i, k), -1)]
+
+
+def tensor_inputs(seed):
+    """Seeded tensors: random, perturbed passing ones, and dense-basis passing ones."""
+    rng = random.Random(seed)
+    d = rng.choice((2, 3))
+    density = rng.choice((0.05, 0.2, 1.0))
+    raw = random_array(rng, [d] * 4, density)
+    passing = [
+        rebase_representation(so_standard(3), rng).weight_tensor(),
+        rebase_representation(sl2_standard(), rng).weight_tensor(),
+        rebase_model(constant_curvature(3, kappa=Fraction(1, 3)), rng).weight_tensor(),
+    ]
+    out = [WeightTensor(d, raw),
+           WeightTensor(d, perturbed(raw, rng, leg_swap))]
+    out += passing
+    out += [WeightTensor(t.dim, perturbed(t.entries, rng, leg_swap))
+            for t in passing]
+    return out
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_four_term_matches_dense_oracle(seed):
+    verdicts = []
+    for tensor in tensor_inputs(seed):
+        got = check_four_term(tensor)
+        assert got == oracles.four_term(tensor.entries, tensor.dim)
+        verdicts.append(got[0])
+    assert verdicts[2:5] == [True, True, True]
+    assert False in verdicts
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_parallel_four_term_matches_dense_oracle(seed):
+    rng = random.Random(seed)
+    metric = [[Fraction(1), 0, 0], [0, Fraction(-1, 2), 0], [0, 0, Fraction(3)]]
+    space_form = rebase_model(constant_curvature(3, metric, Fraction(-2, 3)), rng)
+    models = [
+        space_form,
+        CurvatureModel(space_form.metric,
+                       perturbed(space_form.riemann, rng)),
+        CurvatureModel(metric, random_array(rng, [3] * 4, rng.choice((0.05, 0.3)))),
+        rebase_model(constant_curvature(2), rng),
+    ]
+    verdicts = []
+    for model in models:
+        got = check_parallel_four_term(model)
+        assert got == oracles.parallel_four_term(model.riemann, model.dim)
+        verdicts.append(got[0])
+    assert verdicts[0] and verdicts[3]
+    assert not verdicts[1]
+
+
+def algebra_inputs(seed):
+    """Seeded algebras reaching every verdict of MetrizedLieAlgebra.validate."""
+    rng = random.Random(seed)
+    base = rng.choice((so_standard(3), so_standard(4), sl2_standard()))
+    algebra = rebase_representation(base, rng).algebra
+    m = algebra.dim
+    f = algebra.brackets
+    B = algebra.form
+
+    random_form = random_array(rng, [m, m], 1.0)
+    symmetric_form = [[random_form[min(i, j)][max(i, j)] for j in range(m)]
+                      for i in range(m)]
+    degenerate_form = [[0] * m] + [[0] + row[1:] for row in symmetric_form[1:]]
+    yield algebra
+    yield MetrizedLieAlgebra(perturbed(f, rng, antisymmetric), B)
+    yield MetrizedLieAlgebra(perturbed(f, rng), B)
+    yield MetrizedLieAlgebra(f, symmetric_form)
+    yield MetrizedLieAlgebra(f, random_form)
+    yield MetrizedLieAlgebra(f, degenerate_form)
+    yield MetrizedLieAlgebra(random_array(rng, [m] * 3, 0.3), symmetric_form)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_algebra_validate_matches_dense_oracle(seed):
+    for algebra in algebra_inputs(seed):
+        assert algebra.validate() == oracles.metrized_algebra(
+            algebra.brackets, algebra.form)
+
+
+def test_algebra_inputs_reach_every_verdict():
+    seen = set()
+    for seed in SEEDS:
+        for algebra in algebra_inputs(seed):
+            ok, message = algebra.validate()
+            seen.add("pass" if ok else message.split(" at ")[0])
+    assert seen == {"pass", "antisymmetry fails", "Jacobi identity fails",
+                    "form is not symmetric", "form is degenerate",
+                    "form invariance fails"}
+
+
+def representation_inputs(seed):
+    rng = random.Random(seed)
+    for base in (sl2_standard(), so_standard(3)):
+        rep = rebase_representation(base, rng)
+        yield rep
+        doubled = [[[2 * x for x in row] for row in mat] for mat in rep.matrices]
+        yield Representation(rep.algebra, doubled)
+        yield Representation(rep.algebra, [perturbed(mat, rng)
+                                           for mat in rep.matrices])
+
+
+@pytest.mark.parametrize("seed", SEEDS[:4])
+def test_exchange_identity_matches_dense_oracle(seed):
+    verdicts = []
+    for rep in representation_inputs(seed):
+        got = check_exchange_identity(rep)
+        expected = oracles.exchange_identity(
+            rep.weight_tensor().entries, rep.algebra.structure_tensor(),
+            rep.matrices, rep.dimV, rep.algebra.dim)
+        assert got == expected
+        verdicts.append(got[0])
+    assert verdicts == [True, False, False, True, False, False]
+
+
+def test_pinned_four_term_witness_with_mixed_denominators():
+    t = WeightTensor.from_entries(
+        2, [((0, 1, 1, 0), Fraction(1, 2)), ((1, 0, 0, 1), Fraction(1, 2)),
+            ((1, 1, 0, 0), Fraction(-1, 3)), ((0, 0, 1, 1), Fraction(-1, 3))])
+    assert check_four_term(t) == (False, (0, 0, 0, 1, 1, 0))
+    assert oracles.four_term(t.entries, 2) == (False, (0, 0, 0, 1, 1, 0))
+
+
+def test_pinned_parallel_four_term_witness():
+    model = constant_curvature(2)
+    riemann = [[[list(row) for row in plane] for plane in cube]
+               for cube in model.riemann]
+    riemann[0][1][0][1] += Fraction(1, 2)
+    broken = CurvatureModel(model.metric, riemann)
+    assert check_parallel_four_term(broken) == (False, (0, 0, 0, 1, 0, 1))
+    assert oracles.parallel_four_term(riemann, 2) == (False, (0, 0, 0, 1, 0, 1))
+
+
+def test_pinned_exchange_identity_witness():
+    rep = sl2_standard()
+    doubled = Representation(
+        rep.algebra, [[[2 * x for x in row] for row in mat] for mat in rep.matrices])
+    assert check_exchange_identity(doubled) == (False, (0, 0, 0, 1, 1, 0))
+

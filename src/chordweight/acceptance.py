@@ -417,7 +417,7 @@ def check_dimension_tables():
 
 
 def check_evaluator_agreement():
-    """Sweep contraction equals the exhaustive sum, builtin and random."""
+    """Contraction equals the exhaustive sum, builtin and random."""
     tensors = [
         ("sl2", sl2_standard().weight_tensor()),
         ("so2", so_standard(2).weight_tensor()),

@@ -229,18 +229,50 @@ class SmoothingAssignment:
         return sum(1 for s in self.signs if s == -1)
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
+def _smoothing_tables(diagram: ChordDiagram):
+    """Partner tables of the half-edges in(p) = 2p and out(p) = 2p+1.
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
+    ``arc[h]`` is h's partner along the circle, fixed for every smoothing:
+    out(p) and in(p+1 mod 2n).  ``joins[k][s]`` is the two pairs of
+    half-edges that chord k joins under sign s.
+    """
+    m = len(diagram.matching)
+    arc = [0] * (2 * m)
+    for p in range(m):
+        out, nxt = 2 * p + 1, 2 * ((p + 1) % m)
+        arc[out], arc[nxt] = nxt, out
+    joins = [{1: ((2 * p, 2 * q + 1), (2 * q, 2 * p + 1)),
+              -1: ((2 * p, 2 * q), (2 * p + 1, 2 * q + 1))}
+             for p, q in diagram.chords]
+    return arc, joins
 
-    def union(self, a: int, b: int) -> None:
-        self.parent[self.find(a)] = self.find(b)
+
+def _join(chord: list, pairs) -> None:
+    for x, y in pairs:
+        chord[x], chord[y] = y, x
+
+
+def _count_cycles(arc: list, chord: list) -> int:
+    """Cycles of the graph whose edges are the arc and chord partners.
+
+    Every half-edge has exactly one partner of each kind, so the graph is
+    a disjoint union of cycles alternating the two; every cycle meets an
+    in half-edge.  The bare circle has no half-edges and is one cycle.
+    """
+    if not arc:
+        return 1
+    seen = bytearray(len(arc))
+    cycles = 0
+    for start in range(0, len(arc), 2):
+        if not seen[start]:
+            cycles += 1
+            h = start
+            while not seen[h]:
+                seen[h] = 1
+                h = arc[h]
+                seen[h] = 1
+                h = chord[h]
+    return cycles
 
 
 def smooth_components(diagram: ChordDiagram, signs) -> int:
@@ -260,21 +292,35 @@ def smooth_components(diagram: ChordDiagram, signs) -> int:
         raise ValueError(
             f"got {len(assignment.signs)} signs for a {diagram.n}-chord diagram"
         )
-    m = len(diagram.matching)
-    if m == 0:
-        return 1
-    # half-edge ids: in(p) = 2p, out(p) = 2p+1
-    uf = _UnionFind(2 * m)
-    for p in range(m):
-        uf.union(2 * p + 1, 2 * ((p + 1) % m))
-    for k, (p, q) in enumerate(diagram.chords):
-        if assignment.signs[k] == 1:
-            uf.union(2 * p, 2 * q + 1)
-            uf.union(2 * q, 2 * p + 1)
-        else:
-            uf.union(2 * p, 2 * q)
-            uf.union(2 * p + 1, 2 * q + 1)
-    return len({uf.find(x) for x in range(2 * m)})
+    arc, joins = _smoothing_tables(diagram)
+    chord = [0] * len(arc)
+    for pairs, sign in zip(joins, assignment.signs):
+        _join(chord, pairs[sign])
+    return _count_cycles(arc, chord)
+
+
+def smoothing_tally(diagram: ChordDiagram) -> dict:
+    """{c: signed number of smoothings with c circles} over all 2^n sign choices.
+
+    A smoothing counts -1 when it has an odd number of -1 chords.  The
+    smoothings are visited in Gray-code order, so each one differs from
+    the last in one chord: its two joins change and the sign flips.
+    """
+    arc, joins = _smoothing_tables(diagram)
+    chord = [0] * len(arc)
+    for pairs in joins:
+        _join(chord, pairs[1])
+    signs = [1] * len(joins)
+    tally = {_count_cycles(arc, chord): 1}
+    parity = 1
+    for g in range(1, 1 << len(joins)):
+        k = (g & -g).bit_length() - 1
+        signs[k] = -signs[k]
+        parity = -parity
+        _join(chord, joins[k][signs[k]])
+        c = _count_cycles(arc, chord)
+        tally[c] = tally.get(c, 0) + parity
+    return tally
 
 
 def product(d1: ChordDiagram, d2: ChordDiagram, cut1: int, cut2: int) -> ChordDiagram:

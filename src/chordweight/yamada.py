@@ -1,9 +1,8 @@
 """Combinatorial state-sum weight system from planar chord smoothings."""
 
 from fractions import Fraction
-from itertools import product as iter_product
 
-from .diagrams import ChordDiagram, smooth_components
+from .diagrams import ChordDiagram, smoothing_tally
 
 
 def yamada_weight(diagram: ChordDiagram, loop_value=3) -> Fraction:
@@ -11,13 +10,11 @@ def yamada_weight(diagram: ChordDiagram, loop_value=3) -> Fraction:
 
     Each chord is resolved with either sign; a -1 resolution contributes a
     factor -1, and each smoothing contributes loop_value raised to its
-    number of circle components.  With the default loop value 3 this equals
-    the weight system of the unit-three-sphere curvature tensor.
+    number of circle components.  The smoothings are tallied as integers
+    by component count c, and sum_c k_c * loop_value**c is formed once.
+    With the default loop value 3 this equals the weight system of the
+    unit-three-sphere curvature tensor.
     """
     value = Fraction(loop_value)
-    total = Fraction(0)
-    for signs in iter_product((1, -1), repeat=diagram.n):
-        negatives = sum(1 for s in signs if s < 0)
-        term = value ** smooth_components(diagram, signs)
-        total += -term if negatives % 2 else term
-    return total
+    return sum((k * value ** c for c, k in smoothing_tally(diagram).items()),
+               Fraction(0))

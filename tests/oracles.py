@@ -3,10 +3,12 @@
 Everything here is deliberately naive and independent of the package code:
 orbits are computed by explicit closure under rotation (no canonical codes),
 ranks by dense division-based Gaussian elimination (the package uses sparse
-fraction-free elimination), smoothing components by pointer walking
-(the package uses union-find), and the identity checks by dense loops over
-every index tuple in lexicographic order (the package sums products of
-nonzero entries only).
+fraction-free elimination), smoothing components by walking an adjacency
+list built afresh for each smoothing (the package walks fixed partner tables
+in Gray-code order), weight systems by sweeping the circle with every open
+chord held at once (the package contracts a tensor network pairwise), and
+the identity checks by dense loops over every index tuple in lexicographic
+order (the package sums products of nonzero entries only).
 """
 
 from __future__ import annotations
@@ -128,6 +130,47 @@ def walk_components(matching, signs):
             nxt = b if a == prev else a
             prev, cur = cur, nxt
     return comps
+
+
+def sweep_evaluate(tensor, diagram):
+    """Weight system by sweeping the endpoints in circular order.
+
+    For each start arc, the state maps (current arc index, one (in, out)
+    pair per open chord) to a partial value; a chord's entry is read when
+    its second endpoint closes it, leg 1 at its first endpoint.  Cost about
+    d^(2k+2) for k simultaneously open chords.
+    """
+    d = tensor.dim
+    matching = diagram.matching
+    if not matching:
+        return Fraction(d)
+    ent = tensor.entries
+    total = Fraction(0)
+    for start_arc in range(d):
+        states = {(start_arc, ()): Fraction(1)}
+        open_chords = []
+        for p, q in enumerate(matching):
+            new_states = {}
+            if q > p:
+                open_chords.append(p)
+                for (cur, pairs), val in states.items():
+                    for x in range(d):
+                        key = (x, pairs + ((cur, x),))
+                        new_states[key] = new_states.get(key, 0) + val
+            else:
+                idx = open_chords.index(q)
+                open_chords.pop(idx)
+                for (cur, pairs), val in states.items():
+                    a, b = pairs[idx]
+                    rest = pairs[:idx] + pairs[idx + 1:]
+                    for x in range(d):
+                        h = ent[a][b][cur][x]
+                        if h:
+                            key = (x, rest)
+                            new_states[key] = new_states.get(key, 0) + val * h
+            states = new_states
+        total += states.get((start_arc, ()), 0)
+    return total
 
 
 def four_term(ent, d):

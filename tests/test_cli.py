@@ -43,6 +43,22 @@ def test_check_on_a_zero_tensor_of_dimension_12_is_fast(tmp_path):
     assert elapsed < 1
 
 
+def test_eval_of_the_8_chord_crossing_on_a_5_sphere_is_fast(tmp_path):
+    """Contraction width, not chord count, sets the cost: one process, under 1 s."""
+    path = write_json(tmp_path / "sphere5.json",
+                      model_to_json_dict(constant_curvature(5)))
+    env = dict(os.environ, PYTHONPATH=str(Path(chordweight.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "chordweight.cli", "eval", "--curvature", path,
+         "--diagram", "ABCDEFGHABCDEFGH"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (0, "65540\n")
+    assert elapsed < 1
+
+
 def test_enumerate_text(capsys):
     code, out, _ = run(capsys, "enumerate", "--n", "2")
     assert code == 0

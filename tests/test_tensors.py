@@ -1,21 +1,29 @@
 """Weight tensor storage, contraction, and the tensor-level identities."""
 
+import random
+import string
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from chordweight import (
     ChordDiagram,
     WeightTensor,
     WorkLimitExceeded,
     check_four_term,
+    constant_curvature,
     enumerate_diagrams,
     evaluate,
     evaluate_naive,
     evaluate_sum,
+    sl2_standard,
+    so_standard,
     validate_symmetry,
+    yamada_weight,
 )
 from chordweight.formal import FormalSum
+from chordweight.tensors import contraction_plan
 
 THETA = ChordDiagram.from_code("AA")
 
@@ -132,3 +140,125 @@ def test_json_rejects_duplicates_and_bad_indices():
     with pytest.raises(JSONFormatError) as err:
         WeightTensor.from_json_dict(bad)
     assert err.value.path == "entries[0].a"
+
+
+def full_crossing(n):
+    return ChordDiagram.from_code(string.ascii_uppercase[:n] * 2)
+
+
+def ladder(n):
+    """Chord k closes just before chord k+2 opens."""
+    labels = string.ascii_uppercase[:n]
+    seq = [labels[0], labels[1]]
+    for k in range(2, n):
+        seq += [labels[k - 2], labels[k]]
+    return ChordDiagram.from_code("".join(seq + [labels[n - 2], labels[n - 1]]))
+
+
+def change_basis(tensor, rng, moves):
+    """The tensor in a seeded unimodular basis: its weight system is unchanged.
+
+    Q is a product of integer row operations and R its exact inverse; each
+    arc carries R on the leg it leaves and Q on the leg it enters, so the
+    two cancel when the arc is summed.
+    """
+    d = tensor.dim
+    Q = [[int(i == j) for j in range(d)] for i in range(d)]
+    R = [row[:] for row in Q]
+    for _ in range(moves):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        Q[i] = [x + c * y for x, y in zip(Q[i], Q[j])]
+        for row in R:
+            row[j] -= c * row[i]
+    out = {}
+    rng_d = range(d)
+    for (a0, b0, c0, d0), value in tensor.nonzero_items():
+        for a in rng_d:
+            for b in rng_d:
+                for c in rng_d:
+                    for e in rng_d:
+                        w = Q[a][a0] * R[b0][b] * Q[c][c0] * R[d0][e]
+                        if w:
+                            out[a, b, c, e] = out.get((a, b, c, e), 0) + w * value
+    return WeightTensor.from_entries(d, out.items())
+
+
+def skew_tensor():
+    """A seeded dim-3 tensor with mixed denominators and no leg symmetry."""
+    rng = random.Random(20261018)
+    values = (0, 0, 0, 1, -2, Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6))
+    return WeightTensor(3, [[[[rng.choice(values) for _ in range(3)]
+                              for _ in range(3)] for _ in range(3)] for _ in range(3)])
+
+
+UP_TO_FIVE = [d for n in range(6) for d in enumerate_diagrams(n)]
+SO4 = so_standard(4).weight_tensor()
+SO4_DENSE = change_basis(SO4, random.Random(4), 8)
+
+
+@pytest.mark.parametrize("tensor", [
+    SO4,
+    sl2_standard().weight_tensor(),
+    constant_curvature(3, metric=[[1, 0, 0], [0, 1, 0], [0, 0, -1]]).weight_tensor(),
+    skew_tensor(),
+], ids=["so4", "sl2", "lorentz3", "skew3"])
+def test_contraction_matches_the_sweep_oracle(tensor):
+    for diagram in UP_TO_FIVE:
+        assert evaluate(tensor, diagram) == oracles.sweep_evaluate(tensor, diagram)
+
+
+def test_skew_tensor_pins_leg_one_at_the_smaller_endpoint():
+    tensor = skew_tensor()
+    assert not validate_symmetry(tensor)
+    swapped = WeightTensor.from_entries(
+        3, (((c, d, a, b), v) for (a, b, c, d), v in tensor.nonzero_items()))
+    diagram = ChordDiagram.from_code("ABCACB")
+    assert evaluate(tensor, diagram) == oracles.sweep_evaluate(tensor, diagram)
+    assert evaluate(tensor, diagram) != evaluate(swapped, diagram)
+
+
+def test_contraction_in_a_dense_basis():
+    """so4 in a dense unimodular basis against the sweep and the standard basis.
+
+    Sweeping the dense tensor over 5-chord diagrams takes about 25 s, so
+    there the oracle is the sweep of the standard basis: a change of basis
+    leaves the weight system unchanged.
+    """
+    assert sum(1 for _ in SO4_DENSE.nonzero_items()) > 200
+    for diagram in UP_TO_FIVE:
+        expected = (oracles.sweep_evaluate(SO4_DENSE, diagram) if diagram.n <= 4
+                    else oracles.sweep_evaluate(SO4, diagram))
+        assert evaluate(SO4_DENSE, diagram) == expected
+    assert evaluate(SO4_DENSE, full_crossing(6)) == 732
+
+
+@pytest.mark.parametrize("diagram, value", [
+    (ladder(13), 20),
+    (full_crossing(14), 268435460),
+], ids=["ladder13", "crossing14"])
+def test_contraction_matches_the_state_sum_on_large_diagrams(diagram, value):
+    assert yamada_weight(diagram, 5) == value
+    assert evaluate(constant_curvature(5).weight_tensor(), diagram) == value
+    assert evaluate(so_standard(5).weight_tensor(), diagram) == value
+
+
+def test_contraction_plan_is_fixed_by_the_diagram():
+    diagram = ChordDiagram.from_code("ABCABC")
+    plan = contraction_plan(diagram)
+    assert plan.steps == ((0, 1, 6), (2, 3, 4))
+    assert plan.cost(5) == 5 ** 6 + 5 ** 4
+    for tensor in (SO4, SO4_DENSE, skew_tensor()):
+        evaluate(tensor, diagram)
+        assert contraction_plan(diagram) == plan
+    assert contraction_plan(ChordDiagram()).cost(5) == 0
+    assert contraction_plan(THETA).steps == ()
+
+
+def test_full_crossing_has_width_four():
+    """Every step touches at most 6 arcs, however many chords cross."""
+    for n in (4, 8, 14):
+        plan = contraction_plan(full_crossing(n))
+        assert len(plan.steps) == n - 1
+        assert max(touched for _, _, touched in plan.steps) == 6
+        assert plan.cost(5) <= (n - 1) * 5 ** 6

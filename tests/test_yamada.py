@@ -1,7 +1,11 @@
 """The combinatorial state-sum weight system."""
 
 from fractions import Fraction
+from itertools import product
 
+import pytest
+
+import oracles
 from chordweight import ChordDiagram, constant_curvature, enumerate_diagrams, evaluate
 from chordweight.yamada import yamada_weight
 
@@ -38,3 +42,15 @@ def test_rational_loop_values_stay_exact():
     # 1, 1, 1, 2 with signs +, -, -, +
     N = Fraction(5, 3)
     assert value == N - N - N + N ** 2
+
+
+@pytest.mark.parametrize("N", [3, Fraction(5, 3), -2], ids=["3", "5/3", "-2"])
+def test_matches_a_state_sum_over_walked_components(N):
+    for n in range(6):
+        for diagram in enumerate_diagrams(n):
+            expected = sum(
+                (-1) ** signs.count(-1)
+                * N ** oracles.walk_components(diagram.matching, signs)
+                for signs in product((1, -1), repeat=n)
+            )
+            assert yamada_weight(diagram, N) == expected

@@ -179,7 +179,10 @@ def _cmd_yamada(args, out) -> int:
         loop = Fraction(args.N)
     except (ValueError, ZeroDivisionError):
         raise CLIError(f"--N {args.N!r} is not a rational number") from None
-    value = yamada_weight(diagram, loop)
+    try:
+        value = yamada_weight(diagram, loop)
+    except WorkLimitExceeded as exc:
+        raise CLIError(str(exc)) from None
     return _emit_value(args, out, args.diagram, value)
 
 

@@ -4,7 +4,9 @@ Generates the four-term (4T) and isolated-chord (1T) relation vectors in
 each degree, computes quotient dimensions by exact sparse elimination, and
 decides membership in the relation span.  Ranks are taken over integer
 rows indexed by basis position; each term is located by the class key of
-its raw matching, so no diagram or formal sum is built per term.
+its raw matching, so no diagram or formal sum is built per term.  Each 4T
+relation is generated from one representative, a diagram whose moving
+chord is isolated, rather than once per diagram it can be read from.
 """
 
 from __future__ import annotations
@@ -70,40 +72,45 @@ def four_term_vector(diagram: ChordDiagram, moving_chord: int, fixed_chord: int,
 
 
 def _four_term_rows(basis: tuple, index: dict) -> list:
-    """Distinct nonzero 4T rows {basis index: int} over all diagrams in basis.
+    """Distinct nonzero 4T rows {basis index: int} over degree-n diagrams.
 
-    index maps ``class_key`` to basis position.  The rows are those of
-    ``four_term_vector`` over every argument, deduplicated on their sorted
-    items and kept in order of first appearance.
+    index maps ``class_key`` to basis position.  A row re-inserts the
+    moving endpoint p beside the endpoints of the fixed chord, so it
+    depends only on the fixed chord and the configuration: the circle
+    without p, holding n - 1 chords and p's partner q.  Putting p back
+    directly after q gives a diagram, a rotation of one in basis, whose
+    moving chord (q, q + 1 mod 2n) is isolated.  So every row is built
+    from a basis diagram, one isolated chord with p = q + 1 moving, and
+    another chord as the fixed one: one slot table per isolated chord.
+    Configurations with rotational symmetry still repeat, so rows are
+    deduplicated on their sorted items, in order of first appearance.
     """
     rows = []
     seen = set()
     for diagram in basis:
         matching = diagram.matching
         m = len(matching)
-        # at_slot[p][t]: basis index of the diagram with endpoint p moved to
-        # slot t of the circle without p; each 4T term is one of these.
-        at_slot = []
-        for p in range(m):
+        for q in range(m):
+            p = (q + 1) % m
+            if matching[q] != p:
+                continue
+            # slots[t]: basis index of the diagram with p moved to slot t of
+            # the circle without p; each 4T term is one of these.
             seq = [x for x in range(m) if x != p]
-            at_slot.append([index[class_key(_reinsert(matching, p, seq, t))]
-                            for t in range(m)])
-        chords = diagram.chords
-        for u, moving in enumerate(chords):
-            for v, fixed in enumerate(chords):
-                if u == v:
+            slots = [index[class_key(_reinsert(matching, p, seq, t))]
+                     for t in range(m)]
+            for fixed in diagram.chords:
+                if q in fixed:
                     continue
-                for p in moving:
-                    slots = at_slot[p]
-                    row: dict = {}
-                    for anchor in fixed:
-                        at = anchor - (anchor > p)
-                        row[slots[at]] = row.get(slots[at], 0) + 1
-                        row[slots[at + 1]] = row.get(slots[at + 1], 0) - 1
-                    key = tuple(sorted((i, c) for i, c in row.items() if c))
-                    if key and key not in seen:
-                        seen.add(key)
-                        rows.append(dict(key))
+                row: dict = {}
+                for anchor in fixed:
+                    at = anchor - (anchor > p)
+                    row[slots[at]] = row.get(slots[at], 0) + 1
+                    row[slots[at + 1]] = row.get(slots[at + 1], 0) - 1
+                key = tuple(sorted((i, c) for i, c in row.items() if c))
+                if key and key not in seen:
+                    seen.add(key)
+                    rows.append(dict(key))
     return rows
 
 
@@ -112,7 +119,7 @@ def _class_index(basis: tuple) -> dict:
 
 
 def four_term_relations(n: int) -> RelationSet:
-    """All 4T vectors in degree n (over-generated; rank absorbs redundancy)."""
+    """Every distinct nonzero ``four_term_vector`` in degree n, once each."""
     basis = enumerate_diagrams(n)
     vectors = tuple(
         FormalSum({basis[i]: c for i, c in row.items()})

@@ -47,23 +47,6 @@ class MetrizedLieAlgebra:
         self.brackets = brackets
         self.form = form
 
-    def bracket(self, x, y) -> list:
-        """[x, y] for coordinate vectors x and y."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("vectors must have the algebra's dimension")
-        out = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                row = self.brackets[i][j]
-                for k in range(self.dim):
-                    if row[k] != 0:
-                        out[k] += Fraction(xi) * Fraction(yj) * row[k]
-        return out
-
     def validate(self):
         """(True, None), or (False, message) naming the first broken axiom.
 

@@ -40,10 +40,6 @@ def commutator(a, b) -> list:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def transpose(a) -> list:
-    return [list(col) for col in zip(*a)] if a else []
-
-
 def trace(a) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), Fraction(0))
 

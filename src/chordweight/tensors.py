@@ -32,7 +32,7 @@ WORK_ENV_VAR = "CHORDWEIGHT_MAX_WORK"
 
 
 class WorkLimitExceeded(RuntimeError):
-    """The naive full-sum evaluation would exceed the work bound."""
+    """The predicted work of a naive evaluation or state sum exceeds the bound."""
 
 
 class WeightTensor:

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from .diagrams import ChordDiagram, smoothing_tally
+from .tensors import WorkLimitExceeded, _work_limit
 
 
 def yamada_weight(diagram: ChordDiagram, loop_value=3) -> Fraction:
@@ -13,8 +14,15 @@ def yamada_weight(diagram: ChordDiagram, loop_value=3) -> Fraction:
     number of circle components.  The smoothings are tallied as integers
     by component count c, and sum_c k_c * loop_value**c is formed once.
     With the default loop value 3 this equals the weight system of the
-    unit-three-sphere curvature tensor.
+    unit-three-sphere curvature tensor.  The 2^n smoothings are charged
+    against the same work bound as ``evaluate_naive``.
     """
+    limit = _work_limit(None)
+    work = 2 ** diagram.n
+    if work > limit:
+        raise WorkLimitExceeded(
+            f"state sum needs 2^n = {work} smoothings, limit is {limit}"
+        )
     value = Fraction(loop_value)
     return sum((k * value ** c for c, k in smoothing_tally(diagram).items()),
                Fraction(0))

@@ -2,6 +2,9 @@
 
 Everything here is deliberately naive and independent of the package code:
 orbits are computed by explicit closure under rotation (no canonical codes),
+4T rows from every (diagram, moving chord, fixed chord, endpoint), with
+each term located by rotation (the package builds each relation once, from
+a diagram whose moving chord is isolated, and looks terms up by class key),
 ranks by dense division-based Gaussian elimination (the package uses sparse
 fraction-free elimination), smoothing components by walking an adjacency
 list built afresh for each smoothing (the package walks fixed partner tables
@@ -59,6 +62,51 @@ def rotation_orbits(n):
         seen |= orbit
         orbits.append(orbit)
     return orbits
+
+
+def four_term_rows_all(basis):
+    """Distinct nonzero 4T rows {basis position: int} from every argument.
+
+    For every diagram, moving chord, fixed chord and moving endpoint p, p is
+    taken out of the circle and put back before and after each endpoint of
+    the fixed chord (signs +, -, +, -).  Each term is located by trying its
+    rotations against the basis matchings, not by a class key.  Rows are
+    deduplicated on their sorted items and kept in order of first
+    appearance.
+    """
+    position = {}
+    for i, diagram in enumerate(basis):
+        for r in range(len(diagram.matching)):
+            position[rotate_matching(diagram.matching, r)] = i
+
+    def moved(matching, p, at):
+        order = [x for x in range(len(matching)) if x != p]
+        order.insert(at, p)
+        new_pos = {token: i for i, token in enumerate(order)}
+        return position[tuple(new_pos[matching[token]] for token in order)]
+
+    rows = []
+    seen = set()
+    for diagram in basis:
+        matching = diagram.matching
+        chords = [(p, q) for p, q in enumerate(matching) if p < q]
+        for moving in chords:
+            for fixed in chords:
+                if fixed == moving:
+                    continue
+                for p in moving:
+                    seq = [x for x in range(len(matching)) if x != p]
+                    row = {}
+                    for anchor in fixed:
+                        at = seq.index(anchor)
+                        for slot, sign in ((at, 1), (at + 1, -1)):
+                            i = moved(matching, p, slot)
+                            row[i] = row.get(i, 0) + sign
+                    key = tuple(sorted((i, c) for i, c in row.items() if c))
+                    if key and key not in seen:
+                        seen.add(key)
+                        rows.append(dict(key))
+    return rows
 
 
 def dense_rank(rows, ncols):

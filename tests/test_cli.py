@@ -2,6 +2,7 @@
 
 import json
 import os
+import string
 import subprocess
 import sys
 import time
@@ -122,6 +123,38 @@ def test_yamada_bad_arguments(capsys):
     assert "error:" in err
     code, _, err = run(capsys, "yamada", "--diagram", "AA", "--N", "x")
     assert code == 2
+
+
+def run_yamada(code, max_work=None):
+    """`yamada` in a fresh process; CHORDWEIGHT_MAX_WORK unset unless given."""
+    env = dict(os.environ, PYTHONPATH=str(Path(chordweight.__file__).parents[1]))
+    env.pop("CHORDWEIGHT_MAX_WORK", None)
+    if max_work is not None:
+        env["CHORDWEIGHT_MAX_WORK"] = str(max_work)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "chordweight.cli", "yamada", "--diagram", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return proc, time.perf_counter() - start
+
+
+def test_yamada_refuses_a_30_chord_state_sum_at_once():
+    labels = string.ascii_uppercase + string.ascii_lowercase[:4]
+    proc, elapsed = run_yamada(labels + labels)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: state sum needs 2^n = 1073741824 smoothings, "
+                           "limit is 10000000\n")
+    assert elapsed < 1
+
+
+def test_yamada_budget_follows_the_work_variable():
+    proc, _ = run_yamada("ABCDEFGABCDEFG", max_work=100)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "2^n = 128 smoothings, limit is 100" in proc.stderr
+    proc, _ = run_yamada("ABCDEFABCDEF", max_work=100)
+    assert (proc.returncode, proc.stdout) == (0, "66\n")
 
 
 def test_eval_tensor_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Four-term and one-term relation spaces and quotient dimensions."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from chordweight import (
     one_term_relations,
     quotient_dimension,
 )
+from chordweight.diagram_space import _class_index, _four_term_rows
 from chordweight.formal import FormalSum
 
 FRAMED_DIMS = (1, 1, 2, 3, 6)
@@ -23,14 +25,14 @@ UNFRAMED_DIMS = (1, 0, 1, 1, 3)
 def test_four_term_vector_shape():
     """Each relation is an alternating sum of four degree-n diagrams."""
     for vec in four_term_relations(3):
-        assert vec  # over-generation never emits the zero vector
+        assert vec  # the zero vector is never emitted
         degrees = {d.n for d, _ in vec.items()}
         assert degrees == {3}
         assert sum(c for _, c in vec.items()) == 0  # signs +1 -1 +1 -1
         assert all(abs(c) <= 2 for _, c in vec.items())
 
 
-@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("n", range(6))
 def test_four_term_relations_are_the_distinct_four_term_vectors(n):
     def key(vec):
         return frozenset(vec.terms().items())
@@ -47,6 +49,30 @@ def test_four_term_relations_are_the_distinct_four_term_vectors(n):
     relations = four_term_relations(n)
     assert len(relations) == len(expected)
     assert {key(vec) for vec in relations} == expected
+
+
+def row_set(rows):
+    return {tuple(sorted(row.items())) for row in rows}
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_four_term_rows_match_generation_from_every_argument(n):
+    """Building each relation once keeps exactly the reference's rows."""
+    basis = enumerate_diagrams(n)
+    rows = _four_term_rows(basis, _class_index(basis))
+    assert len(row_set(rows)) == len(rows)  # no row repeated
+    assert row_set(rows) == row_set(oracles.four_term_rows_all(basis))
+
+
+def test_four_term_rows_at_degree_6_are_fast():
+    """One slot table per isolated chord: degree 6 in well under a second."""
+    basis = enumerate_diagrams(6)
+    index = _class_index(basis)
+    start = time.perf_counter()
+    rows = _four_term_rows(basis, index)
+    elapsed = time.perf_counter() - start
+    assert len(rows) == 4610
+    assert elapsed < 0.5, f"_four_term_rows(6) took {elapsed:.2f} s"
 
 
 def test_four_term_vector_arguments_checked():
@@ -84,6 +110,14 @@ def test_quotient_dimensions_match_frozen_table(n):
 def test_quotient_dimensions_checked_by_the_benchmark():
     assert quotient_dimension(6, "framed") == 19
     assert quotient_dimension(5, "unframed") == 4
+
+
+def test_framed_dimensions_are_sums_of_unframed_ones():
+    """A = A^r (x) Q[theta]: framed_n = sum over j <= n of unframed_j."""
+    unframed = [quotient_dimension(j, "unframed") for j in range(7)]
+    assert unframed[6] == 9  # 19 - 10, Bar-Natan's table
+    for n in range(7):
+        assert quotient_dimension(n, "framed") == sum(unframed[:n + 1])
 
 
 def test_quotient_dimension_against_dense_oracle():

@@ -6,7 +6,13 @@ from itertools import product
 import pytest
 
 import oracles
-from chordweight import ChordDiagram, constant_curvature, enumerate_diagrams, evaluate
+from chordweight import (
+    ChordDiagram,
+    WorkLimitExceeded,
+    constant_curvature,
+    enumerate_diagrams,
+    evaluate,
+)
 from chordweight.yamada import yamada_weight
 
 
@@ -54,3 +60,12 @@ def test_matches_a_state_sum_over_walked_components(N):
                 for signs in product((1, -1), repeat=n)
             )
             assert yamada_weight(diagram, N) == expected
+
+
+def test_state_sum_is_charged_2_to_the_n(monkeypatch):
+    crossing = ChordDiagram.from_code("ABCDEFGABCDEFG")
+    monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", "128")
+    assert yamada_weight(crossing) == -120
+    monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", "127")
+    with pytest.raises(WorkLimitExceeded, match=r"2\^n = 128 smoothings, limit is 127"):
+        yamada_weight(crossing)

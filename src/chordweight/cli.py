@@ -1,14 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a requested check fails, 2 on bad
-arguments, unreadable files, or malformed JSON.  All numeric output is
-exact rational text.
+arguments, unreadable files, malformed JSON, or work over the
+CHORDWEIGHT_MAX_WORK bound.  All numeric output is exact rational text.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from fractions import Fraction
@@ -27,7 +26,7 @@ from .curvature import (
 )
 from .diagram_space import quotient_dimension
 from .diagrams import ENUMERATION_CAP, ChordDiagram, enumerate_diagrams
-from .jsonio import JSONFormatError, format_matrix, parse_matrix
+from .jsonio import format_matrix, parse_matrix
 from .lie import check_exchange_identity, representation_from_json_dict
 from .tensors import (
     WeightTensor,
@@ -66,6 +65,8 @@ def _parse_diagram(code: str) -> ChordDiagram:
 
 
 def _csv_writer(out):
+    import csv  # only --format csv pays for this import
+
     return csv.writer(out, lineterminator="\n")
 
 
@@ -163,13 +164,10 @@ def _emit_value(args, out, diagram_code: str, value: Fraction) -> int:
 def _cmd_eval(args, out) -> int:
     diagram = _parse_diagram(args.diagram)
     tensor = _tensor_from_args(args)
-    try:
-        if args.naive:
-            value = evaluate_naive(tensor, diagram)
-        else:
-            value = evaluate(tensor, diagram)
-    except WorkLimitExceeded as exc:
-        raise CLIError(str(exc)) from None
+    if args.naive:
+        value = evaluate_naive(tensor, diagram)
+    else:
+        value = evaluate(tensor, diagram)
     return _emit_value(args, out, args.diagram, value)
 
 
@@ -179,10 +177,7 @@ def _cmd_yamada(args, out) -> int:
         loop = Fraction(args.N)
     except (ValueError, ZeroDivisionError):
         raise CLIError(f"--N {args.N!r} is not a rational number") from None
-    try:
-        value = yamada_weight(diagram, loop)
-    except WorkLimitExceeded as exc:
-        raise CLIError(str(exc)) from None
+    value = yamada_weight(diagram, loop)
     return _emit_value(args, out, args.diagram, value)
 
 
@@ -453,10 +448,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, sys.stdout)
-    except (CLIError, JSONFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (CLIError, ValueError, WorkLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,10 +9,10 @@ tensor can be realized this way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagrams import enumerate_diagrams
+from .frozen import Frozen
 from .jsonio import (
     JSONFormatError,
     format_matrix,
@@ -30,7 +30,7 @@ from .linalg import (
     sparse_rank,
 )
 from .sparse import IntegerView
-from .tensors import WeightTensor, evaluate, four_term_witness
+from .tensors import WeightTensor, charge_work, evaluate, four_term_witness
 
 
 class CurvatureModel:
@@ -125,33 +125,38 @@ class CurvatureModel:
 
         Checked in order: metric symmetric, metric nondegenerate, curvature
         antisymmetric in its first two slots, first Bianchi identity, and
-        pair symmetry of the lowered tensor.
+        pair symmetry of the lowered tensor.  The last three run on nonzero
+        entries only, as int numerators: an index tuple can fail only if
+        one of its terms is nonzero, so every failing tuple is the (a, b)
+        swap, a cyclic rotation of (a, b, c) or the pair swap of a nonzero
+        key.  The lexicographically least failing tuple is the witness.
         """
-        d = self.dim
-        R = self.riemann
         if not is_symmetric(self.metric):
             return False, ("metric-symmetry", None)
-        if d and determinant(self.metric) == 0:
+        if self.dim and determinant(self.metric) == 0:
             return False, ("metric-degenerate", None)
-        for a in range(d):
-            for b in range(a, d):
-                for c in range(d):
-                    for x in range(d):
-                        if R[a][b][c][x] != -R[b][a][c][x]:
-                            return False, ("antisymmetry", (a, b, c, x))
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    for x in range(d):
-                        if R[a][b][c][x] + R[b][c][a][x] + R[c][a][b][x] != 0:
-                            return False, ("bianchi", (a, b, c, x))
-        low = self.lowered()
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    for x in range(d):
-                        if low[a][b][c][x] != low[c][x][a][b]:
-                            return False, ("pair-symmetry", (a, b, c, x))
+        R = IntegerView(self.riemann, 4).entries
+        swapped = {(min(a, b), max(a, b), c, x) for a, b, c, x in R}
+        bad = [(a, b, c, x) for a, b, c, x in swapped
+               if R.get((a, b, c, x), 0) + R.get((b, a, c, x), 0)]
+        if bad:
+            return False, ("antisymmetry", min(bad))
+        bad = [key for a, b, c, x in R
+               if R.get((a, b, c, x), 0) + R.get((b, c, a, x), 0)
+               + R.get((c, a, b, x), 0)
+               for key in ((a, b, c, x), (b, c, a, x), (c, a, b, x))]
+        if bad:
+            return False, ("bianchi", min(bad))
+        rows = IntegerView(self.metric, 2).by_slot(0)
+        low = {}
+        for (a, b, c, y), r in R.items():
+            for (_, x), v in rows.get(y, ()):
+                low[a, b, c, x] = low.get((a, b, c, x), 0) + r * v
+        bad = [key for (a, b, c, x), v in low.items()
+               if v != low.get((c, x, a, b), 0)
+               for key in ((a, b, c, x), (c, x, a, b))]
+        if bad:
+            return False, ("pair-symmetry", min(bad))
         return True, None
 
     def __repr__(self):
@@ -220,8 +225,7 @@ def check_parallel_four_term(model: CurvatureModel):
     return witness is None, witness
 
 
-@dataclass(frozen=True)
-class HolonomyAlgebra:
+class HolonomyAlgebra(Frozen):
     """Span of the curvature endomorphisms with its induced form.
 
     ``labels[i]`` is the generator pair (a, b) whose endomorphism is
@@ -229,12 +233,11 @@ class HolonomyAlgebra:
     basis and ``form`` the induced invariant form.
     """
 
-    model: CurvatureModel
-    labels: tuple
-    basis: tuple
-    brackets: tuple
-    form: tuple
-    nondegenerate: bool
+    _fields = ("model", "labels", "basis", "brackets", "form", "nondegenerate")
+
+    def __init__(self, model: CurvatureModel, labels: tuple, basis: tuple,
+                 brackets: tuple, form: tuple, nondegenerate: bool):
+        self._set(model, labels, basis, brackets, form, nondegenerate)
 
     @property
     def dim_h(self) -> int:
@@ -340,14 +343,14 @@ def holonomy_algebra(model: CurvatureModel, check_model: bool = True) -> Holonom
     )
 
 
-@dataclass(frozen=True)
-class SymmetricTriple:
+class SymmetricTriple(Frozen):
     """Lie algebra h + p with involution and block form, h basis first."""
 
-    holonomy: HolonomyAlgebra
-    brackets: tuple
-    form: tuple
-    involution: tuple
+    _fields = ("holonomy", "brackets", "form", "involution")
+
+    def __init__(self, holonomy: HolonomyAlgebra, brackets: tuple, form: tuple,
+                 involution: tuple):
+        self._set(holonomy, brackets, form, involution)
 
     @property
     def dim_h(self) -> int:
@@ -637,6 +640,8 @@ def model_from_json_dict(data) -> CurvatureModel:
     dim = data.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise JSONFormatError("dim", "expected a positive integer")
+    charge_work(dim ** 4, f"a dense curvature tensor of dimension {dim} needs "
+                f"dim^4 = {dim ** 4} entries")
     metric = parse_matrix(data.get("metric"), "metric", rows=dim, cols=dim)
     raw = data.get("R")
     if not isinstance(raw, list):

@@ -11,22 +11,21 @@ chord is isolated, rather than once per diagram it can be read from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagrams import ChordDiagram, class_key, enumerate_diagrams
 from .formal import FormalSum
+from .frozen import Frozen
 from .linalg import sparse_rank
 
 KINDS = ("framed", "unframed")
 
 
-@dataclass(frozen=True)
-class RelationSet:
+class RelationSet(Frozen):
     """Homogeneous relation vectors in a fixed degree."""
 
-    n: int
-    kind: str
-    vectors: tuple
+    _fields = ("n", "kind", "vectors")
+
+    def __init__(self, n: int, kind: str, vectors: tuple):
+        self._set(n, kind, vectors)
 
     def __len__(self):
         return len(self.vectors)

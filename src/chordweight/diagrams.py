@@ -16,11 +16,11 @@ canonical form above.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .formal import FormalSum
+from .frozen import Frozen
 
 ENUMERATION_CAP = 8
 
@@ -84,19 +84,33 @@ def _matching_from_labels(seq: Sequence[int]) -> tuple:
     return tuple(matching)
 
 
-@dataclass(frozen=True)
-class ChordDiagram:
+class ChordDiagram(Frozen):
     """A canonical chord diagram; construction canonicalizes and validates."""
 
-    matching: tuple = field(default=())
+    _fields = ("matching",)
+
+    def __init__(self, matching: tuple = ()):
+        object.__setattr__(self, "matching", matching)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Canonicalize and validate; a method of its own so it can be timed by name."""
         matching = tuple(self.matching)
         _check_involution(matching)
         if matching:
             best = min(_label_sequence(matching, s) for s in range(len(matching)))
             matching = _matching_from_labels(best)
         object.__setattr__(self, "matching", matching)
+
+    # Diagrams key every formal sum, so equality and hashing skip the
+    # generic field walk of Frozen; the results are the same.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.matching == other.matching
+
+    def __hash__(self):
+        return hash((self.matching,))
 
     @classmethod
     def from_code(cls, code: str) -> "ChordDiagram":
@@ -203,18 +217,17 @@ def enumerate_diagrams(n: int, cap: int = ENUMERATION_CAP) -> tuple:
     return tuple(sorted(ChordDiagram(tuple(matching)) for matching in found.values()))
 
 
-@dataclass(frozen=True)
-class SmoothingAssignment:
+class SmoothingAssignment(Frozen):
     """A sign (+1 pass-through, -1 cap-cup) for each chord of a diagram."""
 
-    signs: tuple
+    _fields = ("signs",)
 
-    def __post_init__(self):
-        signs = tuple(self.signs)
+    def __init__(self, signs: tuple):
+        signs = tuple(signs)
         for k, s in enumerate(signs):
             if s not in (1, -1):
                 raise ValueError(f"sign for chord {k} must be +1 or -1, got {s!r}")
-        object.__setattr__(self, "signs", signs)
+        self._set(signs)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, int], n: int) -> "SmoothingAssignment":

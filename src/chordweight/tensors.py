@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 from .diagrams import ChordDiagram
 from .formal import FormalSum
+from .frozen import Frozen
 from .jsonio import JSONFormatError, format_rational, parse_rational
 from .sparse import IntegerView, least_nonzero, nonzero_entries
 
@@ -32,13 +33,14 @@ WORK_ENV_VAR = "CHORDWEIGHT_MAX_WORK"
 
 
 class WorkLimitExceeded(RuntimeError):
-    """The predicted work of a naive evaluation or state sum exceeds the bound."""
+    """The predicted work of an evaluation, state sum or dense load exceeds the bound."""
 
 
-class WeightTensor:
+class WeightTensor(Frozen):
     """Immutable dense rank-4 rational tensor with two (in, out) legs."""
 
     __slots__ = ("dim", "entries")
+    _fields = __slots__
 
     def __init__(self, dim: int, entries):
         if not isinstance(dim, int) or dim < 1:
@@ -57,11 +59,7 @@ class WeightTensor:
         )
         if not shape_ok:
             raise ValueError(f"entries must form a {dim}^4 array")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "entries", converted)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightTensor is immutable")
+        self._set(dim, converted)
 
     def entry(self, a: int, b: int, c: int, d: int) -> Fraction:
         """Component with leg 1 = (in a, out b), leg 2 = (in c, out d)."""
@@ -88,14 +86,6 @@ class WeightTensor:
         """((a, b, c, d), value) for every nonzero component, in index order."""
         return nonzero_entries(self.entries, 4)
 
-    def __eq__(self, other):
-        if not isinstance(other, WeightTensor):
-            return NotImplemented
-        return self.dim == other.dim and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.dim, self.entries))
-
     def __repr__(self):
         nnz = sum(1 for _ in self.nonzero_items())
         return f"WeightTensor(dim={self.dim}, nonzero={nnz})"
@@ -114,8 +104,10 @@ class WeightTensor:
         if not isinstance(data, dict):
             raise JSONFormatError("", "expected a JSON object")
         dim = data.get("dim")
-        if not isinstance(dim, int) or dim < 1:
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise JSONFormatError("dim", "must be a positive integer")
+        charge_work(dim ** 4, f"a dense tensor of dimension {dim} needs dim^4 = "
+                    f"{dim ** 4} entries")
         raw = data.get("entries", [])
         if not isinstance(raw, list):
             raise JSONFormatError("entries", "must be a list")
@@ -127,7 +119,7 @@ class WeightTensor:
             idx = []
             for key in ("a", "b", "c", "d"):
                 v = item.get(key)
-                if not isinstance(v, int) or not 0 <= v < dim:
+                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < dim:
                     raise JSONFormatError(
                         f"{path}.{key}", f"must be an integer in 0..{dim - 1}"
                     )
@@ -294,14 +286,20 @@ def evaluate(tensor: WeightTensor, diagram: ChordDiagram) -> Fraction:
     entries as int numerators over their common denominator den.  The
     factors are contracted pairwise in the order of ``contraction_plan``,
     whose ``cost(d)`` -- the sum over steps of d^(arcs touched) -- bounds
-    the work.  The integer total is divided by den^n once, at the end.
+    the work and is charged against the CHORDWEIGHT_MAX_WORK bound before
+    any factor is built.  The integer total is divided by den^n once, at
+    the end.
     """
     n = diagram.n
     if n == 0:
         return Fraction(tensor.dim)
+    plan = contraction_plan(diagram)
+    work = plan.cost(tensor.dim)
+    charge_work(work, "contraction needs sum over steps of d^(arcs touched) = "
+                f"{work} products")
     view = IntegerView(tensor.entries, 4)
     factors = [_chord_factor(legs, view.entries) for legs in _chord_legs(diagram)]
-    for i, j, _ in contraction_plan(diagram).steps:
+    for i, j, _ in plan.steps:
         factors.append(_contract(factors[i], factors[j]))
         factors[i] = factors[j] = None
     _, total = factors[-1]
@@ -320,6 +318,13 @@ def _work_limit(max_work) -> int:
     return DEFAULT_MAX_WORK
 
 
+def charge_work(work: int, needs: str, max_work=None) -> None:
+    """Raise WorkLimitExceeded if ``work`` is over the bound; ``needs`` says what it is."""
+    limit = _work_limit(max_work)
+    if work > limit:
+        raise WorkLimitExceeded(f"{needs}, limit is {limit}")
+
+
 def evaluate_naive(tensor: WeightTensor, diagram: ChordDiagram, max_work=None) -> Fraction:
     """Full-sum oracle: iterate over all arc-index assignments.
 
@@ -330,12 +335,8 @@ def evaluate_naive(tensor: WeightTensor, diagram: ChordDiagram, max_work=None) -
     """
     d = tensor.dim
     n = diagram.n
-    limit = _work_limit(max_work)
     work = d ** (2 * n)
-    if work > limit:
-        raise WorkLimitExceeded(
-            f"naive evaluation needs d^(2n) = {work} assignments, limit is {limit}"
-        )
+    charge_work(work, f"naive evaluation needs d^(2n) = {work} assignments", max_work)
     if n == 0:
         return Fraction(d)
     m = 2 * n

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from .diagrams import ChordDiagram, smoothing_tally
-from .tensors import WorkLimitExceeded, _work_limit
+from .tensors import charge_work
 
 
 def yamada_weight(diagram: ChordDiagram, loop_value=3) -> Fraction:
@@ -17,12 +17,8 @@ def yamada_weight(diagram: ChordDiagram, loop_value=3) -> Fraction:
     unit-three-sphere curvature tensor.  The 2^n smoothings are charged
     against the same work bound as ``evaluate_naive``.
     """
-    limit = _work_limit(None)
     work = 2 ** diagram.n
-    if work > limit:
-        raise WorkLimitExceeded(
-            f"state sum needs 2^n = {work} smoothings, limit is {limit}"
-        )
+    charge_work(work, f"state sum needs 2^n = {work} smoothings")
     value = Fraction(loop_value)
     return sum((k * value ** c for c, k in smoothing_tally(diagram).items()),
                Fraction(0))

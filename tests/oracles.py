@@ -10,8 +10,9 @@ fraction-free elimination), smoothing components by walking an adjacency
 list built afresh for each smoothing (the package walks fixed partner tables
 in Gray-code order), weight systems by sweeping the circle with every open
 chord held at once (the package contracts a tensor network pairwise), and
-the identity checks by dense loops over every index tuple in lexicographic
-order (the package sums products of nonzero entries only).
+the identity checks and the curvature-model symmetries by dense loops over
+every index tuple in lexicographic order (the package works on nonzero
+entries only).
 """
 
 from __future__ import annotations
@@ -299,4 +300,32 @@ def exchange_identity(T, Y, rho, d, m):
             mid += Y[i][j][k] * rho[i][b][a] * rho[j][dd][c] * rho[k][f][e]
         if lhs != mid or mid != rhs:
             return False, (a, b, c, dd, e, f)
+    return True, None
+
+
+def curvature_model(g, R, d):
+    """(ok, why) of the curvature-model checks, by dense loops in the package's order.
+
+    Metric symmetry, nondegeneracy (by dense_rank), antisymmetry over a <= b,
+    the first Bianchi identity, then pair symmetry of the tensor lowered by g.
+    """
+    rng = range(d)
+    if any(g[i][j] != g[j][i] for i, j in product(rng, repeat=2)):
+        return False, ("metric-symmetry", None)
+    if d and dense_rank(g, d) < d:
+        return False, ("metric-degenerate", None)
+    for a in rng:
+        for b in range(a, d):
+            for c, x in product(rng, repeat=2):
+                if R[a][b][c][x] != -R[b][a][c][x]:
+                    return False, ("antisymmetry", (a, b, c, x))
+    for a, b, c, x in product(rng, repeat=4):
+        if R[a][b][c][x] + R[b][c][a][x] + R[c][a][b][x] != 0:
+            return False, ("bianchi", (a, b, c, x))
+    low = {key: sum((R[key[0]][key[1]][key[2]][y] * g[y][key[3]] for y in rng),
+                    Fraction(0))
+           for key in product(rng, repeat=4)}
+    for a, b, c, x in product(rng, repeat=4):
+        if low[a, b, c, x] != low[c, x, a, b]:
+            return False, ("pair-symmetry", (a, b, c, x))
     return True, None

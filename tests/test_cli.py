@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import string
 import subprocess
 import sys
@@ -11,11 +12,18 @@ from pathlib import Path
 import pytest
 
 import chordweight
-from chordweight import WeightTensor, constant_curvature, sl2_standard, so_standard
+from chordweight import (
+    ChordDiagram,
+    WeightTensor,
+    constant_curvature,
+    sl2_standard,
+    so_standard,
+)
 from chordweight import acceptance
 from chordweight.cli import main
 from chordweight.curvature import model_to_json_dict
 from chordweight.lie import representation_to_json_dict
+from chordweight.tensors import DEFAULT_MAX_WORK, contraction_plan
 
 
 def write_json(path, payload):
@@ -58,6 +66,71 @@ def test_eval_of_the_8_chord_crossing_on_a_5_sphere_is_fast(tmp_path):
     elapsed = time.perf_counter() - start
     assert (proc.returncode, proc.stdout) == (0, "65540\n")
     assert elapsed < 1
+
+
+def run_cli(*argv):
+    """The CLI in a fresh process: (completed process, wall seconds)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(chordweight.__file__).parents[1]))
+    env.pop("CHORDWEIGHT_MAX_WORK", None)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "chordweight.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc, time.perf_counter() - start
+
+
+def test_importing_the_cli_skips_dataclasses_inspect_and_csv():
+    env = dict(os.environ, PYTHONPATH=str(Path(chordweight.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, chordweight.cli; print(sorted("
+         "{'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
+def test_eval_refuses_a_wide_contraction_at_once(tmp_path):
+    labels = list(string.ascii_uppercase[:20]) * 2
+    random.Random(20).shuffle(labels)
+    code = "".join(labels)
+    cost = contraction_plan(ChordDiagram.from_code(code)).cost(4)
+    assert cost > DEFAULT_MAX_WORK
+    so4 = write_json(tmp_path / "so4.json",
+                     so_standard(4).weight_tensor().to_json_dict())
+    proc, elapsed = run_cli("eval", "--tensor", so4, "--diagram", code)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: contraction needs sum over steps of d^(arcs touched) = {cost} "
+        "products, limit is 10000000\n")
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize("kind", ["tensor", "curvature"])
+def test_check_refuses_a_dense_load_of_dimension_200_at_once(tmp_path, kind):
+    doc = ({"dim": 200, "entries": []} if kind == "tensor"
+           else {"dim": 200, "metric": [], "R": []})
+    path = write_json(tmp_path / "wide.json", doc)
+    proc, elapsed = run_cli("check", f"--{kind}", path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith(
+        "dimension 200 needs dim^4 = 1600000000 entries, limit is 10000000\n")
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize("field", ["dim", "a", "b", "c", "d"])
+def test_tensor_files_reject_booleans(tmp_path, capsys, field):
+    item = {"a": 0, "b": 0, "c": 0, "d": 0, "value": "1"}
+    doc = {"dim": 1, "entries": [item]}
+    path = write_json(tmp_path / "ok.json", doc)
+    assert run(capsys, "check", "--tensor", path)[0] == 0
+    if field == "dim":
+        doc["dim"] = True
+    else:
+        item[field] = False
+    path = write_json(tmp_path / "bool.json", doc)
+    code, out, err = run(capsys, "check", "--tensor", path)
+    where = "dim" if field == "dim" else f"entries[0].{field}"
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {where}: ")
 
 
 def test_enumerate_text(capsys):

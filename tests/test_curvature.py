@@ -7,7 +7,9 @@ import pytest
 from chordweight import (
     ChordDiagram,
     CurvatureModel,
+    HolonomyAlgebra,
     Representation,
+    SymmetricTriple,
     check_four_term,
     check_parallel_four_term,
     constant_curvature,
@@ -261,3 +263,39 @@ def test_evaluation_through_the_triple():
     for n in range(4):
         for diagram in enumerate_diagrams(n):
             assert evaluate(direct, diagram) == evaluate(via_triple, diagram)
+
+
+def test_holonomy_algebra_and_triple_are_immutable_values():
+    model = constant_curvature(2)
+    triple = symmetric_triple(model)
+    hol = triple.holonomy
+    assert hol == holonomy_algebra(model)
+    assert hol != holonomy_algebra(constant_curvature(2))  # models compare by identity
+    fields = dict(model=model, labels=hol.labels, basis=hol.basis,
+                  brackets=hol.brackets, form=hol.form, nondegenerate=True)
+    assert HolonomyAlgebra(**fields) == hol
+    assert hash(HolonomyAlgebra(*fields.values())) == hash(hol) == hash(
+        tuple(fields.values()))
+    assert repr(hol) == "HolonomyAlgebra(" + ", ".join(
+        f"{name}={value!r}" for name, value in fields.items()) + ")"
+    parts = dict(holonomy=hol, brackets=triple.brackets, form=triple.form,
+                 involution=(1, -1, -1))
+    assert SymmetricTriple(**parts) == triple == symmetric_triple(model)
+    assert hash(triple) == hash(tuple(parts.values()))
+    assert repr(triple) == "SymmetricTriple(" + ", ".join(
+        f"{name}={value!r}" for name, value in parts.items()) + ")"
+    with pytest.raises(AttributeError):
+        hol.nondegenerate = False
+    with pytest.raises(AttributeError):
+        triple.involution = ()
+    assert hol.nondegenerate and triple.involution == (1, -1, -1)
+
+
+def test_model_load_is_charged_dim_to_the_4(monkeypatch):
+    from chordweight import WorkLimitExceeded
+
+    monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", "81")
+    doc = model_to_json_dict(constant_curvature(3))
+    assert model_from_json_dict(doc).riemann == constant_curvature(3).riemann
+    with pytest.raises(WorkLimitExceeded, match=r"dim\^4 = 256 entries, limit is 81"):
+        model_from_json_dict(model_to_json_dict(constant_curvature(4)))

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from chordweight import (
     ChordDiagram,
+    RelationSet,
     enumerate_diagrams,
     four_term_relations,
     four_term_vector,
@@ -171,3 +172,18 @@ def test_unframed_quotient_kills_theta():
     theta = FormalSum.single(ChordDiagram.from_code("AA"))
     assert not in_relation_span(theta, "framed")
     assert in_relation_span(theta, "unframed")
+
+
+def test_relation_set_is_an_immutable_value():
+    theta = ChordDiagram.from_code("AA")
+    relations = one_term_relations(1)
+    vector = FormalSum.single(theta)
+    assert relations == RelationSet(n=1, kind="1T", vectors=(vector,))
+    assert relations != RelationSet(1, "4T", (vector,))
+    assert repr(relations) == f"RelationSet(n=1, kind='1T', vectors=({vector!r},))"
+    with pytest.raises(TypeError):
+        hash(relations)  # formal sums are unhashable
+    assert hash(RelationSet(0, "4T", ())) == hash((0, "4T", ()))
+    with pytest.raises(AttributeError):
+        relations.n = 2
+    assert relations.n == 1

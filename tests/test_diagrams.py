@@ -5,6 +5,7 @@ import pytest
 import oracles
 from chordweight import (
     ChordDiagram,
+    SmoothingAssignment,
     connected_sum,
     coproduct,
     enumerate_diagrams,
@@ -196,3 +197,30 @@ def test_coproduct_total_mass():
     for n in range(5):
         for d in enumerate_diagrams(n):
             assert sum(c for _, c in coproduct(d).items()) == 2 ** d.n
+
+
+def test_chord_diagram_is_an_immutable_value():
+    diagram = ChordDiagram.from_code("AABB")
+    rotated = ChordDiagram(matching=(3, 2, 1, 0))  # ABBA, a rotation
+    assert rotated == diagram and rotated is not diagram
+    assert hash(rotated) == hash(diagram) == hash(((1, 0, 3, 2),))
+    assert diagram != ChordDiagram.from_code("ABAB")
+    assert diagram != (1, 0, 3, 2)
+    assert repr(diagram) == "ChordDiagram('AABB')"
+    assert repr(ChordDiagram()) == "ChordDiagram('')"
+    with pytest.raises(AttributeError):
+        diagram.matching = (3, 2, 1, 0)
+    with pytest.raises(AttributeError):
+        del diagram.matching
+    assert diagram.matching == (1, 0, 3, 2)
+
+
+def test_smoothing_assignment_is_an_immutable_value():
+    signs = SmoothingAssignment([1, -1])
+    assert signs == SmoothingAssignment(signs=(1, -1))
+    assert signs != SmoothingAssignment((-1, 1))
+    assert hash(signs) == hash(((1, -1),))
+    assert repr(signs) == "SmoothingAssignment(signs=(1, -1))"
+    with pytest.raises(AttributeError):
+        signs.signs = (1, 1)
+    assert signs.signs == (1, -1)

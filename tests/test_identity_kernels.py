@@ -1,4 +1,5 @@
-"""The four identity checks against their dense reference loops.
+"""The four identity checks and the curvature-model checks against their
+dense reference loops.
 
 Each check must return exactly the (ok, witness) of its oracle in
 tests/oracles.py: the same verdict and the same lexicographically least
@@ -177,6 +178,64 @@ def test_parallel_four_term_matches_dense_oracle(seed):
         verdicts.append(got[0])
     assert verdicts[0] and verdicts[3]
     assert not verdicts[1]
+
+
+def bianchi_breaking(key):
+    a, b, c, x = key
+    return [(key, 1), ((b, a, c, x), -1)]
+
+
+def pair_breaking(key):
+    """Keeps antisymmetry and Bianchi: R(e_a, e_b)e_a gains a multiple of e_x."""
+    a, b, _, x = key
+    return [((a, b, a, x), 1), ((b, a, a, x), -1)]
+
+
+def model_inputs(seed):
+    """Seeded curvature models of dimension 1 to 5, passing and failing."""
+    rng = random.Random(seed)
+    d = rng.randrange(1, 6)
+    metric = [[rng.choice(VALUES) if i == j else 0 for j in range(d)]
+              for i in range(d)]
+    space_form = rebase_model(
+        constant_curvature(d, metric, rng.choice(VALUES)), rng)
+    g, R = space_form.metric, space_form.riemann
+    yield space_form
+    yield CurvatureModel(g, perturbed(R, rng))
+    yield CurvatureModel(g, perturbed(R, rng, bianchi_breaking))
+    yield CurvatureModel(g, perturbed(R, rng, pair_breaking))
+    yield CurvatureModel(g, random_array(rng, [d] * 4, rng.choice((0.02, 0.2))))
+    yield CurvatureModel(perturbed(g, rng), R)
+    yield CurvatureModel([[g[i][j] if i and j else 0 for j in range(d)]
+                          for i in range(d)], R)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_model_validate_matches_dense_oracle(seed):
+    for model in model_inputs(seed):
+        assert model.validate() == oracles.curvature_model(
+            model.metric, model.riemann, model.dim)
+
+
+def test_model_inputs_reach_every_verdict():
+    seen = set()
+    for seed in SEEDS:
+        for model in model_inputs(seed):
+            ok, why = model.validate()
+            seen.add("pass" if ok else why[0])
+    assert seen == {"pass", "antisymmetry", "bianchi", "pair-symmetry",
+                    "metric-symmetry", "metric-degenerate"}
+
+
+def test_pinned_bianchi_witness_is_a_rotation_of_a_nonzero_key():
+    """Only R[1][2][0][0] = -R[2][1][0][0] is nonzero; (0, 1, 2, 0) fails first."""
+    riemann = [[[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
+               for _ in range(3)]
+    riemann[1][2][0][0], riemann[2][1][0][0] = Fraction(1, 2), Fraction(-1, 2)
+    metric = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    expected = (False, ("bianchi", (0, 1, 2, 0)))
+    assert CurvatureModel(metric, riemann).validate() == expected
+    assert oracles.curvature_model(metric, riemann, 3) == expected
 
 
 def algebra_inputs(seed):

@@ -118,6 +118,25 @@ def test_work_limit_env_var(monkeypatch):
     assert evaluate_naive(t, enumerate_diagrams(2)[0]) == 2
 
 
+def test_contraction_is_charged_its_plan_cost(monkeypatch):
+    crossing = ChordDiagram.from_code("ABCDABCD")
+    cost = contraction_plan(crossing).cost(4)
+    monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", str(cost))
+    assert evaluate(SO4, crossing) == oracles.sweep_evaluate(SO4, crossing)
+    monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", str(cost - 1))
+    with pytest.raises(WorkLimitExceeded,
+                       match=rf"d\^\(arcs touched\) = {cost} products, "
+                             rf"limit is {cost - 1}"):
+        evaluate(SO4, crossing)
+
+
+def test_tensor_load_is_charged_dim_to_the_4(monkeypatch):
+    monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", "81")
+    assert WeightTensor.from_json_dict({"dim": 3}) == WeightTensor.from_entries(3, [])
+    with pytest.raises(WorkLimitExceeded, match="dim\\^4 = 256 entries, limit is 81"):
+        WeightTensor.from_json_dict({"dim": 4, "entries": []})
+
+
 def test_json_round_trip():
     t = WeightTensor.from_entries(
         2, [((0, 1, 1, 0), Fraction(2, 3)), ((1, 0, 0, 1), Fraction(2, 3))]

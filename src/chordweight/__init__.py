@@ -21,7 +21,6 @@ from .diagram_space import (
 from .formal import FormalSum
 from .tensors import (
     WeightTensor,
-    WorkLimitExceeded,
     check_four_term,
     evaluate,
     evaluate_naive,
@@ -50,6 +49,7 @@ from .curvature import (
     triple_from_rep,
     verify_lie_type,
 )
+from .work import WorkLimitExceeded
 from .yamada import yamada_weight
 
 __version__ = "0.1.0"

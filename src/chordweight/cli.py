@@ -25,17 +25,22 @@ from .curvature import (
     verify_lie_type,
 )
 from .diagram_space import quotient_dimension
-from .diagrams import ENUMERATION_CAP, ChordDiagram, enumerate_diagrams
+from .diagrams import (
+    ENUMERATION_CAP,
+    ChordDiagram,
+    charge_enumeration,
+    enumerate_diagrams,
+)
 from .jsonio import format_matrix, parse_matrix
 from .lie import check_exchange_identity, representation_from_json_dict
 from .tensors import (
     WeightTensor,
-    WorkLimitExceeded,
     check_four_term,
     evaluate,
     evaluate_naive,
     validate_symmetry,
 )
+from .work import WorkLimitExceeded
 from .yamada import yamada_weight
 
 EXIT_OK = 0
@@ -131,6 +136,7 @@ def _cmd_enumerate(args, out) -> int:
 def _cmd_dims(args, out) -> int:
     if not 0 <= args.max_n <= ENUMERATION_CAP:
         raise CLIError(f"--max-n must be in 0..{ENUMERATION_CAP}, got {args.max_n}")
+    charge_enumeration(args.max_n)  # the top degree costs most: refuse before degree 0
     kind = "unframed" if args.unframed else "framed"
     rows = [(n, quotient_dimension(n, kind)) for n in range(args.max_n + 1)]
     if args.format == "json":

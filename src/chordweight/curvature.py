@@ -30,7 +30,8 @@ from .linalg import (
     sparse_rank,
 )
 from .sparse import IntegerView
-from .tensors import WeightTensor, charge_work, evaluate, four_term_witness
+from .tensors import WeightTensor, evaluate, four_term_witness
+from .work import charge_work
 
 
 class CurvatureModel:

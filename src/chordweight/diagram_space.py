@@ -3,15 +3,20 @@
 Generates the four-term (4T) and isolated-chord (1T) relation vectors in
 each degree, computes quotient dimensions by exact sparse elimination, and
 decides membership in the relation span.  Ranks are taken over integer
-rows indexed by basis position; each term is located by the class key of
-its raw matching, so no diagram or formal sum is built per term.  Each 4T
-relation is generated from one representative, a diagram whose moving
-chord is isolated, rather than once per diagram it can be read from.
+rows indexed by basis position.  A term is located by one dict lookup on
+the gap sequence of its raw matching, in an index that holds every
+rotation of every basis diagram's gap sequence, so no diagram, formal sum
+or least rotation is built per term.  The index keys are the gaps packed
+as bytes (each gap is below 2n <= 16), a third of the memory of tuples.
+Each 4T relation is generated from one representative, a diagram whose
+moving chord is isolated, and the terms of all relations that move that
+chord come from one slot table, built by walking its endpoint around the
+circle one adjacent swap at a time.
 """
 
 from __future__ import annotations
 
-from .diagrams import ChordDiagram, class_key, enumerate_diagrams
+from .diagrams import ChordDiagram, enumerate_diagrams
 from .formal import FormalSum
 from .frozen import Frozen
 from .linalg import sparse_rank
@@ -70,19 +75,63 @@ def four_term_vector(diagram: ChordDiagram, moving_chord: int, fixed_chord: int,
     return FormalSum(terms)
 
 
+def _gaps(matching) -> list:
+    """g[p] = (matching[p] - p) mod 2n; rotating the diagram rotates it."""
+    m = len(matching)
+    return [(q - p) % m for p, q in enumerate(matching)]
+
+
+def _class_index(basis: tuple) -> dict:
+    """{bytes(gaps) of each rotation of each basis diagram: basis position}."""
+    index = {}
+    for i, diagram in enumerate(basis):
+        gaps = _gaps(diagram.matching)
+        for r in range(len(gaps) or 1):
+            index[bytes(gaps[r:] + gaps[:r])] = i
+    return index
+
+
+def _slot_table(matching: tuple, p: int, index: dict) -> list:
+    """slots[t]: basis index of ``_reinsert(matching, p, seq, t)``.
+
+    seq is the circle without p.  The walk starts from the diagram itself,
+    where p sits at slot p just after its partner, and moves p forward
+    around the circle, one position at a time, through every other slot
+    until it is just before its partner.  Each move swaps p with the
+    endpoint after it, which is never p's partner, so only the gaps at
+    those two positions and at their two partners change.  Slots 0 and
+    2n - 1 are the same place on the circle.
+    """
+    m = len(matching)
+    gaps = _gaps(matching)
+    slots = [0] * m
+    slots[p % (m - 1)] = index[bytes(gaps)]
+    i = p
+    for t in range(p + 1, p + m - 1):
+        j = i + 1 if i + 1 < m else 0
+        a = (i + gaps[i]) % m  # p's partner
+        b = (j + gaps[j]) % m  # the partner of the endpoint after p
+        gaps[i], gaps[j] = (b - i) % m, (a - j) % m
+        gaps[a], gaps[b] = (j - a) % m, (i - b) % m
+        slots[t % (m - 1)] = index[bytes(gaps)]
+        i = j
+    slots[m - 1] = slots[0]
+    return slots
+
+
 def _four_term_rows(basis: tuple, index: dict) -> list:
     """Distinct nonzero 4T rows {basis index: int} over degree-n diagrams.
 
-    index maps ``class_key`` to basis position.  A row re-inserts the
-    moving endpoint p beside the endpoints of the fixed chord, so it
-    depends only on the fixed chord and the configuration: the circle
-    without p, holding n - 1 chords and p's partner q.  Putting p back
-    directly after q gives a diagram, a rotation of one in basis, whose
-    moving chord (q, q + 1 mod 2n) is isolated.  So every row is built
-    from a basis diagram, one isolated chord with p = q + 1 moving, and
-    another chord as the fixed one: one slot table per isolated chord.
-    Configurations with rotational symmetry still repeat, so rows are
-    deduplicated on their sorted items, in order of first appearance.
+    index is ``_class_index(basis)``.  A row re-inserts the moving endpoint
+    p beside the endpoints of the fixed chord, so it depends only on the
+    fixed chord and the configuration: the circle without p, holding
+    n - 1 chords and p's partner q.  Putting p back directly after q gives
+    a diagram, a rotation of one in basis, whose moving chord
+    (q, q + 1 mod 2n) is isolated.  So every row is built from a basis
+    diagram, one isolated chord with p = q + 1 moving, and another chord as
+    the fixed one: one slot table per isolated chord.  Configurations with
+    rotational symmetry still repeat, so rows are deduplicated on their
+    sorted items, in order of first appearance.
     """
     rows = []
     seen = set()
@@ -93,11 +142,8 @@ def _four_term_rows(basis: tuple, index: dict) -> list:
             p = (q + 1) % m
             if matching[q] != p:
                 continue
-            # slots[t]: basis index of the diagram with p moved to slot t of
-            # the circle without p; each 4T term is one of these.
-            seq = [x for x in range(m) if x != p]
-            slots = [index[class_key(_reinsert(matching, p, seq, t))]
-                     for t in range(m)]
+            # each 4T term is one entry of the slot table
+            slots = _slot_table(matching, p, index)
             for fixed in diagram.chords:
                 if q in fixed:
                     continue
@@ -111,10 +157,6 @@ def _four_term_rows(basis: tuple, index: dict) -> list:
                     seen.add(key)
                     rows.append(dict(key))
     return rows
-
-
-def _class_index(basis: tuple) -> dict:
-    return {class_key(diagram.matching): i for i, diagram in enumerate(basis)}
 
 
 def four_term_relations(n: int) -> RelationSet:
@@ -137,10 +179,13 @@ def one_term_relations(n: int) -> RelationSet:
     return RelationSet(n, "1T", vectors)
 
 
-def _relation_rows(basis: tuple, index: dict, kind: str) -> list:
-    """Integer relation rows over basis positions for the chosen kind."""
+def _check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+
+
+def _relation_rows(basis: tuple, index: dict, kind: str) -> list:
+    """Integer relation rows over basis positions for the chosen kind."""
     rows = _four_term_rows(basis, index)
     if kind == "unframed":
         rows.extend({i: 1} for i, diagram in enumerate(basis)
@@ -150,6 +195,7 @@ def _relation_rows(basis: tuple, index: dict, kind: str) -> list:
 
 def quotient_dimension(n: int, kind: str = "framed") -> int:
     """Dimension of degree-n diagrams modulo the chosen relations."""
+    _check_kind(kind)
     basis = enumerate_diagrams(n)
     rank = sparse_rank(_relation_rows(basis, _class_index(basis), kind))
     return len(basis) - rank
@@ -157,6 +203,7 @@ def quotient_dimension(n: int, kind: str = "framed") -> int:
 
 def in_relation_span(vector: FormalSum, kind: str = "framed") -> bool:
     """Exact membership of a homogeneous vector in the relation span."""
+    _check_kind(kind)
     if not vector:
         return True
     degrees = {diagram.n for diagram, _ in vector.items()}
@@ -166,5 +213,5 @@ def in_relation_span(vector: FormalSum, kind: str = "framed") -> bool:
     index = _class_index(basis)
     relation_rows = _relation_rows(basis, index, kind)
     base_rank = sparse_rank(relation_rows)
-    row = {index[class_key(d.matching)]: coeff for d, coeff in vector.items()}
+    row = {index[bytes(_gaps(d.matching))]: coeff for d, coeff in vector.items()}
     return sparse_rank(relation_rows + [row]) == base_rank

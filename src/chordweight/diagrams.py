@@ -7,10 +7,13 @@ position labels, the one whose first-occurrence chord labelling reads
 lexicographically smallest.  Rotations only; the circle is oriented, so a
 reflected diagram is a different diagram.
 
-For lookup and deduplication, ``class_key`` gives a cheaper invariant of
-the rotation class: the least rotation of the gap sequence.  It is never
-shown to users; codes, matchings and the sort order come from the
-canonical form above.
+The gap sequence g[p] = (matching[p] - p) mod 2n shifts cyclically when
+the diagram is rotated, so its least rotation is a second invariant of the
+rotation class.  The enumerator generates exactly these least rotations,
+one per class, by an orderly search over gap sequences in the manner of
+Sawada (SIAM J. Discrete Math. 15, 2002), so no other matching is built.
+Gap sequences are never shown to users; codes, matchings and the sort
+order come from the canonical form above.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .formal import FormalSum
 from .frozen import Frozen
+from .work import charge_work
 
 ENUMERATION_CAP = 8
 
@@ -54,21 +58,6 @@ def _label_sequence(matching: Sequence[int], start: int) -> tuple:
             seq.append(nxt)
             nxt += 1
     return tuple(seq)
-
-
-def class_key(matching: Sequence[int]) -> tuple:
-    """Least rotation of the gap sequence g[p] = (matching[p] - p) mod 2n.
-
-    Rotating a diagram by r shifts its gap sequence cyclically by r, so two
-    matchings have the same key exactly when they are rotations of each
-    other.
-    """
-    m = len(matching)
-    gaps = [(q - p) % m for p, q in enumerate(matching)]
-    least = min(gaps, default=0)
-    doubled = tuple(gaps + gaps)
-    # the least rotation starts at a least gap
-    return min([doubled[s:s + m] for s in range(m) if gaps[s] == least], default=())
 
 
 def _matching_from_labels(seq: Sequence[int]) -> tuple:
@@ -186,35 +175,74 @@ def rotate_matching(matching: Sequence[int], r: int) -> tuple:
     return tuple(out)
 
 
+def charge_enumeration(n: int) -> None:
+    """Charge the predicted cost of degree n against the work bound.
+
+    The cost is classes x (2n)^2, with about (2n-1)!!/(2n) rotation
+    classes, each canonicalized and given 4T slot tables of length 2n.
+    """
+    work = 2 * n
+    for k in range(1, 2 * n, 2):
+        work *= k
+    charge_work(work, f"degree {n} needs about (2n-1)!!/(2n) classes x (2n)^2 = "
+                f"{work} steps")
+
+
+def _least_gap_rotations(n: int) -> list:
+    """The least rotation of the gap sequence of every n-chord class, once each.
+
+    A depth-first search fills g[0], g[1], ... in turn.  Choosing g[t] = v
+    pairs position t with t + v, which fixes g[t + v] = 2n - v; the
+    positions before t are all paired, so v < 2n - t.  A prefix is extended
+    only while it is a prenecklace, tested as in the FKM algorithm: with
+    ``period`` the length of its longest Lyndon prefix, g[t] >= g[t - period],
+    and the period becomes t + 1 when the inequality is strict.  A full
+    sequence whose length is a multiple of its period is a necklace, the
+    least of its rotations, and every rotation class has exactly one.
+    """
+    m = 2 * n
+    gaps = [0] * m
+    found = []
+
+    def extend(t: int, period: int) -> None:
+        if t == m:
+            if m % period == 0:
+                found.append(tuple(gaps))
+            return
+        least = gaps[t - period]
+        v = gaps[t]
+        if v:  # fixed by the chord from an earlier position
+            if v >= least:
+                extend(t + 1, period if v == least else t + 1)
+            return
+        for v in range(max(least, 1), m - t):
+            if not gaps[t + v]:
+                gaps[t], gaps[t + v] = v, m - v
+                extend(t + 1, period if v == least else t + 1)
+                gaps[t + v] = 0
+        gaps[t] = 0
+
+    extend(0, 1)
+    return found
+
+
 def enumerate_diagrams(n: int, cap: int = ENUMERATION_CAP) -> tuple:
     """All canonical diagrams with n chords, sorted by code.
 
-    Every matching is generated, but only the first of each rotation class
-    (by ``class_key``) is canonicalized.
+    Each rotation class is generated once, as its least gap rotation (see
+    ``_least_gap_rotations``), and canonicalized; nothing is deduplicated.
+    The predicted cost is charged first (``charge_enumeration``).
     """
     if n < 0:
         raise ValueError("chord count must be non-negative")
     if n > cap:
         raise ValueError(f"n={n} exceeds the enumeration cap {cap}")
-    found = {}
-
-    def pair_up(partial: dict, free: list) -> None:
-        if not free:
-            matching = [0] * (2 * n)
-            for p, q in partial.items():
-                matching[p] = q
-            found.setdefault(class_key(matching), matching)
-            return
-        a = free[0]
-        for k in range(1, len(free)):
-            b = free[k]
-            partial[a] = b
-            partial[b] = a
-            pair_up(partial, free[1:k] + free[k + 1:])
-            del partial[a], partial[b]
-
-    pair_up({}, list(range(2 * n)))
-    return tuple(sorted(ChordDiagram(tuple(matching)) for matching in found.values()))
+    charge_enumeration(n)
+    m = 2 * n
+    return tuple(sorted(
+        ChordDiagram(tuple([(p + v) % m for p, v in enumerate(gaps)]))
+        for gaps in _least_gap_rotations(n)
+    ))
 
 
 class SmoothingAssignment(Frozen):

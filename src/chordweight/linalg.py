@@ -167,16 +167,23 @@ def form_signature(matrix):
 
 
 def _integer_rows(rows):
-    """Clear denominators and common factors row by row; drop zero rows."""
+    """Clear denominators and common factors row by row; drop zero rows.
+
+    ints and Fractions are taken as they are, since both have a
+    denominator; any other entry is converted with Fraction first.
+    """
     cleaned = []
     for row in rows:
-        items = {c: Fraction(v) for c, v in row.items() if v != 0}
+        items = {c: v if isinstance(v, (int, Fraction)) else Fraction(v)
+                 for c, v in row.items() if v != 0}
         if not items:
             continue
-        denom = lcm(*(v.denominator for v in items.values()))
-        ints = {c: int(v * denom) for c, v in items.items()}
+        denom = lcm(*[v.denominator for v in items.values()])
+        if denom != 1:
+            items = {c: v * denom for c, v in items.items()}
+        ints = {c: int(v) for c, v in items.items()}
         g = gcd(*ints.values())
-        cleaned.append({c: v // g for c, v in ints.items()})
+        cleaned.append({c: v // g for c, v in ints.items()} if g != 1 else ints)
     return cleaned
 
 

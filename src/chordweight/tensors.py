@@ -16,7 +16,6 @@ full crossing has width 4 for every n.
 
 from __future__ import annotations
 
-import os
 from collections import defaultdict
 from fractions import Fraction
 from itertools import product as iter_product
@@ -27,13 +26,8 @@ from .formal import FormalSum
 from .frozen import Frozen
 from .jsonio import JSONFormatError, format_rational, parse_rational
 from .sparse import IntegerView, least_nonzero, nonzero_entries
-
-DEFAULT_MAX_WORK = 10 ** 7
-WORK_ENV_VAR = "CHORDWEIGHT_MAX_WORK"
-
-
-class WorkLimitExceeded(RuntimeError):
-    """The predicted work of an evaluation, state sum or dense load exceeds the bound."""
+# DEFAULT_MAX_WORK and WorkLimitExceeded are re-exported from here
+from .work import DEFAULT_MAX_WORK, WorkLimitExceeded, charge_work  # noqa: F401
 
 
 class WeightTensor(Frozen):
@@ -304,25 +298,6 @@ def evaluate(tensor: WeightTensor, diagram: ChordDiagram) -> Fraction:
         factors[i] = factors[j] = None
     _, total = factors[-1]
     return Fraction(total.get((), 0), view.den ** n)
-
-
-def _work_limit(max_work) -> int:
-    if max_work is not None:
-        return int(max_work)
-    env = os.environ.get(WORK_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"{WORK_ENV_VAR} must be an integer, got {env!r}") from exc
-    return DEFAULT_MAX_WORK
-
-
-def charge_work(work: int, needs: str, max_work=None) -> None:
-    """Raise WorkLimitExceeded if ``work`` is over the bound; ``needs`` says what it is."""
-    limit = _work_limit(max_work)
-    if work > limit:
-        raise WorkLimitExceeded(f"{needs}, limit is {limit}")
 
 
 def evaluate_naive(tensor: WeightTensor, diagram: ChordDiagram, max_work=None) -> Fraction:

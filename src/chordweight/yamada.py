@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from .diagrams import ChordDiagram, smoothing_tally
-from .tensors import charge_work
+from .work import charge_work
 
 
 def yamada_weight(diagram: ChordDiagram, loop_value=3) -> Fraction:

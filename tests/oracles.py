@@ -1,10 +1,14 @@
 """Brute-force reference implementations used to pin expected test values.
 
 Everything here is deliberately naive and independent of the package code:
-orbits are computed by explicit closure under rotation (no canonical codes),
-4T rows from every (diagram, moving chord, fixed chord, endpoint), with
-each term located by rotation (the package builds each relation once, from
-a diagram whose moving chord is isolated, and looks terms up by class key),
+every matching is generated and orbits are computed by explicit closure
+under rotation, with no canonical codes (the package generates one least
+gap rotation per class and never sees the other matchings), 4T rows from
+every (diagram, moving chord, fixed chord, endpoint), with each term
+re-inserted from scratch and located by trying its rotations (the package
+builds each relation once, from a diagram whose moving chord is isolated,
+walks the moving endpoint around the circle by adjacent swaps, and looks
+each term up by its raw gap sequence in an index of every rotation),
 ranks by dense division-based Gaussian elimination (the package uses sparse
 fraction-free elimination), smoothing components by walking an adjacency
 list built afresh for each smoothing (the package walks fixed partner tables
@@ -50,6 +54,18 @@ def rotate_matching(matching, r):
     for i in range(m):
         new[(i + r) % m] = (matching[i] + r) % m
     return tuple(new)
+
+
+def class_key(matching):
+    """Least rotation of the gap sequence g[p] = (matching[p] - p) mod 2n.
+
+    Rotating a diagram by r shifts its gap sequence cyclically by r, so two
+    matchings have the same key exactly when they are rotations of each
+    other.  Every rotation is tried.
+    """
+    m = len(matching)
+    gaps = [(q - p) % m for p, q in enumerate(matching)]
+    return min((tuple(gaps[s:] + gaps[:s]) for s in range(m)), default=())
 
 
 def rotation_orbits(n):

@@ -171,6 +171,31 @@ def test_dims_rejects_degrees_outside_the_enumeration_cap(capsys):
     assert "0..8" in err
 
 
+@pytest.mark.parametrize("argv", [["dims", "--max-n", "8"],
+                                  ["dims", "--max-n", "8", "--unframed"],
+                                  ["enumerate", "--n", "8"]])
+def test_degree_8_is_refused_at_once(argv):
+    """Degree 8 is over the default budget; `dims` refuses before degree 0."""
+    proc, elapsed = run_cli(*argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: degree 8 needs about (2n-1)!!/(2n) classes x "
+                           "(2n)^2 = 32432400 steps, limit is 10000000\n")
+    assert elapsed < 1
+
+
+PINNED = Path(__file__).parent / "pinned"
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("enumerate-n-5.txt", ["enumerate", "--n", "5"]),
+    ("dims-max-n-6.txt", ["dims", "--max-n", "6"]),
+    ("dims-max-n-6-unframed.txt", ["dims", "--max-n", "6", "--unframed"]),
+])
+def test_output_matches_pinned_text(capsys, name, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, (PINNED / name).read_text(encoding="utf-8"), "")
+
+
 def test_dims_json(capsys):
     code, out, _ = run(capsys, "dims", "--max-n", "1", "--format", "json")
     assert json.loads(out) == [

@@ -16,7 +16,8 @@ from chordweight import (
     one_term_relations,
     quotient_dimension,
 )
-from chordweight.diagram_space import _class_index, _four_term_rows
+import chordweight.diagram_space
+from chordweight.diagram_space import _class_index, _four_term_rows, _reinsert, _slot_table
 from chordweight.formal import FormalSum
 
 FRAMED_DIMS = (1, 1, 2, 3, 6)
@@ -63,6 +64,37 @@ def test_four_term_rows_match_generation_from_every_argument(n):
     rows = _four_term_rows(basis, _class_index(basis))
     assert len(row_set(rows)) == len(rows)  # no row repeated
     assert row_set(rows) == row_set(oracles.four_term_rows_all(basis))
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_swap_built_slot_tables_match_reinsertion(n):
+    """Every slot table equals one re-inserting p at each slot and keying it afresh."""
+    basis = enumerate_diagrams(n)
+    index = _class_index(basis)
+    by_key = {oracles.class_key(d.matching): i for i, d in enumerate(basis)}
+    tables = 0
+    for diagram in basis:
+        matching = diagram.matching
+        m = len(matching)
+        for p in range(m):
+            if matching[p - 1] != p:  # the chord (p - 1, p) is not isolated
+                continue
+            seq = [x for x in range(m) if x != p]
+            expected = [by_key[oracles.class_key(_reinsert(matching, p, seq, t))]
+                        for t in range(m)]
+            assert _slot_table(matching, p, index) == expected
+            tables += 1
+    assert tables >= sum(d.has_isolated_chord for d in basis) > 0
+
+
+def test_index_holds_every_rotation_of_every_basis_diagram():
+    for n in range(5):
+        basis = enumerate_diagrams(n)
+        index = _class_index(basis)
+        for orbit in oracles.rotation_orbits(n):
+            (i,) = {index[bytes((q - p) % (2 * n) for p, q in enumerate(mat))]
+                    for mat in orbit}
+            assert basis[i] in {ChordDiagram(mat) for mat in orbit}
 
 
 def test_four_term_rows_at_degree_6_are_fast():
@@ -146,6 +178,18 @@ def test_quotient_dimension_against_dense_oracle():
 def test_quotient_dimension_rejects_unknown_kind():
     with pytest.raises(ValueError):
         quotient_dimension(2, "oriented")
+
+
+def test_unknown_kind_is_rejected_before_enumerating(monkeypatch):
+    def refuse(n, *args):
+        raise AssertionError(f"enumerated degree {n} before checking the kind")
+
+    monkeypatch.setattr(chordweight.diagram_space, "enumerate_diagrams", refuse)
+    with pytest.raises(ValueError, match="kind must be one of"):
+        quotient_dimension(7, "bogus")
+    vector = FormalSum.single(ChordDiagram.from_code("ABCDEFGABCDEFG"))
+    with pytest.raises(ValueError, match="kind must be one of"):
+        in_relation_span(vector, "bogus")
 
 
 def test_relation_vectors_lie_in_span():

@@ -6,6 +6,7 @@ import oracles
 from chordweight import (
     ChordDiagram,
     SmoothingAssignment,
+    WorkLimitExceeded,
     connected_sum,
     coproduct,
     enumerate_diagrams,
@@ -13,7 +14,12 @@ from chordweight import (
     restrict,
     smooth_components,
 )
-from chordweight.diagrams import canonicalize, class_key, rotate_matching
+from chordweight.diagrams import (
+    _least_gap_rotations,
+    canonicalize,
+    charge_enumeration,
+    rotate_matching,
+)
 from chordweight.formal import FormalSum
 
 
@@ -64,19 +70,48 @@ def test_matching_validation():
 
 
 @pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 2), (3, 5), (4, 18), (5, 105),
-                                     (6, 902)])
+                                     (6, 902), (7, 9749)])
 def test_enumeration_counts(n, count):
     assert len(enumerate_diagrams(n)) == count
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_generator_emits_one_matching_per_rotation_orbit(n):
+    """One least gap rotation per orbit of the brute-force closure, nothing else."""
+    m = 2 * n
+    emitted = _least_gap_rotations(n)
+    matchings = [tuple((p + g) % m for p, g in enumerate(gaps)) for gaps in emitted]
+    orbits = oracles.rotation_orbits(n)
+    assert len(matchings) == len(orbits)
+    for orbit in orbits:
+        assert sum(mat in orbit for mat in matchings) == 1
+    assert all(oracles.class_key(mat) == gaps for mat, gaps in zip(matchings, emitted))
+
+
+def test_enumeration_budget_admits_degree_7_and_refuses_degree_8(monkeypatch):
+    monkeypatch.delenv("CHORDWEIGHT_MAX_WORK", raising=False)
+    charge_enumeration(7)  # 13!! * 14 = 1,891,890 steps
+    with pytest.raises(WorkLimitExceeded,
+                       match=r"degree 8 needs .* = 32432400 steps, limit is 10000000"):
+        enumerate_diagrams(8)
+
+
+def test_a_lowered_bound_refuses_one_degree_and_admits_the_one_below(monkeypatch):
+    monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", str(9 * 7 * 5 * 3 * 10))  # degree 5
+    assert len(enumerate_diagrams(5)) == 105
+    with pytest.raises(WorkLimitExceeded, match=r"= 124740 steps, limit is 9450"):
+        enumerate_diagrams(6)
+
+
 def test_class_key_separates_exactly_the_rotation_orbits():
+    """The oracle key that the generator and slot-table tests compare against."""
     for n in range(5):
         orbit_of = {}
         for k, orbit in enumerate(oracles.rotation_orbits(n)):
             for mat in orbit:
                 orbit_of[mat] = k
         matchings = oracles.all_matchings(n)
-        keys = {mat: class_key(mat) for mat in matchings}
+        keys = {mat: oracles.class_key(mat) for mat in matchings}
         for a in matchings:
             for b in matchings:
                 assert (keys[a] == keys[b]) == (orbit_of[a] == orbit_of[b])

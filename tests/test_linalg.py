@@ -1,12 +1,15 @@
 """Exact linear algebra helpers."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 import oracles
 from chordweight.linalg import (
+    _integer_rows,
     determinant,
     form_signature,
     identity_matrix,
@@ -84,6 +87,42 @@ def test_sparse_rank_of_chain_identifications():
     rows = [{k: 1, k + 1: -1} for k in range(20)] + [{0: 1, 20: -1}, {5: 2, 15: -2}]
     assert sparse_rank(rows) == 20
     assert sparse_rank(rows + [{3: Fraction(1, 2)}]) == 21
+
+
+def _fraction_rows(rows):
+    """Every entry through Fraction, then cleared to primitive integer rows."""
+    cleaned = []
+    for row in rows:
+        items = {c: Fraction(v) for c, v in row.items() if v != 0}
+        if items:
+            denom = lcm(*(v.denominator for v in items.values()))
+            ints = {c: int(v * denom) for c, v in items.items()}
+            g = gcd(*ints.values())
+            cleaned.append({c: v // g for c, v in ints.items()})
+    return cleaned
+
+
+@pytest.mark.parametrize("rows", [
+    [{0: 2, 1: -4}, {1: 3, 2: 6, 3: 0}],
+    [{0: True, 1: False}, {2: -True}],
+    [{0: Fraction(1, 2), 1: Fraction(-3, 4)}, {1: Fraction(4, 2), 2: 0}],
+    [{0: 0.5, 1: 1.25}, {0: Decimal("0.3"), 3: Decimal("-0.7")}],
+    [{0: "1/3", 1: "2"}, {1: "0", 2: "5"}],
+    [{0: 1, 1: Fraction(1, 6), 2: 0.25, 3: "3/8", 4: Decimal("1.5"), 5: False}],
+    [{0: Fraction(0)}, {}, {1: 0.0, 2: -7}],
+])
+def test_integer_rows_match_converting_every_entry(rows):
+    assert _integer_rows(rows) == _fraction_rows(rows)
+    assert all(type(v) is int for row in _integer_rows(rows) for v in row.values())
+
+
+@pytest.mark.parametrize("row", [{0: "x"}, {0: None}, {0: 1j}, {0: float("nan")},
+                                 {0: "0"}])
+def test_sparse_rank_rejects_what_fraction_rejects(row):
+    with pytest.raises(Exception) as expected:
+        _fraction_rows([row])
+    with pytest.raises(expected.type):
+        sparse_rank([row])
 
 
 def test_solve_in_span():

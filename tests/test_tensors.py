@@ -110,12 +110,13 @@ def test_naive_work_limit():
 
 
 def test_work_limit_env_var(monkeypatch):
-    monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", "10")
     t = WeightTensor.identity(2)
-    with pytest.raises(WorkLimitExceeded):
-        evaluate_naive(t, enumerate_diagrams(2)[0])
+    d2 = enumerate_diagrams(2)[0]  # before the bound drops: enumeration is charged too
+    monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", "10")
+    with pytest.raises(WorkLimitExceeded, match=r"d\^\(2n\) = 16 assignments"):
+        evaluate_naive(t, d2)
     monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", "100")
-    assert evaluate_naive(t, enumerate_diagrams(2)[0]) == 2
+    assert evaluate_naive(t, d2) == 2
 
 
 def test_contraction_is_charged_its_plan_cost(monkeypatch):

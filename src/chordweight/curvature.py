@@ -9,9 +9,9 @@ tensor can be realized this way.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 
-from .diagrams import enumerate_diagrams
 from .frozen import Frozen
 from .jsonio import (
     JSONFormatError,
@@ -21,16 +21,9 @@ from .jsonio import (
     parse_rational,
 )
 from .lie import MetrizedLieAlgebra, Representation, algebra_to_json_dict
-from .linalg import (
-    commutator,
-    determinant,
-    is_symmetric,
-    mat_inv,
-    solve_in_span,
-    sparse_rank,
-)
-from .sparse import IntegerView
-from .tensors import WeightTensor, evaluate, four_term_witness
+from .linalg import ReducedSpan, determinant, is_symmetric, mat_inv, sparse_rank
+from .sparse import IntegerView, contract, nonzero_entries
+from .tensors import WeightTensor, four_term_witness
 from .work import charge_work
 
 
@@ -72,46 +65,15 @@ class CurvatureModel:
             self._inverse = tuple(tuple(row) for row in inv)
         return self._inverse
 
-    def lowered(self) -> tuple:
-        """All-indices-down curvature: low[a][b][c][d] = sum_x R[a][b][c][x] g[x][d]."""
-        d = self.dim
-        g = self.metric
-        R = self.riemann
-        return tuple(
-            tuple(
-                tuple(
-                    tuple(
-                        sum((R[a][b][c][x] * g[x][dd] for x in range(d)),
-                            Fraction(0))
-                        for dd in range(d)
-                    )
-                    for c in range(d)
-                )
-                for b in range(d)
-            )
-            for a in range(d)
-        )
-
     def weight_tensor(self) -> WeightTensor:
         """Raise the second slot: entry(a,b,c,d) = sum_x g_inv[b][x] R[a][x][c][d]."""
-        d = self.dim
-        ginv = self.metric_inverse()
-        R = self.riemann
-        ent = [[[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-               for _ in range(d)]
-        for a in range(d):
-            for b in range(d):
-                for x in range(d):
-                    w = ginv[b][x]
-                    if w == 0:
-                        continue
-                    plane = R[a][x]
-                    for c in range(d):
-                        row = plane[c]
-                        for dd in range(d):
-                            if row[dd] != 0:
-                                ent[a][b][c][dd] += w * row[dd]
-        return WeightTensor(d, ent)
+        ginv = IntegerView(self.metric_inverse(), 2)
+        R = IntegerView(self.riemann, 4)
+        den = ginv.den * R.den
+        return WeightTensor.from_entries(self.dim, (
+            ((a, b, c, dd), Fraction(v, den))
+            for (b, a, c, dd), v in contract(ginv.entries, 1, R.entries, 1).items()
+        ))
 
     def endomorphism(self, a: int, b: int) -> tuple:
         """R(e_a, e_b) as a matrix on the tangent space (rows = output)."""
@@ -137,22 +99,10 @@ class CurvatureModel:
         if self.dim and determinant(self.metric) == 0:
             return False, ("metric-degenerate", None)
         R = IntegerView(self.riemann, 4).entries
-        swapped = {(min(a, b), max(a, b), c, x) for a, b, c, x in R}
-        bad = [(a, b, c, x) for a, b, c, x in swapped
-               if R.get((a, b, c, x), 0) + R.get((b, a, c, x), 0)]
-        if bad:
-            return False, ("antisymmetry", min(bad))
-        bad = [key for a, b, c, x in R
-               if R.get((a, b, c, x), 0) + R.get((b, c, a, x), 0)
-               + R.get((c, a, b, x), 0)
-               for key in ((a, b, c, x), (b, c, a, x), (c, a, b, x))]
-        if bad:
-            return False, ("bianchi", min(bad))
-        rows = IntegerView(self.metric, 2).by_slot(0)
-        low = {}
-        for (a, b, c, y), r in R.items():
-            for (_, x), v in rows.get(y, ()):
-                low[a, b, c, x] = low.get((a, b, c, x), 0) + r * v
+        failure = _skew_or_bianchi_failure(R)
+        if failure is not None:
+            return False, failure
+        low = contract(R, 3, IntegerView(self.metric, 2).entries, 0)  # lowered R
         bad = [key for (a, b, c, x), v in low.items()
                if v != low.get((c, x, a, b), 0)
                for key in ((a, b, c, x), (c, x, a, b))]
@@ -162,6 +112,27 @@ class CurvatureModel:
 
     def __repr__(self):
         return f"CurvatureModel(dim={self.dim})"
+
+
+def _skew_or_bianchi_failure(R: dict):
+    """("antisymmetry" or "bianchi", least witness) of a rank-4 int tensor, or None.
+
+    Antisymmetry in the first two slots is checked first, then the first
+    Bianchi identity.  A failing tuple has a nonzero term, so it is the
+    (a, b) swap or a cyclic rotation of (a, b, c) of a nonzero key.
+    """
+    swapped = {(min(a, b), max(a, b), c, x) for a, b, c, x in R}
+    bad = [(a, b, c, x) for a, b, c, x in swapped
+           if R.get((a, b, c, x), 0) + R.get((b, a, c, x), 0)]
+    if bad:
+        return "antisymmetry", min(bad)
+    bad = [key for a, b, c, x in R
+           if R.get((a, b, c, x), 0) + R.get((b, c, a, x), 0)
+           + R.get((c, a, b, x), 0)
+           for key in ((a, b, c, x), (b, c, a, x), (c, a, b, x))]
+    if bad:
+        return "bianchi", min(bad)
+    return None
 
 
 def constant_curvature(dim: int, metric=None, kappa=1) -> CurvatureModel:
@@ -231,14 +202,19 @@ class HolonomyAlgebra(Frozen):
 
     ``labels[i]`` is the generator pair (a, b) whose endomorphism is
     ``basis[i]``; ``brackets`` holds commutator structure constants in this
-    basis and ``form`` the induced invariant form.
+    basis and ``form`` the induced invariant form.  ``pair_coordinates``,
+    when given, maps every generator pair to the coordinates of its
+    endomorphism in ``basis``: a by-product of the extraction, not a field,
+    so it takes no part in ``==``, ``hash`` or ``repr``.
     """
 
     _fields = ("model", "labels", "basis", "brackets", "form", "nondegenerate")
 
     def __init__(self, model: CurvatureModel, labels: tuple, basis: tuple,
-                 brackets: tuple, form: tuple, nondegenerate: bool):
+                 brackets: tuple, form: tuple, nondegenerate: bool,
+                 pair_coordinates: dict | None = None):
         self._set(model, labels, basis, brackets, form, nondegenerate)
+        object.__setattr__(self, "_pair_coordinates", pair_coordinates)
 
     @property
     def dim_h(self) -> int:
@@ -252,10 +228,6 @@ class HolonomyAlgebra(Frozen):
         return Representation(self.algebra(), self.basis, dimV=self.model.dim)
 
 
-def _flatten(matrix) -> list:
-    return [x for row in matrix for x in row]
-
-
 def holonomy_algebra(model: CurvatureModel, check_model: bool = True) -> HolonomyAlgebra:
     """Extract span{R(e_a, e_b)} with brackets and the induced form.
 
@@ -264,8 +236,17 @@ def holonomy_algebra(model: CurvatureModel, check_model: bool = True) -> Holonom
         [R(X,Y), R(Z,W)] = R(R(X,Y)Z, W) + R(Z, R(X,Y)W)
 
     are verified on all generator pairs; failures raise RuntimeError since
-    they cannot occur for input passing the model checks.
+    they cannot occur for input passing the model checks.  Everything runs
+    on the nonzero curvature entries as int numerators over one
+    denominator.  The span is reduced once, and each generator pair and
+    basis commutator is then solved against that one reduction.  The
+    bracket identity's pairs^2 * d^3 is charged before anything is built.
     """
+    d = model.dim
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    work = len(pairs) ** 2 * d ** 3
+    charge_work(work, f"the holonomy algebra of a curvature model of dimension "
+                f"{d} needs pairs^2 * d^3 = {work} steps")
     if check_model:
         ok, why = model.validate()
         if not ok:
@@ -273,74 +254,71 @@ def holonomy_algebra(model: CurvatureModel, check_model: bool = True) -> Holonom
         ok, witness = check_parallel_four_term(model)
         if not ok:
             raise ValueError(f"parallel four-term identity fails at {witness}")
-    d = model.dim
-    low = model.lowered()
-    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
-    endos = {pair: model.endomorphism(*pair) for pair in pairs}
-    labels = []
-    vecs = []
-    for pair in pairs:
-        if solve_in_span(vecs, _flatten(endos[pair])) is None:
-            labels.append(pair)
-            vecs.append(_flatten(endos[pair]))
+    R = IntegerView(model.riemann, 4)
+    endos = defaultdict(dict)  # R(e_a, e_b) for every a, b: {(row x, column c): int}
+    by_first = defaultdict(list)  # (a, b, c): [(x, R[a][b][c][x])]
+    for (a, b, c, x), v in R.entries.items():
+        endos[a, b][x, c] = v
+        by_first[a, b, c].append((x, v))
+    span = ReducedSpan()
+    labels = [pair for pair in pairs if span.add(endos[pair])]
     m = len(labels)
-    basis = tuple(endos[pair] for pair in labels)
-    coords = {pair: solve_in_span(vecs, _flatten(endos[pair])) for pair in pairs}
-    form = tuple(
-        tuple(low[la][lb][ka][kb] for (ka, kb) in labels) for (la, lb) in labels
-    )
+    coords = {pair: span.coordinates(endos[pair]) for pair in pairs}
+    metric = IntegerView(model.metric, 2)
+    low = contract(R.entries, 3, metric.entries, 0)  # over R.den * metric.den
+    form_num = [[low.get(p + q, 0) for q in labels] for p in labels]
+    scale = span.den ** 2
     for p in pairs:
+        via = [sum(c * row[j] for c, row in zip(coords[p], form_num) if c)
+               for j in range(m)]
         for q in pairs:
-            via = Fraction(0)
-            for i in range(m):
-                if coords[p][i] == 0:
-                    continue
-                for j in range(m):
-                    via += coords[p][i] * coords[q][j] * form[i][j]
-            if via != low[p[0]][p[1]][q[0]][q[1]]:
+            if sum(map(int.__mul__, via, coords[q])) != scale * low.get(p + q, 0):
                 raise RuntimeError(
                     f"induced form is inconsistent on generators {p}, {q}"
                 )
-    R = model.riemann
+    comms = {}  # [R(p), R(q)] for p < q, over R.den^2
+    for i, p in enumerate(pairs):
+        for q in pairs[i + 1:]:
+            comm = contract(endos[p], 1, endos[q], 0)
+            for key, v in contract(endos[q], 1, endos[p], 0).items():
+                comm[key] = comm.get(key, 0) - v
+            comms[p, q] = {key: v for key, v in comm.items() if v}
     for p in pairs:
         for q in pairs:
-            comm = commutator([list(r) for r in endos[p]],
-                              [list(r) for r in endos[q]])
-            rhs = [[Fraction(0)] * d for _ in range(d)]
-            for x in range(d):
-                cfirst = R[p[0]][p[1]][q[0]][x]
-                if cfirst != 0:
-                    moved = model.endomorphism(x, q[1])
-                    for r in range(d):
-                        for s in range(d):
-                            rhs[r][s] += cfirst * moved[r][s]
-                csecond = R[p[0]][p[1]][q[1]][x]
-                if csecond != 0:
-                    moved = model.endomorphism(q[0], x)
-                    for r in range(d):
-                        for s in range(d):
-                            rhs[r][s] += csecond * moved[r][s]
-            if any(comm[r][s] != rhs[r][s] for r in range(d) for s in range(d)):
+            diff = defaultdict(int)
+            if p != q:
+                sign = 1 if p < q else -1
+                for key, v in comms[min(p, q), max(p, q)].items():
+                    diff[key] = sign * v
+            for x, v in by_first.get((*p, q[0]), ()):
+                for key, w in endos[x, q[1]].items():
+                    diff[key] -= v * w
+            for x, v in by_first.get((*p, q[1]), ()):
+                for key, w in endos[q[0], x].items():
+                    diff[key] -= v * w
+            if any(diff.values()):
                 raise RuntimeError(
                     f"bracket identity fails on generators {p}, {q}"
                 )
-    brackets = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    brackets = [[(Fraction(0),) * m for _ in range(m)] for _ in range(m)]
+    den = span.den * R.den
     for i in range(m):
-        for j in range(m):
-            comm = commutator([list(r) for r in basis[i]],
-                              [list(r) for r in basis[j]])
-            c = solve_in_span(vecs, _flatten(comm))
+        for j in range(i + 1, m):
+            c = span.coordinates(comms[labels[i], labels[j]])
             if c is None:
                 raise RuntimeError("holonomy commutator escapes the span")
-            brackets[i][j] = c
-    nondegenerate = m == 0 or determinant(form) != 0
+            brackets[i][j] = tuple(Fraction(v, den) for v in c)
+            brackets[j][i] = tuple(Fraction(-v, den) for v in c)
+    form = tuple(tuple(Fraction(v, R.den * metric.den) for v in row)
+                 for row in form_num)
     return HolonomyAlgebra(
         model,
         tuple(labels),
-        basis,
-        tuple(tuple(tuple(row) for row in plane) for plane in brackets),
+        tuple(model.endomorphism(*pair) for pair in labels),
+        tuple(tuple(plane) for plane in brackets),
         form,
-        nondegenerate,
+        m == 0 or determinant(form) != 0,
+        {pair: tuple(Fraction(v, span.den) for v in c) for pair, c in coords.items()},
     )
 
 
@@ -379,26 +357,17 @@ class SymmetricTriple(Frozen):
         ok, why = self.algebra().validate()
         if not ok:
             return False, why
-        n = self.dim
         m = self.dim_h
         s = self.involution
         f = self.brackets
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if f[i][j][k] != 0 and s[k] != s[i] * s[j]:
-                        return False, f"involution parity fails at ({i},{j},{k})"
-        for i in range(n):
-            for j in range(n):
-                if self.form[i][j] != 0 and s[i] != s[j]:
-                    return False, f"form mixes involution eigenspaces at ({i},{j})"
-        rows = []
-        for a in range(self.dim_p):
-            for b in range(a + 1, self.dim_p):
-                row = {k: f[m + a][m + b][k] for k in range(m)
-                       if f[m + a][m + b][k] != 0}
-                if row:
-                    rows.append(row)
+        for (i, j, k), _ in nonzero_entries(f, 3):
+            if s[k] != s[i] * s[j]:
+                return False, f"involution parity fails at ({i},{j},{k})"
+        for (i, j), _ in nonzero_entries(self.form, 2):
+            if s[i] != s[j]:
+                return False, f"form mixes involution eigenspaces at ({i},{j})"
+        rows = [dict(enumerate(f[a][b][:m]))
+                for a in range(m, self.dim) for b in range(a + 1, self.dim)]
         if sparse_rank(rows) != m:
             return False, "tangent brackets do not span the holonomy part"
         return True, None
@@ -413,8 +382,7 @@ def symmetric_triple(model: CurvatureModel, check_model: bool = True) -> Symmetr
     f = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for i in range(m):
         for j in range(m):
-            for k in range(m):
-                f[i][j][k] = hol.brackets[i][j][k]
+            f[i][j][:m] = hol.brackets[i][j]
     for i in range(m):
         mat = hol.basis[i]
         for a in range(d):
@@ -422,22 +390,15 @@ def symmetric_triple(model: CurvatureModel, check_model: bool = True) -> Symmetr
                 if mat[x][a] != 0:
                     f[i][m + a][m + x] = mat[x][a]
                     f[m + a][i][m + x] = -mat[x][a]
-    vecs = [_flatten(mat) for mat in hol.basis]
-    for a in range(d):
-        for b in range(a + 1, d):
-            c = solve_in_span(vecs, _flatten(model.endomorphism(a, b)))
-            if c is None:
-                raise RuntimeError("tangent bracket escapes the holonomy span")
-            for k in range(m):
-                f[m + a][m + b][k] = c[k]
-                f[m + b][m + a][k] = -c[k]
+    for (a, b), c in hol._pair_coordinates.items():
+        for k in range(m):
+            f[m + a][m + b][k] = c[k]
+            f[m + b][m + a][k] = -c[k]
     form = [[Fraction(0)] * n for _ in range(n)]
     for i in range(m):
-        for j in range(m):
-            form[i][j] = hol.form[i][j]
+        form[i][:m] = hol.form[i]
     for a in range(d):
-        for b in range(d):
-            form[m + a][m + b] = model.metric[a][b]
+        form[m + a][m:] = model.metric[a]
     return SymmetricTriple(
         hol,
         tuple(tuple(tuple(row) for row in plane) for plane in f),
@@ -450,9 +411,9 @@ def verify_lie_type(model: CurvatureModel, triple: SymmetricTriple | None = None
     """Check that the model's weight tensor comes from its holonomy algebra.
 
     Builds the symmetric triple, validates it, and compares the weight
-    tensor of the holonomy representation with the model's own, both
-    entrywise and through evaluation on all diagrams with at most three
-    chords.  A caller that has already built and validated the model's
+    tensor of the holonomy representation with the model's own entrywise;
+    equal tensors give equal weight systems, so no diagram is evaluated.
+    A caller that has already built and validated the model's
     triple passes it as ``triple`` to skip those two steps.  Returns
     (True, None) or (False, reason).
     """
@@ -475,10 +436,6 @@ def verify_lie_type(model: CurvatureModel, triple: SymmetricTriple | None = None
             if candidate.entry(a, b, c, dd) != target.entry(a, b, c, dd)
         )
         return False, f"weight tensors differ at entry {witness}"
-    for n in range(4):
-        for diagram in enumerate_diagrams(n):
-            if evaluate(candidate, diagram) != evaluate(target, diagram):
-                return False, f"evaluations differ on {diagram.code or 'empty'}"
     return True, None
 
 
@@ -494,66 +451,49 @@ def so_isomorphism(holonomy: HolonomyAlgebra):
     d = holonomy.model.dim
     if d < 2:
         return None
-    so = so_standard(d).algebra
-    m = so.dim
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    m = len(pairs)
     if holonomy.dim_h != m:
         return None
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     P = []
     for mat in holonomy.basis:
         if any(mat[i][j] != -mat[j][i] for i in range(d) for j in range(d)):
             return None
         P.append([mat[i][j] for (i, j) in pairs])
-    try:
-        mat_inv([list(row) for row in P])
-    except ValueError:
+    if sparse_rank([dict(enumerate(row)) for row in P]) != m:
         return None
-    f_h = holonomy.brackets
-    f_so = so.brackets
-    for i in range(m):
-        for j in range(m):
-            for l in range(m):
-                lhs = sum((f_h[i][j][k] * P[k][l] for k in range(m)), Fraction(0))
-                rhs = Fraction(0)
-                for a in range(m):
-                    if P[i][a] == 0:
-                        continue
-                    for b in range(m):
-                        if f_so[a][b][l] != 0:
-                            rhs += P[i][a] * P[j][b] * f_so[a][b][l]
-                if lhs != rhs:
-                    return None
+    so = so_standard(d).algebra
+    # sum_k f_h[i][j][k] P[k][l] against sum_{a,b} P[i][a] P[j][b] f_so[a][b][l],
+    # one index at a time, keyed (i, j, l)
+    f_h = IntegerView(holonomy.brackets, 3)
+    f_so = IntegerView(so.brackets, 3)
+    Pv = IntegerView(P, 2)
+    lhs = contract(f_h.entries, 2, Pv.entries, 0)
+    rhs = contract(Pv.entries, 1, contract(Pv.entries, 1, f_so.entries, 1), 1)
+    scale_lhs, scale_rhs = Pv.den * f_so.den, f_h.den
+    if ({key: v * scale_lhs for key, v in lhs.items()}
+            != {key: v * scale_rhs for key, v in rhs.items()}):
+        return None
     return tuple(tuple(row) for row in P)
 
 
-def lowered_weight_tensor(tensor: WeightTensor, form_v) -> tuple:
-    """Lower both output legs: low[a][b][c][d] = sum T(a,x,c,y) F[x][b] F[y][d]."""
-    d = tensor.dim
-    F = [[Fraction(v) for v in row] for row in form_v]
-    if len(F) != d or any(len(row) != d for row in F):
-        raise ValueError("form must match the tensor dimension")
-    low = [[[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-           for _ in range(d)]
-    for (a, x, c, y), value in tensor.nonzero_items():
-        for b in range(d):
-            u = value * F[x][b]
-            if u == 0:
-                continue
-            for dd in range(d):
-                if F[y][dd] != 0:
-                    low[a][b][c][dd] += u * F[y][dd]
-    return tuple(
-        tuple(tuple(tuple(rc) for rc in rb) for rb in ra) for ra in low
-    )
+def _lowered_casimir(rep: Representation, F) -> tuple:
+    """sum_{x,y} rho(C)(a,x,c,y) F[x][b] F[y][d] as ({(a, b, c, d): int}, den)."""
+    T = IntegerView(rep.weight_tensor().entries, 4)
+    form = IntegerView(F, 2)
+    # keyed (a, c, y, b), then (a, c, b, d)
+    low = contract(contract(T.entries, 1, form.entries, 0), 2, form.entries, 0)
+    return ({(a, b, c, dd): v for (a, c, b, dd), v in low.items()},
+            T.den * form.den ** 2)
 
 
 def curvature_symmetries(rep: Representation, form_v):
     """Does rho(C), lowered by form_v, have the symmetries of a curvature?
 
     The skew-symmetry of the lowered tensor in its first two slots is
-    checked first, then the first Bianchi identity; the first failure wins.
-    Returns ("pass", None), ("fail(skew)", witness) or
-    ("fail(bianchi)", witness).
+    checked first, then the first Bianchi identity; the first failure wins,
+    with the lexicographically least witness.  Returns ("pass", None),
+    ("fail(skew)", witness) or ("fail(bianchi)", witness).
     """
     d = rep.dimV
     F = [[Fraction(v) for v in row] for row in form_v]
@@ -561,21 +501,11 @@ def curvature_symmetries(rep: Representation, form_v):
         raise ValueError("form must be square of the module dimension")
     if d and determinant(F) == 0:
         raise ValueError("form is degenerate")
-    low = lowered_weight_tensor(rep.weight_tensor(), F)
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                for dd in range(d):
-                    if low[a][b][c][dd] + low[b][a][c][dd] != 0:
-                        return "fail(skew)", (a, b, c, dd)
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                for dd in range(d):
-                    if (low[a][b][c][dd] + low[b][c][a][dd]
-                            + low[c][a][b][dd]) != 0:
-                        return "fail(bianchi)", (a, b, c, dd)
-    return "pass", None
+    failure = _skew_or_bianchi_failure(_lowered_casimir(rep, F)[0])
+    if failure is None:
+        return "pass", None
+    name, witness = failure
+    return ("fail(skew)" if name == "antisymmetry" else "fail(bianchi)"), witness
 
 
 def triple_from_rep(rep: Representation, form_v) -> SymmetricTriple:
@@ -595,41 +525,19 @@ def triple_from_rep(rep: Representation, form_v) -> SymmetricTriple:
     if not is_symmetric(F):
         raise ValueError("realization requires a symmetric form")
     d = rep.dimV
-    low = lowered_weight_tensor(rep.weight_tensor(), F)
-    ginv = mat_inv(F)
-    riemann = [
-        [
-            [
-                [
-                    sum((low[a][b][c][dd] * ginv[dd][x] for dd in range(d)),
-                        Fraction(0))
-                    for x in range(d)
-                ]
-                for c in range(d)
-            ]
-            for b in range(d)
-        ]
-        for a in range(d)
-    ]
-    model = CurvatureModel(F, riemann)
-    return symmetric_triple(model)
+    low, den = _lowered_casimir(rep, F)
+    ginv = IntegerView(mat_inv(F), 2)
+    riemann = [[[[0] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
+    for (a, b, c, x), v in contract(low, 3, ginv.entries, 0).items():
+        riemann[a][b][c][x] = Fraction(v, den * ginv.den)
+    return symmetric_triple(CurvatureModel(F, riemann))
 
 
 def model_to_json_dict(model: CurvatureModel) -> dict:
-    entries = []
-    d = model.dim
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                for x in range(d):
-                    value = model.riemann[a][b][c][x]
-                    if value != 0:
-                        entries.append({
-                            "a": a, "b": b, "c": c, "d": x,
-                            "value": format_rational(value),
-                        })
+    entries = [{"a": a, "b": b, "c": c, "d": x, "value": format_rational(value)}
+               for (a, b, c, x), value in nonzero_entries(model.riemann, 4)]
     return {
-        "dim": d,
+        "dim": model.dim,
         "metric": format_matrix(model.metric),
         "R": entries,
     }

@@ -18,7 +18,7 @@ from .jsonio import (
     parse_rational,
 )
 from .linalg import commutator, determinant, is_symmetric, mat_inv, mat_mul, trace
-from .sparse import IntegerView, least_nonzero
+from .sparse import IntegerView, contract, least_nonzero
 from .tensors import WeightTensor
 
 
@@ -121,22 +121,14 @@ class MetrizedLieAlgebra:
     def structure_tensor(self) -> tuple:
         """Y[i][j][k] = sum_{a,b} C[i][a] C[j][b] f[a][b][k]; totally antisymmetric."""
         m = self.dim
-        C = self.casimir()
+        C = IntegerView(self.casimir(), 2)
+        f = IntegerView(self.brackets, 3)
+        den = C.den ** 2 * f.den
         Y = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
-        for a in range(m):
-            for b in range(m):
-                row = self.brackets[a][b]
-                for i in range(m):
-                    cia = C[i][a]
-                    if cia == 0:
-                        continue
-                    for j in range(m):
-                        w = cia * C[j][b]
-                        if w == 0:
-                            continue
-                        for k in range(m):
-                            if row[k] != 0:
-                                Y[i][j][k] += w * row[k]
+        # sum_a C[i][a] f[a][b][k] keyed (i, b, k), then sum_b C[j][b] .. keyed (j, i, k)
+        half = contract(C.entries, 1, f.entries, 0)
+        for (j, i, k), v in contract(C.entries, 1, half, 1).items():
+            Y[i][j][k] = Fraction(v, den)
         return tuple(tuple(tuple(r) for r in plane) for plane in Y)
 
     def __repr__(self):
@@ -168,51 +160,39 @@ class Representation:
         self.dimV = inferred
 
     def validate(self):
-        """Check rho([e_i, e_j]) == rho_i rho_j - rho_j rho_i for all i < j."""
-        m = self.algebra.dim
-        f = self.algebra.brackets
-        for i in range(m):
-            for j in range(i + 1, m):
-                lhs = [[Fraction(0)] * self.dimV for _ in range(self.dimV)]
-                for k in range(m):
-                    if f[i][j][k] != 0:
-                        mat = self.matrices[k]
-                        for r in range(self.dimV):
-                            for c in range(self.dimV):
-                                lhs[r][c] += f[i][j][k] * mat[r][c]
-                rhs = commutator(
-                    [list(r) for r in self.matrices[i]],
-                    [list(r) for r in self.matrices[j]],
-                )
-                if any(lhs[r][c] != rhs[r][c]
-                       for r in range(self.dimV) for c in range(self.dimV)):
-                    return False, f"bracket compatibility fails at (i,j)=({i},{j})"
+        """Check rho([e_i, e_j]) == rho_i rho_j - rho_j rho_i for all i < j.
+
+        Both sides are built from products of nonzero entries, as int
+        numerators; the least failing (i, j) is reported.
+        """
+        f = IntegerView(self.algebra.brackets, 3)
+        rho = IntegerView(self.matrices, 3)
+        # rho([e_i, e_j]) - [rho_i, rho_j] over f.den * rho.den^2, keyed (i, j, r, c)
+        diff = defaultdict(int)
+        for (i, j, r, c), v in contract(f.entries, 2, rho.entries, 0).items():
+            if i < j:
+                diff[i, j, r, c] += v * rho.den
+        for (i, r, j, c), v in contract(rho.entries, 2, rho.entries, 1).items():
+            if i < j:
+                diff[i, j, r, c] -= v * f.den
+            elif j < i:
+                diff[j, i, r, c] += v * f.den
+        witness = least_nonzero(diff)
+        if witness is not None:
+            return False, "bracket compatibility fails at (i,j)=({},{})".format(*witness)
         return True, None
 
     def weight_tensor(self) -> WeightTensor:
         """rho(C): entry(a,b,c,d) = sum_{ij} C[i][j] rho_i[b][a] rho_j[d][c]."""
-        d = self.dimV
-        C = self.algebra.casimir()
-        ent = [[[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-               for _ in range(d)]
-        for i in range(self.algebra.dim):
-            mi = self.matrices[i]
-            for j in range(self.algebra.dim):
-                cij = C[i][j]
-                if cij == 0:
-                    continue
-                mj = self.matrices[j]
-                for a in range(d):
-                    for b in range(d):
-                        u = cij * mi[b][a]
-                        if u == 0:
-                            continue
-                        for c in range(d):
-                            for dd in range(d):
-                                v = mj[dd][c]
-                                if v != 0:
-                                    ent[a][b][c][dd] += u * v
-        return WeightTensor(d, ent)
+        C = IntegerView(self.algebra.casimir(), 2)
+        rho = IntegerView(self.matrices, 3)
+        den = C.den * rho.den ** 2
+        # sum_j C[i][j] rho_j[d][c] keyed (i, d, c), then sum_i rho_i[b][a] ..
+        inner = contract(C.entries, 1, rho.entries, 0)
+        return WeightTensor.from_entries(self.dimV, (
+            ((a, b, c, dd), Fraction(v, den))
+            for (b, a, dd, c), v in contract(rho.entries, 0, inner, 0).items()
+        ))
 
     def __repr__(self):
         return f"Representation(dim={self.algebra.dim}, dimV={self.dimV})"

@@ -3,13 +3,17 @@
 Dense helpers use plain Fraction arithmetic.  The rank routine for relation
 matrices works on sparse primitive integer rows: it pivots on a shortest
 row and updates only the rows that meet the pivot column, dividing each by
-its content to keep entries small.
+its content to keep entries small.  ``ReducedSpan`` keeps a spanning set
+as sparse integer echelon rows, so that many targets can be solved against
+one elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+from .sparse import IntegerView
 
 
 def identity_matrix(n: int) -> list:
@@ -89,6 +93,84 @@ def mat_inv(a) -> list:
     return [row[n:] for row in mat]
 
 
+class ReducedSpan:
+    """Span of sparse integer vectors, reduced once to echelon rows.
+
+    Vectors are {column: int} dicts.  Every row holds ``den`` at its pivot
+    column and 0 at every other row's pivot, and ``combos[r]`` says which
+    combination of the added vectors gives row r.  A target then costs one
+    pass over the rows whose pivot it meets, plus an exact residual check.
+    """
+
+    def __init__(self):
+        self.den = 1
+        self.pivots = []
+        self.rows = []
+        self.combos = []
+
+    def _reduce(self, vec: dict):
+        """den * vec less its pivot entries times their rows; the rows' combination."""
+        residual = {c: self.den * v for c, v in vec.items()}
+        combo = {}
+        for pivot, row, comb in zip(self.pivots, self.rows, self.combos):
+            w = vec.get(pivot)
+            if w:
+                for c, v in row.items():
+                    residual[c] = residual.get(c, 0) - w * v
+                for k, v in comb.items():
+                    combo[k] = combo.get(k, 0) + w * v
+        return {c: v for c, v in residual.items() if v}, combo
+
+    def coordinates(self, vec: dict):
+        """vec's coordinates in the added vectors, as numerators over ``den``.
+
+        None when vec is outside the span.
+        """
+        residual, combo = self._reduce(vec)
+        if residual:
+            return None
+        return [combo.get(k, 0) for k in range(len(self.rows))]
+
+    def add(self, vec: dict) -> bool:
+        """Add vec unless it lies in the span; True when it was added."""
+        residual, combo = self._reduce(vec)
+        if not residual:
+            return False
+        # residual = den * vec - sum_r w_r row_r, as a combination of the vectors
+        combo = {k: -v for k, v in combo.items()}
+        combo[len(self.rows)] = self.den
+        pivot = min(residual)
+        if residual[pivot] < 0:
+            residual = {c: -v for c, v in residual.items()}
+            combo = {k: -v for k, v in combo.items()}
+        p = residual[pivot]
+        # clear the new pivot column from the old rows; every pivot becomes p * den
+        for r, (row, comb) in enumerate(zip(self.rows, self.combos)):
+            a = row.get(pivot, 0)
+            self.rows[r] = _axpy(p, row, -a, residual)
+            self.combos[r] = _axpy(p, comb, -a, combo)
+        self.rows.append({c: self.den * v for c, v in residual.items()})
+        self.combos.append({k: self.den * v for k, v in combo.items()})
+        self.pivots.append(pivot)
+        self.den *= p
+        parts = self.rows + self.combos
+        g = gcd(self.den, *(v for vec in parts for v in vec.values()))
+        if g != 1:
+            self.den //= g
+            for vec in parts:
+                for c in vec:
+                    vec[c] //= g
+        return True
+
+
+def _axpy(s: int, x: dict, t: int, y: dict) -> dict:
+    """s * x + t * y without zero entries."""
+    out = {c: s * v for c, v in x.items()}
+    for c, v in y.items():
+        out[c] = out.get(c, 0) + t * v
+    return {c: v for c, v in out.items() if v}
+
+
 def solve_in_span(vectors, target):
     """Coefficients expressing target in the span of vectors, or None.
 
@@ -96,32 +178,17 @@ def solve_in_span(vectors, target):
     independent; target: same length.  Returns a list of Fractions c with
     sum(c_k * vectors[k]) == target, or None when target is outside the span.
     """
-    k = len(vectors)
-    length = len(target)
-    if k == 0:
-        return [] if all(Fraction(x) == 0 for x in target) else None
-    # augmented system: columns are the vectors, last column the target
-    rows = [[Fraction(vectors[j][i]) for j in range(k)] + [Fraction(target[i])]
-            for i in range(length)]
-    pivots = []
-    r = 0
-    for col in range(k):
-        piv = next((i for i in range(r, length) if rows[i][col] != 0), None)
-        if piv is None:
+    span = ReducedSpan()
+    views = [IntegerView(vec, 1) for vec in vectors]
+    for view in views:
+        if not span.add(view.entries):
             raise ValueError("spanning vectors are linearly dependent")
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(length):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, length):
-        if rows[i][k] != 0:
-            return None
-    return [rows[j][k] for j in range(k)]
+    goal = IntegerView(target, 1)
+    coords = span.coordinates(goal.entries)
+    if coords is None:
+        return None
+    # the span holds numerators: vector k is view k's entries over its den
+    return [Fraction(c * view.den, span.den * goal.den) for c, view in zip(coords, views)]
 
 
 def form_signature(matrix):

@@ -6,10 +6,15 @@ denominator, so the inner loops multiply and add Python ints, and groups
 them by the index in one slot, the slot a contraction runs over.  A check
 never divides: a sum of products of entries vanishes exactly when the same
 sum of numerator products does.
+
+A derived tensor (a weight tensor, the structure tensor) is built the same
+way: ``contract`` sums products of nonzero numerators over one index at a
+time, and the result is divided by the product of the denominators once.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import lcm
 
@@ -57,3 +62,22 @@ def least_nonzero(*sums):
     """The lexicographically least key with a nonzero value in any of ``sums``."""
     return min((key for s in sums for key, value in s.items() if value),
                default=None)
+
+
+def contract(left: dict, i: int, right: dict, j: int) -> dict:
+    """sum_x left[.. x in slot i ..] * right[.. x in slot j ..], nonzero sums only.
+
+    Both are {index tuple: int} dicts.  A key of the result is the left key
+    without slot i followed by the right key without slot j.
+    """
+    index = defaultdict(list)
+    for key, v in right.items():
+        index[key[j]].append((key[:j] + key[j + 1:], v))
+    out = defaultdict(int)
+    for key, u in left.items():
+        hits = index.get(key[i])
+        if hits:
+            rest = key[:i] + key[i + 1:]
+            for tail, v in hits:
+                out[rest + tail] += u * v
+    return {key: v for key, v in out.items() if v}

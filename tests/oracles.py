@@ -16,7 +16,11 @@ in Gray-code order), weight systems by sweeping the circle with every open
 chord held at once (the package contracts a tensor network pairwise), and
 the identity checks and the curvature-model symmetries by dense loops over
 every index tuple in lexicographic order (the package works on nonzero
-entries only).
+entries only), and the holonomy algebra, its symmetric triple, the derived
+tensors and the representation check by dense Fraction loops that solve
+their targets by Gauss-Jordan elimination of the dense augmented system
+(the package reduces the holonomy span to sparse integer rows and
+contracts int numerators one index at a time).
 """
 
 from __future__ import annotations
@@ -345,3 +349,266 @@ def curvature_model(g, R, d):
         if low[a, b, c, x] != low[c, x, a, b]:
             return False, ("pair-symmetry", (a, b, c, x))
     return True, None
+
+
+def dense_inverse(a):
+    """Gauss-Jordan inverse of a square matrix; ValueError when it is singular."""
+    n = len(a)
+    mat = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        mat[col], mat[piv] = mat[piv], mat[col]
+        inv = 1 / mat[col][col]
+        mat[col] = [x * inv for x in mat[col]]
+        for i in range(n):
+            if i != col and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[col])]
+    return [row[n:] for row in mat]
+
+
+def dense_commutator(a, b):
+    n = len(a)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for r, x, c in product(range(n), repeat=3):
+        if a[r][x] and b[x][c]:
+            out[r][c] += a[r][x] * b[x][c]
+        if b[r][x] and a[x][c]:
+            out[r][c] -= b[r][x] * a[x][c]
+    return out
+
+
+def solve_all(vectors, targets):
+    """Coefficients of each target in the span of independent vectors, or None.
+
+    The augmented system (one column per vector, then one per target) is
+    reduced by Gauss-Jordan elimination on the vector columns.
+    """
+    k = len(vectors)
+    if not targets:
+        return []
+    length = len(targets[0])
+    rows = [[Fraction(vec[i]) for vec in vectors] + [Fraction(t[i]) for t in targets]
+            for i in range(length)]
+    r = 0
+    for col in range(k):
+        piv = next((i for i in range(r, length) if rows[i][col] != 0), None)
+        if piv is None:
+            raise ValueError("spanning vectors are linearly dependent")
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(length):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return [None if any(rows[i][k + t] != 0 for i in range(r, length))
+            else [rows[j][k + t] for j in range(k)] for t in range(len(targets))]
+
+
+def solve_in_span(vectors, target):
+    return solve_all(vectors, [target])[0]
+
+
+def _endomorphism(R, a, b, d):
+    return [[R[a][b][c][x] for c in range(d)] for x in range(d)]
+
+
+def _flat(matrix):
+    return [x for row in matrix for x in row]
+
+
+def holonomy(R, g, d):
+    """(labels, basis, brackets, form, nondegenerate) of span{R(e_a, e_b)}, densely.
+
+    Each pair's endomorphism is kept when it is not in the span of those
+    kept before it.  The form consistency on every pair of generator pairs,
+    then the bracket identity on every pair, then the basis commutators are
+    checked, raising RuntimeError with the package's messages.
+    """
+    rng = range(d)
+    low = [[[[sum((R[a][b][c][x] * g[x][y] for x in rng), Fraction(0))
+              for y in rng] for c in rng] for b in rng] for a in rng]
+    pairs = [(a, b) for a in rng for b in range(a + 1, d)]
+    labels, vecs = [], []
+    for a, b in pairs:
+        vec = _flat(_endomorphism(R, a, b, d))
+        if solve_in_span(vecs, vec) is None:
+            labels.append((a, b))
+            vecs.append(vec)
+    m = len(labels)
+    basis = [_endomorphism(R, *pair, d) for pair in labels]
+    commutators = [(i, j) for i in range(m) for j in range(m)]
+    solved = solve_all(
+        vecs, [_flat(_endomorphism(R, *p, d)) for p in pairs]
+        + [_flat(dense_commutator(basis[i], basis[j])) for i, j in commutators])
+    coords = dict(zip(pairs, solved))
+    form = [[low[la][lb][ka][kb] for ka, kb in labels] for la, lb in labels]
+    for p in pairs:
+        for q in pairs:
+            via = sum((coords[p][i] * coords[q][j] * form[i][j]
+                       for i in range(m) if coords[p][i] for j in range(m)),
+                      Fraction(0))
+            if via != low[p[0]][p[1]][q[0]][q[1]]:
+                raise RuntimeError(
+                    f"induced form is inconsistent on generators {p}, {q}")
+    for p in pairs:
+        for q in pairs:
+            lhs = dense_commutator(_endomorphism(R, *p, d), _endomorphism(R, *q, d))
+            rhs = [[Fraction(0)] * d for _ in rng]
+            for x in rng:
+                first = _endomorphism(R, x, q[1], d)
+                second = _endomorphism(R, q[0], x, d)
+                for r, c in product(rng, repeat=2):
+                    rhs[r][c] += (R[p[0]][p[1]][q[0]][x] * first[r][c]
+                                  + R[p[0]][p[1]][q[1]][x] * second[r][c])
+            if lhs != rhs:
+                raise RuntimeError(f"bracket identity fails on generators {p}, {q}")
+    brackets = [[None] * m for _ in range(m)]
+    for (i, j), c in zip(commutators, solved[len(pairs):]):
+        if c is None:
+            raise RuntimeError("holonomy commutator escapes the span")
+        brackets[i][j] = c
+    return labels, basis, brackets, form, m == 0 or dense_rank(form, m) == m
+
+
+def symmetric_triple(R, g, d, hol):
+    """(brackets, form, involution) of h + p for ``hol = holonomy(R, g, d)``.
+
+    The tangent brackets are solved densely against the holonomy basis.
+    """
+    labels, basis, hol_brackets, hol_form, _ = hol
+    m = len(labels)
+    n = m + d
+    f = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k in product(range(m), repeat=3):
+        f[i][j][k] = hol_brackets[i][j][k]
+    for i in range(m):
+        for a, x in product(range(d), repeat=2):
+            f[i][m + a][m + x] = basis[i][x][a]
+            f[m + a][i][m + x] = -basis[i][x][a]
+    tangent = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    solved = solve_all([_flat(mat) for mat in basis],
+                       [_flat(_endomorphism(R, a, b, d)) for a, b in tangent])
+    for (a, b), c in zip(tangent, solved):
+        if c is None:
+            raise RuntimeError("tangent bracket escapes the holonomy span")
+        for k in range(m):
+            f[m + a][m + b][k] = c[k]
+            f[m + b][m + a][k] = -c[k]
+    form = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in product(range(m), repeat=2):
+        form[i][j] = hol_form[i][j]
+    for a, b in product(range(d), repeat=2):
+        form[m + a][m + b] = g[a][b]
+    return f, form, [1] * m + [-1] * d
+
+
+def so_isomorphism(basis, brackets, d):
+    """P with P f_h = f_so(P, P) on so(d)'s standard basis, or None; every (i, j, l).
+
+    The right side contracts one P at a time.
+    """
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    m = len(pairs)
+    if d < 2 or len(basis) != m:
+        return None
+    standard = []
+    for i, j in pairs:
+        mat = [[Fraction(0)] * d for _ in range(d)]
+        mat[i][j], mat[j][i] = Fraction(1), Fraction(-1)
+        standard.append(mat)
+    f_so = [[[comm[i][j] for i, j in pairs]
+             for comm in (dense_commutator(standard[a], standard[b]) for b in range(m))]
+            for a in range(m)]
+    P = []
+    for mat in basis:
+        if any(mat[i][j] != -mat[j][i] for i, j in product(range(d), repeat=2)):
+            return None
+        P.append([mat[i][j] for i, j in pairs])
+    if dense_rank(P, m) < m:
+        return None
+    # half[j][a][l] = sum_b P[j][b] f_so[a][b][l]
+    half = [[[sum((P[j][b] * f_so[a][b][l] for b in range(m)), Fraction(0))
+              for l in range(m)] for a in range(m)] for j in range(m)]
+    for i, j, l in product(range(m), repeat=3):
+        lhs = sum((brackets[i][j][k] * P[k][l] for k in range(m)), Fraction(0))
+        rhs = sum((P[i][a] * half[j][a][l] for a in range(m)), Fraction(0))
+        if lhs != rhs:
+            return None
+    return P
+
+
+def structure_tensor(brackets, form):
+    """Y[i][j][k] = sum_{a,b} C[i][a] C[j][b] f[a][b][k] with C the inverse form."""
+    m = len(form)
+    C = dense_inverse(form)
+    rng = range(m)
+    half = [[[sum((C[i][a] * brackets[a][b][k] for a in rng), Fraction(0))
+              for k in rng] for b in rng] for i in rng]
+    return [[[sum((C[j][b] * half[i][b][k] for b in rng), Fraction(0))
+              for k in rng] for j in rng] for i in rng]
+
+
+def lie_weight_tensor(form, matrices, d):
+    """rho(C)[a][b][c][d] = sum_{ij} C[i][j] rho_i[b][a] rho_j[d][c]."""
+    C = dense_inverse(form)
+    m = len(form)
+    # half[i][dd][c] = sum_j C[i][j] rho_j[dd][c]
+    half = [[[sum((C[i][j] * matrices[j][dd][c] for j in range(m)), Fraction(0))
+              for c in range(d)] for dd in range(d)] for i in range(m)]
+    return [[[[sum((matrices[i][b][a] * half[i][dd][c] for i in range(m)), Fraction(0))
+               for dd in range(d)] for c in range(d)] for b in range(d)]
+            for a in range(d)]
+
+
+def curvature_weight_tensor(g, R, d):
+    """entry[a][b][c][d] = sum_x g_inv[b][x] R[a][x][c][d]."""
+    ginv = dense_inverse(g)
+    return [[[[sum((ginv[b][x] * R[a][x][c][dd] for x in range(d)), Fraction(0))
+               for dd in range(d)] for c in range(d)] for b in range(d)]
+            for a in range(d)]
+
+
+def representation(brackets, matrices, d):
+    """(ok, message): rho([e_i, e_j]) against [rho_i, rho_j] for i < j in order."""
+    m = len(matrices)
+    for i in range(m):
+        for j in range(i + 1, m):
+            lhs = [[sum((brackets[i][j][k] * matrices[k][r][c] for k in range(m)),
+                        Fraction(0)) for c in range(d)] for r in range(d)]
+            if lhs != dense_commutator(matrices[i], matrices[j]):
+                return False, f"bracket compatibility fails at (i,j)=({i},{j})"
+    return True, None
+
+
+def lowered_casimir(form_v, rep_form, matrices, d):
+    """low[a][b][c][d] = sum_{x,y} rho(C)(a,x,c,y) F[x][b] F[y][d], densely."""
+    T = lie_weight_tensor(rep_form, matrices, d)
+    rng = range(d)
+    return [[[[sum((T[a][x][c][y] * form_v[x][b] * form_v[y][dd]
+                    for x, y in product(rng, repeat=2)), Fraction(0))
+               for dd in rng] for c in rng] for b in rng] for a in rng]
+
+
+def curvature_symmetries(low, d):
+    """The first skew, then Bianchi, failure of a lowered tensor in lexicographic order."""
+    for a, b, c, dd in product(range(d), repeat=4):
+        if low[a][b][c][dd] + low[b][a][c][dd] != 0:
+            return "fail(skew)", (a, b, c, dd)
+    for a, b, c, dd in product(range(d), repeat=4):
+        if low[a][b][c][dd] + low[b][c][a][dd] + low[c][a][b][dd] != 0:
+            return "fail(bianchi)", (a, b, c, dd)
+    return "pass", None
+
+
+def raised(low, form_v, d):
+    """R[a][b][c][x] = sum_y low[a][b][c][y] F^-1[y][x]."""
+    inv = dense_inverse(form_v)
+    rng = range(d)
+    return [[[[sum((low[a][b][c][y] * inv[y][x] for y in rng), Fraction(0))
+               for x in rng] for c in rng] for b in rng] for a in rng]

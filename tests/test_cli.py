@@ -190,10 +190,42 @@ PINNED = Path(__file__).parent / "pinned"
     ("enumerate-n-5.txt", ["enumerate", "--n", "5"]),
     ("dims-max-n-6.txt", ["dims", "--max-n", "6"]),
     ("dims-max-n-6-unframed.txt", ["dims", "--max-n", "6", "--unframed"]),
+    ("holonomy-cp2.txt", ["holonomy", "--curvature", str(PINNED / "cp2.json")]),
+    ("holonomy-cp2.json", ["holonomy", "--curvature", str(PINNED / "cp2.json"),
+                           "--format", "json"]),
+    ("holonomy-sphere5.txt", ["holonomy", "--curvature", str(PINNED / "sphere5.json")]),
+    ("holonomy-sphere5.json", ["holonomy", "--curvature", str(PINNED / "sphere5.json"),
+                               "--format", "json"]),
 ])
 def test_output_matches_pinned_text(capsys, name, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (0, (PINNED / name).read_text(encoding="utf-8"), "")
+
+
+def test_holonomy_of_a_7_sphere_is_fast(tmp_path):
+    """21 generator pairs, 441 pairs of pairs: one process, under 1 s."""
+    path = write_json(tmp_path / "sphere7.json",
+                      model_to_json_dict(constant_curvature(7)))
+    proc, elapsed = run_cli("holonomy", "--curvature", path)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-3:] == [
+        "triple: dim 28 = 21 + 7, valid: yes",
+        "isomorphic to so7: yes",
+        "rho(C_h) == Hhat: yes",
+    ]
+    assert elapsed < 1
+
+
+def test_holonomy_refuses_a_16_dimensional_space_form_at_once(tmp_path):
+    """The loader admits dim^4 = 65536; holonomy's pairs^2 * d^3 is over the bound."""
+    path = write_json(tmp_path / "sphere16.json",
+                      model_to_json_dict(constant_curvature(16)))
+    proc, elapsed = run_cli("holonomy", "--curvature", path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: the holonomy algebra of a curvature model of dimension 16 needs "
+        "pairs^2 * d^3 = 58982400 steps, limit is 10000000\n")
+    assert elapsed < 1
 
 
 def test_dims_json(capsys):

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 from . import acceptance
 from .curvature import (
@@ -138,7 +139,8 @@ def _cmd_dims(args, out) -> int:
         raise CLIError(f"--max-n must be in 0..{ENUMERATION_CAP}, got {args.max_n}")
     charge_enumeration(args.max_n)  # the top degree costs most: refuse before degree 0
     kind = "unframed" if args.unframed else "framed"
-    rows = [(n, quotient_dimension(n, kind)) for n in range(args.max_n + 1)]
+    dims = [quotient_dimension(n, "unframed") for n in range(args.max_n + 1)]
+    rows = list(enumerate(accumulate(dims) if kind == "framed" else dims))  # A = A^r (x) Q[theta]
     if args.format == "json":
         payload = [{"n": n, "kind": kind, "dimension": dim} for n, dim in rows]
         json.dump(payload, out, indent=2)

@@ -2,24 +2,24 @@
 
 Generates the four-term (4T) and isolated-chord (1T) relation vectors in
 each degree, computes quotient dimensions by exact sparse elimination, and
-decides membership in the relation span.  Ranks are taken over integer
-rows indexed by basis position.  A term is located by one dict lookup on
-the gap sequence of its raw matching, in an index that holds every
-rotation of every basis diagram's gap sequence, so no diagram, formal sum
-or least rotation is built per term.  The index keys are the gaps packed
-as bytes (each gap is below 2n <= 16), a third of the memory of tuples.
-Each 4T relation is generated from one representative, a diagram whose
-moving chord is isolated, and the terms of all relations that move that
-chord come from one slot table, built by walking its endpoint around the
-circle one adjacent swap at a time.
+decides membership in the relation span.  Rank columns are the rotation
+classes in the enumerator's order (rank ignores column order), so no
+diagram is built for a rank.  A term is found by one dict lookup of its
+raw matching's gaps, as bytes (each gap is below 2n <= 16), in an index of
+every rotation of every class.  Each 4T relation is generated once, from a
+matching whose moving chord is isolated, its terms read from a slot table
+that walks that endpoint around the circle by adjacent swaps.  1T kills
+exactly the classes with an isolated chord, so unframed deletes their
+columns.  Framed needs no elimination: A = A^r (x) Q[theta] (Bar-Natan,
+Topology 34, 1995), so framed_n is the sum of unframed_j over j <= n.
 """
 
 from __future__ import annotations
 
-from .diagrams import ChordDiagram, enumerate_diagrams
+from .diagrams import ChordDiagram, _least_gap_rotations, enumerate_diagrams
 from .formal import FormalSum
 from .frozen import Frozen
-from .linalg import sparse_rank
+from .linalg import in_row_span, sparse_rank
 
 KINDS = ("framed", "unframed")
 
@@ -81,18 +81,17 @@ def _gaps(matching) -> list:
     return [(q - p) % m for p, q in enumerate(matching)]
 
 
-def _class_index(basis: tuple) -> dict:
-    """{bytes(gaps) of each rotation of each basis diagram: basis position}."""
+def _class_index(classes) -> dict:
+    """{bytes of each rotation of each gap sequence in classes: its position}."""
     index = {}
-    for i, diagram in enumerate(basis):
-        gaps = _gaps(diagram.matching)
+    for i, gaps in enumerate(classes):
         for r in range(len(gaps) or 1):
             index[bytes(gaps[r:] + gaps[:r])] = i
     return index
 
 
 def _slot_table(matching: tuple, p: int, index: dict) -> list:
-    """slots[t]: basis index of ``_reinsert(matching, p, seq, t)``.
+    """slots[t]: class index of ``_reinsert(matching, p, seq, t)``.
 
     seq is the circle without p.  The walk starts from the diagram itself,
     where p sits at slot p just after its partner, and moves p forward
@@ -119,24 +118,23 @@ def _slot_table(matching: tuple, p: int, index: dict) -> list:
     return slots
 
 
-def _four_term_rows(basis: tuple, index: dict) -> list:
-    """Distinct nonzero 4T rows {basis index: int} over degree-n diagrams.
+def _four_term_rows(matchings, index: dict) -> list:
+    """Distinct nonzero 4T rows {class index: int} over degree-n matchings.
 
-    index is ``_class_index(basis)``.  A row re-inserts the moving endpoint
-    p beside the endpoints of the fixed chord, so it depends only on the
-    fixed chord and the configuration: the circle without p, holding
+    matchings holds one matching of each rotation class, and index is
+    ``_class_index`` of their gap sequences.  A row re-inserts the moving
+    endpoint p beside the endpoints of the fixed chord, so it depends only
+    on the fixed chord and the configuration: the circle without p, holding
     n - 1 chords and p's partner q.  Putting p back directly after q gives
-    a diagram, a rotation of one in basis, whose moving chord
-    (q, q + 1 mod 2n) is isolated.  So every row is built from a basis
-    diagram, one isolated chord with p = q + 1 moving, and another chord as
-    the fixed one: one slot table per isolated chord.  Configurations with
+    a diagram, a rotation of one in matchings, whose moving chord
+    (q, q + 1 mod 2n) is isolated.  So every row is built from a matching,
+    one isolated chord with p = q + 1 moving, and another chord as the
+    fixed one: one slot table per isolated chord.  Configurations with
     rotational symmetry still repeat, so rows are deduplicated on their
-    sorted items, in order of first appearance.
+    sorted items, in order of first appearance.  Columns -1 are left out.
     """
-    rows = []
-    seen = set()
-    for diagram in basis:
-        matching = diagram.matching
+    rows: dict = {}
+    for matching in matchings:
         m = len(matching)
         for q in range(m):
             p = (q + 1) % m
@@ -144,28 +142,25 @@ def _four_term_rows(basis: tuple, index: dict) -> list:
                 continue
             # each 4T term is one entry of the slot table
             slots = _slot_table(matching, p, index)
-            for fixed in diagram.chords:
-                if q in fixed:
+            for fixed in enumerate(matching):
+                if fixed[0] > fixed[1] or q in fixed:
                     continue
                 row: dict = {}
                 for anchor in fixed:
                     at = anchor - (anchor > p)
                     row[slots[at]] = row.get(slots[at], 0) + 1
                     row[slots[at + 1]] = row.get(slots[at + 1], 0) - 1
-                key = tuple(sorted((i, c) for i, c in row.items() if c))
-                if key and key not in seen:
-                    seen.add(key)
-                    rows.append(dict(key))
-    return rows
+                key = tuple(sorted((i, c) for i, c in row.items() if c and i >= 0))
+                if key:
+                    rows[key] = None
+    return [dict(key) for key in rows]
 
 
 def four_term_relations(n: int) -> RelationSet:
     """Every distinct nonzero ``four_term_vector`` in degree n, once each."""
-    basis = enumerate_diagrams(n)
-    vectors = tuple(
-        FormalSum({basis[i]: c for i, c in row.items()})
-        for row in _four_term_rows(basis, _class_index(basis))
-    )
+    rows, index, _ = _relation_matrix(n, "framed")
+    diagram = {index[bytes(_gaps(d.matching))]: d for d in enumerate_diagrams(n)}
+    vectors = tuple(FormalSum({diagram[i]: c for i, c in row.items()}) for row in rows)
     return RelationSet(n, "4T", vectors)
 
 
@@ -184,21 +179,30 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-def _relation_rows(basis: tuple, index: dict, kind: str) -> list:
-    """Integer relation rows over basis positions for the chosen kind."""
-    rows = _four_term_rows(basis, index)
+def _relation_matrix(n: int, kind: str) -> tuple:
+    """(4T rows, index, column count) over the degree-n rotation classes.
+
+    index maps each class's rotations to its column; for unframed, classes
+    with an isolated chord (a gap of 1) map to -1, which the rows drop.
+    """
+    classes = _least_gap_rotations(n)
+    index = _class_index(classes)
     if kind == "unframed":
-        rows.extend({i: 1} for i, diagram in enumerate(basis)
-                    if diagram.has_isolated_chord)
-    return rows
+        index = {key: -1 if 1 in key else i for key, i in index.items()}
+    m = 2 * n
+    rows = _four_term_rows([tuple([(p + g) % m for p, g in enumerate(gaps)])
+                            for gaps in classes], index)
+    return rows, index, sum(kind == "framed" or 1 not in gaps for gaps in classes)
 
 
 def quotient_dimension(n: int, kind: str = "framed") -> int:
     """Dimension of degree-n diagrams modulo the chosen relations."""
     _check_kind(kind)
-    basis = enumerate_diagrams(n)
-    rank = sparse_rank(_relation_rows(basis, _class_index(basis), kind))
-    return len(basis) - rank
+    rows, _, columns = _relation_matrix(n, "unframed")  # checks and charges n first
+    dim = columns - sparse_rank(rows)
+    if kind == "framed":
+        dim += sum(quotient_dimension(j, "unframed") for j in range(n))
+    return dim
 
 
 def in_relation_span(vector: FormalSum, kind: str = "framed") -> bool:
@@ -209,9 +213,7 @@ def in_relation_span(vector: FormalSum, kind: str = "framed") -> bool:
     degrees = {diagram.n for diagram, _ in vector.items()}
     if len(degrees) != 1:
         raise ValueError(f"vector mixes degrees {sorted(degrees)}")
-    basis = enumerate_diagrams(degrees.pop())
-    index = _class_index(basis)
-    relation_rows = _relation_rows(basis, index, kind)
-    base_rank = sparse_rank(relation_rows)
-    row = {index[bytes(_gaps(d.matching))]: coeff for d, coeff in vector.items()}
-    return sparse_rank(relation_rows + [row]) == base_rank
+    rows, index, _ = _relation_matrix(degrees.pop(), kind)
+    target = {index[bytes(_gaps(d.matching))]: coeff for d, coeff in vector.items()}
+    target.pop(-1, None)  # a column that 1T deletes
+    return in_row_span(rows, target)

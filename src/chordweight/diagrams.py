@@ -188,8 +188,10 @@ def charge_enumeration(n: int) -> None:
                 f"{work} steps")
 
 
-def _least_gap_rotations(n: int) -> list:
+def _least_gap_rotations(n: int, cap: int = ENUMERATION_CAP) -> list:
     """The least rotation of the gap sequence of every n-chord class, once each.
+
+    n is checked and its cost charged first (``charge_enumeration``).
 
     A depth-first search fills g[0], g[1], ... in turn.  Choosing g[t] = v
     pairs position t with t + v, which fixes g[t + v] = 2n - v; the
@@ -200,6 +202,11 @@ def _least_gap_rotations(n: int) -> list:
     sequence whose length is a multiple of its period is a necklace, the
     least of its rotations, and every rotation class has exactly one.
     """
+    if n < 0:
+        raise ValueError("chord count must be non-negative")
+    if n > cap:
+        raise ValueError(f"n={n} exceeds the enumeration cap {cap}")
+    charge_enumeration(n)
     m = 2 * n
     gaps = [0] * m
     found = []
@@ -230,18 +237,13 @@ def enumerate_diagrams(n: int, cap: int = ENUMERATION_CAP) -> tuple:
     """All canonical diagrams with n chords, sorted by code.
 
     Each rotation class is generated once, as its least gap rotation (see
-    ``_least_gap_rotations``), and canonicalized; nothing is deduplicated.
-    The predicted cost is charged first (``charge_enumeration``).
+    ``_least_gap_rotations``, which checks n and charges its cost), and
+    canonicalized; nothing is deduplicated.
     """
-    if n < 0:
-        raise ValueError("chord count must be non-negative")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the enumeration cap {cap}")
-    charge_enumeration(n)
     m = 2 * n
     return tuple(sorted(
         ChordDiagram(tuple([(p + v) % m for p, v in enumerate(gaps)]))
-        for gaps in _least_gap_rotations(n)
+        for gaps in _least_gap_rotations(n, cap)
     ))
 
 

@@ -46,9 +46,6 @@ class FormalSum:
     def terms(self):
         return dict(self._terms)
 
-    def support(self):
-        return set(self._terms)
-
     def __add__(self, other):
         if not isinstance(other, FormalSum):
             return NotImplemented

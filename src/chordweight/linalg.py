@@ -255,7 +255,17 @@ def _integer_rows(rows):
 
 
 def sparse_rank(rows) -> int:
-    """Rank of a sparse rational matrix, rows given as {column: value} dicts.
+    """Rank of a sparse rational matrix, rows given as {column: value} dicts."""
+    return _eliminate(rows)[0]
+
+
+def in_row_span(rows, vector: dict) -> bool:
+    """Whether the sparse vector lies in the span of rows, by one elimination."""
+    return not _eliminate(rows, vector)[1]
+
+
+def _eliminate(rows, target=None) -> tuple:
+    """(rank of rows, residual of target reduced by them).
 
     Pivot-local fraction-free elimination over primitive integer rows.  A
     column -> rows index finds the rows that meet each pivot column.  The
@@ -265,16 +275,21 @@ def sparse_rank(rows) -> int:
     row <- d*row - f*pivot_row with d, f the pivot and row entries divided
     by their gcd, followed by division by the row's content.  Every step is
     an invertible row operation over Q, so the count of pivots is the rank.
+    A target is carried as row -1, reduced but never a pivot: its residual
+    meets no pivot column, which every nonzero vector in the span meets.
     """
     active = dict(enumerate(_integer_rows(rows)))
+    for row in _integer_rows([target] if target else []):
+        active[-1] = row
     col_rows: dict = {}
     by_len: dict = {}
     for r, row in active.items():
         for c in row:
             col_rows.setdefault(c, set()).add(r)
-        by_len.setdefault(len(row), set()).add(r)
+        if r >= 0:
+            by_len.setdefault(len(row), set()).add(r)
     rank = 0
-    while active:
+    while any(by_len.values()):
         length = min(k for k, bucket in by_len.items() if bucket)
         r = by_len[length].pop()
         pivot = active.pop(r)
@@ -285,7 +300,8 @@ def sparse_rank(rows) -> int:
         rank += 1
         for t in col_rows.pop(col):
             row = active[t]
-            by_len[len(row)].discard(t)
+            if t >= 0:
+                by_len[len(row)].discard(t)
             f = row.pop(col)
             g = gcd(d, f)
             dd, ff = d // g, f // g
@@ -310,5 +326,6 @@ def sparse_rank(rows) -> int:
             if content != 1:
                 for c in row:
                     row[c] //= content
-            by_len.setdefault(len(row), set()).add(t)
-    return rank
+            if t >= 0:
+                by_len.setdefault(len(row), set()).add(t)
+    return rank, active.get(-1)

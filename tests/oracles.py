@@ -10,7 +10,10 @@ builds each relation once, from a diagram whose moving chord is isolated,
 walks the moving endpoint around the circle by adjacent swaps, and looks
 each term up by its raw gap sequence in an index of every rotation),
 ranks by dense division-based Gaussian elimination (the package uses sparse
-fraction-free elimination), smoothing components by walking an adjacency
+fraction-free elimination), quotient dimensions of each kind and span
+membership by separate sparse ranks over the canonical basis (the package
+sums unframed dimensions, deletes 1T columns and reduces a vector against
+one elimination), smoothing components by walking an adjacency
 list built afresh for each smoothing (the package walks fixed partner tables
 in Gray-code order), weight systems by sweeping the circle with every open
 chord held at once (the package contracts a tensor network pairwise), and
@@ -27,6 +30,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+
+from chordweight.linalg import sparse_rank
 
 
 def all_matchings(n):
@@ -152,6 +157,34 @@ def dense_rank(rows, ncols):
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
         rank += 1
     return rank
+
+
+def relation_rows(basis, four_term_rows, kind):
+    """The 4T rows {basis position: int}, plus for unframed a row {i: 1} per
+    diagram with an isolated chord: the relations of each kind spelled out
+    over the canonical basis.
+    """
+    rows = list(four_term_rows)
+    if kind == "unframed":
+        for i, diagram in enumerate(basis):
+            m = len(diagram.matching)
+            if any((p + 1) % m == q for p, q in enumerate(diagram.matching)):
+                rows.append({i: 1})
+    return rows
+
+
+def quotient_dimension_by_rows(basis, four_term_rows, kind):
+    """Dimension of span(basis) modulo ``relation_rows``, by one elimination.
+
+    This is the direct computation for each kind; the package deletes the
+    1T columns instead, and sums unframed dimensions to get framed ones.
+    """
+    return len(basis) - sparse_rank(relation_rows(basis, four_term_rows, kind))
+
+
+def in_span_by_two_ranks(rows, vector):
+    """Whether vector lies in span(rows): appending it leaves the rank as it is."""
+    return sparse_rank(list(rows) + [vector]) == sparse_rank(rows)
 
 
 def walk_components(matching, signs):

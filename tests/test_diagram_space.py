@@ -1,5 +1,6 @@
 """Four-term and one-term relation spaces and quotient dimensions."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -17,7 +18,14 @@ from chordweight import (
     quotient_dimension,
 )
 import chordweight.diagram_space
-from chordweight.diagram_space import _class_index, _four_term_rows, _reinsert, _slot_table
+from chordweight.diagram_space import (
+    _class_index,
+    _four_term_rows,
+    _gaps,
+    _reinsert,
+    _slot_table,
+)
+from chordweight.diagrams import _least_gap_rotations
 from chordweight.formal import FormalSum
 
 FRAMED_DIMS = (1, 1, 2, 3, 6)
@@ -57,11 +65,25 @@ def row_set(rows):
     return {tuple(sorted(row.items())) for row in rows}
 
 
+def basis_index(basis):
+    return _class_index([_gaps(d.matching) for d in basis])
+
+
+def gap_matching(gaps):
+    m = len(gaps)
+    return tuple((p + g) % m for p, g in enumerate(gaps))
+
+
+def canonical_rows(basis):
+    """4T rows over basis positions, built from the canonical matchings."""
+    return _four_term_rows([d.matching for d in basis], basis_index(basis))
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_four_term_rows_match_generation_from_every_argument(n):
     """Building each relation once keeps exactly the reference's rows."""
     basis = enumerate_diagrams(n)
-    rows = _four_term_rows(basis, _class_index(basis))
+    rows = canonical_rows(basis)
     assert len(row_set(rows)) == len(rows)  # no row repeated
     assert row_set(rows) == row_set(oracles.four_term_rows_all(basis))
 
@@ -70,7 +92,7 @@ def test_four_term_rows_match_generation_from_every_argument(n):
 def test_swap_built_slot_tables_match_reinsertion(n):
     """Every slot table equals one re-inserting p at each slot and keying it afresh."""
     basis = enumerate_diagrams(n)
-    index = _class_index(basis)
+    index = basis_index(basis)
     by_key = {oracles.class_key(d.matching): i for i, d in enumerate(basis)}
     tables = 0
     for diagram in basis:
@@ -90,7 +112,7 @@ def test_swap_built_slot_tables_match_reinsertion(n):
 def test_index_holds_every_rotation_of_every_basis_diagram():
     for n in range(5):
         basis = enumerate_diagrams(n)
-        index = _class_index(basis)
+        index = basis_index(basis)
         for orbit in oracles.rotation_orbits(n):
             (i,) = {index[bytes((q - p) % (2 * n) for p, q in enumerate(mat))]
                     for mat in orbit}
@@ -100,12 +122,79 @@ def test_index_holds_every_rotation_of_every_basis_diagram():
 def test_four_term_rows_at_degree_6_are_fast():
     """One slot table per isolated chord: degree 6 in well under a second."""
     basis = enumerate_diagrams(6)
-    index = _class_index(basis)
+    matchings = [d.matching for d in basis]
+    index = basis_index(basis)
     start = time.perf_counter()
-    rows = _four_term_rows(basis, index)
+    rows = _four_term_rows(matchings, index)
     elapsed = time.perf_counter() - start
     assert len(rows) == 4610
     assert elapsed < 0.5, f"_four_term_rows(6) took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_gap_class_rows_are_the_canonical_rows_relabelled(n):
+    """Rows over the enumerator's classes, mapped to basis positions, are the basis rows."""
+    basis = enumerate_diagrams(n)
+    classes = _least_gap_rotations(n)
+    position = {d: i for i, d in enumerate(basis)}
+    relabel = [position[ChordDiagram(gap_matching(gaps))] for gaps in classes]
+    rows = _four_term_rows([gap_matching(gaps) for gaps in classes], _class_index(classes))
+    assert len(row_set(rows)) == len(rows)
+    assert row_set({relabel[c]: v for c, v in row.items()} for row in rows) == \
+        row_set(canonical_rows(basis))
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_four_term_rows_do_not_depend_on_which_rotation_represents_a_class(n):
+    """Shifting every representative reaches an isolated chord at (2n - 1, 0)."""
+    classes = _least_gap_rotations(n)
+    index = _class_index(classes)
+    matchings = [gap_matching(gaps) for gaps in classes]
+    expected = row_set(_four_term_rows(matchings, index))
+    m = 2 * n
+    rng = random.Random(1100 + n)
+    shifts = [[r] * len(matchings) for r in range(m)]
+    shifts += [[rng.randrange(m) for _ in matchings] for _ in range(3)]
+    wrapped = 0
+    for shift in shifts:
+        rotated = [oracles.rotate_matching(mat, r) for mat, r in zip(matchings, shift)]
+        wrapped += sum(mat[m - 1] == 0 for mat in rotated)
+        assert row_set(_four_term_rows(rotated, index)) == expected
+    assert wrapped > 0
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_unframed_dimension_matches_four_term_plus_one_term_rows(n):
+    """Deleting the 1T columns gives the rank of 4T rows with 1T rows appended."""
+    basis = enumerate_diagrams(n)
+    direct = oracles.quotient_dimension_by_rows(basis, canonical_rows(basis), "unframed")
+    assert quotient_dimension(n, "unframed") == direct
+
+
+@pytest.mark.parametrize("kind", ["framed", "unframed"])
+@pytest.mark.parametrize("n", range(6))
+def test_in_relation_span_matches_two_rank_oracle(n, kind):
+    """Seeded combinations of relations, some pushed off the span by one diagram."""
+    basis = enumerate_diagrams(n)
+    rows = oracles.relation_rows(basis, canonical_rows(basis), kind)
+    rng = random.Random(31 * n + len(kind))
+    verdicts = set()
+    for trial in range(12):
+        vector = {}
+        for row in rng.sample(rows, min(len(rows), rng.randint(1, 4))):
+            f = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 5]))
+            for i, c in row.items():
+                vector[i] = vector.get(i, 0) + f * c
+        if trial % 2:
+            i = rng.randrange(len(basis))
+            vector[i] = vector.get(i, 0) + rng.choice([-1, 1, Fraction(1, 3)])
+        vector = {i: c for i, c in vector.items() if c}
+        expected = oracles.in_span_by_two_ranks(rows, vector)
+        formal = FormalSum({basis[i]: c for i, c in vector.items()})
+        assert in_relation_span(formal, kind) == expected
+        verdicts.add(expected)
+    if n >= 2:
+        assert verdicts == {True, False}
 
 
 def test_four_term_vector_arguments_checked():
@@ -146,11 +235,17 @@ def test_quotient_dimensions_checked_by_the_benchmark():
 
 
 def test_framed_dimensions_are_sums_of_unframed_ones():
-    """A = A^r (x) Q[theta]: framed_n = sum over j <= n of unframed_j."""
+    """A = A^r (x) Q[theta]: framed_n = sum over j <= n of unframed_j.
+
+    The package computes framed dimensions as that sum, so each is checked
+    against a direct elimination of the framed 4T rows.
+    """
     unframed = [quotient_dimension(j, "unframed") for j in range(7)]
     assert unframed[6] == 9  # 19 - 10, Bar-Natan's table
     for n in range(7):
-        assert quotient_dimension(n, "framed") == sum(unframed[:n + 1])
+        basis = enumerate_diagrams(n)
+        direct = oracles.quotient_dimension_by_rows(basis, canonical_rows(basis), "framed")
+        assert quotient_dimension(n, "framed") == sum(unframed[:n + 1]) == direct
 
 
 def test_quotient_dimension_against_dense_oracle():
@@ -185,6 +280,7 @@ def test_unknown_kind_is_rejected_before_enumerating(monkeypatch):
         raise AssertionError(f"enumerated degree {n} before checking the kind")
 
     monkeypatch.setattr(chordweight.diagram_space, "enumerate_diagrams", refuse)
+    monkeypatch.setattr(chordweight.diagram_space, "_least_gap_rotations", refuse)
     with pytest.raises(ValueError, match="kind must be one of"):
         quotient_dimension(7, "bogus")
     vector = FormalSum.single(ChordDiagram.from_code("ABCDEFGABCDEFG"))

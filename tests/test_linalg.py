@@ -13,6 +13,7 @@ from chordweight.linalg import (
     determinant,
     form_signature,
     identity_matrix,
+    in_row_span,
     mat_inv,
     solve_in_span,
     sparse_rank,
@@ -80,6 +81,23 @@ def test_sparse_rank_on_larger_sparse_matrices():
         rng.shuffle(rows)
         rows = rows[:40]
         assert sparse_rank(rows) == oracles.dense_rank(_to_dense(rows, ncols), ncols)
+
+
+def test_in_row_span_matches_two_ranks_on_planted_vectors():
+    """Combinations of the rows lie in the span; one more random row often does not."""
+    rng = random.Random(23)
+    verdicts = []
+    for trial in range(60):
+        ncols = rng.randint(3, 20)
+        rows = _random_sparse_rows(rng, rng.randint(0, 15), ncols, 0.15)
+        vector = _combine(rng, rows, rng.randint(1, 4))
+        if trial % 2:
+            for j, v in _random_sparse_rows(rng, 1, ncols, 0.2)[0].items():
+                vector[j] = vector.get(j, 0) + Fraction(v, 3)
+        vector = {j: v for j, v in vector.items() if v}
+        verdicts.append(in_row_span(rows, vector))
+        assert verdicts[-1] == oracles.in_span_by_two_ranks(rows, vector)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_sparse_rank_of_chain_identifications():

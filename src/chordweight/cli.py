@@ -140,7 +140,8 @@ def _cmd_dims(args, out) -> int:
     charge_enumeration(args.max_n)  # the top degree costs most: refuse before degree 0
     kind = "unframed" if args.unframed else "framed"
     dims = [quotient_dimension(n, "unframed") for n in range(args.max_n + 1)]
-    rows = list(enumerate(accumulate(dims) if kind == "framed" else dims))  # A = A^r (x) Q[theta]
+    # A = A^r (x) Q[theta] (Bar-Natan): framed_n is the sum of unframed_j, j <= n
+    rows = list(enumerate(accumulate(dims) if kind == "framed" else dims))
     if args.format == "json":
         payload = [{"n": n, "kind": kind, "dimension": dim} for n, dim in rows]
         json.dump(payload, out, indent=2)

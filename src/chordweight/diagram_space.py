@@ -2,16 +2,16 @@
 
 Generates the four-term (4T) and isolated-chord (1T) relation vectors in
 each degree, computes quotient dimensions by exact sparse elimination, and
-decides membership in the relation span.  Rank columns are the rotation
-classes in the enumerator's order (rank ignores column order), so no
-diagram is built for a rank.  A term is found by one dict lookup of its
-raw matching's gaps, as bytes (each gap is below 2n <= 16), in an index of
-every rotation of every class.  Each 4T relation is generated once, from a
-matching whose moving chord is isolated, its terms read from a slot table
-that walks that endpoint around the circle by adjacent swaps.  1T kills
-exactly the classes with an isolated chord, so unframed deletes their
-columns.  Framed needs no elimination: A = A^r (x) Q[theta] (Bar-Natan,
-Topology 34, 1995), so framed_n is the sum of unframed_j over j <= n.
+decides membership in the relation span.  Rank columns are rotation
+classes.  A term is found by one dict lookup of its raw matching's gaps,
+as bytes (each gap is below 2n <= 16), in an index of every rotation of
+every class.  Each 4T relation is generated once, from a matching whose
+moving chord is isolated, its terms read from a slot table that walks that
+endpoint around the circle by adjacent swaps.  Framed columns are the
+canonical basis.  Unframed columns are the classes as generated (rank
+ignores column order), so no diagram is built, less those with an
+isolated chord, which 1T kills.  As A = A^r (x) Q[theta] (Bar-Natan,
+Topology 34, 1995), ``dims`` sums unframed_j over j <= n for framed_n.
 """
 
 from __future__ import annotations
@@ -158,9 +158,10 @@ def _four_term_rows(matchings, index: dict) -> list:
 
 def four_term_relations(n: int) -> RelationSet:
     """Every distinct nonzero ``four_term_vector`` in degree n, once each."""
-    rows, index, _ = _relation_matrix(n, "framed")
-    diagram = {index[bytes(_gaps(d.matching))]: d for d in enumerate_diagrams(n)}
-    vectors = tuple(FormalSum({diagram[i]: c for i, c in row.items()}) for row in rows)
+    basis = enumerate_diagrams(n)
+    index = _class_index([_gaps(diagram.matching) for diagram in basis])
+    rows = _four_term_rows([diagram.matching for diagram in basis], index)
+    vectors = tuple(FormalSum({basis[i]: c for i, c in row.items()}) for row in rows)
     return RelationSet(n, "4T", vectors)
 
 
@@ -182,27 +183,26 @@ def _check_kind(kind: str) -> None:
 def _relation_matrix(n: int, kind: str) -> tuple:
     """(4T rows, index, column count) over the degree-n rotation classes.
 
-    index maps each class's rotations to its column; for unframed, classes
-    with an isolated chord (a gap of 1) map to -1, which the rows drop.
+    Framed columns are the canonical basis; unframed ones are the classes as
+    generated, with no diagram built, and index maps those with an isolated
+    chord (a gap of 1) to -1, which the rows drop.
     """
-    classes = _least_gap_rotations(n)
+    classes = ([_gaps(diagram.matching) for diagram in enumerate_diagrams(n)]
+               if kind == "framed" else _least_gap_rotations(n))
     index = _class_index(classes)
     if kind == "unframed":
         index = {key: -1 if 1 in key else i for key, i in index.items()}
-    m = 2 * n
-    rows = _four_term_rows([tuple([(p + g) % m for p, g in enumerate(gaps)])
-                            for gaps in classes], index)
-    return rows, index, sum(kind == "framed" or 1 not in gaps for gaps in classes)
+    matchings = [tuple([(p + g) % (2 * n) for p, g in enumerate(gaps)])
+                 for gaps in classes]
+    columns = sum(kind == "framed" or 1 not in gaps for gaps in classes)
+    return _four_term_rows(matchings, index), index, columns
 
 
 def quotient_dimension(n: int, kind: str = "framed") -> int:
     """Dimension of degree-n diagrams modulo the chosen relations."""
     _check_kind(kind)
-    rows, _, columns = _relation_matrix(n, "unframed")  # checks and charges n first
-    dim = columns - sparse_rank(rows)
-    if kind == "framed":
-        dim += sum(quotient_dimension(j, "unframed") for j in range(n))
-    return dim
+    rows, _, columns = _relation_matrix(n, kind)
+    return columns - sparse_rank(rows)
 
 
 def in_relation_span(vector: FormalSum, kind: str = "framed") -> bool:

@@ -188,10 +188,8 @@ def charge_enumeration(n: int) -> None:
                 f"{work} steps")
 
 
-def _least_gap_rotations(n: int, cap: int = ENUMERATION_CAP) -> list:
+def _least_gap_rotations(n: int) -> list:
     """The least rotation of the gap sequence of every n-chord class, once each.
-
-    n is checked and its cost charged first (``charge_enumeration``).
 
     A depth-first search fills g[0], g[1], ... in turn.  Choosing g[t] = v
     pairs position t with t + v, which fixes g[t + v] = 2n - v; the
@@ -200,12 +198,13 @@ def _least_gap_rotations(n: int, cap: int = ENUMERATION_CAP) -> list:
     ``period`` the length of its longest Lyndon prefix, g[t] >= g[t - period],
     and the period becomes t + 1 when the inequality is strict.  A full
     sequence whose length is a multiple of its period is a necklace, the
-    least of its rotations, and every rotation class has exactly one.
+    least of its rotations, and every rotation class has exactly one.  n is
+    checked and its cost charged first (``charge_enumeration``).
     """
     if n < 0:
         raise ValueError("chord count must be non-negative")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the enumeration cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
     charge_enumeration(n)
     m = 2 * n
     gaps = [0] * m
@@ -233,7 +232,7 @@ def _least_gap_rotations(n: int, cap: int = ENUMERATION_CAP) -> list:
     return found
 
 
-def enumerate_diagrams(n: int, cap: int = ENUMERATION_CAP) -> tuple:
+def enumerate_diagrams(n: int) -> tuple:
     """All canonical diagrams with n chords, sorted by code.
 
     Each rotation class is generated once, as its least gap rotation (see
@@ -243,7 +242,7 @@ def enumerate_diagrams(n: int, cap: int = ENUMERATION_CAP) -> tuple:
     m = 2 * n
     return tuple(sorted(
         ChordDiagram(tuple([(p + v) % m for p, v in enumerate(gaps)]))
-        for gaps in _least_gap_rotations(n, cap)
+        for gaps in _least_gap_rotations(n)
     ))
 
 

@@ -237,8 +237,9 @@ def test_quotient_dimensions_checked_by_the_benchmark():
 def test_framed_dimensions_are_sums_of_unframed_ones():
     """A = A^r (x) Q[theta]: framed_n = sum over j <= n of unframed_j.
 
-    The package computes framed dimensions as that sum, so each is checked
-    against a direct elimination of the framed 4T rows.
+    ``dims`` computes framed dimensions as that sum, while
+    ``quotient_dimension(n, "framed")`` eliminates the framed 4T rows over
+    the canonical basis; both are checked against the oracle's elimination.
     """
     unframed = [quotient_dimension(j, "unframed") for j in range(7)]
     assert unframed[6] == 9  # 19 - 10, Bar-Natan's table

@@ -38,7 +38,6 @@ from .lie import (
     sl2_standard,
     so_standard,
 )
-from .linalg import form_signature
 from .tensors import (
     WeightTensor,
     check_four_term,
@@ -48,6 +47,48 @@ from .tensors import (
     validate_symmetry,
 )
 from .yamada import yamada_weight
+
+
+def form_signature(matrix):
+    """(n_plus, n_minus) of a symmetric matrix by congruence diagonalization.
+
+    Degenerate directions contribute to neither count, so a nondegenerate
+    form has n_plus + n_minus == len(matrix).
+    """
+    n = len(matrix)
+    m = [[Fraction(x) for x in row] for row in matrix]
+    plus = minus = 0
+    active = list(range(n))
+    while active:
+        piv = next((i for i in active if m[i][i] != 0), None)
+        if piv is None:
+            pair = next(
+                ((i, j) for i in active for j in active if j > i and m[i][j] != 0),
+                None,
+            )
+            if pair is None:
+                break
+            i, j = pair
+            # e_i <- e_i + e_j turns the hyperbolic pair into a usable pivot
+            for k in range(n):
+                m[i][k] += m[j][k]
+            for k in range(n):
+                m[k][i] += m[k][j]
+            continue
+        val = m[piv][piv]
+        if val > 0:
+            plus += 1
+        else:
+            minus += 1
+        active.remove(piv)
+        for i in active:
+            if m[i][piv] != 0:
+                f = m[i][piv] / val
+                for k in range(n):
+                    m[i][k] -= f * m[piv][k]
+                for k in range(n):
+                    m[k][i] -= f * m[k][piv]
+    return plus, minus
 
 
 def _dense_fraction_free_rank(rows, ncols: int) -> int:

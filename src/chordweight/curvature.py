@@ -21,7 +21,7 @@ from .jsonio import (
     parse_rational,
 )
 from .lie import MetrizedLieAlgebra, Representation, algebra_to_json_dict
-from .linalg import ReducedSpan, determinant, is_symmetric, mat_inv, sparse_rank
+from .linalg import ReducedSpan, full_rank, is_symmetric, mat_inv, sparse_rank
 from .sparse import IntegerView, contract, nonzero_entries
 from .tensors import WeightTensor, four_term_witness
 from .work import charge_work
@@ -54,20 +54,14 @@ class CurvatureModel:
         self.dim = d
         self.metric = metric
         self.riemann = riemann
-        self._inverse = None
-
-    def metric_inverse(self) -> tuple:
-        if self._inverse is None:
-            try:
-                inv = mat_inv([list(row) for row in self.metric])
-            except ValueError:
-                raise ValueError("metric is degenerate") from None
-            self._inverse = tuple(tuple(row) for row in inv)
-        return self._inverse
 
     def weight_tensor(self) -> WeightTensor:
         """Raise the second slot: entry(a,b,c,d) = sum_x g_inv[b][x] R[a][x][c][d]."""
-        ginv = IntegerView(self.metric_inverse(), 2)
+        try:
+            inverse = mat_inv(self.metric)
+        except ValueError:
+            raise ValueError("metric is degenerate") from None
+        ginv = IntegerView(inverse, 2)
         R = IntegerView(self.riemann, 4)
         den = ginv.den * R.den
         return WeightTensor.from_entries(self.dim, (
@@ -96,7 +90,7 @@ class CurvatureModel:
         """
         if not is_symmetric(self.metric):
             return False, ("metric-symmetry", None)
-        if self.dim and determinant(self.metric) == 0:
+        if not full_rank(self.metric):
             return False, ("metric-degenerate", None)
         R = IntegerView(self.riemann, 4).entries
         failure = _skew_or_bianchi_failure(R)
@@ -136,40 +130,21 @@ def _skew_or_bianchi_failure(R: dict):
 
 
 def constant_curvature(dim: int, metric=None, kappa=1) -> CurvatureModel:
-    """Model with lowered curvature kappa * (g_ad g_bc - g_ac g_bd)."""
+    """Model with lowered curvature kappa * (g_ad g_bc - g_ac g_bd).
+
+    Raised by g^-1, that is R[a][b][c][x] = kappa * (delta_ax g_bc - delta_bx g_ac).
+    """
     if dim < 0:
         raise ValueError("dimension must be non-negative")
     if metric is None:
-        metric = [[Fraction(1 if i == j else 0) for j in range(dim)]
-                  for i in range(dim)]
+        metric = [[int(i == j) for j in range(dim)] for i in range(dim)]
     g = [[Fraction(x) for x in row] for row in metric]
+    if not full_rank(g):
+        raise ValueError("metric is degenerate")
     kappa = Fraction(kappa)
-    ginv = mat_inv(g)
-    low = [
-        [
-            [
-                [kappa * (g[a][dd] * g[b][c] - g[a][c] * g[b][dd])
-                 for dd in range(dim)]
-                for c in range(dim)
-            ]
-            for b in range(dim)
-        ]
-        for a in range(dim)
-    ]
-    riemann = [
-        [
-            [
-                [
-                    sum((low[a][b][c][dd] * ginv[dd][x] for dd in range(dim)),
-                        Fraction(0))
-                    for x in range(dim)
-                ]
-                for c in range(dim)
-            ]
-            for b in range(dim)
-        ]
-        for a in range(dim)
-    ]
+    rng = range(dim)
+    riemann = [[[[kappa * ((g[b][c] if a == x else 0) - (g[a][c] if b == x else 0))
+                  for x in rng] for c in rng] for b in rng] for a in rng]
     return CurvatureModel(g, riemann)
 
 
@@ -317,7 +292,7 @@ def holonomy_algebra(model: CurvatureModel, check_model: bool = True) -> Holonom
         tuple(model.endomorphism(*pair) for pair in labels),
         tuple(tuple(plane) for plane in brackets),
         form,
-        m == 0 or determinant(form) != 0,
+        full_rank(form),
         {pair: tuple(Fraction(v, span.den) for v in c) for pair, c in coords.items()},
     )
 
@@ -460,7 +435,7 @@ def so_isomorphism(holonomy: HolonomyAlgebra):
         if any(mat[i][j] != -mat[j][i] for i in range(d) for j in range(d)):
             return None
         P.append([mat[i][j] for (i, j) in pairs])
-    if sparse_rank([dict(enumerate(row)) for row in P]) != m:
+    if not full_rank(P):
         return None
     so = so_standard(d).algebra
     # sum_k f_h[i][j][k] P[k][l] against sum_{a,b} P[i][a] P[j][b] f_so[a][b][l],
@@ -499,7 +474,7 @@ def curvature_symmetries(rep: Representation, form_v):
     F = [[Fraction(v) for v in row] for row in form_v]
     if len(F) != d or any(len(row) != d for row in F):
         raise ValueError("form must be square of the module dimension")
-    if d and determinant(F) == 0:
+    if not full_rank(F):
         raise ValueError("form is degenerate")
     failure = _skew_or_bianchi_failure(_lowered_casimir(rep, F)[0])
     if failure is None:

@@ -17,9 +17,10 @@ from .jsonio import (
     parse_matrix,
     parse_rational,
 )
-from .linalg import commutator, determinant, is_symmetric, mat_inv, mat_mul, trace
+from .linalg import commutator, full_rank, is_symmetric, mat_inv, mat_mul, trace
 from .sparse import IntegerView, contract, least_nonzero
 from .tensors import WeightTensor
+from .work import charge_work
 
 
 class MetrizedLieAlgebra:
@@ -93,10 +94,9 @@ class MetrizedLieAlgebra:
                 "Jacobi identity fails at (i,j,k,l)=({},{},{},{})".format(*witness)
             )
         B = self.form
-        m = self.dim
         if not is_symmetric(B):
             return False, "form is not symmetric"
-        if m and determinant(B) == 0:
+        if not full_rank(B):
             return False, "form is degenerate"
         # sum_k f[z][x][k] B[k][y] + f[z][y][k] B[x][k], keyed by (z, x, y)
         form = IntegerView(B, 2)
@@ -116,7 +116,7 @@ class MetrizedLieAlgebra:
 
     def casimir(self) -> tuple:
         """The inverse of the form, as a symmetric matrix C^{ij}."""
-        return tuple(tuple(row) for row in mat_inv([list(r) for r in self.form]))
+        return tuple(tuple(row) for row in mat_inv(self.form))
 
     def structure_tensor(self) -> tuple:
         """Y[i][j][k] = sum_{a,b} C[i][a] C[j][b] f[a][b][k]; totally antisymmetric."""
@@ -364,6 +364,8 @@ def algebra_from_json_dict(data) -> MetrizedLieAlgebra:
     dim = data.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise JSONFormatError("dim", "expected a non-negative integer")
+    charge_work(dim ** 3, f"a bracket table of dimension {dim} needs dim^3 = "
+                f"{dim ** 3} entries")
     raw = data.get("brackets")
     if not isinstance(raw, list):
         raise JSONFormatError("brackets", "expected a list")
@@ -411,6 +413,8 @@ def representation_from_json_dict(data) -> Representation:
     dimV = data.get("dimV")
     if not isinstance(dimV, int) or isinstance(dimV, bool) or dimV < 0:
         raise JSONFormatError("dimV", "expected a non-negative integer")
+    charge_work(dimV ** 4, f"the dense weight tensor of a module of dimension "
+                f"{dimV} needs dimV^4 = {dimV ** 4} entries")
     raw = data.get("matrices")
     if not isinstance(raw, list):
         raise JSONFormatError("matrices", "expected a list")

@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Dense helpers use plain Fraction arithmetic.  The rank routine for relation
-matrices works on sparse primitive integer rows: it pivots on a shortest
-row and updates only the rows that meet the pivot column, dividing each by
-its content to keep entries small.  ``ReducedSpan`` keeps a spanning set
-as sparse integer echelon rows, so that many targets can be solved against
-one elimination.
+Two eliminations, both on sparse integer rows, do all the exact work.  The
+rank routine pivots on a shortest primitive row and updates only the rows
+that meet the pivot column, dividing each by its content to keep entries
+small; it also decides row-span membership and nondegeneracy.
+``ReducedSpan`` keeps a spanning set as echelon rows with the combinations
+that give them, so that many targets are solved against one elimination
+and a matrix is inverted by adding its rows.  The dense Fraction helpers
+left build the standard so(n) matrices.
 """
 
 from __future__ import annotations
@@ -14,10 +16,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .sparse import IntegerView
-
-
-def identity_matrix(n: int) -> list:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b) -> list:
@@ -51,46 +49,6 @@ def trace(a) -> Fraction:
 def is_symmetric(a) -> bool:
     n = len(a)
     return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
-
-
-def determinant(a) -> Fraction:
-    """Determinant by exact elimination with partial pivoting."""
-    n = len(a)
-    mat = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for i in range(col + 1, n):
-            if mat[i][col] != 0:
-                f = mat[i][col] * inv
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[col])]
-    return det
-
-
-def mat_inv(a) -> list:
-    """Exact inverse; raises ValueError on a singular matrix."""
-    n = len(a)
-    mat = [[Fraction(x) for x in row] + ident_row
-           for row, ident_row in zip(a, identity_matrix(n))]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv = 1 / mat[col][col]
-        mat[col] = [x * inv for x in mat[col]]
-        for i in range(n):
-            if i != col and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[col])]
-    return [row[n:] for row in mat]
 
 
 class ReducedSpan:
@@ -191,46 +149,24 @@ def solve_in_span(vectors, target):
     return [Fraction(c * view.den, span.den * goal.den) for c, view in zip(coords, views)]
 
 
-def form_signature(matrix):
-    """(n_plus, n_minus) of a symmetric matrix by congruence diagonalization.
+def mat_inv(a) -> list:
+    """Exact inverse; raises ValueError on a singular matrix.
 
-    Degenerate directions contribute to neither count, so a nondegenerate
-    form has n_plus + n_minus == len(matrix).
+    The rows are added to one span.  When they span, every column is a
+    pivot, and the combination at pivot j, over ``den``, is row j of the
+    inverse.
     """
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    plus = minus = 0
-    active = list(range(n))
-    while active:
-        piv = next((i for i in active if m[i][i] != 0), None)
-        if piv is None:
-            pair = next(
-                ((i, j) for i in active for j in active if j > i and m[i][j] != 0),
-                None,
-            )
-            if pair is None:
-                break
-            i, j = pair
-            # e_i <- e_i + e_j turns the hyperbolic pair into a usable pivot
-            for k in range(n):
-                m[i][k] += m[j][k]
-            for k in range(n):
-                m[k][i] += m[k][j]
-            continue
-        val = m[piv][piv]
-        if val > 0:
-            plus += 1
-        else:
-            minus += 1
-        active.remove(piv)
-        for i in active:
-            if m[i][piv] != 0:
-                f = m[i][piv] / val
-                for k in range(n):
-                    m[i][k] -= f * m[piv][k]
-                for k in range(n):
-                    m[k][i] -= f * m[k][piv]
-    return plus, minus
+    views = [IntegerView(row, 1) for row in a]
+    span = ReducedSpan()
+    for view in views:
+        if not span.add(view.entries):
+            raise ValueError("matrix is singular")
+    inverse = [None] * len(views)
+    # row k was added as view k's entries, which are a[k] times its den
+    for (j,), combo in zip(span.pivots, span.combos):
+        inverse[j] = [Fraction(combo.get(k, 0) * view.den, span.den)
+                      for k, view in enumerate(views)]
+    return inverse
 
 
 def _integer_rows(rows):
@@ -257,6 +193,11 @@ def _integer_rows(rows):
 def sparse_rank(rows) -> int:
     """Rank of a sparse rational matrix, rows given as {column: value} dicts."""
     return _eliminate(rows)[0]
+
+
+def full_rank(matrix) -> bool:
+    """Whether a square matrix is nondegenerate."""
+    return sparse_rank([dict(enumerate(row)) for row in matrix]) == len(matrix)
 
 
 def in_row_span(rows, vector: dict) -> bool:

@@ -23,7 +23,10 @@ entries only), and the holonomy algebra, its symmetric triple, the derived
 tensors and the representation check by dense Fraction loops that solve
 their targets by Gauss-Jordan elimination of the dense augmented system
 (the package reduces the holonomy span to sparse integer rows and
-contracts int numerators one index at a time).
+contracts int numerators one index at a time), and the space-form
+curvature by raising the lowered tensor with the Gauss-Jordan inverse of
+the metric, a d^5 sum (the package writes the raised entries in closed
+form).
 """
 
 from __future__ import annotations
@@ -401,6 +404,16 @@ def dense_inverse(a):
                 f = mat[i][col]
                 mat[i] = [x - f * y for x, y in zip(mat[i], mat[col])]
     return [row[n:] for row in mat]
+
+
+def space_form_riemann(metric, kappa):
+    """kappa (g_ad g_bc - g_ac g_bd) raised in its last slot by the dense inverse."""
+    g = [[Fraction(x) for x in row] for row in metric]
+    ginv = dense_inverse(g)
+    rng = range(len(g))
+    return [[[[sum((kappa * (g[a][y] * g[b][c] - g[a][c] * g[b][y]) * ginv[y][x]
+                    for y in rng), Fraction(0))
+               for x in rng] for c in rng] for b in rng] for a in rng]
 
 
 def dense_commutator(a, b):

@@ -116,6 +116,25 @@ def test_check_refuses_a_dense_load_of_dimension_200_at_once(tmp_path, kind):
     assert elapsed < 1
 
 
+@pytest.mark.parametrize("doc, needs", [
+    ({"dim": 220, "brackets": [],
+      "form": [[int(i == j) for j in range(220)] for i in range(220)],
+      "dimV": 1, "matrices": [[[0]]] * 220},
+     "a bracket table of dimension 220 needs dim^3 = 10648000 entries"),
+    ({"dim": 1, "brackets": [], "form": [[1]],
+      "dimV": 60, "matrices": [[[0] * 60] * 60]},
+     "the dense weight tensor of a module of dimension 60 needs "
+     "dimV^4 = 12960000 entries"),
+], ids=["m220", "dimV60"])
+def test_check_refuses_a_large_lie_load_at_once(tmp_path, doc, needs):
+    """Abelian inputs, valid but for their size: refused before any allocation."""
+    path = write_json(tmp_path / "wide.json", doc)
+    proc, elapsed = run_cli("check", "--lie", path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {needs}, limit is 10000000\n"
+    assert elapsed < 1
+
+
 @pytest.mark.parametrize("field", ["dim", "a", "b", "c", "d"])
 def test_tensor_files_reject_booleans(tmp_path, capsys, field):
     item = {"a": 0, "b": 0, "c": 0, "d": 0, "value": "1"}
@@ -196,10 +215,29 @@ PINNED = Path(__file__).parent / "pinned"
     ("holonomy-sphere5.txt", ["holonomy", "--curvature", str(PINNED / "sphere5.json")]),
     ("holonomy-sphere5.json", ["holonomy", "--curvature", str(PINNED / "sphere5.json"),
                                "--format", "json"]),
+] + [
+    (f"{name}.{ext}", [*argv, "--format", fmt])
+    for ext, fmt in (("txt", "text"), ("json", "json"))
+    for name, argv in (
+        ("check-lie-so4-dense", ["check", "--lie", str(PINNED / "so4-dense.json")]),
+        ("check-curvature-lorentz4-dense",
+         ["check", "--curvature", str(PINNED / "lorentz4-dense.json")]),
+        ("realize-so3", ["realize", "--lie", str(PINNED / "so3.json"),
+                         "--form", str(PINNED / "eye3.json")]),
+        ("realize-so4-dense", ["realize", "--lie", str(PINNED / "so4-dense.json"),
+                               "--form", str(PINNED / "so4-dense-form.json")]),
+        ("realize-sl2-fail-skew", ["realize", "--lie", str(PINNED / "sl2.json"),
+                                   "--form", str(PINNED / "omega.json")]),
+        ("realize-so3-doubled-fail-bianchi",
+         ["realize", "--lie", str(PINNED / "so3-doubled.json"),
+          "--form", str(PINNED / "eye6.json")]),
+    )
 ])
 def test_output_matches_pinned_text(capsys, name, argv):
+    """A failing verdict, named -fail- in its file, exits 1."""
     code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (0, (PINNED / name).read_text(encoding="utf-8"), "")
+    expected = (PINNED / name).read_text(encoding="utf-8")
+    assert (code, out, err) == (int("-fail-" in name), expected, "")
 
 
 def test_holonomy_of_a_7_sphere_is_fast(tmp_path):

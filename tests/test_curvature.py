@@ -1,9 +1,12 @@
 """Curvature models, holonomy extraction, triples, and realizability."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
+from models import dense_unimodular, signature_metric
 from chordweight import (
     ChordDiagram,
     CurvatureModel,
@@ -30,7 +33,7 @@ from chordweight.curvature import (
     triple_to_json_dict,
 )
 from chordweight.jsonio import JSONFormatError
-from chordweight.linalg import form_signature, identity_matrix
+from chordweight.acceptance import form_signature
 
 
 def indefinite_metric(d):
@@ -50,7 +53,7 @@ def bianchi_violating_model():
         (0, 1, 3, 2): -1, (1, 0, 3, 2): 1,
     }.items():
         riemann[a][b][c][x] = Fraction(v)
-    return CurvatureModel(identity_matrix(d), riemann)
+    return CurvatureModel(signature_metric(d, 0), riemann)
 
 
 def test_constant_curvature_validates():
@@ -58,6 +61,30 @@ def test_constant_curvature_validates():
         assert constant_curvature(d).validate() == (True, None)
     assert constant_curvature(3, kappa=0).validate() == (True, None)
     assert constant_curvature(3, indefinite_metric(3), -2).validate() == (True, None)
+
+
+def test_constant_curvature_matches_the_raised_dense_oracle():
+    def same(metric, kappa):
+        d = len(metric)
+        expected = CurvatureModel(metric, oracles.space_form_riemann(metric, kappa))
+        assert constant_curvature(d, metric, kappa).riemann == expected.riemann
+
+    for d in range(6):
+        for negatives in range(d + 1):
+            same(signature_metric(d, negatives), 1)
+    hyperbolic = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
+    P = dense_unimodular(4, random.Random(3))
+    rebased = [[sum(P[i][a] * hyperbolic[i][j] * P[j][b]
+                    for i in range(4) for j in range(4)) for b in range(4)]
+               for a in range(4)]
+    assert any(rebased[a][b] for a in range(4) for b in range(4) if a != b)
+    for metric in ([[0, 1], [1, 0]], hyperbolic, rebased):
+        same(metric, Fraction(-2, 3))
+    singular = [[1, 2], [2, 4]]
+    with pytest.raises(ValueError):
+        oracles.space_form_riemann(singular, 1)
+    with pytest.raises(ValueError):
+        constant_curvature(2, singular)
 
 
 def test_sphere_weight_tensor_is_so3_casimir():
@@ -83,7 +110,7 @@ def test_validate_failure_order():
     bad = [[[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
            for _ in range(2)]
     bad[0][0][0][1] = Fraction(1)
-    ok, why = CurvatureModel(identity_matrix(2), bad).validate()
+    ok, why = CurvatureModel(signature_metric(2, 0), bad).validate()
     assert (ok, why) == (False, ("antisymmetry", (0, 0, 0, 1)))
 
 
@@ -177,7 +204,8 @@ def test_bianchi_violating_triple_fails_jacobi():
 
 
 def test_curvature_symmetries_so3_passes():
-    assert curvature_symmetries(so_standard(3), identity_matrix(3)) == ("pass", None)
+    assert curvature_symmetries(so_standard(3), signature_metric(3, 0)) == (
+        "pass", None)
 
 
 def test_curvature_symmetries_sl2_symplectic_fails_skew():
@@ -197,7 +225,7 @@ def test_curvature_symmetries_doubled_so3_fails_bianchi():
     ]
     doubled = Representation(so3.algebra, matrices)
     assert doubled.validate() == (True, None)
-    eye = identity_matrix(6)
+    eye = signature_metric(6, 0)
     assert curvature_symmetries(doubled, eye) == ("fail(bianchi)", (0, 1, 3, 4))
     with pytest.raises(ValueError) as err:
         triple_from_rep(doubled, eye)
@@ -208,12 +236,12 @@ def test_curvature_symmetries_rejects_degenerate_form():
     with pytest.raises(ValueError):
         curvature_symmetries(so_standard(3), [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
     with pytest.raises(ValueError):
-        curvature_symmetries(so_standard(3), identity_matrix(2))
+        curvature_symmetries(so_standard(3), signature_metric(2, 0))
 
 
 def test_triple_from_rep_round_trip():
     rep = so_standard(3)
-    triple = triple_from_rep(rep, identity_matrix(3))
+    triple = triple_from_rep(rep, signature_metric(3, 0))
     assert triple.holonomy.representation().weight_tensor() == rep.weight_tensor()
     assert triple.validate() == (True, None)
     assert (triple.dim_h, triple.dim_p) == (3, 3)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from models import signature_metric
 from chordweight import (
     ChordDiagram,
     MetrizedLieAlgebra,
@@ -22,7 +23,7 @@ from chordweight.lie import (
     representation_to_json_dict,
 )
 from chordweight.jsonio import JSONFormatError
-from chordweight.linalg import identity_matrix, mat_mul
+from chordweight.linalg import mat_mul
 
 THETA = ChordDiagram.from_code("AA")
 
@@ -63,7 +64,7 @@ def test_casimir_inverts_form():
     for rep in (sl2_standard(), so_standard(3), so_standard(4)):
         B = [list(row) for row in rep.algebra.form]
         C = [list(row) for row in rep.algebra.casimir()]
-        assert mat_mul(B, C) == identity_matrix(rep.algebra.dim)
+        assert mat_mul(B, C) == signature_metric(rep.algebra.dim, 0)
 
 
 def test_theta_values():
@@ -103,7 +104,7 @@ def test_validate_flags_broken_jacobi():
     f[2][0][2] = Fraction(-1)
     f[1][2][0] = Fraction(1)
     f[2][1][0] = Fraction(-1)
-    assert MetrizedLieAlgebra(f, identity_matrix(3)).validate() == (
+    assert MetrizedLieAlgebra(f, signature_metric(3, 0)).validate() == (
         False, "Jacobi identity fails at (i,j,k,l)=(0,1,2,0)")
 
 
@@ -112,7 +113,7 @@ def test_validate_flags_noninvariant_form():
     f = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
     f[0][1][0] = Fraction(1)
     f[1][0][0] = Fraction(-1)
-    assert MetrizedLieAlgebra(f, identity_matrix(2)).validate() == (
+    assert MetrizedLieAlgebra(f, signature_metric(2, 0)).validate() == (
         False, "form invariance fails at (z,x,y)=(0,0,1)")
 
 

@@ -8,11 +8,11 @@ from math import gcd, lcm
 import pytest
 
 import oracles
+from models import signature_metric
+from chordweight.acceptance import form_signature
 from chordweight.linalg import (
     _integer_rows,
-    determinant,
-    form_signature,
-    identity_matrix,
+    full_rank,
     in_row_span,
     mat_inv,
     solve_in_span,
@@ -156,20 +156,38 @@ def test_solve_in_span():
 def test_mat_inv():
     m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
     assert mat_inv(m) == [[1, -1], [-1, 2]]
-    assert mat_inv([]) == []
+    assert mat_inv([]) == [] and full_rank([])
     with pytest.raises(ValueError):
         mat_inv([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
-
-
-def test_determinant_known_values():
-    assert determinant(identity_matrix(3)) == 1
-    assert determinant([[0, 1], [1, 0]]) == -1
-    assert determinant([[Fraction(1, 2), 0], [7, Fraction(2, 3)]]) == Fraction(1, 3)
+    # seeded dense Fraction matrices; a third made singular by a planted
+    # dependency or a zero row, against the dense inverse and rank oracles
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        a = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(n)]
+        if rng.random() < 1 / 3:
+            i = rng.randrange(n)
+            others = [dict(enumerate(row)) for k, row in enumerate(a) if k != i]
+            a[i] = _to_dense([_combine(rng, others, 2)], n)[0]
+        full = oracles.dense_rank(a, n) == n
+        seen.add(full)
+        assert full_rank(a) == full
+        if full:
+            assert mat_inv(a) == oracles.dense_inverse(a)
+        else:
+            with pytest.raises(ValueError, match="singular"):
+                mat_inv(a)
+    assert seen == {True, False}
+    big = [[Fraction(rng.randint(-9, 9)) for _ in range(20)] for _ in range(20)]
+    assert full_rank(big)
+    assert mat_inv(big) == oracles.dense_inverse(big)
 
 
 def test_form_signature():
     assert form_signature([]) == (0, 0)
-    assert form_signature(identity_matrix(4)) == (4, 0)
+    assert form_signature(signature_metric(4, 0)) == (4, 0)
     assert form_signature([[-1, 0], [0, -1]]) == (0, 2)
     assert form_signature([[0, 1], [1, 0]]) == (1, 1)
     assert form_signature([[0, 0], [0, 1]]) == (1, 0)

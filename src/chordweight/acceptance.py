@@ -474,15 +474,13 @@ def check_evaluator_agreement():
                 return False, f"{name} disagrees on {diagram.code or 'empty'}"
     rng = random.Random(20260815)
     for trial in range(100):
-        ent = [[[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
-               for _ in range(2)]
+        ent = {}
         legs = [(a, b) for a in range(2) for b in range(2)]
         for i, (a, b) in enumerate(legs):
             for c, dd in legs[i:]:
                 value = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                ent[a][b][c][dd] = value
-                ent[c][dd][a][b] = value
-        tensor = WeightTensor(2, ent)
+                ent[a, b, c, dd] = ent[c, dd, a, b] = value
+        tensor = WeightTensor(2, ent.items())
         for diagram in diagrams:
             if evaluate(tensor, diagram) != evaluate_naive(tensor, diagram):
                 return False, (

@@ -17,8 +17,8 @@ from .jsonio import (
     JSONFormatError,
     format_matrix,
     format_rational,
+    parse_entries,
     parse_matrix,
-    parse_rational,
 )
 from .lie import MetrizedLieAlgebra, Representation, algebra_to_json_dict
 from .linalg import ReducedSpan, full_rank, is_symmetric, mat_inv, sparse_rank
@@ -64,7 +64,7 @@ class CurvatureModel:
         ginv = IntegerView(inverse, 2)
         R = IntegerView(self.riemann, 4)
         den = ginv.den * R.den
-        return WeightTensor.from_entries(self.dim, (
+        return WeightTensor(self.dim, (
             ((a, b, c, dd), Fraction(v, den))
             for (b, a, c, dd), v in contract(ginv.entries, 1, R.entries, 1).items()
         ))
@@ -403,13 +403,9 @@ def verify_lie_type(model: CurvatureModel, triple: SymmetricTriple | None = None
     candidate = hol.representation().weight_tensor()
     target = model.weight_tensor()
     if candidate != target:
-        d = model.dim
-        witness = next(
-            (a, b, c, dd)
-            for a in range(d) for b in range(d)
-            for c in range(d) for dd in range(d)
-            if candidate.entry(a, b, c, dd) != target.entry(a, b, c, dd)
-        )
+        ours, theirs = candidate.entries, target.entries
+        witness = min(key for key in ours.keys() | theirs.keys()
+                      if ours.get(key) != theirs.get(key))
         return False, f"weight tensors differ at entry {witness}"
     return True, None
 
@@ -527,31 +523,11 @@ def model_from_json_dict(data) -> CurvatureModel:
     charge_work(dim ** 4, f"a dense curvature tensor of dimension {dim} needs "
                 f"dim^4 = {dim ** 4} entries")
     metric = parse_matrix(data.get("metric"), "metric", rows=dim, cols=dim)
-    raw = data.get("R")
-    if not isinstance(raw, list):
-        raise JSONFormatError("R", "expected a list")
+    entries = parse_entries(data.get("R"), "R", dim)
     riemann = [[[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
                for _ in range(dim)]
-    seen = set()
-    for idx, item in enumerate(raw):
-        path = f"R[{idx}]"
-        if not isinstance(item, dict):
-            raise JSONFormatError(path, "expected an object")
-        indices = []
-        for key in ("a", "b", "c", "d"):
-            value = item.get(key)
-            if (not isinstance(value, int) or isinstance(value, bool)
-                    or not 0 <= value < dim):
-                raise JSONFormatError(
-                    f"{path}.{key}", f"expected an integer index in [0, {dim})"
-                )
-            indices.append(value)
-        indices = tuple(indices)
-        if indices in seen:
-            raise JSONFormatError(path, f"duplicate entry for indices {indices}")
-        seen.add(indices)
-        a, b, c, x = indices
-        riemann[a][b][c][x] = parse_rational(item.get("value"), f"{path}.value")
+    for (a, b, c, x), value in entries.items():
+        riemann[a][b][c][x] = value
     return CurvatureModel(metric, riemann)
 
 

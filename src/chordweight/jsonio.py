@@ -33,6 +33,29 @@ def parse_rational(value, path: str) -> Fraction:
     raise JSONFormatError(path, f"expected a rational string, got {type(value).__name__}")
 
 
+def parse_index(value, path: str, bound: int) -> int:
+    """An integer index in [0, bound); booleans are refused."""
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < bound:
+        raise JSONFormatError(path, f"expected an integer index in [0, {bound})")
+    return value
+
+
+def parse_entries(raw, path: str, dim: int) -> dict:
+    """{(a, b, c, d): value} from a list of {"a", "b", "c", "d", "value"} objects."""
+    if not isinstance(raw, list):
+        raise JSONFormatError(path, "expected a list")
+    entries = {}
+    for i, item in enumerate(raw):
+        where = f"{path}[{i}]"
+        if not isinstance(item, dict):
+            raise JSONFormatError(where, "expected an object")
+        key = tuple(parse_index(item.get(k), f"{where}.{k}", dim) for k in "abcd")
+        if key in entries:
+            raise JSONFormatError(where, f"duplicate entry for indices {key}")
+        entries[key] = parse_rational(item.get("value"), f"{where}.value")
+    return entries
+
+
 def format_rational(value) -> str:
     return str(Fraction(value))
 

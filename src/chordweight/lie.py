@@ -14,6 +14,7 @@ from .jsonio import (
     JSONFormatError,
     format_matrix,
     format_rational,
+    parse_index,
     parse_matrix,
     parse_rational,
 )
@@ -189,7 +190,7 @@ class Representation:
         den = C.den * rho.den ** 2
         # sum_j C[i][j] rho_j[d][c] keyed (i, d, c), then sum_i rho_i[b][a] ..
         inner = contract(C.entries, 1, rho.entries, 0)
-        return WeightTensor.from_entries(self.dimV, (
+        return WeightTensor(self.dimV, (
             ((a, b, c, dd), Fraction(v, den))
             for (b, a, dd, c), v in contract(rho.entries, 0, inner, 0).items()
         ))
@@ -352,12 +353,6 @@ def algebra_to_json_dict(algebra: MetrizedLieAlgebra) -> dict:
     }
 
 
-def _parse_index(value, path: str, bound: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < bound:
-        raise JSONFormatError(path, f"expected an integer index in [0, {bound})")
-    return value
-
-
 def algebra_from_json_dict(data) -> MetrizedLieAlgebra:
     if not isinstance(data, dict):
         raise JSONFormatError("", "expected an object")
@@ -375,8 +370,8 @@ def algebra_from_json_dict(data) -> MetrizedLieAlgebra:
         path = f"brackets[{idx}]"
         if not isinstance(item, dict):
             raise JSONFormatError(path, "expected an object")
-        i = _parse_index(item.get("i"), f"{path}.i", dim)
-        j = _parse_index(item.get("j"), f"{path}.j", dim)
+        i = parse_index(item.get("i"), f"{path}.i", dim)
+        j = parse_index(item.get("j"), f"{path}.j", dim)
         if i == j:
             raise JSONFormatError(path, "bracket indices must differ")
         if (min(i, j), max(i, j)) in seen_pairs:
@@ -390,7 +385,7 @@ def algebra_from_json_dict(data) -> MetrizedLieAlgebra:
             cpath = f"{path}.coeffs[{t}]"
             if not isinstance(pair, list) or len(pair) != 2:
                 raise JSONFormatError(cpath, "expected a [k, value] pair")
-            k = _parse_index(pair[0], f"{cpath}[0]", dim)
+            k = parse_index(pair[0], f"{cpath}[0]", dim)
             if k in seen_k:
                 raise JSONFormatError(cpath, f"duplicate coefficient for k={k}")
             seen_k.add(k)

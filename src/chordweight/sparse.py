@@ -15,6 +15,7 @@ time, and the result is divided by the product of the denominators once.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
 
@@ -31,16 +32,18 @@ def nonzero_entries(array, rank: int, prefix=()):
 
 
 class IntegerView:
-    """Nonzero entries of a rank-``rank`` nested array as ints over ``den``.
+    """Nonzero entries of a rank-``rank`` tensor as ints over ``den``.
 
-    ``entries[key] / den`` is the array's entry at ``key``; keys of zero
-    entries are absent.
+    The tensor is an {index tuple: value} mapping or a nested array;
+    ``entries[key] / den`` is its entry at ``key``, and zero keys are absent.
     """
 
     __slots__ = ("entries", "den", "_slots")
 
     def __init__(self, array, rank: int):
-        values = [(key, Fraction(v)) for key, v in nonzero_entries(array, rank)]
+        items = (array.items() if isinstance(array, Mapping)
+                 else nonzero_entries(array, rank))
+        values = [(key, Fraction(v)) for key, v in items if v]
         den = lcm(*(v.denominator for _, v in values))
         self.entries = {key: v.numerator * (den // v.denominator)
                         for key, v in values}

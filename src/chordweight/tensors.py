@@ -1,9 +1,9 @@
 """Rank-4 weight tensors and exact evaluation on chord diagrams.
 
-A weight tensor H lives on a d-dimensional space; the stored component
-entry(a, b, c, d) is leg 1 mapping arc index a to b and leg 2 mapping c
-to d.  Placing the tensor on every chord of a diagram and contracting the
-arc indices around the circle yields the tensor's weight system.
+A weight tensor H on a d-dimensional space stores only its nonzero
+components entry(a, b, c, d), leg 1 mapping arc index a to b and leg 2
+mapping c to d.  Placing the tensor on every chord of a diagram and
+contracting the arc indices around the circle yields its weight system.
 
 That contraction is a tensor network: arc j is the arc entering endpoint j,
 and chord (p, q), p < q, is one factor on arcs (p, p+1, q, q+1) mod 2n, so
@@ -19,77 +19,72 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import product as iter_product
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .diagrams import ChordDiagram
 from .formal import FormalSum
 from .frozen import Frozen
-from .jsonio import JSONFormatError, format_rational, parse_rational
-from .sparse import IntegerView, least_nonzero, nonzero_entries
+from .jsonio import JSONFormatError, format_rational, parse_entries
+from .sparse import IntegerView, least_nonzero
 # DEFAULT_MAX_WORK and WorkLimitExceeded are re-exported from here
 from .work import DEFAULT_MAX_WORK, WorkLimitExceeded, charge_work  # noqa: F401
 
+_ZERO = Fraction(0)
+
 
 class WeightTensor(Frozen):
-    """Immutable dense rank-4 rational tensor with two (in, out) legs."""
+    """Immutable sparse rank-4 rational tensor with two (in, out) legs.
+
+    Built from ((a, b, c, d), value) pairs, a repeated key keeping its last
+    value; ``entries`` is a read-only {(a, b, c, d): Fraction} mapping of
+    the nonzero components, and every key it lacks is zero.
+    """
 
     __slots__ = ("dim", "entries")
     _fields = __slots__
 
-    def __init__(self, dim: int, entries):
+    def __init__(self, dim: int, nonzero):
         if not isinstance(dim, int) or dim < 1:
             raise ValueError(f"dimension must be a positive integer, got {dim!r}")
-        converted = tuple(
-            tuple(tuple(tuple(Fraction(x) for x in row) for row in plane)
-                  for plane in cube)
-            for cube in entries
-        )
-        shape_ok = len(converted) == dim and all(
-            len(cube) == dim and all(
-                len(plane) == dim and all(len(row) == dim for row in plane)
-                for plane in cube
-            )
-            for cube in converted
-        )
-        if not shape_ok:
-            raise ValueError(f"entries must form a {dim}^4 array")
-        self._set(dim, converted)
+        entries = {}
+        for (a, b, c, d), value in nonzero:
+            if not all(isinstance(i, int) and 0 <= i < dim for i in (a, b, c, d)):
+                raise ValueError(f"index {(a, b, c, d)} is outside 0..{dim - 1}")
+            entries[a, b, c, d] = Fraction(value)
+        self._set(dim, MappingProxyType(
+            {key: value for key, value in entries.items() if value}))
+
+    def __hash__(self):
+        return hash((self.dim, frozenset(self.entries.items())))
 
     def entry(self, a: int, b: int, c: int, d: int) -> Fraction:
         """Component with leg 1 = (in a, out b), leg 2 = (in c, out d)."""
-        return self.entries[a][b][c][d]
+        return self.entries.get((a, b, c, d), _ZERO)
 
     @classmethod
     def from_entries(cls, dim: int, nonzero) -> "WeightTensor":
-        """Build from an iterable of ((a,b,c,d), value) pairs; rest zero."""
-        arr = [[[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-               for _ in range(dim)]
-        for (a, b, c, d), v in nonzero:
-            arr[a][b][c][d] = Fraction(v)
-        return cls(dim, arr)
+        """The constructor, under the name older callers use."""
+        return cls(dim, nonzero)
 
     @classmethod
     def identity(cls, dim: int) -> "WeightTensor":
         """The pass-through tensor: both legs act as the identity."""
-        return cls.from_entries(
-            dim,
-            (((a, a, c, c), 1) for a in range(dim) for c in range(dim)),
-        )
+        return cls(dim, (((a, a, c, c), 1) for a in range(dim) for c in range(dim)))
 
-    def nonzero_items(self):
+    def nonzero_items(self) -> list:
         """((a, b, c, d), value) for every nonzero component, in index order."""
-        return nonzero_entries(self.entries, 4)
+        return sorted(self.entries.items())
 
     def __repr__(self):
-        nnz = sum(1 for _ in self.nonzero_items())
-        return f"WeightTensor(dim={self.dim}, nonzero={nnz})"
+        return f"WeightTensor(dim={self.dim}, nonzero={len(self.entries)})"
 
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,
             "entries": [
                 {"a": a, "b": b, "c": c, "d": d, "value": format_rational(v)}
-                for (a, b, c, d), v in sorted(self.nonzero_items())
+                for (a, b, c, d), v in self.nonzero_items()
             ],
         }
 
@@ -102,37 +97,17 @@ class WeightTensor(Frozen):
             raise JSONFormatError("dim", "must be a positive integer")
         charge_work(dim ** 4, f"a dense tensor of dimension {dim} needs dim^4 = "
                     f"{dim ** 4} entries")
-        raw = data.get("entries", [])
-        if not isinstance(raw, list):
-            raise JSONFormatError("entries", "must be a list")
-        seen = {}
-        for i, item in enumerate(raw):
-            path = f"entries[{i}]"
-            if not isinstance(item, dict):
-                raise JSONFormatError(path, "expected an object")
-            idx = []
-            for key in ("a", "b", "c", "d"):
-                v = item.get(key)
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < dim:
-                    raise JSONFormatError(
-                        f"{path}.{key}", f"must be an integer in 0..{dim - 1}"
-                    )
-                idx.append(v)
-            idx = tuple(idx)
-            if idx in seen:
-                raise JSONFormatError(path, f"duplicate entry for indices {idx}")
-            seen[idx] = parse_rational(item.get("value"), f"{path}.value")
-        return cls.from_entries(dim, seen.items())
+        return cls(dim, parse_entries(data.get("entries", []), "entries", dim).items())
 
 
 def validate_symmetry(tensor: WeightTensor) -> bool:
-    """True iff swapping the two legs leaves every component fixed."""
-    d = tensor.dim
+    """True iff swapping the two legs leaves every component fixed.
+
+    Only the nonzero components are read: if each one equals its swap, no
+    zero component can have a nonzero swap.
+    """
     ent = tensor.entries
-    return all(
-        ent[a][b][c][e] == ent[c][e][a][b]
-        for a in range(d) for b in range(d) for c in range(d) for e in range(d)
-    )
+    return all(ent.get((c, d, a, b)) == v for (a, b, c, d), v in ent.items())
 
 
 # (sign, outgoing) of the four-term sum's term on each slot of the second
@@ -315,13 +290,13 @@ def evaluate_naive(tensor: WeightTensor, diagram: ChordDiagram, max_work=None) -
     if n == 0:
         return Fraction(d)
     m = 2 * n
-    ent = tensor.entries
+    entry = tensor.entry
     chords = diagram.chords
     total = Fraction(0)
     for arcs in iter_product(range(d), repeat=m):
         term = Fraction(1)
         for p, q in chords:
-            term *= ent[arcs[p]][arcs[(p + 1) % m]][arcs[q]][arcs[(q + 1) % m]]
+            term *= entry(arcs[p], arcs[(p + 1) % m], arcs[q], arcs[(q + 1) % m])
             if term == 0:
                 break
         total += term

@@ -237,6 +237,21 @@ def walk_components(matching, signs):
     return comps
 
 
+def dense_tensor(tensor):
+    """A weight tensor's components as a nested d^4 tuple, zeros included."""
+    rng = range(tensor.dim)
+    return tuple(tuple(tuple(tuple(tensor.entries.get((a, b, c, d), Fraction(0))
+                                   for d in rng) for c in rng) for b in rng)
+                 for a in rng)
+
+
+def array_items(array):
+    """((a, b, c, d), value) for every entry of a nested d^4 array."""
+    d = len(array)
+    return [((a, b, c, e), array[a][b][c][e])
+            for a, b, c, e in product(range(d), repeat=4)]
+
+
 def sweep_evaluate(tensor, diagram):
     """Weight system by sweeping the endpoints in circular order.
 
@@ -249,7 +264,7 @@ def sweep_evaluate(tensor, diagram):
     matching = diagram.matching
     if not matching:
         return Fraction(d)
-    ent = tensor.entries
+    ent = dense_tensor(tensor)
     total = Fraction(0)
     for start_arc in range(d):
         states = {(start_arc, ()): Fraction(1)}

@@ -135,6 +135,45 @@ def test_check_refuses_a_large_lie_load_at_once(tmp_path, doc, needs):
     assert elapsed < 1
 
 
+# Runs the CLI as its only child, so RUSAGE_CHILDREN reads that process alone.
+MEASURE = """
+import json, resource, subprocess, sys, time
+start = time.perf_counter()
+proc = subprocess.run([sys.executable, "-m", "chordweight.cli", *sys.argv[1:]],
+                      capture_output=True, text=True)
+print(json.dumps([proc.returncode, proc.stdout, proc.stderr,
+                  time.perf_counter() - start,
+                  resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024]))
+"""
+
+
+def run_cli_measured(*argv):
+    """The CLI in a fresh process: (exit code, stdout, stderr, wall s, peak MB)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(chordweight.__file__).parents[1]))
+    env.pop("CHORDWEIGHT_MAX_WORK", None)
+    proc = subprocess.run([sys.executable, "-c", MEASURE, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("kind, doc, passes", [
+    ("tensor", {"dim": 40, "entries": []}, ["leg-symmetry", "four-term"]),
+    ("lie", {"dim": 1, "brackets": [], "form": [[1]],
+             "dimV": 40, "matrices": [[[0] * 40] * 40]},
+     ["metrized-algebra", "representation", "leg-symmetry", "four-term",
+      "exchange-identity"]),
+], ids=["tensor40", "lie-dimV40"])
+def test_check_of_an_all_zero_input_of_dimension_40_is_small(tmp_path, kind, doc,
+                                                             passes):
+    """Nothing the size of d^4 is built for a tensor with no nonzero entries."""
+    path = write_json(tmp_path / "zero40.json", doc)
+    code, out, err, elapsed, peak_mb = run_cli_measured("check", f"--{kind}", path)
+    assert (code, out, err) == (0, "".join(f"{name}: pass\n" for name in passes), "")
+    assert elapsed < 1
+    assert peak_mb < 100
+
+
 @pytest.mark.parametrize("field", ["dim", "a", "b", "c", "d"])
 def test_tensor_files_reject_booleans(tmp_path, capsys, field):
     item = {"a": 0, "b": 0, "c": 0, "d": 0, "value": "1"}
@@ -231,6 +270,18 @@ PINNED = Path(__file__).parent / "pinned"
         ("realize-so3-doubled-fail-bianchi",
          ["realize", "--lie", str(PINNED / "so3-doubled.json"),
           "--form", str(PINNED / "eye6.json")]),
+    )
+] + [
+    (f"{name}.{ext}", [*argv, "--format", fmt])
+    for ext, fmt in (("txt", "text"), ("json", "json"))
+    for name, argv in (
+        ("check-tensor-so4-dense",
+         ["check", "--tensor", str(PINNED / "so4-dense-tensor.json")]),
+        ("check-tensor-fail-mixed",
+         ["check", "--tensor", str(PINNED / "mixed-fail-tensor.json")]),
+        ("eval-so4-dense-crossing6",
+         ["eval", "--tensor", str(PINNED / "so4-dense-tensor.json"),
+          "--diagram", "ABCDEFABCDEF"]),
     )
 ])
 def test_output_matches_pinned_text(capsys, name, argv):

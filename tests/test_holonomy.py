@@ -53,7 +53,7 @@ def assert_matches_oracles(model):
     assert_same((triple.brackets, triple.form, triple.involution),
                 oracles.symmetric_triple(R, g, d, expected))
     assert_same(so_isomorphism(hol), oracles.so_isomorphism(hol.basis, hol.brackets, d))
-    assert model.weight_tensor().entries == nested(
+    assert oracles.dense_tensor(model.weight_tensor()) == nested(
         oracles.curvature_weight_tensor(g, R, d))
     if hol.nondegenerate:
         assert_representation_matches(hol.representation())
@@ -67,7 +67,7 @@ def assert_representation_matches(rep):
     if algebra.dim:
         assert_same(algebra.structure_tensor(),
                     oracles.structure_tensor(algebra.brackets, algebra.form))
-    assert rep.weight_tensor().entries == nested(
+    assert oracles.dense_tensor(rep.weight_tensor()) == nested(
         oracles.lie_weight_tensor(algebra.form, rep.matrices, rep.dimV))
 
 

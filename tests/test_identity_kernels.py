@@ -140,10 +140,11 @@ def tensor_inputs(seed):
         rebase_representation(sl2_standard(), rng).weight_tensor(),
         rebase_model(constant_curvature(3, kappa=Fraction(1, 3)), rng).weight_tensor(),
     ]
-    out = [WeightTensor(d, raw),
-           WeightTensor(d, perturbed(raw, rng, leg_swap))]
+    out = [WeightTensor(d, oracles.array_items(raw)),
+           WeightTensor(d, oracles.array_items(perturbed(raw, rng, leg_swap)))]
     out += passing
-    out += [WeightTensor(t.dim, perturbed(t.entries, rng, leg_swap))
+    out += [WeightTensor(t.dim, oracles.array_items(
+                perturbed(oracles.dense_tensor(t), rng, leg_swap)))
             for t in passing]
     return out
 
@@ -153,7 +154,7 @@ def test_four_term_matches_dense_oracle(seed):
     verdicts = []
     for tensor in tensor_inputs(seed):
         got = check_four_term(tensor)
-        assert got == oracles.four_term(tensor.entries, tensor.dim)
+        assert got == oracles.four_term(oracles.dense_tensor(tensor), tensor.dim)
         verdicts.append(got[0])
     assert verdicts[2:5] == [True, True, True]
     assert False in verdicts
@@ -295,7 +296,7 @@ def test_exchange_identity_matches_dense_oracle(seed):
     for rep in representation_inputs(seed):
         got = check_exchange_identity(rep)
         expected = oracles.exchange_identity(
-            rep.weight_tensor().entries, rep.algebra.structure_tensor(),
+            oracles.dense_tensor(rep.weight_tensor()), rep.algebra.structure_tensor(),
             rep.matrices, rep.dimV, rep.algebra.dim)
         assert got == expected
         verdicts.append(got[0])
@@ -307,7 +308,7 @@ def test_pinned_four_term_witness_with_mixed_denominators():
         2, [((0, 1, 1, 0), Fraction(1, 2)), ((1, 0, 0, 1), Fraction(1, 2)),
             ((1, 1, 0, 0), Fraction(-1, 3)), ((0, 0, 1, 1), Fraction(-1, 3))])
     assert check_four_term(t) == (False, (0, 0, 0, 1, 1, 0))
-    assert oracles.four_term(t.entries, 2) == (False, (0, 0, 0, 1, 1, 0))
+    assert oracles.four_term(oracles.dense_tensor(t), 2) == (False, (0, 0, 0, 1, 1, 0))
 
 
 def test_pinned_parallel_four_term_witness():

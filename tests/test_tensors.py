@@ -1,6 +1,7 @@
 """Weight tensor storage, contraction, and the tensor-level identities."""
 
 import random
+import re
 import string
 from fractions import Fraction
 
@@ -22,26 +23,43 @@ from chordweight import (
     validate_symmetry,
     yamada_weight,
 )
+from chordweight.curvature import model_from_json_dict
 from chordweight.formal import FormalSum
 from chordweight.tensors import contraction_plan
 
 THETA = ChordDiagram.from_code("AA")
 
 
-def test_constructor_validates_shape():
+def test_constructor_validates_dimension_and_indices():
     with pytest.raises(ValueError):
         WeightTensor(0, [])
-    with pytest.raises(ValueError):
-        WeightTensor(2, [[[[0, 0]] * 2] * 2] * 1)
+    for index in ((0, 0, 0, 2), (0, 0, 0, -1)):
+        with pytest.raises(ValueError, match=re.escape(f"index {index} ")):
+            WeightTensor(2, [(index, 5)])
+        with pytest.raises(ValueError, match=re.escape(f"index {index} ")):
+            WeightTensor.from_entries(2, [(index, 5)])
 
 
 def test_tensor_is_immutable_and_hashable():
     t = WeightTensor.identity(2)
     with pytest.raises(AttributeError):
         t.dim = 3
+    with pytest.raises(TypeError):
+        t.entries[0, 0, 0, 0] = 2
     assert hash(t) == hash(WeightTensor.identity(2))
     assert t == WeightTensor.identity(2)
     assert t != WeightTensor.identity(3)
+    items = [((0, 1, 1, 0), Fraction(2, 3)), ((1, 1, 0, 0), -1), ((0, 0, 0, 1), 4)]
+    forward, backward = WeightTensor(2, items), WeightTensor(2, items[::-1])
+    assert forward == backward
+    assert hash(forward) == hash(backward)
+    assert WeightTensor(2, [((0, 0, 0, 0), 0)]) == WeightTensor(2, [])
+    repeated = WeightTensor(2, [((0, 0, 0, 0), 1), ((0, 1, 0, 1), 3),
+                                ((0, 0, 0, 0), 2)])
+    assert dict(repeated.entries) == {(0, 0, 0, 0): 2, (0, 1, 0, 1): 3}
+    cleared = WeightTensor(2, [((0, 0, 0, 0), 1), ((0, 0, 0, 0), 0)])
+    assert cleared == WeightTensor(2, [])
+    assert dict(cleared.entries) == {}
 
 
 def test_identity_tensor_counts_one_colour():
@@ -63,7 +81,7 @@ def test_theta_contraction_formula():
     """w(theta) = sum_{u,v} entry(u, v, v, u)."""
     entries = [[[[Fraction((a + 2 * b - c) * (d + 1), 3) for d in range(2)]
                  for c in range(2)] for b in range(2)] for a in range(2)]
-    t = WeightTensor(2, entries)
+    t = WeightTensor(2, oracles.array_items(entries))
     expected = sum(t.entry(u, v, v, u) for u in range(2) for v in range(2))
     assert evaluate(t, THETA) == expected
     assert evaluate_naive(t, THETA) == expected
@@ -162,6 +180,36 @@ def test_json_rejects_duplicates_and_bad_indices():
     assert err.value.path == "entries[0].a"
 
 
+ENTRY = {"a": 0, "b": 0, "c": 0, "d": 0, "value": "1"}
+ENTRY_LOADERS = {
+    "tensor": ("entries", lambda raw: WeightTensor.from_json_dict(
+        {"dim": 2, "entries": raw})),
+    "curvature": ("R", lambda raw: model_from_json_dict(
+        {"dim": 2, "metric": [[1, 0], [0, 1]], "R": raw})),
+}
+BAD_ENTRIES = {
+    "out-of-range": ([dict(ENTRY, c=2)], "[0].c", "expected an integer index in [0, 2)"),
+    "negative": ([dict(ENTRY, b=-1)], "[0].b", "expected an integer index in [0, 2)"),
+    "boolean": ([dict(ENTRY, d=True)], "[0].d", "expected an integer index in [0, 2)"),
+    "duplicate": ([ENTRY, dict(ENTRY, value="2")], "[1]",
+                  "duplicate entry for indices (0, 0, 0, 0)"),
+    "not-a-list": ({"0": ENTRY}, "", "expected a list"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ENTRIES)
+@pytest.mark.parametrize("loader", ENTRY_LOADERS)
+def test_entry_readers_share_one_error_contract(loader, case):
+    """Tensor and curvature files report a bad entry list alike."""
+    from chordweight.jsonio import JSONFormatError
+
+    field, load = ENTRY_LOADERS[loader]
+    raw, suffix, message = BAD_ENTRIES[case]
+    with pytest.raises(JSONFormatError) as err:
+        load(raw)
+    assert (err.value.path, err.value.message) == (field + suffix, message)
+
+
 def full_crossing(n):
     return ChordDiagram.from_code(string.ascii_uppercase[:n] * 2)
 
@@ -208,8 +256,9 @@ def skew_tensor():
     """A seeded dim-3 tensor with mixed denominators and no leg symmetry."""
     rng = random.Random(20261018)
     values = (0, 0, 0, 1, -2, Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6))
-    return WeightTensor(3, [[[[rng.choice(values) for _ in range(3)]
-                              for _ in range(3)] for _ in range(3)] for _ in range(3)])
+    return WeightTensor(3, oracles.array_items(
+        [[[[rng.choice(values) for _ in range(3)] for _ in range(3)]
+          for _ in range(3)] for _ in range(3)]))
 
 
 UP_TO_FIVE = [d for n in range(6) for d in enumerate_diagrams(n)]

@@ -161,18 +161,13 @@ def _indefinite_metric(d: int):
 
 def _bianchi_violating_model() -> CurvatureModel:
     """d=4 curvature that is antisymmetric and pair-symmetric but not Bianchi."""
-    d = 4
-    riemann = [[[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-               for _ in range(d)]
-    for (a, b, c, x), v in {
+    metric = [[Fraction(1 if i == j else 0) for j in range(4)] for i in range(4)]
+    return CurvatureModel(metric, {
         (0, 1, 2, 3): 1, (1, 0, 2, 3): -1,
         (2, 3, 0, 1): 1, (3, 2, 0, 1): -1,
         (2, 3, 1, 0): -1, (3, 2, 1, 0): 1,
         (0, 1, 3, 2): -1, (1, 0, 3, 2): 1,
-    }.items():
-        riemann[a][b][c][x] = Fraction(v)
-    metric = [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
-    return CurvatureModel(metric, riemann)
+    })
 
 
 def check_threeway_equality():

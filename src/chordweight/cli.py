@@ -97,19 +97,24 @@ def _bracket_lines(brackets, prefix="h"):
     return lines
 
 
+def _load_representation(path: str):
+    """The representation in a --lie file, validated with its algebra."""
+    rep = representation_from_json_dict(_load_json(path))
+    ok, why = rep.algebra.validate()
+    if not ok:
+        raise CLIError(f"{path}: not a metrized Lie algebra: {why}")
+    ok, why = rep.validate()
+    if not ok:
+        raise CLIError(f"{path}: not a representation: {why}")
+    return rep
+
+
 def _tensor_from_args(args) -> WeightTensor:
     """Build the weight tensor named by --tensor/--lie/--curvature."""
     if args.tensor:
         return WeightTensor.from_json_dict(_load_json(args.tensor))
     if args.lie:
-        rep = representation_from_json_dict(_load_json(args.lie))
-        ok, why = rep.algebra.validate()
-        if not ok:
-            raise CLIError(f"{args.lie}: not a metrized Lie algebra: {why}")
-        ok, why = rep.validate()
-        if not ok:
-            raise CLIError(f"{args.lie}: not a representation: {why}")
-        return rep.weight_tensor()
+        return _load_representation(args.lie).weight_tensor()
     model = model_from_json_dict(_load_json(args.curvature))
     ok, why = model.validate()
     if not ok:
@@ -307,13 +312,7 @@ def _cmd_holonomy(args, out) -> int:
 
 
 def _cmd_realize(args, out) -> int:
-    rep = representation_from_json_dict(_load_json(args.lie))
-    ok, why = rep.algebra.validate()
-    if not ok:
-        raise CLIError(f"{args.lie}: not a metrized Lie algebra: {why}")
-    ok, why = rep.validate()
-    if not ok:
-        raise CLIError(f"{args.lie}: not a representation: {why}")
+    rep = _load_representation(args.lie)
     form = parse_matrix(_load_json(args.form), "form",
                         rows=rep.dimV, cols=rep.dimV)
     try:

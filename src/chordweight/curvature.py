@@ -22,7 +22,7 @@ from .jsonio import (
 )
 from .lie import MetrizedLieAlgebra, Representation, algebra_to_json_dict
 from .linalg import ReducedSpan, full_rank, is_symmetric, mat_inv, sparse_rank
-from .sparse import IntegerView, contract, nonzero_entries
+from .sparse import IntegerView, contract, dense_array, exact_entries, nonzero_entries
 from .tensors import WeightTensor, four_term_witness
 from .work import charge_work
 
@@ -30,8 +30,9 @@ from .work import charge_work
 class CurvatureModel:
     """Metric g and curvature R on a single tangent space.
 
-    ``riemann[a][b][c][x]`` is the e_x component of R(e_a, e_b)e_c; the
-    lowered tensor and the weight tensor are derived from it on demand.
+    ``entries`` maps (a, b, c, x) to the nonzero e_x component of
+    R(e_a, e_b)e_c; the lowered tensor and the weight tensor are derived
+    from it on demand.
     """
 
     def __init__(self, metric, riemann):
@@ -39,21 +40,14 @@ class CurvatureModel:
         d = len(metric)
         if any(len(row) != d for row in metric):
             raise ValueError("metric must be a square matrix")
-        riemann = tuple(
-            tuple(
-                tuple(tuple(Fraction(x) for x in rc) for rc in rb) for rb in ra
-            )
-            for ra in riemann
-        )
-        if len(riemann) != d or any(
-            len(ra) != d
-            or any(len(rb) != d or any(len(rc) != d for rc in rb) for rb in ra)
-            for ra in riemann
-        ):
-            raise ValueError(f"curvature must have {d}^4 entries")
         self.dim = d
         self.metric = metric
-        self.riemann = riemann
+        self.entries = exact_entries(riemann, 4, d, f"curvature must have {d}^4 entries")
+
+    @property
+    def riemann(self) -> tuple:
+        """``riemann[a][b][c][x]`` as a dense nested tuple, built on each access."""
+        return dense_array(self.entries, 4, self.dim)
 
     def weight_tensor(self) -> WeightTensor:
         """Raise the second slot: entry(a,b,c,d) = sum_x g_inv[b][x] R[a][x][c][d]."""
@@ -62,7 +56,7 @@ class CurvatureModel:
         except ValueError:
             raise ValueError("metric is degenerate") from None
         ginv = IntegerView(inverse, 2)
-        R = IntegerView(self.riemann, 4)
+        R = IntegerView(self.entries, 4)
         den = ginv.den * R.den
         return WeightTensor(self.dim, (
             ((a, b, c, dd), Fraction(v, den))
@@ -71,11 +65,8 @@ class CurvatureModel:
 
     def endomorphism(self, a: int, b: int) -> tuple:
         """R(e_a, e_b) as a matrix on the tangent space (rows = output)."""
-        R = self.riemann
-        return tuple(
-            tuple(R[a][b][c][x] for c in range(self.dim))
-            for x in range(self.dim)
-        )
+        R, rng = self.entries, range(self.dim)
+        return tuple(tuple(R.get((a, b, c, x), Fraction(0)) for c in rng) for x in rng)
 
     def validate(self):
         """(True, None) or (False, (identity, witness)) for the first failure.
@@ -92,7 +83,7 @@ class CurvatureModel:
             return False, ("metric-symmetry", None)
         if not full_rank(self.metric):
             return False, ("metric-degenerate", None)
-        R = IntegerView(self.riemann, 4).entries
+        R = IntegerView(self.entries, 4).entries
         failure = _skew_or_bianchi_failure(R)
         if failure is not None:
             return False, failure
@@ -142,10 +133,14 @@ def constant_curvature(dim: int, metric=None, kappa=1) -> CurvatureModel:
     if not full_rank(g):
         raise ValueError("metric is degenerate")
     kappa = Fraction(kappa)
-    rng = range(dim)
-    riemann = [[[[kappa * ((g[b][c] if a == x else 0) - (g[a][c] if b == x else 0))
-                  for x in rng] for c in rng] for b in rng] for a in rng]
-    return CurvatureModel(g, riemann)
+    entries = {}  # R[a][a] = 0; for a != b only x = a and x = b are nonzero
+    for a in range(dim):
+        for b in range(dim):
+            if a != b:
+                for c in range(dim):
+                    entries[a, b, c, a] = kappa * g[b][c]
+                    entries[a, b, c, b] = -kappa * g[a][c]
+    return CurvatureModel(g, entries)
 
 
 # The parallel four-term sum's terms, as (sign, outgoing) per slot of the
@@ -167,7 +162,7 @@ def check_parallel_four_term(model: CurvatureModel):
     built from products of nonzero curvature entries only, in exact integer
     arithmetic, so the cost scales with the number of those products.
     """
-    witness = four_term_witness(IntegerView(model.riemann, 4),
+    witness = four_term_witness(IntegerView(model.entries, 4),
                                 _PARALLEL_FOUR_TERM)
     return witness is None, witness
 
@@ -229,7 +224,7 @@ def holonomy_algebra(model: CurvatureModel, check_model: bool = True) -> Holonom
         ok, witness = check_parallel_four_term(model)
         if not ok:
             raise ValueError(f"parallel four-term identity fails at {witness}")
-    R = IntegerView(model.riemann, 4)
+    R = IntegerView(model.entries, 4)
     endos = defaultdict(dict)  # R(e_a, e_b) for every a, b: {(row x, column c): int}
     by_first = defaultdict(list)  # (a, b, c): [(x, R[a][b][c][x])]
     for (a, b, c, x), v in R.entries.items():
@@ -437,7 +432,7 @@ def so_isomorphism(holonomy: HolonomyAlgebra):
     # sum_k f_h[i][j][k] P[k][l] against sum_{a,b} P[i][a] P[j][b] f_so[a][b][l],
     # one index at a time, keyed (i, j, l)
     f_h = IntegerView(holonomy.brackets, 3)
-    f_so = IntegerView(so.brackets, 3)
+    f_so = IntegerView(so.entries, 3)
     Pv = IntegerView(P, 2)
     lhs = contract(f_h.entries, 2, Pv.entries, 0)
     rhs = contract(Pv.entries, 1, contract(Pv.entries, 1, f_so.entries, 1), 1)
@@ -448,14 +443,33 @@ def so_isomorphism(holonomy: HolonomyAlgebra):
     return tuple(tuple(row) for row in P)
 
 
-def _lowered_casimir(rep: Representation, F) -> tuple:
-    """sum_{x,y} rho(C)(a,x,c,y) F[x][b] F[y][d] as ({(a, b, c, d): int}, den)."""
+def _lowered_casimir(rep: Representation, form_v) -> tuple:
+    """(F, {(a, b, c, d): int}, den): form_v as Fractions, rho(C) lowered by it.
+
+    The lowered tensor is sum_{x,y} rho(C)(a,x,c,y) F[x][b] F[y][d]; F must
+    be square of the module dimension and nondegenerate.
+    """
+    d = rep.dimV
+    F = [[Fraction(v) for v in row] for row in form_v]
+    if len(F) != d or any(len(row) != d for row in F):
+        raise ValueError("form must be square of the module dimension")
+    if not full_rank(F):
+        raise ValueError("form is degenerate")
     T = IntegerView(rep.weight_tensor().entries, 4)
     form = IntegerView(F, 2)
     # keyed (a, c, y, b), then (a, c, b, d)
     low = contract(contract(T.entries, 1, form.entries, 0), 2, form.entries, 0)
-    return ({(a, b, c, dd): v for (a, c, b, dd), v in low.items()},
+    return (F, {(a, b, c, dd): v for (a, c, b, dd), v in low.items()},
             T.den * form.den ** 2)
+
+
+def _symmetry_verdict(low: dict):
+    """The curvature_symmetries verdict on a lowered rho(C)."""
+    failure = _skew_or_bianchi_failure(low)
+    if failure is None:
+        return "pass", None
+    name, witness = failure
+    return ("fail(skew)" if name == "antisymmetry" else "fail(bianchi)"), witness
 
 
 def curvature_symmetries(rep: Representation, form_v):
@@ -466,17 +480,7 @@ def curvature_symmetries(rep: Representation, form_v):
     with the lexicographically least witness.  Returns ("pass", None),
     ("fail(skew)", witness) or ("fail(bianchi)", witness).
     """
-    d = rep.dimV
-    F = [[Fraction(v) for v in row] for row in form_v]
-    if len(F) != d or any(len(row) != d for row in F):
-        raise ValueError("form must be square of the module dimension")
-    if not full_rank(F):
-        raise ValueError("form is degenerate")
-    failure = _skew_or_bianchi_failure(_lowered_casimir(rep, F)[0])
-    if failure is None:
-        return "pass", None
-    name, witness = failure
-    return ("fail(skew)" if name == "antisymmetry" else "fail(bianchi)"), witness
+    return _symmetry_verdict(_lowered_casimir(rep, form_v)[1])
 
 
 def triple_from_rep(rep: Representation, form_v) -> SymmetricTriple:
@@ -487,26 +491,23 @@ def triple_from_rep(rep: Representation, form_v) -> SymmetricTriple:
     The resulting model's weight tensor is rho(C) again, so the triple's
     holonomy representation reproduces it.
     """
-    verdict, witness = curvature_symmetries(rep, form_v)
+    F, low, den = _lowered_casimir(rep, form_v)
+    verdict, witness = _symmetry_verdict(low)
     if verdict != "pass":
         raise ValueError(
             f"representation lacks curvature symmetries: {verdict} at {witness}"
         )
-    F = [[Fraction(v) for v in row] for row in form_v]
     if not is_symmetric(F):
         raise ValueError("realization requires a symmetric form")
-    d = rep.dimV
-    low, den = _lowered_casimir(rep, F)
     ginv = IntegerView(mat_inv(F), 2)
-    riemann = [[[[0] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
-    for (a, b, c, x), v in contract(low, 3, ginv.entries, 0).items():
-        riemann[a][b][c][x] = Fraction(v, den * ginv.den)
-    return symmetric_triple(CurvatureModel(F, riemann))
+    return symmetric_triple(CurvatureModel(F, {
+        key: Fraction(v, den * ginv.den)
+        for key, v in contract(low, 3, ginv.entries, 0).items()}))
 
 
 def model_to_json_dict(model: CurvatureModel) -> dict:
     entries = [{"a": a, "b": b, "c": c, "d": x, "value": format_rational(value)}
-               for (a, b, c, x), value in nonzero_entries(model.riemann, 4)]
+               for (a, b, c, x), value in model.entries.items()]
     return {
         "dim": model.dim,
         "metric": format_matrix(model.metric),
@@ -523,12 +524,7 @@ def model_from_json_dict(data) -> CurvatureModel:
     charge_work(dim ** 4, f"a dense curvature tensor of dimension {dim} needs "
                 f"dim^4 = {dim ** 4} entries")
     metric = parse_matrix(data.get("metric"), "metric", rows=dim, cols=dim)
-    entries = parse_entries(data.get("R"), "R", dim)
-    riemann = [[[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-               for _ in range(dim)]
-    for (a, b, c, x), value in entries.items():
-        riemann[a][b][c][x] = value
-    return CurvatureModel(metric, riemann)
+    return CurvatureModel(metric, parse_entries(data.get("R"), "R", dim))
 
 
 def triple_to_json_dict(triple: SymmetricTriple) -> dict:

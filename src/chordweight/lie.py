@@ -18,8 +18,8 @@ from .jsonio import (
     parse_matrix,
     parse_rational,
 )
-from .linalg import commutator, full_rank, is_symmetric, mat_inv, mat_mul, trace
-from .sparse import IntegerView, contract, least_nonzero
+from .linalg import full_rank, is_symmetric, mat_inv
+from .sparse import IntegerView, contract, dense_array, exact_entries, least_nonzero
 from .tensors import WeightTensor
 from .work import charge_work
 
@@ -27,8 +27,8 @@ from .work import charge_work
 class MetrizedLieAlgebra:
     """Structure constants plus an invariant nondegenerate symmetric form.
 
-    ``brackets[i][j][k]`` is the coefficient of e_k in [e_i, e_j], and
-    ``form[i][j]`` is B(e_i, e_j).
+    ``entries`` maps (i, j, k) to the nonzero coefficient of e_k in
+    [e_i, e_j], and ``form[i][j]`` is B(e_i, e_j).
     """
 
     def __init__(self, brackets, form):
@@ -36,18 +36,15 @@ class MetrizedLieAlgebra:
         dim = len(form)
         if any(len(row) != dim for row in form):
             raise ValueError("form must be a square matrix")
-        brackets = tuple(
-            tuple(tuple(Fraction(c) for c in row) for row in plane)
-            for plane in brackets
-        )
-        if len(brackets) != dim or any(
-            len(plane) != dim or any(len(row) != dim for row in plane)
-            for plane in brackets
-        ):
-            raise ValueError(f"structure constants must be {dim}x{dim}x{dim}")
         self.dim = dim
-        self.brackets = brackets
+        self.entries = exact_entries(brackets, 3, dim,
+                                     f"structure constants must be {dim}x{dim}x{dim}")
         self.form = form
+
+    @property
+    def brackets(self) -> tuple:
+        """``brackets[i][j][k]`` as a dense nested tuple, built on each access."""
+        return dense_array(self.entries, 3, self.dim)
 
     def validate(self):
         """(True, None), or (False, message) naming the first broken axiom.
@@ -65,7 +62,7 @@ class MetrizedLieAlgebra:
         only its sign.  The least nonzero (i, j, k, l) therefore has
         i < j < k.
         """
-        f = IntegerView(self.brackets, 3)
+        f = IntegerView(self.entries, 3)
         # a failure at (i,j,k) is one at (j,i,k) too, and one of the two
         # entries is nonzero
         bad = [w for (i, j, k), v in f.entries.items()
@@ -119,18 +116,15 @@ class MetrizedLieAlgebra:
         """The inverse of the form, as a symmetric matrix C^{ij}."""
         return tuple(tuple(row) for row in mat_inv(self.form))
 
-    def structure_tensor(self) -> tuple:
-        """Y[i][j][k] = sum_{a,b} C[i][a] C[j][b] f[a][b][k]; totally antisymmetric."""
-        m = self.dim
+    def structure_tensor(self) -> dict:
+        """Nonzero Y[i][j][k] = sum_{a,b} C[i][a] C[j][b] f[a][b][k], keyed (i, j, k)."""
         C = IntegerView(self.casimir(), 2)
-        f = IntegerView(self.brackets, 3)
+        f = IntegerView(self.entries, 3)
         den = C.den ** 2 * f.den
-        Y = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
         # sum_a C[i][a] f[a][b][k] keyed (i, b, k), then sum_b C[j][b] .. keyed (j, i, k)
         half = contract(C.entries, 1, f.entries, 0)
-        for (j, i, k), v in contract(C.entries, 1, half, 1).items():
-            Y[i][j][k] = Fraction(v, den)
-        return tuple(tuple(tuple(r) for r in plane) for plane in Y)
+        return {(i, j, k): Fraction(v, den)
+                for (j, i, k), v in contract(C.entries, 1, half, 1).items()}
 
     def __repr__(self):
         return f"MetrizedLieAlgebra(dim={self.dim})"
@@ -166,7 +160,7 @@ class Representation:
         Both sides are built from products of nonzero entries, as int
         numerators; the least failing (i, j) is reported.
         """
-        f = IntegerView(self.algebra.brackets, 3)
+        f = IntegerView(self.algebra.entries, 3)
         rho = IntegerView(self.matrices, 3)
         # rho([e_i, e_j]) - [rho_i, rho_j] over f.den * rho.den^2, keyed (i, j, r, c)
         diff = defaultdict(int)
@@ -257,14 +251,9 @@ def check_exchange_identity(rep: Representation):
 
 def sl2_standard() -> Representation:
     """sl2 with basis (H, E, F), form B(x,y) = Tr(xy), standard 2-dim module."""
-    brackets = [[[0] * 3 for _ in range(3)] for _ in range(3)]
     # [H,E] = 2E, [H,F] = -2F, [E,F] = H
-    brackets[0][1][1] = Fraction(2)
-    brackets[1][0][1] = Fraction(-2)
-    brackets[0][2][2] = Fraction(-2)
-    brackets[2][0][2] = Fraction(2)
-    brackets[1][2][0] = Fraction(1)
-    brackets[2][1][0] = Fraction(-1)
+    brackets = {(0, 1, 1): 2, (1, 0, 1): -2, (0, 2, 2): -2, (2, 0, 2): 2,
+                (1, 2, 0): 1, (2, 1, 0): -1}
     form = [[2, 0, 0], [0, 0, 1], [0, 1, 0]]
     algebra = MetrizedLieAlgebra(brackets, form)
     matrices = (
@@ -278,32 +267,26 @@ def sl2_standard() -> Representation:
 def so_standard(n: int) -> Representation:
     """so(n) on the antisymmetric basis A_ij = E_ij - E_ji (i < j, lex order).
 
-    The form is B(x,y) = Tr(xy)/2, which is negative definite on this basis;
-    structure constants and the form are computed from the matrices.
+    The brackets are [A_ij, A_kl] = d_jk A_il - d_ik A_jl - d_jl A_ik + d_il A_jk,
+    with A_qp = -A_pq and A_pp = 0.  The form B(x,y) = Tr(xy)/2 is -I on
+    this basis.
     """
     if n < 2:
         raise ValueError("so(n) requires n >= 2")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = {pair: k for k, pair in enumerate(pairs)}
+    brackets = defaultdict(int)
+    for a, (i, j) in enumerate(pairs):
+        for b, (k, l) in enumerate(pairs):
+            for meet, sign, p, q in ((j == k, 1, i, l), (i == k, -1, j, l),
+                                     (j == l, -1, i, k), (i == l, 1, j, k)):
+                if meet and p != q:
+                    brackets[a, b, index[min(p, q), max(p, q)]] += sign if p < q else -sign
     m = len(pairs)
-    basis = []
-    for i, j in pairs:
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        mat[i][j] = Fraction(1)
-        mat[j][i] = Fraction(-1)
-        basis.append(mat)
-    brackets = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            comm = commutator(basis[a], basis[b])
-            # an antisymmetric matrix is sum of its upper entries times A_ij
-            for k, (i, j) in enumerate(pairs):
-                brackets[a][b][k] = comm[i][j]
-    form = [
-        [trace(mat_mul(basis[a], basis[b])) / 2 for b in range(m)]
-        for a in range(m)
-    ]
-    algebra = MetrizedLieAlgebra(brackets, form)
-    return Representation(algebra, basis)
+    form = [[-int(a == b) for b in range(m)] for a in range(m)]
+    basis = [[[int((r, c) == (i, j)) - int((r, c) == (j, i)) for c in range(n)]
+              for r in range(n)] for i, j in pairs]
+    return Representation(MetrizedLieAlgebra(brackets, form), basis)
 
 
 def abelian(m: int) -> Representation:
@@ -311,10 +294,8 @@ def abelian(m: int) -> Representation:
     if m < 0:
         raise ValueError("dimension must be non-negative")
     zero = [[Fraction(0)] * m for _ in range(m)]
-    brackets = [[list(row) for row in zero] for _ in range(m)]
     form = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
-    algebra = MetrizedLieAlgebra(brackets, form)
-    return Representation(algebra, [zero] * m, dimV=m)
+    return Representation(MetrizedLieAlgebra({}, form), [zero] * m, dimV=m)
 
 
 _BUILTIN_PATTERN = re.compile(r"^(sl2|so(\d+)|abelian(\d+))$")
@@ -335,20 +316,13 @@ def builtin(name: str) -> Representation:
 
 
 def algebra_to_json_dict(algebra: MetrizedLieAlgebra) -> dict:
-    m = algebra.dim
-    entries = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            coeffs = [
-                [k, format_rational(algebra.brackets[i][j][k])]
-                for k in range(m)
-                if algebra.brackets[i][j][k] != 0
-            ]
-            if coeffs:
-                entries.append({"i": i, "j": j, "coeffs": coeffs})
+    coeffs = defaultdict(list)  # (i, j) with i < j: [[k, value]], in index order
+    for (i, j, k), value in algebra.entries.items():
+        if i < j:
+            coeffs[i, j].append([k, format_rational(value)])
     return {
-        "dim": m,
-        "brackets": entries,
+        "dim": algebra.dim,
+        "brackets": [{"i": i, "j": j, "coeffs": c} for (i, j), c in coeffs.items()],
         "form": format_matrix(algebra.form),
     }
 
@@ -364,7 +338,7 @@ def algebra_from_json_dict(data) -> MetrizedLieAlgebra:
     raw = data.get("brackets")
     if not isinstance(raw, list):
         raise JSONFormatError("brackets", "expected a list")
-    f = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    f = {}
     seen_pairs = set()
     for idx, item in enumerate(raw):
         path = f"brackets[{idx}]"
@@ -390,8 +364,8 @@ def algebra_from_json_dict(data) -> MetrizedLieAlgebra:
                 raise JSONFormatError(cpath, f"duplicate coefficient for k={k}")
             seen_k.add(k)
             value = parse_rational(pair[1], f"{cpath}[1]")
-            f[i][j][k] = value
-            f[j][i][k] = -value
+            f[i, j, k] = value
+            f[j, i, k] = -value
     form = parse_matrix(data.get("form"), "form", rows=dim, cols=dim)
     return MetrizedLieAlgebra(f, form)
 

@@ -7,7 +7,9 @@ small; it also decides row-span membership and nondegeneracy.
 ``ReducedSpan`` keeps a spanning set as echelon rows with the combinations
 that give them, so that many targets are solved against one elimination
 and a matrix is inverted by adding its rows.  The dense Fraction helpers
-left build the standard so(n) matrices.
+``mat_mul``, ``mat_sub`` and ``commutator`` have no caller in the package;
+they stay because the benchmark's tracer resolves ``linalg.commutator`` by
+name.
 """
 
 from __future__ import annotations
@@ -40,10 +42,6 @@ def mat_sub(a, b) -> list:
 
 def commutator(a, b) -> list:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def trace(a) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
 
 def is_symmetric(a) -> bool:

@@ -10,6 +10,9 @@ sum of numerator products does.
 A derived tensor (a weight tensor, the structure tensor) is built the same
 way: ``contract`` sums products of nonzero numerators over one index at a
 time, and the result is divided by the product of the denominators once.
+
+``exact_entries`` makes the one storage of every rank-3 and rank-4 exact
+tensor: its nonzero entries only.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
+
+_ZERO = Fraction(0)
 
 
 def nonzero_entries(array, rank: int, prefix=()):
@@ -29,6 +35,39 @@ def nonzero_entries(array, rank: int, prefix=()):
     else:
         for i, sub in enumerate(array):
             yield from nonzero_entries(sub, rank - 1, prefix + (i,))
+
+
+def _has_shape(array, rank: int, dim: int) -> bool:
+    return len(array) == dim and (
+        rank == 1 or all(_has_shape(sub, rank - 1, dim) for sub in array))
+
+
+def exact_entries(data, rank: int, dim: int, shape_error=None) -> MappingProxyType:
+    """Read-only {index tuple: Fraction} of the nonzero entries, in index order.
+
+    ``data`` is an {index tuple: value} mapping, each index in 0..dim-1, or
+    a nested array of shape dim^rank; anything else raises ValueError, with
+    the message ``shape_error`` for a nested array of another shape.
+    """
+    if isinstance(data, Mapping):
+        for key in data:
+            if not (isinstance(key, tuple) and len(key) == rank
+                    and all(isinstance(i, int) and 0 <= i < dim for i in key)):
+                raise ValueError(f"index {key} is outside 0..{dim - 1}")
+        items = data.items()
+    elif _has_shape(data, rank, dim):
+        items = nonzero_entries(data, rank)
+    else:
+        raise ValueError(shape_error or f"expected {dim}^{rank} entries")
+    values = ((key, Fraction(value)) for key, value in items)
+    return MappingProxyType(dict(sorted((key, v) for key, v in values if v)))
+
+
+def dense_array(entries, rank: int, dim: int, prefix=()):
+    """The nested tuple of Fractions, of shape dim^rank, holding ``entries``."""
+    if len(prefix) == rank:
+        return entries.get(prefix, _ZERO)
+    return tuple(dense_array(entries, rank, dim, prefix + (i,)) for i in range(dim))
 
 
 class IntegerView:

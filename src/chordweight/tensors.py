@@ -19,14 +19,13 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import product as iter_product
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .diagrams import ChordDiagram
 from .formal import FormalSum
 from .frozen import Frozen
 from .jsonio import JSONFormatError, format_rational, parse_entries
-from .sparse import IntegerView, least_nonzero
+from .sparse import IntegerView, exact_entries, least_nonzero
 # DEFAULT_MAX_WORK and WorkLimitExceeded are re-exported from here
 from .work import DEFAULT_MAX_WORK, WorkLimitExceeded, charge_work  # noqa: F401
 
@@ -47,13 +46,8 @@ class WeightTensor(Frozen):
     def __init__(self, dim: int, nonzero):
         if not isinstance(dim, int) or dim < 1:
             raise ValueError(f"dimension must be a positive integer, got {dim!r}")
-        entries = {}
-        for (a, b, c, d), value in nonzero:
-            if not all(isinstance(i, int) and 0 <= i < dim for i in (a, b, c, d)):
-                raise ValueError(f"index {(a, b, c, d)} is outside 0..{dim - 1}")
-            entries[a, b, c, d] = Fraction(value)
-        self._set(dim, MappingProxyType(
-            {key: value for key, value in entries.items() if value}))
+        self._set(dim, exact_entries({tuple(key): value for key, value in nonzero},
+                                     4, dim))
 
     def __hash__(self):
         return hash((self.dim, frozenset(self.entries.items())))
@@ -74,7 +68,7 @@ class WeightTensor(Frozen):
 
     def nonzero_items(self) -> list:
         """((a, b, c, d), value) for every nonzero component, in index order."""
-        return sorted(self.entries.items())
+        return list(self.entries.items())
 
     def __repr__(self):
         return f"WeightTensor(dim={self.dim}, nonzero={len(self.entries)})"

@@ -58,7 +58,7 @@ def rebase(model: CurvatureModel, P) -> CurvatureModel:
     """The same model in the basis e'_j = sum_i P[i][j] e_i."""
     d = model.dim
     Pinv = oracles.dense_inverse(P)
-    T = {key: model.riemann[key[0]][key[1]][key[2]][key[3]] for key in _keys(d)}
+    T = {key: model.entries.get(key, 0) for key in _keys(d)}
     for slot in range(3):
         T = _transform_slot(T, slot, P, d)
     # the output slot transforms contravariantly: x' = sum_x Pinv[x'][x] x
@@ -100,7 +100,7 @@ def product_model(first: CurvatureModel, second: CurvatureModel) -> CurvatureMod
             metric[a + shift][b + shift] = part.metric[a][b]
             for c, x in itertools.product(e, repeat=2):
                 riemann[a + shift][b + shift][c + shift][x + shift] = (
-                    part.riemann[a][b][c][x])
+                    part.entries.get((a, b, c, x), 0))
     return CurvatureModel(metric, riemann)
 
 

@@ -245,6 +245,14 @@ def dense_tensor(tensor):
                  for a in rng)
 
 
+def dense_structure_tensor(algebra):
+    """An algebra's structure tensor as a nested m^3 tuple, zeros included."""
+    Y = algebra.structure_tensor()
+    rng = range(algebra.dim)
+    return tuple(tuple(tuple(Y.get((i, j, k), Fraction(0)) for k in rng) for j in rng)
+                 for i in rng)
+
+
 def array_items(array):
     """((a, b, c, d), value) for every entry of a nested d^4 array."""
     d = len(array)

@@ -147,6 +147,11 @@ print(json.dumps([proc.returncode, proc.stdout, proc.stderr,
 """
 
 
+CHECK_CURVATURE_PASS = "curvature-model: pass\nparallel-four-term: pass\nfour-term: pass\n"
+CHECK_LIE_PASS = ("metrized-algebra: pass\nrepresentation: pass\nleg-symmetry: pass\n"
+                  "four-term: pass\nexchange-identity: pass\n")
+
+
 def run_cli_measured(*argv):
     """The CLI in a fresh process: (exit code, stdout, stderr, wall s, peak MB)."""
     env = dict(os.environ, PYTHONPATH=str(Path(chordweight.__file__).parents[1]))
@@ -172,6 +177,42 @@ def test_check_of_an_all_zero_input_of_dimension_40_is_small(tmp_path, kind, doc
     assert (code, out, err) == (0, "".join(f"{name}: pass\n" for name in passes), "")
     assert elapsed < 1
     assert peak_mb < 100
+
+
+def flat_model_40(tmp_path):
+    return write_json(tmp_path / "flat40.json", {
+        "dim": 40, "metric": [[int(i == j) for j in range(40)] for i in range(40)],
+        "R": []})
+
+
+def test_check_of_a_flat_model_of_dimension_40_is_small(tmp_path):
+    """Only the nonzero curvature entries are stored: no d^4 array is built."""
+    code, out, err, elapsed, peak_mb = run_cli_measured(
+        "check", "--curvature", flat_model_40(tmp_path))
+    assert (code, out, err) == (0, CHECK_CURVATURE_PASS, "")
+    assert elapsed < 1
+    assert peak_mb < 64
+
+
+def test_holonomy_of_a_flat_model_of_dimension_40_is_refused_at_once(tmp_path):
+    code, out, err, elapsed, _ = run_cli_measured(
+        "holonomy", "--curvature", flat_model_40(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == ("error: the holonomy algebra of a curvature model of dimension 40 "
+                   "needs pairs^2 * d^3 = 38937600000 steps, limit is 10000000\n")
+    assert elapsed < 1
+
+
+def test_check_of_an_abelian_algebra_of_dimension_200_is_small(tmp_path):
+    """Only the nonzero structure constants are stored: no m^3 array is built."""
+    path = write_json(tmp_path / "abelian200.json", {
+        "dim": 200, "brackets": [],
+        "form": [[int(i == j) for j in range(200)] for i in range(200)],
+        "dimV": 1, "matrices": [[[0]]] * 200})
+    code, out, err, elapsed, peak_mb = run_cli_measured("check", "--lie", path)
+    assert (code, out, err) == (0, CHECK_LIE_PASS, "")
+    assert elapsed < 3
+    assert peak_mb < 64
 
 
 @pytest.mark.parametrize("field", ["dim", "a", "b", "c", "d"])
@@ -283,6 +324,10 @@ PINNED = Path(__file__).parent / "pinned"
          ["eval", "--tensor", str(PINNED / "so4-dense-tensor.json"),
           "--diagram", "ABCDEFABCDEF"]),
     )
+] + [
+    (f"holonomy-lorentz4-dense.{ext}",
+     ["holonomy", "--curvature", str(PINNED / "lorentz4-dense.json"), "--format", fmt])
+    for ext, fmt in (("txt", "text"), ("json", "json"))
 ])
 def test_output_matches_pinned_text(capsys, name, argv):
     """A failing verdict, named -fail- in its file, exits 1."""

@@ -247,6 +247,39 @@ def test_triple_from_rep_round_trip():
     assert (triple.dim_h, triple.dim_p) == (3, 3)
 
 
+def test_triple_from_rep_lowers_the_casimir_once(monkeypatch):
+    calls = []
+    weight_tensor = Representation.weight_tensor
+
+    def counted(rep):
+        calls.append(rep)
+        return weight_tensor(rep)
+
+    monkeypatch.setattr(Representation, "weight_tensor", counted)
+    triple_from_rep(so_standard(3), signature_metric(3, 0))
+    assert len(calls) == 1
+
+
+def test_curvature_indices_outside_the_dimension_are_refused():
+    metric = signature_metric(2, 0)
+    with pytest.raises(ValueError, match=r"index \(0, 1, 0, 2\) is outside 0\.\.1"):
+        CurvatureModel(metric, {(0, 1, 0, 2): 1})
+    with pytest.raises(ValueError, match=r"index \(0, -1, 0, 1\) is outside 0\.\.1"):
+        CurvatureModel(metric, {(0, -1, 0, 1): 1})
+    with pytest.raises(ValueError, match=r"curvature must have 2\^4 entries"):
+        CurvatureModel(metric, [[[[0, 0]] * 2] * 2, [[[0]] * 2] * 2])
+
+
+def test_curvature_mapping_and_nested_array_give_one_model():
+    model = constant_curvature(3, indefinite_metric(3), kappa=Fraction(-1, 2))
+    assert len(model.entries) == 6 * 2  # per a != b: (c, x) = (b, a) and (a, b)
+    nested = CurvatureModel(model.metric, model.riemann)
+    assert nested.entries == model.entries
+    assert list(nested.entries) == sorted(model.entries)
+    assert CurvatureModel(model.metric, dict(reversed(model.entries.items()))).riemann \
+        == model.riemann
+
+
 def test_triple_from_rep_requires_curvature_symmetries():
     with pytest.raises(ValueError) as err:
         triple_from_rep(sl2_standard(), [[0, 1], [-1, 0]])

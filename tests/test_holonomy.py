@@ -65,7 +65,7 @@ def assert_representation_matches(rep):
     assert rep.validate() == oracles.representation(algebra.brackets, rep.matrices,
                                                     rep.dimV)
     if algebra.dim:
-        assert_same(algebra.structure_tensor(),
+        assert_same(oracles.dense_structure_tensor(algebra),
                     oracles.structure_tensor(algebra.brackets, algebra.form))
     assert oracles.dense_tensor(rep.weight_tensor()) == nested(
         oracles.lie_weight_tensor(algebra.form, rep.matrices, rep.dimV))

@@ -296,7 +296,8 @@ def test_exchange_identity_matches_dense_oracle(seed):
     for rep in representation_inputs(seed):
         got = check_exchange_identity(rep)
         expected = oracles.exchange_identity(
-            oracles.dense_tensor(rep.weight_tensor()), rep.algebra.structure_tensor(),
+            oracles.dense_tensor(rep.weight_tensor()),
+            oracles.dense_structure_tensor(rep.algebra),
             rep.matrices, rep.dimV, rep.algebra.dim)
         assert got == expected
         verdicts.append(got[0])

@@ -1,9 +1,11 @@
 """Metrized Lie algebras, representations, and Casimir weight tensors."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from models import signature_metric
 from chordweight import (
     ChordDiagram,
@@ -60,6 +62,40 @@ def test_so_n_dimensions():
         so_standard(1)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_so_standard_matches_its_matrix_commutators(n):
+    """The closed-form brackets and form against commutators of the matrices."""
+    rep = so_standard(n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    basis = [[[Fraction(int((r, c) == (i, j)) - int((r, c) == (j, i)))
+               for c in range(n)] for r in range(n)] for i, j in pairs]
+    assert rep.matrices == tuple(tuple(tuple(row) for row in mat) for mat in basis)
+    brackets = tuple(tuple(tuple(comm[i][j] for i, j in pairs)
+                           for comm in (oracles.dense_commutator(a, b) for b in basis))
+                     for a in basis)
+    form = tuple(tuple(sum(a[r][c] * b[c][r] for r in range(n) for c in range(n)) / 2
+                       for b in basis) for a in basis)
+    assert rep.algebra.brackets == brackets
+    assert rep.algebra.form == form
+
+
+def test_so_standard_12_is_fast():
+    start = time.perf_counter()
+    rep = so_standard(12)
+    assert time.perf_counter() - start < 0.5
+    # [A_ij, A_kl] is nonzero when the pairs share one index: 2(n - 2) partners
+    assert (rep.algebra.dim, len(rep.algebra.entries)) == (66, 66 * 20)
+
+
+def test_bracket_indices_outside_the_dimension_are_refused():
+    with pytest.raises(ValueError, match=r"index \(0, 1, 2\) is outside 0\.\.1"):
+        MetrizedLieAlgebra({(0, 1, 2): 1}, signature_metric(2, 0))
+    with pytest.raises(ValueError, match=r"index \(0, 1\) is outside 0\.\.1"):
+        MetrizedLieAlgebra({(0, 1): 1}, signature_metric(2, 0))
+    with pytest.raises(ValueError, match=r"structure constants must be 2x2x2"):
+        MetrizedLieAlgebra([[[0, 0]] * 2, [[0]] * 2], signature_metric(2, 0))
+
+
 def test_casimir_inverts_form():
     for rep in (sl2_standard(), so_standard(3), so_standard(4)):
         B = [list(row) for row in rep.algebra.form]
@@ -86,7 +122,7 @@ def test_exchange_identity_for_builtins():
 
 
 def test_structure_tensor_total_antisymmetry():
-    Y = sl2_standard().algebra.structure_tensor()
+    Y = oracles.dense_structure_tensor(sl2_standard().algebra)
     m = 3
     for i in range(m):
         for j in range(m):

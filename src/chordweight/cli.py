@@ -85,16 +85,12 @@ def _matrix_lines(matrix, indent="  "):
             for row in matrix]
 
 
-def _bracket_lines(brackets, prefix="h"):
-    m = len(brackets)
-    lines = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            terms = [f"{c}*{prefix}{k}"
-                     for k, c in enumerate(brackets[i][j]) if c]
-            rhs = " + ".join(terms) if terms else "0"
-            lines.append(f"[{prefix}{i}, {prefix}{j}] = {rhs}")
-    return lines
+def _bracket_lines(brackets, m, prefix="h"):
+    terms = {}  # (i, j): the terms of [i, j], in index order
+    for (i, j, k), c in brackets.items():
+        terms.setdefault((i, j), []).append(f"{c}*{prefix}{k}")
+    return [f"[{prefix}{i}, {prefix}{j}] = {' + '.join(terms.get((i, j), ['0']))}"
+            for i in range(m) for j in range(i + 1, m)]
 
 
 def _load_representation(path: str):
@@ -292,7 +288,7 @@ def _cmd_holonomy(args, out) -> int:
         out.write(f"dim_h={hol.dim_h}\n")
         labels = " ".join(f"({a},{b})" for a, b in hol.labels)
         out.write(f"generator labels: {labels or '(none)'}\n")
-        for line in _bracket_lines(hol.brackets):
+        for line in _bracket_lines(hol.brackets, hol.dim_h):
             out.write(line + "\n")
         out.write("B_h:\n")
         for line in _matrix_lines(hol.form):
@@ -346,7 +342,7 @@ def _cmd_realize(args, out) -> int:
             out.write(
                 f"triple: dim {triple.dim} = {triple.dim_h} + {triple.dim_p}\n"
             )
-            for line in _bracket_lines(triple.brackets, prefix="e"):
+            for line in _bracket_lines(triple.brackets, triple.dim, prefix="e"):
                 out.write(line + "\n")
         if note is not None:
             out.write(f"note: {note}\n")

@@ -65,8 +65,8 @@ class CurvatureModel:
 
     def endomorphism(self, a: int, b: int) -> tuple:
         """R(e_a, e_b) as a matrix on the tangent space (rows = output)."""
-        R, rng = self.entries, range(self.dim)
-        return tuple(tuple(R.get((a, b, c, x), Fraction(0)) for c in rng) for x in rng)
+        R, rng, zero = self.entries, range(self.dim), Fraction(0)
+        return tuple(tuple(R.get((a, b, c, x), zero) for c in rng) for x in rng)
 
     def validate(self):
         """(True, None) or (False, (identity, witness)) for the first failure.
@@ -171,19 +171,20 @@ class HolonomyAlgebra(Frozen):
     """Span of the curvature endomorphisms with its induced form.
 
     ``labels[i]`` is the generator pair (a, b) whose endomorphism is
-    ``basis[i]``; ``brackets`` holds commutator structure constants in this
-    basis and ``form`` the induced invariant form.  ``pair_coordinates``,
-    when given, maps every generator pair to the coordinates of its
-    endomorphism in ``basis``: a by-product of the extraction, not a field,
-    so it takes no part in ``==``, ``hash`` or ``repr``.
+    ``basis[i]``, ``brackets`` maps (i, j, k) to the nonzero structure
+    constants in this basis and ``form`` is the induced invariant form.
+    ``pair_coordinates``, when given, maps every generator pair to the
+    coordinates of its endomorphism in ``basis``: a by-product of the
+    extraction, not a field, so it takes no part in ``==``, ``hash`` or ``repr``.
     """
 
     _fields = ("model", "labels", "basis", "brackets", "form", "nondegenerate")
 
     def __init__(self, model: CurvatureModel, labels: tuple, basis: tuple,
-                 brackets: tuple, form: tuple, nondegenerate: bool,
+                 brackets, form: tuple, nondegenerate: bool,
                  pair_coordinates: dict | None = None):
-        self._set(model, labels, basis, brackets, form, nondegenerate)
+        self._set(model, labels, basis, exact_entries(brackets, 3, len(labels)),
+                  form, nondegenerate)
         object.__setattr__(self, "_pair_coordinates", pair_coordinates)
 
     @property
@@ -270,22 +271,24 @@ def holonomy_algebra(model: CurvatureModel, check_model: bool = True) -> Holonom
                 raise RuntimeError(
                     f"bracket identity fails on generators {p}, {q}"
                 )
-    brackets = [[(Fraction(0),) * m for _ in range(m)] for _ in range(m)]
+    brackets = {}
     den = span.den * R.den
     for i in range(m):
         for j in range(i + 1, m):
             c = span.coordinates(comms[labels[i], labels[j]])
             if c is None:
                 raise RuntimeError("holonomy commutator escapes the span")
-            brackets[i][j] = tuple(Fraction(v, den) for v in c)
-            brackets[j][i] = tuple(Fraction(-v, den) for v in c)
+            for k, v in enumerate(c):
+                if v:
+                    brackets[i, j, k] = Fraction(v, den)
+                    brackets[j, i, k] = Fraction(-v, den)
     form = tuple(tuple(Fraction(v, R.den * metric.den) for v in row)
                  for row in form_num)
     return HolonomyAlgebra(
         model,
         tuple(labels),
         tuple(model.endomorphism(*pair) for pair in labels),
-        tuple(tuple(plane) for plane in brackets),
+        brackets,
         form,
         full_rank(form),
         {pair: tuple(Fraction(v, span.den) for v in c) for pair, c in coords.items()},
@@ -293,13 +296,14 @@ def holonomy_algebra(model: CurvatureModel, check_model: bool = True) -> Holonom
 
 
 class SymmetricTriple(Frozen):
-    """Lie algebra h + p with involution and block form, h basis first."""
+    """Lie algebra h + p with involution and block form, h basis first;
+    ``brackets`` maps (i, j, k) to the nonzero coefficient of e_k in [e_i, e_j]."""
 
     _fields = ("holonomy", "brackets", "form", "involution")
 
-    def __init__(self, holonomy: HolonomyAlgebra, brackets: tuple, form: tuple,
+    def __init__(self, holonomy: HolonomyAlgebra, brackets, form: tuple,
                  involution: tuple):
-        self._set(holonomy, brackets, form, involution)
+        self._set(holonomy, exact_entries(brackets, 3, len(form)), form, involution)
 
     @property
     def dim_h(self) -> int:
@@ -329,16 +333,17 @@ class SymmetricTriple(Frozen):
             return False, why
         m = self.dim_h
         s = self.involution
-        f = self.brackets
-        for (i, j, k), _ in nonzero_entries(f, 3):
+        for i, j, k in self.brackets:
             if s[k] != s[i] * s[j]:
                 return False, f"involution parity fails at ({i},{j},{k})"
         for (i, j), _ in nonzero_entries(self.form, 2):
             if s[i] != s[j]:
                 return False, f"form mixes involution eigenspaces at ({i},{j})"
-        rows = [dict(enumerate(f[a][b][:m]))
-                for a in range(m, self.dim) for b in range(a + 1, self.dim)]
-        if sparse_rank(rows) != m:
+        rows = defaultdict(dict)  # [e_a, e_b] for tangent a < b, its holonomy part
+        for (a, b, k), v in self.brackets.items():
+            if m <= a < b and k < m:
+                rows[a, b][k] = v
+        if sparse_rank(rows.values()) != m:
             return False, "tangent brackets do not span the holonomy part"
         return True, None
 
@@ -348,33 +353,22 @@ def symmetric_triple(model: CurvatureModel, check_model: bool = True) -> Symmetr
     hol = holonomy_algebra(model, check_model=check_model)
     d = model.dim
     m = hol.dim_h
-    n = m + d
-    f = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(m):
-        for j in range(m):
-            f[i][j][:m] = hol.brackets[i][j]
-    for i in range(m):
-        mat = hol.basis[i]
+    f = dict(hol.brackets)
+    for i, mat in enumerate(hol.basis):
         for a in range(d):
             for x in range(d):
                 if mat[x][a] != 0:
-                    f[i][m + a][m + x] = mat[x][a]
-                    f[m + a][i][m + x] = -mat[x][a]
+                    f[i, m + a, m + x] = mat[x][a]
+                    f[m + a, i, m + x] = -mat[x][a]
     for (a, b), c in hol._pair_coordinates.items():
-        for k in range(m):
-            f[m + a][m + b][k] = c[k]
-            f[m + b][m + a][k] = -c[k]
-    form = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(m):
-        form[i][:m] = hol.form[i]
-    for a in range(d):
-        form[m + a][m:] = model.metric[a]
-    return SymmetricTriple(
-        hol,
-        tuple(tuple(tuple(row) for row in plane) for plane in f),
-        tuple(tuple(row) for row in form),
-        (1,) * m + (-1,) * d,
-    )
+        for k, v in enumerate(c):
+            if v:
+                f[m + a, m + b, k] = v
+                f[m + b, m + a, k] = -v
+    zero = Fraction(0)
+    form = (tuple(row + (zero,) * d for row in hol.form)
+            + tuple((zero,) * m + row for row in model.metric))
+    return SymmetricTriple(hol, f, form, (1,) * m + (-1,) * d)
 
 
 def verify_lie_type(model: CurvatureModel, triple: SymmetricTriple | None = None):
@@ -423,7 +417,8 @@ def so_isomorphism(holonomy: HolonomyAlgebra):
         return None
     P = []
     for mat in holonomy.basis:
-        if any(mat[i][j] != -mat[j][i] for i in range(d) for j in range(d)):
+        if any(v != -mat[j][i] for i, row in enumerate(mat)
+               for j, v in enumerate(row) if v):
             return None
         P.append([mat[i][j] for (i, j) in pairs])
     if not full_rank(P):

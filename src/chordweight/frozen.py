@@ -3,10 +3,13 @@
 A subclass lists its fields in ``_fields`` and sets them in ``__init__``
 with ``_set``; afterwards every assignment raises ``AttributeError``.  Two
 instances are equal when they have the same class and equal fields, and
-the hash is the hash of the field tuple.
+the hash is the hash of the field tuple, with a mapping field hashed as
+the frozenset of its items.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 
 class Frozen:
@@ -29,7 +32,8 @@ class Frozen:
         return self._values() == other._values()
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(tuple(frozenset(v.items()) if isinstance(v, Mapping) else v
+                          for v in self._values()))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

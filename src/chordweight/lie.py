@@ -153,6 +153,7 @@ class Representation:
         self.algebra = algebra
         self.matrices = matrices
         self.dimV = inferred
+        self._weight_tensor = None
 
     def validate(self):
         """Check rho([e_i, e_j]) == rho_i rho_j - rho_j rho_i for all i < j.
@@ -178,16 +179,21 @@ class Representation:
         return True, None
 
     def weight_tensor(self) -> WeightTensor:
-        """rho(C): entry(a,b,c,d) = sum_{ij} C[i][j] rho_i[b][a] rho_j[d][c]."""
-        C = IntegerView(self.algebra.casimir(), 2)
-        rho = IntegerView(self.matrices, 3)
-        den = C.den * rho.den ** 2
-        # sum_j C[i][j] rho_j[d][c] keyed (i, d, c), then sum_i rho_i[b][a] ..
-        inner = contract(C.entries, 1, rho.entries, 0)
-        return WeightTensor(self.dimV, (
-            ((a, b, c, dd), Fraction(v, den))
-            for (b, a, dd, c), v in contract(rho.entries, 0, inner, 0).items()
-        ))
+        """rho(C): entry(a,b,c,d) = sum_{ij} C[i][j] rho_i[b][a] rho_j[d][c].
+
+        Built on the first call and kept for the later ones.
+        """
+        if self._weight_tensor is None:
+            C = IntegerView(self.algebra.casimir(), 2)
+            rho = IntegerView(self.matrices, 3)
+            den = C.den * rho.den ** 2
+            # sum_j C[i][j] rho_j[d][c] keyed (i, d, c), then sum_i rho_i[b][a] ..
+            inner = contract(C.entries, 1, rho.entries, 0)
+            self._weight_tensor = WeightTensor(self.dimV, (
+                ((a, b, c, dd), Fraction(v, den))
+                for (b, a, dd, c), v in contract(rho.entries, 0, inner, 0).items()
+            ))
+        return self._weight_tensor
 
     def __repr__(self):
         return f"Representation(dim={self.algebra.dim}, dimV={self.dimV})"

@@ -49,9 +49,6 @@ class WeightTensor(Frozen):
         self._set(dim, exact_entries({tuple(key): value for key, value in nonzero},
                                      4, dim))
 
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.entries.items())))
-
     def entry(self, a: int, b: int, c: int, d: int) -> Fraction:
         """Component with leg 1 = (in a, out b), leg 2 = (in c, out d)."""
         return self.entries.get((a, b, c, d), _ZERO)

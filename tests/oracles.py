@@ -245,6 +245,13 @@ def dense_tensor(tensor):
                  for a in rng)
 
 
+def dense_brackets(brackets, m):
+    """An {(i, j, k): value} bracket table as a nested m^3 tuple, zeros included."""
+    rng = range(m)
+    return tuple(tuple(tuple(brackets.get((i, j, k), Fraction(0)) for k in rng)
+                       for j in rng) for i in rng)
+
+
 def dense_structure_tensor(algebra):
     """An algebra's structure tensor as a nested m^3 tuple, zeros included."""
     Y = algebra.structure_tensor()

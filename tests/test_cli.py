@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: output, formats, exit codes."""
 
+import hashlib
 import json
 import os
 import random
@@ -328,12 +329,58 @@ PINNED = Path(__file__).parent / "pinned"
     (f"holonomy-lorentz4-dense.{ext}",
      ["holonomy", "--curvature", str(PINNED / "lorentz4-dense.json"), "--format", fmt])
     for ext, fmt in (("txt", "text"), ("json", "json"))
+] + [
+    ("holonomy-sphere12.txt", ["holonomy", "--curvature", str(PINNED / "sphere12.json")]),
 ])
 def test_output_matches_pinned_text(capsys, name, argv):
     """A failing verdict, named -fail- in its file, exits 1."""
     code, out, err = run(capsys, *argv)
     expected = (PINNED / name).read_text(encoding="utf-8")
     assert (code, out, err) == (int("-fail-" in name), expected, "")
+
+
+# Runs the CLI as its only child: RUSAGE_CHILDREN gives its CPU seconds and peak.
+MEASURE_USAGE = """
+import json, resource, subprocess, sys
+proc = subprocess.run([sys.executable, "-m", "chordweight.cli", *sys.argv[1:]],
+                      capture_output=True, text=True)
+usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(json.dumps([proc.returncode, proc.stdout, proc.stderr,
+                  usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024]))
+"""
+
+
+def test_holonomy_of_a_12_sphere_is_fast_and_small():
+    """66 generators, a 78-dimensional triple: only nonzero brackets are stored."""
+    env = dict(os.environ, PYTHONPATH=str(Path(chordweight.__file__).parents[1]))
+    env.pop("CHORDWEIGHT_MAX_WORK", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", MEASURE_USAGE, "holonomy", "--curvature",
+         str(PINNED / "sphere12.json"), "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=60)
+    code, out, err, cpu_s, peak_mb = json.loads(proc.stdout)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        PINNED / "holonomy-sphere12.json.sha256").read_text().strip()
+    assert cpu_s < 0.7
+    assert peak_mb < 30
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--lie", str(PINNED / "so4-dense.json")],
+    ["realize", "--lie", str(PINNED / "so4-dense.json"),
+     "--form", str(PINNED / "so4-dense-form.json")],
+], ids=["check-lie", "realize"])
+def test_rho_c_is_built_once_per_command(capsys, monkeypatch, argv):
+    builds = []
+
+    def counted(dim, nonzero):
+        builds.append(dim)
+        return WeightTensor(dim, nonzero)
+
+    monkeypatch.setattr(chordweight.lie, "WeightTensor", counted)
+    assert run(capsys, *argv)[0] == 0
+    assert builds == [4]
 
 
 def test_holonomy_of_a_7_sphere_is_fast(tmp_path):

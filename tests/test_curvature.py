@@ -146,7 +146,7 @@ def test_sphere_holonomy_is_so3_on_the_nose():
     assert hol.nondegenerate
     assert hol.basis[0] == ((0, 1, 0), (-1, 0, 0), (0, 0, 0))
     assert hol.form == ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
-    assert hol.brackets == so_standard(3).algebra.brackets
+    assert hol.brackets == so_standard(3).algebra.entries
     P = so_isomorphism(hol)
     assert P == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -197,8 +197,7 @@ def test_bianchi_violating_triple_fails_jacobi():
     triple = symmetric_triple(bianchi_violating_model(), check_model=False)
     assert triple.dim_h == 2
     assert triple.holonomy.form == ((0, 1), (1, 0))
-    assert all(c == 0 for plane in triple.holonomy.brackets
-               for row in plane for c in row)
+    assert triple.holonomy.brackets == {}
     assert triple.validate() == (
         False, "Jacobi identity fails at (i,j,k,l)=(2,3,4,5)")
 
@@ -336,13 +335,14 @@ def test_holonomy_algebra_and_triple_are_immutable_values():
                   brackets=hol.brackets, form=hol.form, nondegenerate=True)
     assert HolonomyAlgebra(**fields) == hol
     assert hash(HolonomyAlgebra(*fields.values())) == hash(hol) == hash(
-        tuple(fields.values()))
+        (model, hol.labels, hol.basis, frozenset(), hol.form, True))
     assert repr(hol) == "HolonomyAlgebra(" + ", ".join(
         f"{name}={value!r}" for name, value in fields.items()) + ")"
     parts = dict(holonomy=hol, brackets=triple.brackets, form=triple.form,
                  involution=(1, -1, -1))
     assert SymmetricTriple(**parts) == triple == symmetric_triple(model)
-    assert hash(triple) == hash(tuple(parts.values()))
+    assert hash(triple) == hash(
+        (hol, frozenset(triple.brackets.items()), triple.form, (1, -1, -1)))
     assert repr(triple) == "SymmetricTriple(" + ", ".join(
         f"{name}={value!r}" for name, value in parts.items()) + ")"
     with pytest.raises(AttributeError):
@@ -350,6 +350,38 @@ def test_holonomy_algebra_and_triple_are_immutable_values():
     with pytest.raises(AttributeError):
         triple.involution = ()
     assert hol.nondegenerate and triple.involution == (1, -1, -1)
+
+
+def test_record_brackets_keep_only_their_nonzero_entries_read_only():
+    triple = symmetric_triple(constant_curvature(3))
+    for record, n in ((triple.holonomy, 3), (triple, 6)):
+        assert record.brackets and all(
+            type(v) is Fraction and v != 0 for v in record.brackets.values())
+        assert all(0 <= i < n for key in record.brackets for i in key)
+        assert list(record.brackets) == sorted(record.brackets)
+        with pytest.raises(TypeError):
+            record.brackets[0, 0, 0] = Fraction(1)
+    # so(3) on R^3: each [h_i, h_j] (i != j) and [e_a, e_b] (a != b) has one
+    # term, and each h_i moves two of the three tangent vectors
+    assert len(triple.holonomy.brackets) == 6
+    assert len(triple.brackets) == 6 + 2 * 3 * 2 + 6
+
+
+def test_record_brackets_from_a_nested_array_or_a_mapping_agree():
+    triple = symmetric_triple(constant_curvature(3))
+    hol = triple.holonomy
+    for record, n in ((hol, 3), (triple, 6)):
+        fields = {name: getattr(record, name) for name in type(record)._fields}
+        dense = oracles.dense_brackets(record.brackets, n)
+        mapping = {**record.brackets, (0, 0, 0): 0}  # the zero is dropped
+        built = [type(record)(**{**fields, "brackets": brackets})
+                 for brackets in (dense, mapping)]
+        assert built[0] == built[1] == record
+        assert hash(built[0]) == hash(built[1]) == hash(record)
+    with pytest.raises(ValueError, match="expected 3\\^3 entries"):
+        HolonomyAlgebra(hol.model, hol.labels, hol.basis, ((0,),), hol.form, True)
+    with pytest.raises(ValueError, match="index \\(0, 0, 6\\) is outside 0..5"):
+        SymmetricTriple(hol, {(0, 0, 6): 1}, triple.form, triple.involution)
 
 
 def test_model_load_is_charged_dim_to_the_4(monkeypatch):

@@ -48,11 +48,13 @@ def assert_matches_oracles(model):
     expected = oracles.holonomy(R, g, d)
     triple = symmetric_triple(model)
     hol = triple.holonomy
-    assert_same((hol.labels, hol.basis, hol.brackets, hol.form, hol.nondegenerate),
+    brackets = oracles.dense_brackets(hol.brackets, hol.dim_h)
+    assert_same((hol.labels, hol.basis, brackets, hol.form, hol.nondegenerate),
                 expected)
-    assert_same((triple.brackets, triple.form, triple.involution),
+    assert_same((oracles.dense_brackets(triple.brackets, triple.dim), triple.form,
+                 triple.involution),
                 oracles.symmetric_triple(R, g, d, expected))
-    assert_same(so_isomorphism(hol), oracles.so_isomorphism(hol.basis, hol.brackets, d))
+    assert_same(so_isomorphism(hol), oracles.so_isomorphism(hol.basis, brackets, d))
     assert oracles.dense_tensor(model.weight_tensor()) == nested(
         oracles.curvature_weight_tensor(g, R, d))
     if hol.nondegenerate:
@@ -112,12 +114,14 @@ def test_so_isomorphism_rejects_brackets_that_are_not_so_d():
     model = models.space_form(4, 1)
     hol = holonomy_algebra(model)
     assert so_isomorphism(hol) is not None
-    brackets = [[list(row) for row in plane] for plane in hol.brackets]
+    brackets = [[list(row) for row in plane]
+                for plane in oracles.dense_brackets(hol.brackets, hol.dim_h)]
     k = next(k for k, v in enumerate(brackets[0][1]) if v)
     brackets[0][1][k], brackets[1][0][k] = -brackets[0][1][k], -brackets[1][0][k]
     wrong = HolonomyAlgebra(model, hol.labels, hol.basis, nested(brackets), hol.form,
                             hol.nondegenerate)
-    assert oracles.so_isomorphism(wrong.basis, wrong.brackets, 4) is None
+    assert oracles.so_isomorphism(
+        wrong.basis, oracles.dense_brackets(wrong.brackets, wrong.dim_h), 4) is None
     assert so_isomorphism(wrong) is None
 
 
@@ -230,7 +234,8 @@ def test_random_sparse_curvature_matches_the_oracle_with_checks_off():
             expected = str(exc)
         try:
             hol = holonomy_algebra(model, check_model=False)
-            got = (hol.labels, hol.basis, hol.brackets, hol.form, hol.nondegenerate)
+            got = (hol.labels, hol.basis, oracles.dense_brackets(hol.brackets, hol.dim_h),
+                   hol.form, hol.nondegenerate)
         except RuntimeError as exc:
             got = str(exc)
         assert got == expected

@@ -20,7 +20,7 @@ from .jsonio import (
     parse_entries,
     parse_matrix,
 )
-from .lie import MetrizedLieAlgebra, Representation, algebra_to_json_dict
+from .lie import MetrizedLieAlgebra, Representation, algebra_to_json_dict, so_algebra
 from .linalg import ReducedSpan, full_rank, is_symmetric, mat_inv, sparse_rank
 from .sparse import IntegerView, contract, dense_array, exact_entries, nonzero_entries
 from .tensors import WeightTensor, four_term_witness
@@ -156,11 +156,29 @@ def check_parallel_four_term(model: CurvatureModel):
         sum_x ( R[e][f][a][x] R[x][b][c][d] + R[e][f][b][x] R[a][x][c][d]
               + R[e][f][c][x] R[a][b][x][d] - R[e][f][x][d] R[a][b][c][x] )
 
-    must vanish; this is the same relation as the tensor-level four-term
-    check after raising an index with the metric.  Returns (True, None) or
-    (False, witness) with the lexicographically least witness.  The sum is
-    built from products of nonzero curvature entries only, in exact integer
-    arithmetic, so the cost scales with the number of those products.
+    must vanish.  With D = R(e_e, e_f) it is the e_d component of
+    R(De_a, e_b)e_c + R(e_a, De_b)e_c + R(e_a, e_b)De_c - D R(e_a, e_b)e_c,
+    so it vanishes exactly when every R(e, f) acts on R as a derivation.
+    Returns (True, None) or (False, witness) with the lexicographically
+    least witness.  The sum is built from products of nonzero curvature
+    entries only, in exact integer arithmetic, so the cost scales with the
+    number of those products, which is charged first.
+
+    For a model that passes ``validate``, the verdict is that of the tensor
+    four-term check on ``model.weight_tensor()``, so one run decides both.
+    That tensor raises the second slot, T[a][b][c][d] = sum_x g^{bx}
+    R[a][x][c][d], so the matrix T[e][f] is sum_y g^{fy} R(e_e, e_y).
+    Antisymmetry and pair symmetry make every R(e, y) skew for g, so raising
+    the second slot commutes with its derivation action: the incoming
+    second-slot term above, raised, is the tensor check's second-slot term
+    -sum_x T[e][f][x][b] T[a][x][c][d], and the other slots are not raised.
+    The tensor sum is linear in T[e][f], so at (a, b, c, d, e, f) it is
+
+        sum_y g^{fy} sum_z g^{bz} S(a, z, c, d, e, y)
+
+    with S the sum above.  g is nondegenerate, so one sum vanishes
+    everywhere exactly when the other does; their least witnesses can
+    differ, since the raising mixes indices.
     """
     witness = four_term_witness(IntegerView(model.entries, 4),
                                 _PARALLEL_FOUR_TERM)
@@ -202,16 +220,26 @@ class HolonomyAlgebra(Frozen):
 def holonomy_algebra(model: CurvatureModel, check_model: bool = True) -> HolonomyAlgebra:
     """Extract span{R(e_a, e_b)} with brackets and the induced form.
 
-    The well-definedness of the form and the commutator bracket identity
+    The span is reduced once, each generator pair is solved against that
+    one reduction, and brackets are formed between the generator labels
+    only.  Everything runs on the nonzero curvature entries as int
+    numerators over one denominator.  Two facts make this safe for a model
+    that passes ``validate`` and ``check_parallel_four_term``:
 
-        [R(X,Y), R(Z,W)] = R(R(X,Y)Z, W) + R(Z, R(X,Y)W)
+    - The induced form, read off the labels, is consistent on all pairs:
+      the lowered R(p, q) is linear in R(p), and by pair symmetry in R(q).
+    - The bracket identity
 
-    are verified on all generator pairs; failures raise RuntimeError since
-    they cannot occur for input passing the model checks.  Everything runs
-    on the nonzero curvature entries as int numerators over one
-    denominator.  The span is reduced once, and each generator pair and
-    basis commutator is then solved against that one reduction.  The
-    bracket identity's pairs^2 * d^3 is charged before anything is built.
+          [R(X,Y), R(Z,W)] = R(R(X,Y)Z, W) + R(Z, R(X,Y)W)
+
+      is the parallel four-term identity at generator pairs (e, f) = (X, Y)
+      and (a, b) = (Z, W), so every commutator lies in the span.
+
+    ``check_model=True`` runs both checks and raises ValueError on a
+    failure; ``check_model=False`` means the caller has already run them.
+    A commutator outside the span raises RuntimeError.  pairs^2 * d^3,
+    which bounds the m <= pairs commutators, is charged before anything is
+    built.
     """
     d = model.dim
     pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
@@ -226,64 +254,29 @@ def holonomy_algebra(model: CurvatureModel, check_model: bool = True) -> Holonom
         if not ok:
             raise ValueError(f"parallel four-term identity fails at {witness}")
     R = IntegerView(model.entries, 4)
-    endos = defaultdict(dict)  # R(e_a, e_b) for every a, b: {(row x, column c): int}
-    by_first = defaultdict(list)  # (a, b, c): [(x, R[a][b][c][x])]
+    endos = defaultdict(dict)  # R(e_a, e_b): {(row x, column c): int}
     for (a, b, c, x), v in R.entries.items():
         endos[a, b][x, c] = v
-        by_first[a, b, c].append((x, v))
     span = ReducedSpan()
     labels = [pair for pair in pairs if span.add(endos[pair])]
-    m = len(labels)
-    coords = {pair: span.coordinates(endos[pair]) for pair in pairs}
-    metric = IntegerView(model.metric, 2)
-    low = contract(R.entries, 3, metric.entries, 0)  # over R.den * metric.den
-    form_num = [[low.get(p + q, 0) for q in labels] for p in labels]
-    scale = span.den ** 2
-    for p in pairs:
-        via = [sum(c * row[j] for c, row in zip(coords[p], form_num) if c)
-               for j in range(m)]
-        for q in pairs:
-            if sum(map(int.__mul__, via, coords[q])) != scale * low.get(p + q, 0):
-                raise RuntimeError(
-                    f"induced form is inconsistent on generators {p}, {q}"
-                )
-    comms = {}  # [R(p), R(q)] for p < q, over R.den^2
-    for i, p in enumerate(pairs):
-        for q in pairs[i + 1:]:
-            comm = contract(endos[p], 1, endos[q], 0)
-            for key, v in contract(endos[q], 1, endos[p], 0).items():
-                comm[key] = comm.get(key, 0) - v
-            comms[p, q] = {key: v for key, v in comm.items() if v}
-    for p in pairs:
-        for q in pairs:
-            diff = defaultdict(int)
-            if p != q:
-                sign = 1 if p < q else -1
-                for key, v in comms[min(p, q), max(p, q)].items():
-                    diff[key] = sign * v
-            for x, v in by_first.get((*p, q[0]), ()):
-                for key, w in endos[x, q[1]].items():
-                    diff[key] -= v * w
-            for x, v in by_first.get((*p, q[1]), ()):
-                for key, w in endos[q[0], x].items():
-                    diff[key] -= v * w
-            if any(diff.values()):
-                raise RuntimeError(
-                    f"bracket identity fails on generators {p}, {q}"
-                )
     brackets = {}
     den = span.den * R.den
-    for i in range(m):
-        for j in range(i + 1, m):
-            c = span.coordinates(comms[labels[i], labels[j]])
+    for i, p in enumerate(labels):
+        for j, q in enumerate(labels[i + 1:], i + 1):
+            comm = contract(endos[p], 1, endos[q], 0)  # [R(p), R(q)]
+            for key, v in contract(endos[q], 1, endos[p], 0).items():
+                comm[key] = comm.get(key, 0) - v
+            c = span.coordinates(comm)
             if c is None:
                 raise RuntimeError("holonomy commutator escapes the span")
             for k, v in enumerate(c):
                 if v:
                     brackets[i, j, k] = Fraction(v, den)
                     brackets[j, i, k] = Fraction(-v, den)
-    form = tuple(tuple(Fraction(v, R.den * metric.den) for v in row)
-                 for row in form_num)
+    metric = IntegerView(model.metric, 2)
+    low = contract(R.entries, 3, metric.entries, 0)  # over R.den * metric.den
+    form = tuple(tuple(Fraction(low.get(p + q, 0), R.den * metric.den) for q in labels)
+                 for p in labels)
     return HolonomyAlgebra(
         model,
         tuple(labels),
@@ -291,7 +284,8 @@ def holonomy_algebra(model: CurvatureModel, check_model: bool = True) -> Holonom
         brackets,
         form,
         full_rank(form),
-        {pair: tuple(Fraction(v, span.den) for v in c) for pair, c in coords.items()},
+        {pair: tuple(Fraction(v, span.den) for v in span.coordinates(endos[pair]))
+         for pair in pairs},
     )
 
 
@@ -406,8 +400,6 @@ def so_isomorphism(holonomy: HolonomyAlgebra):
     endomorphisms are plainly antisymmetric matrices; the returned matrix P
     satisfies [P e_i, P e_j] = P [e_i, e_j] for the two bracket tables.
     """
-    from .lie import so_standard
-
     d = holonomy.model.dim
     if d < 2:
         return None
@@ -423,11 +415,10 @@ def so_isomorphism(holonomy: HolonomyAlgebra):
         P.append([mat[i][j] for (i, j) in pairs])
     if not full_rank(P):
         return None
-    so = so_standard(d).algebra
     # sum_k f_h[i][j][k] P[k][l] against sum_{a,b} P[i][a] P[j][b] f_so[a][b][l],
     # one index at a time, keyed (i, j, l)
     f_h = IntegerView(holonomy.brackets, 3)
-    f_so = IntegerView(so.entries, 3)
+    f_so = IntegerView(so_algebra(d).entries, 3)
     Pv = IntegerView(P, 2)
     lhs = contract(f_h.entries, 2, Pv.entries, 0)
     rhs = contract(Pv.entries, 1, contract(Pv.entries, 1, f_so.entries, 1), 1)

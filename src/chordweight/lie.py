@@ -270,7 +270,7 @@ def sl2_standard() -> Representation:
     return Representation(algebra, matrices)
 
 
-def so_standard(n: int) -> Representation:
+def so_algebra(n: int) -> MetrizedLieAlgebra:
     """so(n) on the antisymmetric basis A_ij = E_ij - E_ji (i < j, lex order).
 
     The brackets are [A_ij, A_kl] = d_jk A_il - d_ik A_jl - d_jl A_ik + d_il A_jk,
@@ -290,9 +290,15 @@ def so_standard(n: int) -> Representation:
                     brackets[a, b, index[min(p, q), max(p, q)]] += sign if p < q else -sign
     m = len(pairs)
     form = [[-int(a == b) for b in range(m)] for a in range(m)]
+    return MetrizedLieAlgebra(brackets, form)
+
+
+def so_standard(n: int) -> Representation:
+    """so(n), as ``so_algebra`` builds it, on its standard module R^n."""
+    algebra = so_algebra(n)
     basis = [[[int((r, c) == (i, j)) - int((r, c) == (j, i)) for c in range(n)]
-              for r in range(n)] for i, j in pairs]
-    return Representation(MetrizedLieAlgebra(brackets, form), basis)
+              for r in range(n)] for i in range(n) for j in range(i + 1, n)]
+    return Representation(algebra, basis)
 
 
 def abelian(m: int) -> Representation:

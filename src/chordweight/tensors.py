@@ -115,9 +115,15 @@ def four_term_witness(view: IntegerView, terms):
     term and sign * sum_x Q[x][w] P[.. x in slot s ..] for an outgoing one,
     where w is the free index that slot s carries in the witness.  The full
     sum is built from products of nonzero entries only, keyed by the witness
-    tuple, so the cost scales with the number of nonzero products; the
-    lexicographically least nonzero key is returned, or None.
+    tuple, so the cost scales with the number of nonzero products.  That
+    number, sum over slots and x of |entries of Q moving x| * |entries with
+    x in slot s|, is read off the slot indexes and charged before the loop.
+    The lexicographically least nonzero key is returned, or None.
     """
+    work = sum(len(moves) * len(view.by_slot(slot).get(x, ()))
+               for slot, (_, outgoing) in enumerate(terms)
+               for x, moves in view.by_slot(2 if outgoing else 3).items())
+    charge_work(work, f"the four-term check needs {work} products of nonzero entries")
     sums = defaultdict(int)
     for slot, (sign, outgoing) in enumerate(terms):
         index = view.by_slot(slot)

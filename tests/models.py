@@ -1,9 +1,10 @@
 """Seeded curvature models and representations for the exact-equality tests.
 
 Space forms in every signature, complex projective space with the
-Fubini-Study curvature, products of models, and the same models in a dense
-unimodular basis.  Changes of basis are computed here in plain Fraction
-arithmetic, one tensor slot at a time; the package only builds the objects.
+Fubini-Study curvature, products of models, Kulkarni-Nomizu products, and
+the same models in a dense unimodular basis.  Changes of basis are computed
+here in plain Fraction arithmetic, one tensor slot at a time; the package
+only builds the objects.
 """
 
 from __future__ import annotations
@@ -102,6 +103,25 @@ def product_model(first: CurvatureModel, second: CurvatureModel) -> CurvatureMod
                 riemann[a + shift][b + shift][c + shift][x + shift] = (
                     part.entries.get((a, b, c, x), 0))
     return CurvatureModel(metric, riemann)
+
+
+def kulkarni_nomizu(metric, h) -> CurvatureModel:
+    """The model with metric g whose lowered curvature is g (.) h.
+
+    (g (.) h)(a, b, c, x) = g_ax h_bc + g_bc h_ax - g_ac h_bx - g_bx h_ac.  For
+    a symmetric h it has every algebraic symmetry of a curvature tensor, and
+    it is parallel when h is a multiple of g.
+    """
+    d = len(metric)
+    g = [[Fraction(v) for v in row] for row in metric]
+    ginv = oracles.dense_inverse(g)
+    low = {(a, b, c, x): g[a][x] * h[b][c] + g[b][c] * h[a][x]
+           - g[a][c] * h[b][x] - g[b][x] * h[a][c]
+           for a, b, c, x in _keys(d)}
+    riemann = [[[[sum(low[a, b, c, y] * ginv[y][x] for y in range(d))
+                  for x in range(d)] for c in range(d)] for b in range(d)]
+               for a in range(d)]
+    return CurvatureModel(g, riemann)
 
 
 def sparse_model(d: int, entries: dict) -> CurvatureModel:

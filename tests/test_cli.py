@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import chordweight
+import models
 from chordweight import (
     ChordDiagram,
     WeightTensor,
@@ -114,6 +115,22 @@ def test_check_refuses_a_dense_load_of_dimension_200_at_once(tmp_path, kind):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.endswith(
         "dimension 200 needs dim^4 = 1600000000 entries, limit is 10000000\n")
+    assert elapsed < 1
+
+
+def test_check_refuses_the_four_term_sum_of_a_dense_12_sphere_at_once(tmp_path):
+    """A 12-sphere in a dense unimodular basis: 20,164 nonzero weight-tensor
+    entries, whose four-term sum needs 135,527,440 nonzero products."""
+    P = models.dense_unimodular(12, random.Random(2))
+    metric = [[sum(P[k][i] * P[k][j] for k in range(12)) for j in range(12)]
+              for i in range(12)]
+    tensor = constant_curvature(12, metric).weight_tensor()
+    assert len(tensor.entries) == 20164
+    path = write_json(tmp_path / "sphere12-dense.json", tensor.to_json_dict())
+    proc, elapsed = run_cli("check", "--tensor", path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: the four-term check needs 135527440 products of "
+                           "nonzero entries, limit is 10000000\n")
     assert elapsed < 1
 
 
@@ -331,6 +348,10 @@ PINNED = Path(__file__).parent / "pinned"
     for ext, fmt in (("txt", "text"), ("json", "json"))
 ] + [
     ("holonomy-sphere12.txt", ["holonomy", "--curvature", str(PINNED / "sphere12.json")]),
+] + [
+    (f"check-curvature-fail-kn3-dense.{ext}",
+     ["check", "--curvature", str(PINNED / "kn3-dense.json"), "--format", fmt])
+    for ext, fmt in (("txt", "text"), ("json", "json"))
 ])
 def test_output_matches_pinned_text(capsys, name, argv):
     """A failing verdict, named -fail- in its file, exits 1."""

@@ -1,10 +1,13 @@
 """Curvature models, holonomy extraction, triples, and realizability."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import models
 import oracles
 from models import dense_unimodular, signature_metric
 from chordweight import (
@@ -34,6 +37,9 @@ from chordweight.curvature import (
 )
 from chordweight.jsonio import JSONFormatError
 from chordweight.acceptance import form_signature
+
+
+PINNED = Path(__file__).parent / "pinned"
 
 
 def indefinite_metric(d):
@@ -131,6 +137,62 @@ def test_parallel_four_term_agrees_with_tensor_check():
     raised, _ = check_four_term(bad.weight_tensor())
     assert direct is raised
     assert direct  # Bianchi failure alone does not break the four-term sum
+
+
+def _four_term_verdict_models():
+    """(name, model): every model kind of tests/models.py, each also in a dense
+    unimodular basis, and seeded Kulkarni-Nomizu products g (.) h."""
+    kinds = [(f"space-form-d{d}-k{k}-neg{n}", models.space_form(d, k, n))
+             for d in range(2, 5) for k in (-1, 0, 2) for n in range(d + 1)]
+    kinds += [("cp1", models.complex_projective(1)),
+              ("cp2", models.complex_projective(2)),
+              ("s2xh2", models.product_model(models.space_form(2, 1),
+                                             models.space_form(2, -1))),
+              ("s2xr1", models.product_model(models.space_form(2, 1),
+                                             models.space_form(1, 0)))]
+    out = kinds + [(f"{name}-dense", models.rebase(model, dense_unimodular(
+        model.dim, random.Random(name)))) for name, model in kinds]
+    rng = random.Random(17)
+    for d in range(2, 5):
+        for negatives in range(d + 1):
+            g = signature_metric(d, negatives)
+            for k in range(3):  # h = a multiple of g for k = 2: parallel
+                h = [[0] * d for _ in range(d)]
+                for i in range(d):
+                    for j in range(i, d):
+                        h[i][j] = h[j][i] = rng.randint(-2, 2)
+                if k == 2:
+                    h = [[h[0][0] * v for v in row] for row in g]
+                out.append((f"kn-d{d}-neg{negatives}-{k}", models.kulkarni_nomizu(g, h)))
+    with open(PINNED / "kn3-dense.json", encoding="utf-8") as fh:
+        out.append(("kn3-dense", model_from_json_dict(json.load(fh))))
+    return out
+
+
+def test_parallel_and_tensor_four_term_verdicts_agree_on_valid_models():
+    """The proof in check_parallel_four_term's docstring, on every model kind."""
+    verdicts = {}
+    for name, model in _four_term_verdict_models():
+        assert model.validate() == (True, None), name
+        direct, _ = check_parallel_four_term(model)
+        raised, _ = check_four_term(model.weight_tensor())
+        assert direct is raised, name
+        verdicts[name] = direct
+    kn = [ok for name, ok in verdicts.items() if name.startswith("kn-")]
+    assert len(kn) == 36 and True in kn and False in kn
+    assert not verdicts["kn3-dense"]
+
+
+def test_pinned_kn3_dense_model_is_g_times_diag_123_rebased():
+    diag123 = [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
+    model = models.rebase(models.kulkarni_nomizu(signature_metric(3, 0), diag123),
+                          dense_unimodular(3, random.Random(1)))
+    with open(PINNED / "kn3-dense.json", encoding="utf-8") as fh:
+        pinned = model_from_json_dict(json.load(fh))
+    assert (pinned.metric, pinned.entries) == (model.metric, model.entries)
+    assert model.validate() == (True, None)
+    assert check_parallel_four_term(model) == (False, (0, 1, 0, 0, 0, 1))
+    assert check_four_term(model.weight_tensor()) == (False, (0, 0, 0, 0, 0, 1))
 
 
 def test_model_checks_gate_holonomy():

@@ -13,6 +13,7 @@ from chordweight import (
     WeightTensor,
     WorkLimitExceeded,
     check_four_term,
+    check_parallel_four_term,
     constant_curvature,
     enumerate_diagrams,
     evaluate,
@@ -147,6 +148,26 @@ def test_contraction_is_charged_its_plan_cost(monkeypatch):
                        match=rf"d\^\(arcs touched\) = {cost} products, "
                              rf"limit is {cost - 1}"):
         evaluate(SO4, crossing)
+
+
+def test_four_term_checks_are_charged_their_nonzero_products(monkeypatch):
+    """Each term pairs an entry of Q = P[e][f] with every entry holding, in
+    the term's slot, the index that Q moves: one product per pair."""
+    model = constant_curvature(3)
+    checks = [(check_four_term, model.weight_tensor(), (1, 3)),
+              (check_parallel_four_term, model, (3,))]
+    for check, arg, outgoing in checks:
+        entries = arg.entries
+        products = sum(key[s] == (p if s in outgoing else q)
+                       for s in range(4) for (_, _, p, q) in entries for key in entries)
+        assert products == 192
+        monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", str(products))
+        assert check(arg) == (True, None)
+        monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", str(products - 1))
+        with pytest.raises(WorkLimitExceeded, match=(
+                "^the four-term check needs 192 products of nonzero entries, "
+                "limit is 191$")):
+            check(arg)
 
 
 def test_tensor_load_is_charged_dim_to_the_4(monkeypatch):

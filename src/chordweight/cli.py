@@ -18,6 +18,7 @@ from .curvature import (
     check_parallel_four_term,
     curvature_symmetries,
     holonomy_algebra,  # noqa: F401  re-exported; tracers wrap it in this namespace too
+    model_failure_text,
     model_from_json_dict,
     so_isomorphism,
     symmetric_triple,
@@ -114,7 +115,8 @@ def _tensor_from_args(args) -> WeightTensor:
     model = model_from_json_dict(_load_json(args.curvature))
     ok, why = model.validate()
     if not ok:
-        raise CLIError(f"{args.curvature}: invalid curvature model: {why}")
+        raise CLIError(f"{args.curvature}: invalid curvature model: "
+                       f"{model_failure_text(why)}")
     return model.weight_tensor()
 
 
@@ -242,7 +244,7 @@ def _cmd_check(args, out) -> int:
     else:
         model = model_from_json_dict(_load_json(args.curvature))
         ok, why = model.validate()
-        rows.append(("curvature-model", ok, why))
+        rows.append(("curvature-model", ok, None if ok else model_failure_text(why)))
         if ok:
             pok, witness = check_parallel_four_term(model)
             rows.append(("parallel-four-term", pok, witness))
@@ -257,7 +259,7 @@ def _cmd_holonomy(args, out) -> int:
     model = model_from_json_dict(_load_json(args.curvature))
     ok, why = model.validate()
     if not ok:
-        print(f"invalid curvature model: {why}", file=sys.stderr)
+        print(f"invalid curvature model: {model_failure_text(why)}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     pok, witness = check_parallel_four_term(model)
     if not pok:

@@ -59,8 +59,8 @@ class CurvatureModel:
         R = IntegerView(self.entries, 4)
         den = ginv.den * R.den
         return WeightTensor(self.dim, (
-            ((a, b, c, dd), Fraction(v, den))
-            for (b, a, c, dd), v in contract(ginv.entries, 1, R.entries, 1).items()
+            (key, Fraction(v, den))
+            for key, v in contract("axcd", R.entries, "bx", ginv.entries, "abcd").items()
         ))
 
     def endomorphism(self, a: int, b: int) -> tuple:
@@ -87,7 +87,7 @@ class CurvatureModel:
         failure = _skew_or_bianchi_failure(R)
         if failure is not None:
             return False, failure
-        low = contract(R, 3, IntegerView(self.metric, 2).entries, 0)  # lowered R
+        low = contract("abcx", R, "xd", IntegerView(self.metric, 2).entries, "abcd")
         bad = [key for (a, b, c, x), v in low.items()
                if v != low.get((c, x, a, b), 0)
                for key in ((a, b, c, x), (c, x, a, b))]
@@ -97,6 +97,12 @@ class CurvatureModel:
 
     def __repr__(self):
         return f"CurvatureModel(dim={self.dim})"
+
+
+def model_failure_text(why) -> str:
+    """A ``validate`` failure (name, witness) as ``name`` or ``name (i, j, k, l)``."""
+    name, witness = why
+    return name if witness is None else f"{name} {witness}"
 
 
 def _skew_or_bianchi_failure(R: dict):
@@ -143,9 +149,10 @@ def constant_curvature(dim: int, metric=None, kappa=1) -> CurvatureModel:
     return CurvatureModel(g, entries)
 
 
-# The parallel four-term sum's terms, as (sign, outgoing) per slot of the
-# second factor; see tensors.four_term_witness.
-_PARALLEL_FOUR_TERM = ((1, False), (1, False), (1, False), (-1, True))
+# (sign, Q labels, P labels) of each term of the parallel four-term sum; see
+# tensors.four_term_witness and check_parallel_four_term.
+_PARALLEL_FOUR_TERM = ((1, "efax", "xbcd"), (1, "efbx", "axcd"),
+                       (1, "efcx", "abxd"), (-1, "efxd", "abcx"))
 
 
 def check_parallel_four_term(model: CurvatureModel):
@@ -249,7 +256,7 @@ def holonomy_algebra(model: CurvatureModel, check_model: bool = True) -> Holonom
     if check_model:
         ok, why = model.validate()
         if not ok:
-            raise ValueError(f"curvature model fails {why[0]} check at {why[1]}")
+            raise ValueError(f"invalid curvature model: {model_failure_text(why)}")
         ok, witness = check_parallel_four_term(model)
         if not ok:
             raise ValueError(f"parallel four-term identity fails at {witness}")
@@ -263,10 +270,9 @@ def holonomy_algebra(model: CurvatureModel, check_model: bool = True) -> Holonom
     den = span.den * R.den
     for i, p in enumerate(labels):
         for j, q in enumerate(labels[i + 1:], i + 1):
-            comm = contract(endos[p], 1, endos[q], 0)  # [R(p), R(q)]
-            for key, v in contract(endos[q], 1, endos[p], 0).items():
-                comm[key] = comm.get(key, 0) - v
-            c = span.coordinates(comm)
+            comm = contract("xy", endos[p], "yc", endos[q], "xc")  # [R(p), R(q)]
+            c = span.coordinates(contract("xy", endos[q], "yc", endos[p], "xc",
+                                          comm, -1))
             if c is None:
                 raise RuntimeError("holonomy commutator escapes the span")
             for k, v in enumerate(c):
@@ -274,7 +280,8 @@ def holonomy_algebra(model: CurvatureModel, check_model: bool = True) -> Holonom
                     brackets[i, j, k] = Fraction(v, den)
                     brackets[j, i, k] = Fraction(-v, den)
     metric = IntegerView(model.metric, 2)
-    low = contract(R.entries, 3, metric.entries, 0)  # over R.den * metric.den
+    # the lowered curvature, over R.den * metric.den
+    low = contract("abcx", R.entries, "xd", metric.entries, "abcd")
     form = tuple(tuple(Fraction(low.get(p + q, 0), R.den * metric.den) for q in labels)
                  for p in labels)
     return HolonomyAlgebra(
@@ -420,33 +427,37 @@ def so_isomorphism(holonomy: HolonomyAlgebra):
     f_h = IntegerView(holonomy.brackets, 3)
     f_so = IntegerView(so_algebra(d).entries, 3)
     Pv = IntegerView(P, 2)
-    lhs = contract(f_h.entries, 2, Pv.entries, 0)
-    rhs = contract(Pv.entries, 1, contract(Pv.entries, 1, f_so.entries, 1), 1)
-    scale_lhs, scale_rhs = Pv.den * f_so.den, f_h.den
-    if ({key: v * scale_lhs for key, v in lhs.items()}
-            != {key: v * scale_rhs for key, v in rhs.items()}):
+    lhs = contract("ijk", f_h.entries, "kl", Pv.entries, "ijl", scale=Pv.den * f_so.den)
+    half = contract("jb", Pv.entries, "abl", f_so.entries, "jal")
+    if lhs != contract("ia", Pv.entries, "jal", half, "ijl", scale=f_h.den):
         return None
     return tuple(tuple(row) for row in P)
 
 
-def _lowered_casimir(rep: Representation, form_v) -> tuple:
+def _lowering(rep: Representation, form_v) -> tuple:
     """(F, {(a, b, c, d): int}, den): form_v as Fractions, rho(C) lowered by it.
 
-    The lowered tensor is sum_{x,y} rho(C)(a,x,c,y) F[x][b] F[y][d]; F must
-    be square of the module dimension and nondegenerate.
+    F must be square of the module dimension and nondegenerate.  The last
+    lowering is kept on ``rep``, so ``curvature_symmetries`` and then
+    ``triple_from_rep`` on one form lower rho(C) once.
     """
     d = rep.dimV
-    F = [[Fraction(v) for v in row] for row in form_v]
+    F = tuple(tuple(Fraction(v) for v in row) for row in form_v)
     if len(F) != d or any(len(row) != d for row in F):
         raise ValueError("form must be square of the module dimension")
     if not full_rank(F):
         raise ValueError("form is degenerate")
+    if rep._lowering is None or rep._lowering[0] != F:
+        rep._lowering = (F, *_lowered_casimir(rep, F))
+    return rep._lowering
+
+
+def _lowered_casimir(rep: Representation, F) -> tuple:
+    """({(a, b, c, d): int}, den): sum_{x,y} rho(C)(a,x,c,y) F[x][b] F[y][d]."""
     T = IntegerView(rep.weight_tensor().entries, 4)
     form = IntegerView(F, 2)
-    # keyed (a, c, y, b), then (a, c, b, d)
-    low = contract(contract(T.entries, 1, form.entries, 0), 2, form.entries, 0)
-    return (F, {(a, b, c, dd): v for (a, c, b, dd), v in low.items()},
-            T.den * form.den ** 2)
+    half = contract("axcy", T.entries, "xb", form.entries, "acyb")
+    return contract("acyb", half, "yd", form.entries, "abcd"), T.den * form.den ** 2
 
 
 def _symmetry_verdict(low: dict):
@@ -466,7 +477,7 @@ def curvature_symmetries(rep: Representation, form_v):
     with the lexicographically least witness.  Returns ("pass", None),
     ("fail(skew)", witness) or ("fail(bianchi)", witness).
     """
-    return _symmetry_verdict(_lowered_casimir(rep, form_v)[1])
+    return _symmetry_verdict(_lowering(rep, form_v)[1])
 
 
 def triple_from_rep(rep: Representation, form_v) -> SymmetricTriple:
@@ -477,7 +488,7 @@ def triple_from_rep(rep: Representation, form_v) -> SymmetricTriple:
     The resulting model's weight tensor is rho(C) again, so the triple's
     holonomy representation reproduces it.
     """
-    F, low, den = _lowered_casimir(rep, form_v)
+    F, low, den = _lowering(rep, form_v)
     verdict, witness = _symmetry_verdict(low)
     if verdict != "pass":
         raise ValueError(
@@ -488,7 +499,7 @@ def triple_from_rep(rep: Representation, form_v) -> SymmetricTriple:
     ginv = IntegerView(mat_inv(F), 2)
     return symmetric_triple(CurvatureModel(F, {
         key: Fraction(v, den * ginv.den)
-        for key, v in contract(low, 3, ginv.entries, 0).items()}))
+        for key, v in contract("abcx", low, "xd", ginv.entries, "abcd").items()}))
 
 
 def model_to_json_dict(model: CurvatureModel) -> dict:

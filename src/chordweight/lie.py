@@ -71,21 +71,18 @@ class MetrizedLieAlgebra:
         if bad:
             return False, "antisymmetry fails at (i,j,k)=({},{},{})".format(*min(bad))
         # J(i,j,k,l) = S(i,j,k) + S(j,k,i) + S(k,i,j) with
-        # S(a,b,c) = sum_x f[a][b][x] f[x][c][l]; for f[p][q][x] with p < q,
-        # the third index c lands first, last, or (with sign -1 from
-        # f[k][i] = -f[i][k]) in the middle of the sorted triple.
+        # S(p,q,c) = sum_x f[p][q][x] f[x][c][l]; for p < q, the third index
+        # c lands first, last, or (with sign -1 from f[k][i] = -f[i][k]) in
+        # the middle of the sorted triple.
+        half = {(p, q, x): u for (p, q, x), u in f.entries.items() if p < q}
         jacobi = defaultdict(int)
-        first = f.by_slot(0)
-        for (p, q, x), u in f.entries.items():
-            if p >= q:
-                continue
-            for (_, c, l), v in first.get(x, ()):
-                if c > q:
-                    jacobi[p, q, c, l] += u * v
-                elif c < p:
-                    jacobi[c, p, q, l] += u * v
-                elif p < c < q:
-                    jacobi[p, c, q, l] -= u * v
+        for (p, q, c, l), v in contract("pqx", half, "xcl", f.entries, "pqcl").items():
+            if c > q:
+                jacobi[p, q, c, l] += v
+            elif c < p:
+                jacobi[c, p, q, l] += v
+            elif p < c < q:
+                jacobi[p, c, q, l] -= v
         witness = least_nonzero(jacobi)
         if witness is not None:
             return False, (
@@ -97,14 +94,9 @@ class MetrizedLieAlgebra:
         if not full_rank(B):
             return False, "form is degenerate"
         # sum_k f[z][x][k] B[k][y] + f[z][y][k] B[x][k], keyed by (z, x, y)
-        form = IntegerView(B, 2)
-        rows, cols = form.by_slot(0), form.by_slot(1)
-        invariance = defaultdict(int)
-        for (z, a, k), u in f.entries.items():
-            for (_, y), v in rows.get(k, ()):
-                invariance[z, a, y] += u * v
-            for (x, _), v in cols.get(k, ()):
-                invariance[z, x, a] += u * v
+        form = IntegerView(B, 2).entries
+        invariance = contract("zxk", f.entries, "ky", form, "zxy")
+        contract("zyk", f.entries, "xk", form, "zxy", invariance)
         witness = least_nonzero(invariance)
         if witness is not None:
             return False, (
@@ -121,10 +113,9 @@ class MetrizedLieAlgebra:
         C = IntegerView(self.casimir(), 2)
         f = IntegerView(self.entries, 3)
         den = C.den ** 2 * f.den
-        # sum_a C[i][a] f[a][b][k] keyed (i, b, k), then sum_b C[j][b] .. keyed (j, i, k)
-        half = contract(C.entries, 1, f.entries, 0)
-        return {(i, j, k): Fraction(v, den)
-                for (j, i, k), v in contract(C.entries, 1, half, 1).items()}
+        half = contract("ia", C.entries, "abk", f.entries, "ibk")
+        return {key: Fraction(v, den)
+                for key, v in contract("ibk", half, "jb", C.entries, "ijk").items()}
 
     def __repr__(self):
         return f"MetrizedLieAlgebra(dim={self.dim})"
@@ -154,6 +145,7 @@ class Representation:
         self.matrices = matrices
         self.dimV = inferred
         self._weight_tensor = None
+        self._lowering = None  # (form, rho(C) lowered by it): see curvature._lowering
 
     def validate(self):
         """Check rho([e_i, e_j]) == rho_i rho_j - rho_j rho_i for all i < j.
@@ -164,15 +156,14 @@ class Representation:
         f = IntegerView(self.algebra.entries, 3)
         rho = IntegerView(self.matrices, 3)
         # rho([e_i, e_j]) - [rho_i, rho_j] over f.den * rho.den^2, keyed (i, j, r, c)
-        diff = defaultdict(int)
-        for (i, j, r, c), v in contract(f.entries, 2, rho.entries, 0).items():
+        half = {(i, j, k): v for (i, j, k), v in f.entries.items() if i < j}
+        diff = contract("ijk", half, "krc", rho.entries, "ijrc", scale=rho.den)
+        for (i, r, j, c), v in contract("irx", rho.entries, "jxc", rho.entries,
+                                        "irjc").items():
             if i < j:
-                diff[i, j, r, c] += v * rho.den
-        for (i, r, j, c), v in contract(rho.entries, 2, rho.entries, 1).items():
-            if i < j:
-                diff[i, j, r, c] -= v * f.den
+                diff[i, j, r, c] = diff.get((i, j, r, c), 0) - v * f.den
             elif j < i:
-                diff[j, i, r, c] += v * f.den
+                diff[j, i, r, c] = diff.get((j, i, r, c), 0) + v * f.den
         witness = least_nonzero(diff)
         if witness is not None:
             return False, "bracket compatibility fails at (i,j)=({},{})".format(*witness)
@@ -187,11 +178,10 @@ class Representation:
             C = IntegerView(self.algebra.casimir(), 2)
             rho = IntegerView(self.matrices, 3)
             den = C.den * rho.den ** 2
-            # sum_j C[i][j] rho_j[d][c] keyed (i, d, c), then sum_i rho_i[b][a] ..
-            inner = contract(C.entries, 1, rho.entries, 0)
+            inner = contract("ij", C.entries, "jdc", rho.entries, "idc")
             self._weight_tensor = WeightTensor(self.dimV, (
-                ((a, b, c, dd), Fraction(v, den))
-                for (b, a, dd, c), v in contract(rho.entries, 0, inner, 0).items()
+                (key, Fraction(v, den))
+                for key, v in contract("iba", rho.entries, "idc", inner, "abcd").items()
             ))
         return self._weight_tensor
 
@@ -221,36 +211,20 @@ def check_exchange_identity(rep: Representation):
     t = IntegerView(rep.weight_tensor().entries, 4)
     y = IntegerView(rep.algebra.structure_tensor(), 3)
     rho = IntegerView(rep.matrices, 3)
-    by_index = rho.by_slot(0)
-    mid_k = defaultdict(int)  # (i, j, e, f): sum_k Y[i][j][k] rho_k[f][e]
-    for (i, j, k), u in y.entries.items():
-        for (_, f, e), v in by_index.get(k, ()):
-            mid_k[i, j, e, f] += u * v
-    mid_j = defaultdict(int)  # (i, c, d, e, f): sum_j ... rho_j[d][c]
-    for (i, j, e, f), u in mid_k.items():
-        if u:
-            for (_, d, c), v in by_index.get(j, ()):
-                mid_j[i, c, d, e, f] += u * v
+    # sum_k Y[i][j][k] rho_k[f][e], then sum_j .. rho_j[d][c]
+    mid = contract("ijk", y.entries, "kfe", rho.entries, "ijfe")
+    mid = contract("ijfe", mid, "jdc", rho.entries, "ifedc")
     # lhs - mid and rhs - mid over the common denominator t.den^2 y.den rho.den^3
-    scale_t = y.den * rho.den ** 3
-    scale_mid = t.den ** 2
-    lhs = defaultdict(int)
-    for (i, c, d, e, f), u in mid_j.items():
-        if u:
-            u *= scale_mid
-            for (_, b, a), v in by_index.get(i, ()):
-                lhs[a, b, c, d, e, f] -= u * v
-    rhs = defaultdict(int, lhs)
-    first, second = t.by_slot(0), t.by_slot(1)
-    for (a, b, p, q), u in t.entries.items():
-        u *= scale_t
-        for (_, r, s, w), v in first.get(b, ()):
-            lhs[a, r, s, w, p, q] += u * v
-            lhs[a, r, p, q, s, w] -= u * v
-        for (_, r, s, w), v in first.get(q, ()):
-            rhs[a, b, p, r, s, w] += u * v
-        for (c, _, s, w), v in second.get(p, ()):
-            rhs[a, b, c, q, s, w] -= u * v
+    lhs = contract("ifedc", mid, "iba", rho.entries, "abcdef", scale=-t.den ** 2)
+    rhs = dict(lhs)
+    scale = y.den * rho.den ** 3
+    # sum_x T(a,x,p,q) T(x,b,s,w) is both lhs terms, with (p,q) and (s,w) swapped
+    for (a, p, q, b, s, w), v in contract("axpq", t.entries, "xbsw", t.entries,
+                                          "apqbsw", scale=scale).items():
+        lhs[a, b, s, w, p, q] = lhs.get((a, b, s, w, p, q), 0) + v
+        lhs[a, b, p, q, s, w] = lhs.get((a, b, p, q, s, w), 0) - v
+    contract("abcx", t.entries, "xdef", t.entries, "abcdef", rhs, scale)
+    contract("abxd", t.entries, "cxef", t.entries, "abcdef", rhs, -scale)
     witness = least_nonzero(lhs, rhs)
     return witness is None, witness
 

@@ -2,14 +2,21 @@
 
 The identity checks only ever need the nonzero entries of their inputs.  An
 ``IntegerView`` keeps those entries as ``int`` numerators over one common
-denominator, so the inner loops multiply and add Python ints, and groups
-them by the index in one slot, the slot a contraction runs over.  A check
-never divides: a sum of products of entries vanishes exactly when the same
-sum of numerator products does.
+denominator, so the inner loops multiply and add Python ints, and can
+group them by the index in one slot, to count the products that a sum over
+that slot forms before forming them.
 
-A derived tensor (a weight tensor, the structure tensor) is built the same
-way: ``contract`` sums products of nonzero numerators over one index at a
-time, and the result is divided by the product of the denominators once.
+Every identity the package checks, and every tensor it derives (a weight
+tensor, the structure tensor, the lowered curvature), is a sum of products
+of two such tables over the indices they share.  ``contract`` is that one
+sum.  The slots of each table are named by labels: a string such as
+``"efax"`` names four slots by letter, and the evaluator names its slots by
+arc.  ``contract("efax", Q, "xbcd", P, "abcdef")`` is sum_x Q[e][f][a][x]
+P[x][b][c][d] keyed (a, b, c, d, e, f): every label the two tables share
+is summed, and ``out_labels`` orders the labels that are left, each once.
+A derived tensor is divided by the product of the denominators once, at
+the end.  A check never divides: a sum of products of entries vanishes
+exactly when the same sum of numerator products does.
 
 ``exact_entries`` makes the one storage of every rank-3 and rank-4 exact
 tensor: its nonzero entries only.
@@ -20,7 +27,9 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
+from operator import itemgetter
 from types import MappingProxyType
 
 _ZERO = Fraction(0)
@@ -106,20 +115,70 @@ def least_nonzero(*sums):
                default=None)
 
 
-def contract(left: dict, i: int, right: dict, j: int) -> dict:
-    """sum_x left[.. x in slot i ..] * right[.. x in slot j ..], nonzero sums only.
+def _picker(positions):
+    """key -> the tuple of its entries at ``positions``; a slice if contiguous."""
+    start = positions[0] if positions else 0
+    if positions == list(range(start, start + len(positions))):
+        return itemgetter(slice(start, start + len(positions)))
+    return itemgetter(*positions)
 
-    Both are {index tuple: int} dicts.  A key of the result is the left key
-    without slot i followed by the right key without slot j.
+
+@lru_cache(maxsize=1024)
+def _plan(left, right, out):
+    """Key pickers of a contraction of labels ``left`` and ``right`` into ``out``.
+
+    Returns (on_left, on_right, head, tail, place): ``on_left`` and
+    ``on_right`` read a key's shared indices, ``tail`` the rest of a right
+    key.  An output key is head(left key) + tail when ``out`` lists the
+    left's kept labels, then the right's; otherwise ``head`` is None and it
+    is place(left key + tail).
     """
+    shared = [x for x in left if x in right]
+    kept = [x for x in left if x not in shared]
+    tail = [x for x in right if x not in shared]
+    if (len(set(left)) < len(left) or len(set(right)) < len(right)
+            or len(out) != len(kept + tail) or set(out) != set(kept + tail)):
+        raise ValueError(f"cannot contract {left!r} with {right!r} into {out!r}: "
+                         "each unshared label must be kept once")
+    on_left, on_right = (itemgetter(*map(labels.index, shared)) if shared
+                         else itemgetter(slice(0)) for labels in (left, right))
+    tail_picker = _picker([*map(right.index, tail)])
+    if list(out) == kept + tail:
+        return on_left, on_right, _picker([*map(left.index, kept)]), tail_picker, None
+    joined = [*left, *tail]
+    return on_left, on_right, None, tail_picker, _picker([*map(joined.index, out)])
+
+
+def contract(left_labels, left: dict, right_labels, right: dict, out_labels,
+             into=None, scale=1) -> dict:
+    """scale * sum over the shared labels of left * right, keyed by ``out_labels``.
+
+    ``left`` and ``right`` are {index tuple: int} tables; ``left_labels``
+    and ``right_labels`` name their slots in order, one distinct label per
+    slot, as a string or a tuple.  Every label the two share is summed
+    over (none shared is the outer product), and ``out_labels`` must order
+    the labels that are left, each once; anything else raises ValueError.
+    Only products of present entries are formed.  With ``into``, the sums
+    are added into that dict, which is returned; otherwise a new dict of
+    the nonzero sums is.
+    """
+    on_left, on_right, head, tail, place = _plan(left_labels, right_labels, out_labels)
     index = defaultdict(list)
     for key, v in right.items():
-        index[key[j]].append((key[:j] + key[j + 1:], v))
-    out = defaultdict(int)
+        index[on_right(key)].append((tail(key), v))
+    out = {} if into is None else into
+    get = out.get
     for key, u in left.items():
-        hits = index.get(key[i])
+        hits = index.get(on_left(key))
         if hits:
-            rest = key[:i] + key[i + 1:]
-            for tail, v in hits:
-                out[rest + tail] += u * v
-    return {key: v for key, v in out.items() if v}
+            u *= scale
+            if place is None:
+                key = head(key)
+                for rest, v in hits:
+                    key_out = key + rest
+                    out[key_out] = get(key_out, 0) + u * v
+            else:
+                for rest, v in hits:
+                    key_out = place(key + rest)
+                    out[key_out] = get(key_out, 0) + u * v
+    return out if into is not None else {key: v for key, v in out.items() if v}

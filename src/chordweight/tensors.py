@@ -25,7 +25,7 @@ from .diagrams import ChordDiagram
 from .formal import FormalSum
 from .frozen import Frozen
 from .jsonio import JSONFormatError, format_rational, parse_entries
-from .sparse import IntegerView, exact_entries, least_nonzero
+from .sparse import IntegerView, contract, exact_entries, least_nonzero
 # DEFAULT_MAX_WORK and WorkLimitExceeded are re-exported from here
 from .work import DEFAULT_MAX_WORK, WorkLimitExceeded, charge_work  # noqa: F401
 
@@ -101,40 +101,32 @@ def validate_symmetry(tensor: WeightTensor) -> bool:
     return all(ent.get((c, d, a, b)) == v for (a, b, c, d), v in ent.items())
 
 
-# (sign, outgoing) of the four-term sum's term on each slot of the second
-# factor; see four_term_witness.
-_FOUR_TERM = ((1, False), (-1, True), (1, False), (-1, True))
+# (sign, Q labels, P labels) of each term of the tensor four-term sum; see
+# four_term_witness and check_four_term.
+_FOUR_TERM = ((1, "efax", "xbcd"), (-1, "efxb", "axcd"),
+              (1, "efcx", "abxd"), (-1, "efxd", "abcx"))
 
 
 def four_term_witness(view: IntegerView, terms):
     """Least (a, b, c, d, e, f) at which a four-term sum over ``view`` is nonzero.
 
-    With P the viewed tensor and Q = P[e][f] a matrix, ``terms[s]`` is the
-    (sign, outgoing) pair of the term that contracts Q into slot s of
-    P[a][b][c][d]: sign * sum_x Q[w][x] P[.. x in slot s ..] for an incoming
-    term and sign * sum_x Q[x][w] P[.. x in slot s ..] for an outgoing one,
-    where w is the free index that slot s carries in the witness.  The full
-    sum is built from products of nonzero entries only, keyed by the witness
-    tuple, so the cost scales with the number of nonzero products.  That
-    number, sum over slots and x of |entries of Q moving x| * |entries with
-    x in slot s|, is read off the slot indexes and charged before the loop.
-    The lexicographically least nonzero key is returned, or None.
+    With P the viewed tensor and Q = P[e][f] a matrix, each of ``terms`` is
+    (sign, Q labels, P labels), the term sign * sum_x Q P over the one
+    label x the two share; ``(1, "efax", "xbcd")`` is
+    sum_x P[e][f][a][x] P[x][b][c][d].  The full sum is built from products
+    of nonzero entries only, keyed by the witness tuple, so the cost scales
+    with the number of nonzero products.  That number, sum over terms and
+    x of |entries with x in Q's slot| * |entries with x in P's slot|, is
+    read off the slot indexes and charged first.  The lexicographically
+    least nonzero key is returned, or None.
     """
-    work = sum(len(moves) * len(view.by_slot(slot).get(x, ()))
-               for slot, (_, outgoing) in enumerate(terms)
-               for x, moves in view.by_slot(2 if outgoing else 3).items())
+    work = sum(len(moves) * len(view.by_slot(p.index("x")).get(x, ()))
+               for _, q, p in terms
+               for x, moves in view.by_slot(q.index("x")).items())
     charge_work(work, f"the four-term check needs {work} products of nonzero entries")
-    sums = defaultdict(int)
-    for slot, (sign, outgoing) in enumerate(terms):
-        index = view.by_slot(slot)
-        for (e, f, p, q), u in view.entries.items():
-            free, x = (q, p) if outgoing else (p, q)
-            hits = index.get(x)
-            if hits is None:
-                continue
-            u *= sign
-            for key, v in hits:
-                sums[key[:slot] + (free,) + key[slot + 1:] + (e, f)] += u * v
+    sums = {}
+    for sign, q, p in terms:
+        contract(q, view.entries, p, view.entries, "abcdef", sums, sign)
     return least_nonzero(sums)
 
 
@@ -221,29 +213,6 @@ def _chord_factor(legs, entries: dict):
     return arcs, {key: value for key, value in factor.items() if value}
 
 
-def _contract(left, right):
-    """Sum two factors over their shared arcs; zeros are dropped."""
-    (a_arcs, a), (b_arcs, b) = left, right
-    shared = [x for x in a_arcs if x in b_arcs]
-    a_keep = [i for i, x in enumerate(a_arcs) if x not in shared]
-    b_keep = [i for i, x in enumerate(b_arcs) if x not in shared]
-    a_shared = [a_arcs.index(x) for x in shared]
-    b_shared = [b_arcs.index(x) for x in shared]
-    index = defaultdict(list)
-    for key, value in b.items():
-        index[tuple(key[i] for i in b_shared)].append(
-            (tuple(key[i] for i in b_keep), value))
-    out = defaultdict(int)
-    for key, value in a.items():
-        hits = index.get(tuple(key[i] for i in a_shared))
-        if hits:
-            head = tuple(key[i] for i in a_keep)
-            for tail, other in hits:
-                out[head + tail] += value * other
-    arcs = tuple(a_arcs[i] for i in a_keep) + tuple(b_arcs[i] for i in b_keep)
-    return arcs, {key: value for key, value in out.items() if value}
-
-
 def evaluate(tensor: WeightTensor, diagram: ChordDiagram) -> Fraction:
     """Contract the tensor around the circle; exact value of the weight system.
 
@@ -266,7 +235,10 @@ def evaluate(tensor: WeightTensor, diagram: ChordDiagram) -> Fraction:
     view = IntegerView(tensor.entries, 4)
     factors = [_chord_factor(legs, view.entries) for legs in _chord_legs(diagram)]
     for i, j, _ in plan.steps:
-        factors.append(_contract(factors[i], factors[j]))
+        (left_arcs, left), (right_arcs, right) = factors[i], factors[j]
+        arcs = (tuple(x for x in left_arcs if x not in right_arcs)
+                + tuple(x for x in right_arcs if x not in left_arcs))
+        factors.append((arcs, contract(left_arcs, left, right_arcs, right, arcs)))
         factors[i] = factors[j] = None
     _, total = factors[-1]
     return Fraction(total.get((), 0), view.den ** n)

@@ -352,12 +352,42 @@ PINNED = Path(__file__).parent / "pinned"
     (f"check-curvature-fail-kn3-dense.{ext}",
      ["check", "--curvature", str(PINNED / "kn3-dense.json"), "--format", fmt])
     for ext, fmt in (("txt", "text"), ("json", "json"))
+] + [
+    (f"{name}.{ext}", [*argv, "--format", fmt])
+    for ext, fmt in (("txt", "text"), ("json", "json"))
+    for name, argv in (
+        ("eval-lie-so4-dense-crossing8",
+         ["eval", "--lie", str(PINNED / "so4-dense.json"),
+          "--diagram", "ABCDEFGHABCDEFGH"]),
+        ("eval-curvature-lorentz4-dense-ladder13",
+         ["eval", "--curvature", str(PINNED / "lorentz4-dense.json"),
+          "--diagram", "ABACBDCEDFEGFHGIHJIKJLKMLM"]),
+    )
+] + [
+    (f"check-curvature-fail-{name}.{ext}",
+     ["check", "--curvature", str(PINNED / f"{model}.json"), "--format", fmt])
+    for ext, fmt in (("txt", "text"), ("json", "json"), ("csv", "csv"))
+    for name, model in (("bianchi", "bianchi-violating"),
+                        ("degenerate", "degenerate-metric"))
 ])
 def test_output_matches_pinned_text(capsys, name, argv):
     """A failing verdict, named -fail- in its file, exits 1."""
     code, out, err = run(capsys, *argv)
     expected = (PINNED / name).read_text(encoding="utf-8")
     assert (code, out, err) == (int("-fail-" in name), expected, "")
+
+
+@pytest.mark.parametrize("name,model", [("bianchi", "bianchi-violating"),
+                                        ("degenerate", "degenerate-metric")])
+def test_invalid_curvature_models_are_named_on_stderr(capsys, monkeypatch, name, model):
+    """holonomy exits 1 and eval exits 2, naming the failed check and its witness."""
+    monkeypatch.chdir(PINNED.parents[1])
+    path = f"tests/pinned/{model}.json"
+    for command, argv, code in (("holonomy", ["holonomy", "--curvature", path], 1),
+                                ("eval", ["eval", "--curvature", path,
+                                          "--diagram", "ABAB"], 2)):
+        expected = (PINNED / f"{command}-fail-{name}.stderr").read_text(encoding="utf-8")
+        assert run(capsys, *argv) == (code, "", expected)
 
 
 # Runs the CLI as its only child: RUSAGE_CHILDREN gives its CPU seconds and peak.
@@ -402,6 +432,21 @@ def test_rho_c_is_built_once_per_command(capsys, monkeypatch, argv):
     monkeypatch.setattr(chordweight.lie, "WeightTensor", counted)
     assert run(capsys, *argv)[0] == 0
     assert builds == [4]
+
+
+def test_rho_c_is_lowered_once_per_realize(capsys, monkeypatch):
+    """curvature_symmetries and triple_from_rep share one lowering of rho(C)."""
+    lowerings = []
+    lower = chordweight.curvature._lowered_casimir
+
+    def counted(rep, form):
+        lowerings.append(rep.dimV)
+        return lower(rep, form)
+
+    monkeypatch.setattr(chordweight.curvature, "_lowered_casimir", counted)
+    assert run(capsys, "realize", "--lie", str(PINNED / "so4-dense.json"),
+               "--form", str(PINNED / "so4-dense-form.json"))[0] == 0
+    assert lowerings == [4]
 
 
 def test_holonomy_of_a_7_sphere_is_fast(tmp_path):

@@ -71,10 +71,21 @@ def _parse_diagram(code: str) -> ChordDiagram:
         raise CLIError(str(exc)) from None
 
 
-def _csv_writer(out):
-    import csv  # only --format csv pays for this import
+def _write(args, out, payload, lines, header=(), rows=(), indent=2) -> None:
+    """Write a result in the chosen --format: JSON, CSV or text.
 
-    return csv.writer(out, lineterminator="\n")
+    JSON dumps ``payload`` (a symmetric triple in it as its JSON object),
+    CSV writes ``header`` and then ``rows``, and text writes ``lines``.
+    """
+    if args.format == "json":
+        json.dump(payload, out, indent=indent, default=triple_to_json_dict)
+        out.write("\n")
+    elif args.format == "csv":
+        import csv  # only --format csv pays for this import
+
+        csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    else:
+        out.writelines(line + "\n" for line in lines)
 
 
 def _matrix_lines(matrix, indent="  "):
@@ -121,19 +132,9 @@ def _tensor_from_args(args) -> WeightTensor:
 
 
 def _cmd_enumerate(args, out) -> int:
-    diagrams = enumerate_diagrams(args.n)
-    codes = [d.code for d in diagrams]
-    if args.format == "json":
-        json.dump({"n": args.n, "codes": codes}, out, indent=2)
-        out.write("\n")
-    elif args.format == "csv":
-        writer = _csv_writer(out)
-        writer.writerow(["code"])
-        for code in codes:
-            writer.writerow([code])
-    else:
-        for code in codes:
-            out.write((code or "(empty)") + "\n")
+    codes = [d.code for d in enumerate_diagrams(args.n)]
+    _write(args, out, {"n": args.n, "codes": codes},
+           [code or "(empty)" for code in codes], ["code"], [[code] for code in codes])
     return EXIT_OK
 
 
@@ -145,31 +146,16 @@ def _cmd_dims(args, out) -> int:
     dims = [quotient_dimension(n, "unframed") for n in range(args.max_n + 1)]
     # A = A^r (x) Q[theta] (Bar-Natan): framed_n is the sum of unframed_j, j <= n
     rows = list(enumerate(accumulate(dims) if kind == "framed" else dims))
-    if args.format == "json":
-        payload = [{"n": n, "kind": kind, "dimension": dim} for n, dim in rows]
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-    elif args.format == "csv":
-        writer = _csv_writer(out)
-        writer.writerow(["n", "kind", "dimension"])
-        for n, dim in rows:
-            writer.writerow([n, kind, dim])
-    else:
-        for n, dim in rows:
-            out.write(f"{n} {dim}\n")
+    _write(args, out, [{"n": n, "kind": kind, "dimension": dim} for n, dim in rows],
+           [f"{n} {dim}" for n, dim in rows], ["n", "kind", "dimension"],
+           [[n, kind, dim] for n, dim in rows])
     return EXIT_OK
 
 
 def _emit_value(args, out, diagram_code: str, value: Fraction) -> int:
-    if args.format == "json":
-        json.dump({"diagram": diagram_code, "value": str(value)}, out)
-        out.write("\n")
-    elif args.format == "csv":
-        writer = _csv_writer(out)
-        writer.writerow(["diagram", "value"])
-        writer.writerow([diagram_code, str(value)])
-    else:
-        out.write(f"{value}\n")
+    text = str(value)
+    _write(args, out, {"diagram": diagram_code, "value": text}, [text],
+           ["diagram", "value"], [[diagram_code, text]], indent=None)
     return EXIT_OK
 
 
@@ -195,29 +181,16 @@ def _cmd_yamada(args, out) -> int:
 
 def _emit_checks(args, out, rows) -> int:
     ok_all = all(ok for _, ok, _ in rows)
-    if args.format == "json":
-        payload = {
-            "ok": ok_all,
-            "checks": [
-                {"name": name, "ok": ok,
-                 "witness": None if witness is None else str(witness)}
-                for name, ok, witness in rows
-            ],
-        }
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-    elif args.format == "csv":
-        writer = _csv_writer(out)
-        writer.writerow(["name", "ok", "witness"])
-        for name, ok, witness in rows:
-            writer.writerow([name, "pass" if ok else "fail",
-                             "" if witness is None else str(witness)])
-    else:
-        for name, ok, witness in rows:
-            line = f"{name}: {'pass' if ok else 'fail'}"
-            if not ok and witness is not None:
-                line += f" at {witness}"
-            out.write(line + "\n")
+    # each row as (name, ok, "pass" or "fail", the witness as text or None)
+    rows = [(name, ok, "pass" if ok else "fail", None if why is None else str(why))
+            for name, ok, why in rows]
+    _write(args, out,
+           {"ok": ok_all, "checks": [{"name": name, "ok": ok, "witness": why}
+                                     for name, ok, _, why in rows]},
+           [f"{name}: {status}" + ("" if ok or why is None else f" at {why}")
+            for name, ok, status, why in rows],
+           ["name", "ok", "witness"],
+           [[name, status, why or ""] for name, _, status, why in rows])
     return EXIT_OK if ok_all else EXIT_CHECK_FAILED
 
 
@@ -274,40 +247,30 @@ def _cmd_holonomy(args, out) -> int:
     else:
         lie_type_ok, lie_type_why = False, f"symmetric triple invalid: {triple_why}"
     iso = so_isomorphism(hol)
-    d = model.dim
-    if args.format == "json":
-        payload = {
-            "dim_h": hol.dim_h,
-            "labels": [list(pair) for pair in hol.labels],
-            "form": format_matrix(hol.form),
-            "nondegenerate": hol.nondegenerate,
-            "triple": triple_to_json_dict(triple),
-            "triple_valid": triple_ok,
-            "so_isomorphic": iso is not None,
-            "casimir_matches": lie_type_ok,
-        }
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-    else:
-        out.write(f"dim_h={hol.dim_h}\n")
-        labels = " ".join(f"({a},{b})" for a, b in hol.labels)
-        out.write(f"generator labels: {labels or '(none)'}\n")
-        for line in _bracket_lines(hol.brackets, hol.dim_h):
-            out.write(line + "\n")
-        out.write("B_h:\n")
-        for line in _matrix_lines(hol.form):
-            out.write(line + "\n")
-        out.write(f"B_h nondegenerate: {'yes' if hol.nondegenerate else 'no'}\n")
-        out.write(
-            f"triple: dim {triple.dim} = {triple.dim_h} + {triple.dim_p}, "
-            f"valid: {'yes' if triple_ok else 'no'}\n"
-        )
-        if not triple_ok:
-            out.write(f"  reason: {triple_why}\n")
-        out.write(f"isomorphic to so{d}: {'yes' if iso is not None else 'no'}\n")
-        out.write(f"rho(C_h) == Hhat: {'yes' if lie_type_ok else 'no'}\n")
-        if not lie_type_ok:
-            out.write(f"  reason: {lie_type_why}\n")
+    labels = " ".join(f"({a},{b})" for a, b in hol.labels)
+    _write(args, out, {
+        "dim_h": hol.dim_h,
+        "labels": hol.labels,
+        "form": format_matrix(hol.form),
+        "nondegenerate": hol.nondegenerate,
+        "triple": triple,
+        "triple_valid": triple_ok,
+        "so_isomorphic": iso is not None,
+        "casimir_matches": lie_type_ok,
+    }, [
+        f"dim_h={hol.dim_h}",
+        f"generator labels: {labels or '(none)'}",
+        *_bracket_lines(hol.brackets, hol.dim_h),
+        "B_h:",
+        *_matrix_lines(hol.form),
+        f"B_h nondegenerate: {'yes' if hol.nondegenerate else 'no'}",
+        f"triple: dim {triple.dim} = {triple.dim_h} + {triple.dim_p}, "
+        f"valid: {'yes' if triple_ok else 'no'}",
+        *([] if triple_ok else [f"  reason: {triple_why}"]),
+        f"isomorphic to so{model.dim}: {'yes' if iso is not None else 'no'}",
+        f"rho(C_h) == Hhat: {'yes' if lie_type_ok else 'no'}",
+        *([] if lie_type_ok else [f"  reason: {lie_type_why}"]),
+    ])
     return EXIT_OK if triple_ok and lie_type_ok else EXIT_CHECK_FAILED
 
 
@@ -319,60 +282,33 @@ def _cmd_realize(args, out) -> int:
         verdict, witness = curvature_symmetries(rep, form)
     except ValueError as exc:
         raise CLIError(str(exc)) from None
-    triple = None
-    note = None
+    payload = {"verdict": verdict, "witness": witness}
+    lines = [f"verdict: {verdict}" + ("" if witness is None else f" at {witness}")]
     if verdict == "pass":
         try:
             triple = triple_from_rep(rep, form)
         except ValueError as exc:
-            note = str(exc)
-    if args.format == "json":
-        payload = {
-            "verdict": verdict,
-            "witness": None if witness is None else list(witness),
-        }
-        if triple is not None:
-            payload["triple"] = triple_to_json_dict(triple)
-        if note is not None:
-            payload["note"] = note
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-    else:
-        line = f"verdict: {verdict}"
-        if witness is not None:
-            line += f" at {witness}"
-        out.write(line + "\n")
-        if triple is not None:
-            out.write(
-                f"triple: dim {triple.dim} = {triple.dim_h} + {triple.dim_p}\n"
-            )
-            for line in _bracket_lines(triple.brackets, triple.dim, prefix="e"):
-                out.write(line + "\n")
-        if note is not None:
-            out.write(f"note: {note}\n")
+            payload["note"] = str(exc)
+            lines.append(f"note: {exc}")
+        else:
+            payload["triple"] = triple
+            lines.append(f"triple: dim {triple.dim} = {triple.dim_h} + {triple.dim_p}")
+            lines += _bracket_lines(triple.brackets, triple.dim, prefix="e")
+    _write(args, out, payload, lines)
     return EXIT_OK if verdict == "pass" else EXIT_CHECK_FAILED
 
 
 def _cmd_verify(args, out) -> int:
     results = acceptance.run_all()
-    ok_all = all(ok for _, _, ok, _ in results)
-    if args.format == "json":
-        payload = [
-            {"criterion": number, "label": label, "ok": ok, "detail": detail}
-            for number, label, ok, detail in results
-        ]
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-    elif args.format == "csv":
-        writer = _csv_writer(out)
-        writer.writerow(["criterion", "label", "ok", "detail"])
-        for number, label, ok, detail in results:
-            writer.writerow([number, label, "pass" if ok else "fail", detail])
-    else:
-        for number, label, ok, detail in results:
-            status = "PASS" if ok else "FAIL"
-            out.write(f"criterion {number} ({label}): {status} - {detail}\n")
-    return EXIT_OK if ok_all else EXIT_CHECK_FAILED
+    _write(args, out,
+           [{"criterion": number, "label": label, "ok": ok, "detail": detail}
+            for number, label, ok, detail in results],
+           [f"criterion {number} ({label}): {'PASS' if ok else 'FAIL'} - {detail}"
+            for number, label, ok, detail in results],
+           ["criterion", "label", "ok", "detail"],
+           [[number, label, "pass" if ok else "fail", detail]
+            for number, label, ok, detail in results])
+    return EXIT_OK if all(ok for _, _, ok, _ in results) else EXIT_CHECK_FAILED
 
 
 def _add_format(sub, choices=("text", "json", "csv")):

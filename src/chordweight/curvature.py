@@ -22,7 +22,15 @@ from .jsonio import (
 )
 from .lie import MetrizedLieAlgebra, Representation, algebra_to_json_dict, so_algebra
 from .linalg import ReducedSpan, full_rank, is_symmetric, mat_inv, sparse_rank
-from .sparse import IntegerView, contract, dense_array, exact_entries, nonzero_entries
+from .sparse import (
+    UNIT,
+    IntegerView,
+    contract,
+    dense_array,
+    exact_entries,
+    least_nonzero,
+    nonzero_entries,
+)
 from .tensors import WeightTensor, four_term_witness
 from .work import charge_work
 
@@ -88,11 +96,9 @@ class CurvatureModel:
         if failure is not None:
             return False, failure
         low = contract("abcx", R, "xd", IntegerView(self.metric, 2).entries, "abcd")
-        bad = [key for (a, b, c, x), v in low.items()
-               if v != low.get((c, x, a, b), 0)
-               for key in ((a, b, c, x), (c, x, a, b))]
-        if bad:
-            return False, ("pair-symmetry", min(bad))
+        witness = least_nonzero(contract("abcx", low, "", UNIT, "cxab", dict(low), -1))
+        if witness is not None:
+            return False, ("pair-symmetry", witness)
         return True, None
 
     def __repr__(self):
@@ -109,20 +115,17 @@ def _skew_or_bianchi_failure(R: dict):
     """("antisymmetry" or "bianchi", least witness) of a rank-4 int tensor, or None.
 
     Antisymmetry in the first two slots is checked first, then the first
-    Bianchi identity.  A failing tuple has a nonzero term, so it is the
-    (a, b) swap or a cyclic rotation of (a, b, c) of a nonzero key.
+    Bianchi identity, each as the sum of R and its copies relabeled by the
+    (a, b) swap or the cyclic rotations of (a, b, c).  A failing tuple has
+    a nonzero term, so it is one of those images of a nonzero key.
     """
-    swapped = {(min(a, b), max(a, b), c, x) for a, b, c, x in R}
-    bad = [(a, b, c, x) for a, b, c, x in swapped
-           if R.get((a, b, c, x), 0) + R.get((b, a, c, x), 0)]
-    if bad:
-        return "antisymmetry", min(bad)
-    bad = [key for a, b, c, x in R
-           if R.get((a, b, c, x), 0) + R.get((b, c, a, x), 0)
-           + R.get((c, a, b, x), 0)
-           for key in ((a, b, c, x), (b, c, a, x), (c, a, b, x))]
-    if bad:
-        return "bianchi", min(bad)
+    for name, *images in (("antisymmetry", "bacx"), ("bianchi", "bcax", "cabx")):
+        total = dict(R)
+        for image in images:
+            contract("abcx", R, "", UNIT, image, total)
+        witness = least_nonzero(total)
+        if witness is not None:
+            return name, witness
     return None
 
 
@@ -393,9 +396,8 @@ def verify_lie_type(model: CurvatureModel, triple: SymmetricTriple | None = None
     candidate = hol.representation().weight_tensor()
     target = model.weight_tensor()
     if candidate != target:
-        ours, theirs = candidate.entries, target.entries
-        witness = min(key for key in ours.keys() | theirs.keys()
-                      if ours.get(key) != theirs.get(key))
+        witness = least_nonzero(contract("abcd", target.entries, "", UNIT, "abcd",
+                                         dict(candidate.entries), -1))
         return False, f"weight tensors differ at entry {witness}"
     return True, None
 

@@ -19,7 +19,7 @@ from .jsonio import (
     parse_rational,
 )
 from .linalg import full_rank, is_symmetric, mat_inv
-from .sparse import IntegerView, contract, dense_array, exact_entries, least_nonzero
+from .sparse import UNIT, IntegerView, contract, dense_array, exact_entries, least_nonzero
 from .tensors import WeightTensor
 from .work import charge_work
 
@@ -63,13 +63,11 @@ class MetrizedLieAlgebra:
         i < j < k.
         """
         f = IntegerView(self.entries, 3)
-        # a failure at (i,j,k) is one at (j,i,k) too, and one of the two
-        # entries is nonzero
-        bad = [w for (i, j, k), v in f.entries.items()
-               if f.entries.get((j, i, k), 0) != -v
-               for w in ((i, j, k), (j, i, k))]
-        if bad:
-            return False, "antisymmetry fails at (i,j,k)=({},{},{})".format(*min(bad))
+        # f plus its copy with i and j swapped; zero wherever f is antisymmetric
+        witness = least_nonzero(contract("ijk", f.entries, "", UNIT, "jik",
+                                         dict(f.entries)))
+        if witness is not None:
+            return False, "antisymmetry fails at (i,j,k)=({},{},{})".format(*witness)
         # J(i,j,k,l) = S(i,j,k) + S(j,k,i) + S(k,i,j) with
         # S(p,q,c) = sum_x f[p][q][x] f[x][c][l]; for p < q, the third index
         # c lands first, last, or (with sign -1 from f[k][i] = -f[i][k]) in

@@ -16,7 +16,10 @@ P[x][b][c][d] keyed (a, b, c, d, e, f): every label the two tables share
 is summed, and ``out_labels`` orders the labels that are left, each once.
 A derived tensor is divided by the product of the denominators once, at
 the end.  A check never divides: a sum of products of entries vanishes
-exactly when the same sum of numerator products does.
+exactly when the same sum of numerator products does.  A symmetry check
+sums relabeled copies of one table: contracting with ``UNIT``, which has no
+slots, only moves each entry, so ``contract("abcd", T, "", UNIT, "cdab")``
+is T with its two pairs of slots swapped.
 
 ``exact_entries`` makes the one storage of every rank-3 and rank-4 exact
 tensor: its nonzero entries only.
@@ -33,6 +36,7 @@ from operator import itemgetter
 from types import MappingProxyType
 
 _ZERO = Fraction(0)
+UNIT = {(): 1}  # the one entry of a table with no slots
 
 
 def nonzero_entries(array, rank: int, prefix=()):

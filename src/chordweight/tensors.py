@@ -25,7 +25,7 @@ from .diagrams import ChordDiagram
 from .formal import FormalSum
 from .frozen import Frozen
 from .jsonio import JSONFormatError, format_rational, parse_entries
-from .sparse import IntegerView, contract, exact_entries, least_nonzero
+from .sparse import UNIT, IntegerView, contract, exact_entries, least_nonzero
 # DEFAULT_MAX_WORK and WorkLimitExceeded are re-exported from here
 from .work import DEFAULT_MAX_WORK, WorkLimitExceeded, charge_work  # noqa: F401
 
@@ -94,11 +94,11 @@ class WeightTensor(Frozen):
 def validate_symmetry(tensor: WeightTensor) -> bool:
     """True iff swapping the two legs leaves every component fixed.
 
-    Only the nonzero components are read: if each one equals its swap, no
-    zero component can have a nonzero swap.
+    Only the nonzero components are read: the tensor less its copy with
+    the legs swapped is a sum over them alone.
     """
     ent = tensor.entries
-    return all(ent.get((c, d, a, b)) == v for (a, b, c, d), v in ent.items())
+    return least_nonzero(contract("abcd", ent, "", UNIT, "cdab", dict(ent), -1)) is None
 
 
 # (sign, Q labels, P labels) of each term of the tensor four-term sum; see
@@ -244,18 +244,18 @@ def evaluate(tensor: WeightTensor, diagram: ChordDiagram) -> Fraction:
     return Fraction(total.get((), 0), view.den ** n)
 
 
-def evaluate_naive(tensor: WeightTensor, diagram: ChordDiagram, max_work=None) -> Fraction:
+def evaluate_naive(tensor: WeightTensor, diagram: ChordDiagram) -> Fraction:
     """Full-sum oracle: iterate over all arc-index assignments.
 
     Arc j is the arc entering endpoint j, so endpoint p reads (arcs[p],
-    arcs[p+1 mod 2n]) as its (in, out) pair.  Cost d^(2n), guarded by
-    max_work (falling back to the CHORDWEIGHT_MAX_WORK environment
-    variable, then a builtin default).
+    arcs[p+1 mod 2n]) as its (in, out) pair.  Cost d^(2n), charged against
+    the work bound (the CHORDWEIGHT_MAX_WORK environment variable, else a
+    builtin default).
     """
     d = tensor.dim
     n = diagram.n
     work = d ** (2 * n)
-    charge_work(work, f"naive evaluation needs d^(2n) = {work} assignments", max_work)
+    charge_work(work, f"naive evaluation needs d^(2n) = {work} assignments")
     if n == 0:
         return Fraction(d)
     m = 2 * n

@@ -369,6 +369,45 @@ PINNED = Path(__file__).parent / "pinned"
     for ext, fmt in (("txt", "text"), ("json", "json"), ("csv", "csv"))
     for name, model in (("bianchi", "bianchi-violating"),
                         ("degenerate", "degenerate-metric"))
+] + [
+    (f"realize-abelian2-note.{ext}",
+     ["realize", "--lie", str(PINNED / "abelian2.json"),
+      "--form", str(PINNED / "nonsymmetric-form.json"), "--format", fmt])
+    for ext, fmt in (("txt", "text"), ("json", "json"))
+] + [
+    (f"{name}.{fmt}", [*argv, "--format", fmt])
+    for fmt in ("json", "csv")
+    for name, argv in (
+        ("enumerate-n-4", ["enumerate", "--n", "4"]),
+        ("dims-max-n-6", ["dims", "--max-n", "6"]),
+        ("dims-max-n-6-unframed", ["dims", "--max-n", "6", "--unframed"]),
+    )
+] + [
+    (f"{name}.csv", [*argv, "--format", "csv"])
+    for name, argv in (
+        ("eval-so4-dense-crossing6",
+         ["eval", "--tensor", str(PINNED / "so4-dense-tensor.json"),
+          "--diagram", "ABCDEFABCDEF"]),
+        ("eval-lie-so4-dense-crossing8",
+         ["eval", "--lie", str(PINNED / "so4-dense.json"),
+          "--diagram", "ABCDEFGHABCDEFGH"]),
+        ("eval-curvature-lorentz4-dense-ladder13",
+         ["eval", "--curvature", str(PINNED / "lorentz4-dense.json"),
+          "--diagram", "ABACBDCEDFEGFHGIHJIKJLKMLM"]),
+        ("check-tensor-so4-dense",
+         ["check", "--tensor", str(PINNED / "so4-dense-tensor.json")]),
+        ("check-tensor-fail-mixed",
+         ["check", "--tensor", str(PINNED / "mixed-fail-tensor.json")]),
+        ("check-lie-so4-dense", ["check", "--lie", str(PINNED / "so4-dense.json")]),
+        ("check-curvature-lorentz4-dense",
+         ["check", "--curvature", str(PINNED / "lorentz4-dense.json")]),
+        ("check-curvature-fail-kn3-dense",
+         ["check", "--curvature", str(PINNED / "kn3-dense.json")]),
+    )
+] + [
+    (f"yamada-abcabc-n-5-2.{ext}",
+     ["yamada", "--diagram", "ABCABC", "--N", "5/2", "--format", fmt])
+    for ext, fmt in (("txt", "text"), ("json", "json"), ("csv", "csv"))
 ])
 def test_output_matches_pinned_text(capsys, name, argv):
     """A failing verdict, named -fail- in its file, exits 1."""
@@ -632,6 +671,31 @@ def test_verify_passes_criterion_5(capsys, monkeypatch):
         "and round-trips exactly; sl2 with the symplectic form fails skew at "
         "(0, 0, 1, 1); so3 on R^3 + R^3 is skew but fails Bianchi at "
         "(0, 1, 3, 4)"
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_matches_pinned_formats(capsys, monkeypatch, fmt):
+    """One criterion, so the suite is not rerun; the text is checked above."""
+    criteria = tuple(c for c in acceptance.CRITERIA if c[0] == 5)
+    monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+    expected = (PINNED / f"verify-criterion-5.{fmt}").read_text(encoding="utf-8")
+    assert run(capsys, "verify", "--format", fmt) == (0, expected, "")
+
+
+def test_holonomy_gives_both_reasons_when_the_triple_is_invalid(capsys, monkeypatch):
+    """No known parallel model fails its triple, so the failure is forced."""
+    monkeypatch.setattr(chordweight.curvature.SymmetricTriple, "validate",
+                        lambda self: (False, "forced failure"))
+    code, out, err = run(capsys, "holonomy", "--curvature", str(PINNED / "cp2.json"))
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[-5:] == [
+        "triple: dim 8 = 4 + 4, valid: no",
+        "  reason: forced failure",
+        "isomorphic to so4: no",
+        "rho(C_h) == Hhat: no",
+        "  reason: symmetric triple invalid: forced failure",
     ]
 
 

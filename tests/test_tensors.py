@@ -120,12 +120,14 @@ def test_evaluate_sum_is_linear():
     assert evaluate_sum(t, FormalSum()) == 0
 
 
-def test_naive_work_limit():
+def test_naive_work_limit(monkeypatch):
     t = WeightTensor.identity(3)
-    d4 = enumerate_diagrams(4)[0]
+    d4 = enumerate_diagrams(4)[0]  # before the bound drops: enumeration is charged too
+    monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", "10")
     with pytest.raises(WorkLimitExceeded):
-        evaluate_naive(t, d4, max_work=10)
-    assert evaluate_naive(t, d4, max_work=3 ** 8) == 3
+        evaluate_naive(t, d4)
+    monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", str(3 ** 8))
+    assert evaluate_naive(t, d4) == 3
 
 
 def test_work_limit_env_var(monkeypatch):

@@ -227,8 +227,30 @@ class HolonomyAlgebra(Frozen):
         return Representation(self.algebra(), self.basis, dimV=self.model.dim)
 
 
-def holonomy_algebra(model: CurvatureModel, check_model: bool = True) -> HolonomyAlgebra:
+class ModelCheckFailure(ValueError):
+    """A curvature model fails ``validate`` or the parallel four-term check."""
+
+
+def holonomy_algebra(model: CurvatureModel) -> HolonomyAlgebra:
     """Extract span{R(e_a, e_b)} with brackets and the induced form.
+
+    The model checks always run, before anything is charged or built:
+    ``validate``, then ``check_parallel_four_term``.  A failure raises
+    ModelCheckFailure, a ValueError, naming the failed check and its
+    witness.  Only then is pairs^2 * d^3, which bounds the m <= pairs
+    commutators, charged, and the algebra extracted.
+    """
+    ok, why = model.validate()
+    if not ok:
+        raise ModelCheckFailure(f"invalid curvature model: {model_failure_text(why)}")
+    ok, witness = check_parallel_four_term(model)
+    if not ok:
+        raise ModelCheckFailure(f"parallel four-term identity fails at {witness}")
+    return _holonomy_algebra(model)
+
+
+def _holonomy_algebra(model: CurvatureModel) -> HolonomyAlgebra:
+    """The extraction behind ``holonomy_algebra``, with no model check.
 
     The span is reduced once, each generator pair is solved against that
     one reduction, and brackets are formed between the generator labels
@@ -245,24 +267,14 @@ def holonomy_algebra(model: CurvatureModel, check_model: bool = True) -> Holonom
       is the parallel four-term identity at generator pairs (e, f) = (X, Y)
       and (a, b) = (Z, W), so every commutator lies in the span.
 
-    ``check_model=True`` runs both checks and raises ValueError on a
-    failure; ``check_model=False`` means the caller has already run them.
-    A commutator outside the span raises RuntimeError.  pairs^2 * d^3,
-    which bounds the m <= pairs commutators, is charged before anything is
-    built.
+    On a model that fails them, a commutator outside the span raises
+    RuntimeError.  pairs^2 * d^3 is charged before anything is built.
     """
     d = model.dim
     pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
     work = len(pairs) ** 2 * d ** 3
     charge_work(work, f"the holonomy algebra of a curvature model of dimension "
                 f"{d} needs pairs^2 * d^3 = {work} steps")
-    if check_model:
-        ok, why = model.validate()
-        if not ok:
-            raise ValueError(f"invalid curvature model: {model_failure_text(why)}")
-        ok, witness = check_parallel_four_term(model)
-        if not ok:
-            raise ValueError(f"parallel four-term identity fails at {witness}")
     R = IntegerView(model.entries, 4)
     endos = defaultdict(dict)  # R(e_a, e_b): {(row x, column c): int}
     for (a, b, c, x), v in R.entries.items():
@@ -352,10 +364,18 @@ class SymmetricTriple(Frozen):
         return True, None
 
 
-def symmetric_triple(model: CurvatureModel, check_model: bool = True) -> SymmetricTriple:
-    """Assemble h + p with [X,Y] = R(X,Y), [A,X] = A(X) and B = B_h + g."""
-    hol = holonomy_algebra(model, check_model=check_model)
-    d = model.dim
+def symmetric_triple(model: CurvatureModel) -> SymmetricTriple:
+    """Assemble h + p with [X,Y] = R(X,Y), [A,X] = A(X) and B = B_h + g.
+
+    The holonomy algebra comes from ``holonomy_algebra``, so the model
+    checks run first and a failure raises ModelCheckFailure.
+    """
+    return _symmetric_triple(holonomy_algebra(model))
+
+
+def _symmetric_triple(hol: HolonomyAlgebra) -> SymmetricTriple:
+    """The triple of an extracted holonomy algebra, with no model check."""
+    d = hol.model.dim
     m = hol.dim_h
     f = dict(hol.brackets)
     for i, mat in enumerate(hol.basis):
@@ -371,7 +391,7 @@ def symmetric_triple(model: CurvatureModel, check_model: bool = True) -> Symmetr
                 f[m + b, m + a, k] = -v
     zero = Fraction(0)
     form = (tuple(row + (zero,) * d for row in hol.form)
-            + tuple((zero,) * m + row for row in model.metric))
+            + tuple((zero,) * m + row for row in hol.model.metric))
     return SymmetricTriple(hol, f, form, (1,) * m + (-1,) * d)
 
 

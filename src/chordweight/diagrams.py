@@ -18,15 +18,15 @@ order come from the canonical form above.
 
 from __future__ import annotations
 
-import string
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .formal import FormalSum
 from .frozen import Frozen
 from .work import charge_work
 
 ENUMERATION_CAP = 8
+_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"  # chord labels of a code
 
 
 def _check_involution(matching: tuple) -> None:
@@ -128,7 +128,7 @@ class ChordDiagram(Frozen):
     def code(self) -> str:
         """The canonical label code; empty string for the bare circle."""
         seq = _label_sequence(self.matching, 0)
-        return "".join(string.ascii_uppercase[k] for k in seq)
+        return "".join(_LETTERS[k] for k in seq)
 
     @property
     def chords(self) -> tuple:
@@ -258,14 +258,6 @@ class SmoothingAssignment(Frozen):
                 raise ValueError(f"sign for chord {k} must be +1 or -1, got {s!r}")
         self._set(signs)
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[int, int], n: int) -> "SmoothingAssignment":
-        if set(mapping) != set(range(n)):
-            raise ValueError(
-                f"assignment domain {sorted(mapping)} must be exactly 0..{n - 1}"
-            )
-        return cls(tuple(mapping[k] for k in range(n)))
-
     @property
     def negatives(self) -> int:
         return sum(1 for s in self.signs if s == -1)
@@ -324,12 +316,8 @@ def smooth_components(diagram: ChordDiagram, signs) -> int:
     join out(k) to in(k+1 mod 2n).  A +1 chord (p,q) joins in(p)-out(q) and
     in(q)-out(p); a -1 chord joins in(p)-in(q) and out(p)-out(q).
     """
-    if isinstance(signs, SmoothingAssignment):
-        assignment = signs
-    elif isinstance(signs, Mapping):
-        assignment = SmoothingAssignment.from_mapping(signs, diagram.n)
-    else:
-        assignment = SmoothingAssignment(tuple(signs))
+    assignment = (signs if isinstance(signs, SmoothingAssignment)
+                  else SmoothingAssignment(signs))
     if len(assignment.signs) != diagram.n:
         raise ValueError(
             f"got {len(assignment.signs)} signs for a {diagram.n}-chord diagram"

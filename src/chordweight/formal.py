@@ -32,10 +32,6 @@ class FormalSum:
     def single(cls, term, coeff=1) -> "FormalSum":
         return cls([(term, coeff)])
 
-    @classmethod
-    def zero(cls) -> "FormalSum":
-        return cls()
-
     def coefficient(self, term) -> Fraction:
         return self._terms.get(term, Fraction(0))
 

@@ -3,7 +3,8 @@
 Two eliminations, both on sparse integer rows, do all the exact work.  The
 rank routine pivots on a shortest primitive row and updates only the rows
 that meet the pivot column, dividing each by its content to keep entries
-small; it also decides row-span membership and nondegeneracy.
+small.  Row-span membership (the rank is unchanged when the vector is
+appended) and nondegeneracy (full rank) are read off it.
 ``ReducedSpan`` keeps a spanning set as echelon rows with the combinations
 that give them, so that many targets are solved against one elimination
 and a matrix is inverted by adding its rows.  The dense Fraction helpers
@@ -189,22 +190,7 @@ def _integer_rows(rows):
 
 
 def sparse_rank(rows) -> int:
-    """Rank of a sparse rational matrix, rows given as {column: value} dicts."""
-    return _eliminate(rows)[0]
-
-
-def full_rank(matrix) -> bool:
-    """Whether a square matrix is nondegenerate."""
-    return sparse_rank([dict(enumerate(row)) for row in matrix]) == len(matrix)
-
-
-def in_row_span(rows, vector: dict) -> bool:
-    """Whether the sparse vector lies in the span of rows, by one elimination."""
-    return not _eliminate(rows, vector)[1]
-
-
-def _eliminate(rows, target=None) -> tuple:
-    """(rank of rows, residual of target reduced by them).
+    """Rank of a sparse rational matrix, rows given as {column: value} dicts.
 
     Pivot-local fraction-free elimination over primitive integer rows.  A
     column -> rows index finds the rows that meet each pivot column.  The
@@ -214,19 +200,14 @@ def _eliminate(rows, target=None) -> tuple:
     row <- d*row - f*pivot_row with d, f the pivot and row entries divided
     by their gcd, followed by division by the row's content.  Every step is
     an invertible row operation over Q, so the count of pivots is the rank.
-    A target is carried as row -1, reduced but never a pivot: its residual
-    meets no pivot column, which every nonzero vector in the span meets.
     """
     active = dict(enumerate(_integer_rows(rows)))
-    for row in _integer_rows([target] if target else []):
-        active[-1] = row
     col_rows: dict = {}
     by_len: dict = {}
     for r, row in active.items():
         for c in row:
             col_rows.setdefault(c, set()).add(r)
-        if r >= 0:
-            by_len.setdefault(len(row), set()).add(r)
+        by_len.setdefault(len(row), set()).add(r)
     rank = 0
     while any(by_len.values()):
         length = min(k for k, bucket in by_len.items() if bucket)
@@ -239,8 +220,7 @@ def _eliminate(rows, target=None) -> tuple:
         rank += 1
         for t in col_rows.pop(col):
             row = active[t]
-            if t >= 0:
-                by_len[len(row)].discard(t)
+            by_len[len(row)].discard(t)
             f = row.pop(col)
             g = gcd(d, f)
             dd, ff = d // g, f // g
@@ -265,6 +245,15 @@ def _eliminate(rows, target=None) -> tuple:
             if content != 1:
                 for c in row:
                     row[c] //= content
-            if t >= 0:
-                by_len.setdefault(len(row), set()).add(t)
-    return rank, active.get(-1)
+            by_len.setdefault(len(row), set()).add(t)
+    return rank
+
+
+def full_rank(matrix) -> bool:
+    """Whether a square matrix is nondegenerate."""
+    return sparse_rank([dict(enumerate(row)) for row in matrix]) == len(matrix)
+
+
+def in_row_span(rows: list, vector: dict) -> bool:
+    """Whether the sparse vector lies in the span of rows: appending it keeps the rank."""
+    return sparse_rank([*rows, vector]) == sparse_rank(rows)

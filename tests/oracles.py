@@ -10,10 +10,10 @@ builds each relation once, from a diagram whose moving chord is isolated,
 walks the moving endpoint around the circle by adjacent swaps, and looks
 each term up by its raw gap sequence in an index of every rotation),
 ranks by dense division-based Gaussian elimination (the package uses sparse
-fraction-free elimination), quotient dimensions of each kind and span
-membership by separate sparse ranks over the canonical basis (the package
-sums unframed dimensions, deletes 1T columns and reduces a vector against
-one elimination), smoothing components by walking an adjacency
+fraction-free elimination), quotient dimensions of each kind by a sparse
+rank of the relations spelled out over the canonical basis (the package
+sums unframed dimensions and deletes 1T columns), span membership by two
+dense ranks, smoothing components by walking an adjacency
 list built afresh for each smoothing (the package walks fixed partner tables
 in Gray-code order), weight systems by sweeping the circle with every open
 chord held at once (the package contracts a tensor network pairwise), and
@@ -31,6 +31,7 @@ form).
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import product
 
@@ -157,7 +158,7 @@ def dense_rank(rows, ncols):
         for i in range(len(mat)):
             if i != rank and mat[i][col] != 0:
                 f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], mat[rank])]
         rank += 1
     return rank
 
@@ -186,8 +187,18 @@ def quotient_dimension_by_rows(basis, four_term_rows, kind):
 
 
 def in_span_by_two_ranks(rows, vector):
-    """Whether vector lies in span(rows): appending it leaves the rank as it is."""
-    return sparse_rank(list(rows) + [vector]) == sparse_rank(rows)
+    """Whether vector lies in span(rows): appending it leaves the dense rank as
+    it is.  Columns are the ints 0..max that occur in rows and vector."""
+    ncols = 1 + max((c for row in [*rows, vector] for c in row), default=-1)
+    dense = tuple(tuple(row.get(c, 0) for c in range(ncols)) for row in rows)
+    extra = tuple(vector.get(c, 0) for c in range(ncols))
+    return dense_rank([*dense, extra], ncols) == _kept_dense_rank(dense, ncols)
+
+
+@functools.lru_cache(maxsize=4)
+def _kept_dense_rank(dense, ncols):
+    """dense_rank of a tuple of rows, kept: the span tests reuse one matrix."""
+    return dense_rank(dense, ncols)
 
 
 def walk_components(matching, signs):

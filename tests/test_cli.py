@@ -81,10 +81,12 @@ def run_cli(*argv):
 
 
 def test_importing_the_cli_skips_dataclasses_inspect_and_csv():
+    """Nor does it load the acceptance suite, which only verify runs."""
     env = dict(os.environ, PYTHONPATH=str(Path(chordweight.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, chordweight.cli; print(sorted("
-         "{'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"],
+         "{'dataclasses', 'inspect', 'csv', 'chordweight.acceptance'}"
+         " & set(sys.modules)))"],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
@@ -408,12 +410,18 @@ PINNED = Path(__file__).parent / "pinned"
     (f"yamada-abcabc-n-5-2.{ext}",
      ["yamada", "--diagram", "ABCABC", "--N", "5/2", "--format", fmt])
     for ext, fmt in (("txt", "text"), ("json", "json"), ("csv", "csv"))
+] + [
+    # valid but not parallel: the model checks inside holonomy refuse it
+    ("holonomy-fail-kn3-dense.stderr",
+     ["holonomy", "--curvature", str(PINNED / "kn3-dense.json")]),
 ])
 def test_output_matches_pinned_text(capsys, name, argv):
-    """A failing verdict, named -fail- in its file, exits 1."""
+    """A failing verdict, named -fail- in its file, exits 1; a .stderr file
+    pins stderr, with nothing on stdout."""
     code, out, err = run(capsys, *argv)
     expected = (PINNED / name).read_text(encoding="utf-8")
-    assert (code, out, err) == (int("-fail-" in name), expected, "")
+    streams = ("", expected) if name.endswith(".stderr") else (expected, "")
+    assert (code, out, err) == (int("-fail-" in name), *streams)
 
 
 @pytest.mark.parametrize("name,model", [("bianchi", "bianchi-violating"),

@@ -31,6 +31,8 @@ from chordweight import (
     verify_lie_type,
 )
 from chordweight.curvature import (
+    _holonomy_algebra,
+    _symmetric_triple,
     model_from_json_dict,
     model_to_json_dict,
     triple_to_json_dict,
@@ -256,7 +258,7 @@ def test_verify_lie_type_on_space_forms():
 
 def test_bianchi_violating_triple_fails_jacobi():
     """With checks off the pipeline still runs; validation catches the lie."""
-    triple = symmetric_triple(bianchi_violating_model(), check_model=False)
+    triple = _symmetric_triple(_holonomy_algebra(bianchi_violating_model()))
     assert triple.dim_h == 2
     assert triple.holonomy.form == ((0, 1), (1, 0))
     assert triple.holonomy.brackets == {}

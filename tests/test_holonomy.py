@@ -25,7 +25,9 @@ from chordweight import (
     symmetric_triple,
     triple_from_rep,
 )
+import chordweight.cli
 from chordweight.cli import main
+from chordweight.curvature import ModelCheckFailure, _holonomy_algebra, model_to_json_dict
 from chordweight.lie import representation_to_json_dict
 
 
@@ -192,8 +194,8 @@ def test_curvature_symmetries_and_realization_match_the_oracles(index):
 
 # Non-parallel curvature, on which the dense oracle raises each of its
 # RuntimeErrors.  The package checks the model instead of re-checking the
-# form and the bracket identity, so only the escape is reached with
-# check_model=False.
+# form and the bracket identity, so only the escape is reached, by the
+# extraction without the model checks.
 NOT_PARALLEL = {
     "form": (3, {(1, 2, 0, 2): -1},
              "induced form is inconsistent on generators (1, 2), (0, 2)"),
@@ -216,7 +218,7 @@ def test_non_parallel_models_raise_the_oracles_error(name):
     assert str(expected.value) == message
     if name == "escape":
         with pytest.raises(RuntimeError) as got:
-            holonomy_algebra(model, check_model=False)
+            _holonomy_algebra(model)
         assert str(got.value) == message
     else:
         with pytest.raises(ValueError):
@@ -244,7 +246,7 @@ def test_random_sparse_curvature_matches_the_oracle_with_checks_off():
             with pytest.raises(ValueError):
                 holonomy_algebra(model)
             continue
-        hol = holonomy_algebra(model, check_model=False)
+        hol = _holonomy_algebra(model)
         got = (hol.labels, hol.basis, oracles.dense_brackets(hol.brackets, hol.dim_h),
                hol.form, hol.nondegenerate)
         assert got == expected
@@ -286,3 +288,29 @@ def test_realize_exits_2_over_the_holonomy_budget(tmp_path, capsys, monkeypatch)
     monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", str(_holonomy_work(3)))
     assert main(argv) == 0
     assert capsys.readouterr().out.startswith("verdict: pass\ntriple: dim 6 = 3 + 3\n")
+
+
+def test_model_checks_run_before_the_holonomy_charge(monkeypatch):
+    """A model that fails a check is refused by the check, even over budget."""
+    model = models.kulkarni_nomizu(models.signature_metric(3, 0),
+                                   [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+    assert model.validate() == (True, None)
+    assert not check_parallel_four_term(model)[0]
+    monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", str(_holonomy_work(3) - 1))
+    with pytest.raises(ModelCheckFailure) as err:
+        holonomy_algebra(model)
+    assert str(err.value).startswith("parallel four-term identity fails at ")
+
+
+def test_holonomy_exits_2_on_any_other_value_error(tmp_path, capsys, monkeypatch):
+    """Only ModelCheckFailure is a failed check; other ValueErrors are errors."""
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps(model_to_json_dict(models.space_form(3, 1))))
+
+    def refuse(model):
+        raise ValueError("not a check failure")
+
+    monkeypatch.setattr(chordweight.cli, "symmetric_triple", refuse)
+    assert main(["holonomy", "--curvature", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: not a check failure\n")

@@ -97,6 +97,8 @@ def test_in_row_span_matches_two_ranks_on_planted_vectors():
         vector = {j: v for j, v in vector.items() if v}
         verdicts.append(in_row_span(rows, vector))
         assert verdicts[-1] == oracles.in_span_by_two_ranks(rows, vector)
+        if trial % 2 == 0:  # a planted combination
+            assert verdicts[-1]
     assert 0 < sum(verdicts) < len(verdicts)
 
 

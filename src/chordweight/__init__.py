@@ -2,8 +2,6 @@
 
 from .diagrams import (
     ChordDiagram,
-    SmoothingAssignment,
-    connected_sum,
     coproduct,
     enumerate_diagrams,
     product,
@@ -31,7 +29,6 @@ from .lie import (
     MetrizedLieAlgebra,
     Representation,
     abelian,
-    builtin,
     check_exchange_identity,
     sl2_standard,
     so_standard,
@@ -62,16 +59,13 @@ __all__ = [
     "MetrizedLieAlgebra",
     "RelationSet",
     "Representation",
-    "SmoothingAssignment",
     "SymmetricTriple",
     "WeightTensor",
     "WorkLimitExceeded",
     "abelian",
-    "builtin",
     "check_exchange_identity",
     "check_four_term",
     "check_parallel_four_term",
-    "connected_sum",
     "constant_curvature",
     "coproduct",
     "curvature_symmetries",

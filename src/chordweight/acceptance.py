@@ -17,7 +17,6 @@ from .curvature import (
     check_parallel_four_term,
     constant_curvature,
     curvature_symmetries,
-    holonomy_algebra,
     so_isomorphism,
     symmetric_triple,
     triple_from_rep,
@@ -276,26 +275,26 @@ def check_holonomy_pipeline():
         ("rescaled3", constant_curvature(3, kappa=2), True),
         ("indefinite3", constant_curvature(3, _indefinite_metric(3)), False),
     ]
+    triples = {}
     for name, model, euclidean in models:
         d = model.dim
-        hol = holonomy_algebra(model)
+        triple = triples[name] = symmetric_triple(model)
+        hol = triple.holonomy
         if hol.dim_h != d * (d - 1) // 2:
             return False, f"{name}: holonomy dimension is {hol.dim_h}"
         if not hol.nondegenerate:
             return False, f"{name}: induced form is degenerate"
-        triple = symmetric_triple(model)
         ok, why = triple.validate()
         if not ok:
             return False, f"{name}: triple validation fails: {why}"
-        ok, why = verify_lie_type(model)
+        ok, why = verify_lie_type(triple)
         if not ok:
             return False, f"{name}: Casimir recovery fails: {why}"
         if euclidean and so_isomorphism(hol) is None:
             return False, f"{name}: no isomorphism onto so({d}) found"
-    hol3 = holonomy_algebra(constant_curvature(3))
-    if form_signature(hol3.form) != (0, 3):
+    triple3 = triples["sphere3"]
+    if form_signature(triple3.holonomy.form) != (0, 3):
         return False, "unit three-sphere: induced form is not negative definite"
-    triple3 = symmetric_triple(constant_curvature(3))
     if form_signature(triple3.form) != (3, 3):
         return False, "unit three-sphere: triple form signature is not (3, 3)"
     return True, (

@@ -33,7 +33,7 @@ from .diagrams import (
     charge_enumeration,
     enumerate_diagrams,
 )
-from .jsonio import format_matrix, parse_matrix
+from .jsonio import parse_matrix
 from .lie import check_exchange_identity, representation_from_json_dict
 from .tensors import (
     WeightTensor,
@@ -71,14 +71,20 @@ def _parse_diagram(code: str) -> ChordDiagram:
         raise CLIError(str(exc)) from None
 
 
+def _json_default(obj):
+    """A rational as its exact text, a symmetric triple as its JSON object."""
+    return str(obj) if isinstance(obj, Fraction) else triple_to_json_dict(obj)
+
+
 def _write(args, out, payload, lines, header=(), rows=(), indent=2) -> None:
     """Write a result in the chosen --format: JSON, CSV or text.
 
-    JSON dumps ``payload`` (a symmetric triple in it as its JSON object),
-    CSV writes ``header`` and then ``rows``, and text writes ``lines``.
+    JSON dumps ``payload`` (rationals and symmetric triples in it through
+    ``_json_default``), CSV writes ``header`` and then ``rows``, and text
+    writes ``lines``, which may be a generator that only a text run drives.
     """
     if args.format == "json":
-        json.dump(payload, out, indent=indent, default=triple_to_json_dict)
+        json.dump(payload, out, indent=indent, default=_json_default)
         out.write("\n")
     elif args.format == "csv":
         import csv  # only --format csv pays for this import
@@ -238,34 +244,38 @@ def _cmd_holonomy(args, out) -> int:
     hol = triple.holonomy
     triple_ok, triple_why = triple.validate()
     if triple_ok:
-        lie_type_ok, lie_type_why = verify_lie_type(model, triple)
+        lie_type_ok, lie_type_why = verify_lie_type(triple)
     else:
         lie_type_ok, lie_type_why = False, f"symmetric triple invalid: {triple_why}"
     iso = so_isomorphism(hol)
-    labels = " ".join(f"({a},{b})" for a, b in hol.labels)
+
+    def lines():  # only a text run iterates this, so a JSON run formats no text
+        labels = " ".join(f"({a},{b})" for a, b in hol.labels)
+        yield from [
+            f"dim_h={hol.dim_h}",
+            f"generator labels: {labels or '(none)'}",
+            *_bracket_lines(hol.brackets, hol.dim_h),
+            "B_h:",
+            *_matrix_lines(hol.form),
+            f"B_h nondegenerate: {'yes' if hol.nondegenerate else 'no'}",
+            f"triple: dim {triple.dim} = {triple.dim_h} + {triple.dim_p}, "
+            f"valid: {'yes' if triple_ok else 'no'}",
+            *([] if triple_ok else [f"  reason: {triple_why}"]),
+            f"isomorphic to so{model.dim}: {'yes' if iso is not None else 'no'}",
+            f"rho(C_h) == Hhat: {'yes' if lie_type_ok else 'no'}",
+            *([] if lie_type_ok else [f"  reason: {lie_type_why}"]),
+        ]
+
     _write(args, out, {
         "dim_h": hol.dim_h,
         "labels": hol.labels,
-        "form": format_matrix(hol.form),
+        "form": hol.form,  # its rationals are written by _json_default
         "nondegenerate": hol.nondegenerate,
         "triple": triple,
         "triple_valid": triple_ok,
         "so_isomorphic": iso is not None,
         "casimir_matches": lie_type_ok,
-    }, [
-        f"dim_h={hol.dim_h}",
-        f"generator labels: {labels or '(none)'}",
-        *_bracket_lines(hol.brackets, hol.dim_h),
-        "B_h:",
-        *_matrix_lines(hol.form),
-        f"B_h nondegenerate: {'yes' if hol.nondegenerate else 'no'}",
-        f"triple: dim {triple.dim} = {triple.dim_h} + {triple.dim_p}, "
-        f"valid: {'yes' if triple_ok else 'no'}",
-        *([] if triple_ok else [f"  reason: {triple_why}"]),
-        f"isomorphic to so{model.dim}: {'yes' if iso is not None else 'no'}",
-        f"rho(C_h) == Hhat: {'yes' if lie_type_ok else 'no'}",
-        *([] if lie_type_ok else [f"  reason: {lie_type_why}"]),
-    ])
+    }, lines())
     return EXIT_OK if triple_ok and lie_type_ok else EXIT_CHECK_FAILED
 
 

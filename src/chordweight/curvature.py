@@ -54,7 +54,10 @@ class CurvatureModel:
 
     @property
     def riemann(self) -> tuple:
-        """``riemann[a][b][c][x]`` as a dense nested tuple, built on each access."""
+        """``riemann[a][b][c][x]`` as a dense nested tuple, built on each access.
+
+        No code in the package reads it; ``bench/inputs.py`` does.
+        """
         return dense_array(self.entries, 4, self.dim)
 
     def weight_tensor(self) -> WeightTensor:
@@ -395,26 +398,21 @@ def _symmetric_triple(hol: HolonomyAlgebra) -> SymmetricTriple:
     return SymmetricTriple(hol, f, form, (1,) * m + (-1,) * d)
 
 
-def verify_lie_type(model: CurvatureModel, triple: SymmetricTriple | None = None):
-    """Check that the model's weight tensor comes from its holonomy algebra.
+def verify_lie_type(triple: SymmetricTriple):
+    """Check that a model's weight tensor comes from its holonomy algebra.
 
-    Builds the symmetric triple, validates it, and compares the weight
-    tensor of the holonomy representation with the model's own entrywise;
-    equal tensors give equal weight systems, so no diagram is evaluated.
-    A caller that has already built and validated the model's
-    triple passes it as ``triple`` to skip those two steps.  Returns
-    (True, None) or (False, reason).
+    ``triple`` is the model's symmetric triple, built by ``symmetric_triple``
+    and already validated by the caller; the model is
+    ``triple.holonomy.model``.  Compares the weight tensor of the holonomy
+    representation with the model's own entrywise; equal tensors give equal
+    weight systems, so no diagram is evaluated.  Returns (True, None) or
+    (False, reason).
     """
-    if triple is None:
-        triple = symmetric_triple(model)
-        ok, why = triple.validate()
-        if not ok:
-            return False, f"symmetric triple invalid: {why}"
     hol = triple.holonomy
     if not hol.nondegenerate:
         return False, "holonomy form is degenerate"
     candidate = hol.representation().weight_tensor()
-    target = model.weight_tensor()
+    target = hol.model.weight_tensor()
     if candidate != target:
         witness = least_nonzero(contract("abcd", target.entries, "", UNIT, "abcd",
                                          dict(candidate.entries), -1))

@@ -137,13 +137,6 @@ class ChordDiagram(Frozen):
             (p, q) for p, q in enumerate(self.matching) if q > p
         )
 
-    def chord_of(self, position: int) -> int:
-        """Index of the chord (in first-occurrence order) at a position."""
-        for k, (p, q) in enumerate(self.chords):
-            if position in (p, q):
-                return k
-        raise ValueError(f"no endpoint at position {position}")
-
     @property
     def has_isolated_chord(self) -> bool:
         """True if some chord has cyclically adjacent endpoints."""
@@ -157,22 +150,6 @@ class ChordDiagram(Frozen):
 
     def __repr__(self):
         return f"ChordDiagram({self.code!r})"
-
-
-def canonicalize(raw_matching: Iterable[int]) -> ChordDiagram:
-    """Canonical diagram of any fixed-point-free involution sequence."""
-    return ChordDiagram(tuple(raw_matching))
-
-
-def rotate_matching(matching: Sequence[int], r: int) -> tuple:
-    """The matching with all positions shifted by r around the circle."""
-    m = len(matching)
-    if m == 0:
-        return ()
-    out = [0] * m
-    for i in range(m):
-        out[(i + r) % m] = (matching[i] + r) % m
-    return tuple(out)
 
 
 def charge_enumeration(n: int) -> None:
@@ -246,23 +223,6 @@ def enumerate_diagrams(n: int) -> tuple:
     ))
 
 
-class SmoothingAssignment(Frozen):
-    """A sign (+1 pass-through, -1 cap-cup) for each chord of a diagram."""
-
-    _fields = ("signs",)
-
-    def __init__(self, signs: tuple):
-        signs = tuple(signs)
-        for k, s in enumerate(signs):
-            if s not in (1, -1):
-                raise ValueError(f"sign for chord {k} must be +1 or -1, got {s!r}")
-        self._set(signs)
-
-    @property
-    def negatives(self) -> int:
-        return sum(1 for s in self.signs if s == -1)
-
-
 def _smoothing_tables(diagram: ChordDiagram):
     """Partner tables of the half-edges in(p) = 2p and out(p) = 2p+1.
 
@@ -309,22 +269,24 @@ def _count_cycles(arc: list, chord: list) -> int:
     return cycles
 
 
-def smooth_components(diagram: ChordDiagram, signs) -> int:
+def smooth_components(diagram: ChordDiagram, signs: Sequence[int]) -> int:
     """Number of circles after replacing every chord by its smoothing.
+
+    ``signs`` holds +1 (pass-through) or -1 (cap-cup) for each chord.
 
     Each endpoint p splits into half-edges in(p) and out(p); circle arcs
     join out(k) to in(k+1 mod 2n).  A +1 chord (p,q) joins in(p)-out(q) and
     in(q)-out(p); a -1 chord joins in(p)-in(q) and out(p)-out(q).
     """
-    assignment = (signs if isinstance(signs, SmoothingAssignment)
-                  else SmoothingAssignment(signs))
-    if len(assignment.signs) != diagram.n:
-        raise ValueError(
-            f"got {len(assignment.signs)} signs for a {diagram.n}-chord diagram"
-        )
+    signs = tuple(signs)
+    for k, s in enumerate(signs):
+        if s not in (1, -1):
+            raise ValueError(f"sign for chord {k} must be +1 or -1, got {s!r}")
+    if len(signs) != diagram.n:
+        raise ValueError(f"got {len(signs)} signs for a {diagram.n}-chord diagram")
     arc, joins = _smoothing_tables(diagram)
     chord = [0] * len(arc)
-    for pairs, sign in zip(joins, assignment.signs):
+    for pairs, sign in zip(joins, signs):
         _join(chord, pairs[sign])
     return _count_cycles(arc, chord)
 
@@ -374,11 +336,6 @@ def product(d1: ChordDiagram, d2: ChordDiagram, cut1: int, cut2: int) -> ChordDi
         partner = d2.matching[(c2 + j) % m2]
         matching[m1 + j] = m1 + (partner - c2) % m2
     return ChordDiagram(tuple(matching))
-
-
-def connected_sum(d1: ChordDiagram, d2: ChordDiagram) -> ChordDiagram:
-    """Convenience product at arc 0 of both factors."""
-    return product(d1, d2, 0, 0)
 
 
 def restrict(diagram: ChordDiagram, chord_ids: Iterable[int]) -> ChordDiagram:

@@ -8,7 +8,6 @@ their coefficient mappings.
 from __future__ import annotations
 
 from fractions import Fraction
-from numbers import Rational
 
 
 class FormalSum:
@@ -57,13 +56,6 @@ class FormalSum:
 
     def __neg__(self):
         return FormalSum({t: -c for t, c in self._terms.items()})
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Rational)):
-            return NotImplemented
-        return FormalSum({t: c * scalar for t, c in self._terms.items()})
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, FormalSum):

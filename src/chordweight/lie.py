@@ -6,7 +6,6 @@ form, and representation matrices, all with exact rational entries.
 
 from __future__ import annotations
 
-import re
 from collections import defaultdict
 from fractions import Fraction
 
@@ -43,7 +42,10 @@ class MetrizedLieAlgebra:
 
     @property
     def brackets(self) -> tuple:
-        """``brackets[i][j][k]`` as a dense nested tuple, built on each access."""
+        """``brackets[i][j][k]`` as a dense nested tuple, built on each access.
+
+        No code in the package reads it; ``bench/inputs.py`` does.
+        """
         return dense_array(self.entries, 3, self.dim)
 
     def validate(self):
@@ -280,23 +282,6 @@ def abelian(m: int) -> Representation:
     zero = [[Fraction(0)] * m for _ in range(m)]
     form = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
     return Representation(MetrizedLieAlgebra({}, form), [zero] * m, dimV=m)
-
-
-_BUILTIN_PATTERN = re.compile(r"^(sl2|so(\d+)|abelian(\d+))$")
-
-
-def builtin(name: str) -> Representation:
-    """Look up a named builtin: 'sl2', 'so<n>' (n >= 2), or 'abelian<m>'."""
-    match = _BUILTIN_PATTERN.match(name)
-    if match is None:
-        raise ValueError(
-            f"unknown builtin {name!r}; expected sl2, so<n>, or abelian<m>"
-        )
-    if match.group(2) is not None:
-        return so_standard(int(match.group(2)))
-    if match.group(3) is not None:
-        return abelian(int(match.group(3)))
-    return sl2_standard()
 
 
 def algebra_to_json_dict(algebra: MetrizedLieAlgebra) -> dict:

@@ -7,10 +7,11 @@ small.  Row-span membership (the rank is unchanged when the vector is
 appended) and nondegeneracy (full rank) are read off it.
 ``ReducedSpan`` keeps a spanning set as echelon rows with the combinations
 that give them, so that many targets are solved against one elimination
-and a matrix is inverted by adding its rows.  The dense Fraction helpers
-``mat_mul``, ``mat_sub`` and ``commutator`` have no caller in the package;
-they stay because the benchmark's tracer resolves ``linalg.commutator`` by
-name.
+and a matrix is inverted by adding its rows.  ``solve_in_span`` and the
+dense Fraction helpers ``mat_mul``, ``mat_sub`` and ``commutator`` have no
+caller in the package; they stay because the benchmark's tracer
+(``bench/tracing.py``) resolves ``linalg.solve_in_span`` and
+``linalg.commutator`` by name.
 """
 
 from __future__ import annotations

@@ -652,6 +652,17 @@ def test_holonomy_report(tmp_path, capsys):
     assert payload["triple"]["involution"] == [1, 1, 1, -1, -1, -1]
 
 
+def test_holonomy_json_formats_no_text_line(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a JSON run formatted text")
+
+    monkeypatch.setattr(chordweight.cli, "_bracket_lines", refuse)
+    monkeypatch.setattr(chordweight.cli, "_matrix_lines", refuse)
+    expected = (PINNED / "holonomy-cp2.json").read_text(encoding="utf-8")
+    assert run(capsys, "holonomy", "--curvature", str(PINNED / "cp2.json"),
+               "--format", "json") == (0, expected, "")
+
+
 def test_realize_verdicts(tmp_path, capsys):
     so3 = write_json(tmp_path / "so3.json",
                      representation_to_json_dict(so_standard(3)))

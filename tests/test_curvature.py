@@ -227,7 +227,9 @@ def test_flat_model_has_trivial_holonomy():
     hol = holonomy_algebra(flat)
     assert hol.dim_h == 0
     assert hol.nondegenerate
-    assert verify_lie_type(flat) == (True, None)
+    triple = symmetric_triple(flat)
+    assert triple.validate() == (True, None)
+    assert verify_lie_type(triple) == (True, None)
 
 
 def test_indefinite_model_is_not_plainly_orthogonal():
@@ -253,7 +255,9 @@ def test_verify_lie_type_on_space_forms():
     for model in (constant_curvature(2), constant_curvature(3),
                   constant_curvature(4), constant_curvature(3, kappa=-1),
                   constant_curvature(3, indefinite_metric(3))):
-        assert verify_lie_type(model) == (True, None)
+        triple = symmetric_triple(model)
+        assert triple.validate() == (True, None)
+        assert verify_lie_type(triple) == (True, None)
 
 
 def test_bianchi_violating_triple_fails_jacobi():

@@ -12,7 +12,6 @@ from chordweight import (
     MetrizedLieAlgebra,
     Representation,
     abelian,
-    builtin,
     check_exchange_identity,
     evaluate,
     sl2_standard,
@@ -180,15 +179,6 @@ def test_zero_dimensional_algebra_needs_dimv():
     rep = Representation(algebra, (), dimV=2)
     assert rep.dimV == 2
     assert evaluate(rep.weight_tensor(), THETA) == 0
-
-
-def test_builtin_names():
-    assert builtin("sl2").algebra.dim == 3
-    assert builtin("so4").algebra.dim == 6
-    assert builtin("abelian7").algebra.dim == 7
-    for name in ("su2", "so", "abelian", "sl3", "SO3"):
-        with pytest.raises(ValueError):
-            builtin(name)
 
 
 def test_representation_json_round_trip():

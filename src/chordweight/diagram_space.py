@@ -5,13 +5,18 @@ each degree, computes quotient dimensions by exact sparse elimination, and
 decides membership in the relation span.  Rank columns are rotation
 classes.  A term is found by one dict lookup of its raw matching's gaps,
 as bytes (each gap is below 2n <= 16), in an index of every rotation of
-every class.  Each 4T relation is generated once, from a matching whose
-moving chord is isolated, its terms read from a slot table that walks that
-endpoint around the circle by adjacent swaps.  Framed columns are the
-canonical basis.  Unframed columns are the classes as generated (rank
-ignores column order), so no diagram is built, less those with an
-isolated chord, which 1T kills.  As A = A^r (x) Q[theta] (Bar-Natan,
-Topology 34, 1995), ``dims`` sums unframed_j over j <= n for framed_n.
+every column.  Each 4T relation is generated from a configuration: a
+matching whose moving chord is isolated, its terms read from a slot table
+that walks that endpoint around the circle by adjacent swaps.
+``four_term_relations`` keeps every distinct 4T vector.  The rank ranks
+only a spanning subset of them (``_relation_matrix`` proves each rule):
+unframed generators with a second isolated chord are skipped, one row of
+every configuration is left out, and rows are kept once up to sign.
+Framed columns are the canonical basis.  Unframed columns are the classes
+as generated (rank ignores column order), so no diagram is built, less
+those with an isolated chord, which 1T kills.  As A = A^r (x) Q[theta]
+(Bar-Natan, Topology 34, 1995), ``dims`` sums unframed_j over j <= n for
+framed_n.
 """
 
 from __future__ import annotations
@@ -91,7 +96,7 @@ def _class_index(classes) -> dict:
 
 
 def _slot_table(matching: tuple, p: int, index: dict) -> list:
-    """slots[t]: class index of ``_reinsert(matching, p, seq, t)``.
+    """slots[t]: class index of ``_reinsert(matching, p, seq, t)``, -1 if not in index.
 
     seq is the circle without p.  The walk starts from the diagram itself,
     where p sits at slot p just after its partner, and moves p forward
@@ -104,7 +109,7 @@ def _slot_table(matching: tuple, p: int, index: dict) -> list:
     m = len(matching)
     gaps = _gaps(matching)
     slots = [0] * m
-    slots[p % (m - 1)] = index[bytes(gaps)]
+    slots[p % (m - 1)] = index.get(bytes(gaps), -1)
     i = p
     for t in range(p + 1, p + m - 1):
         j = i + 1 if i + 1 < m else 0
@@ -112,13 +117,37 @@ def _slot_table(matching: tuple, p: int, index: dict) -> list:
         b = (j + gaps[j]) % m  # the partner of the endpoint after p
         gaps[i], gaps[j] = (b - i) % m, (a - j) % m
         gaps[a], gaps[b] = (j - a) % m, (i - b) % m
-        slots[t % (m - 1)] = index[bytes(gaps)]
+        slots[t % (m - 1)] = index.get(bytes(gaps), -1)
         i = j
     slots[m - 1] = slots[0]
     return slots
 
 
-def _four_term_rows(matchings, index: dict) -> list:
+def _configuration_rows(matching: tuple, q: int, index: dict) -> list:
+    """The 4T rows of one configuration, as sorted (column, int) tuples.
+
+    The chord (q, p = q + 1 mod 2n) of matching is isolated and p moves;
+    there is one row per other chord, fixed in its order in matching.  A
+    row puts p just before and just after each endpoint of the fixed chord
+    (signs +, -, +, -), each term read from p's slot table.  Zero entries
+    and columns -1 are left out, so a row may be empty.
+    """
+    p = (q + 1) % len(matching)
+    slots = _slot_table(matching, p, index)
+    rows = []
+    for fixed in enumerate(matching):
+        if fixed[0] > fixed[1] or q in fixed:
+            continue
+        row: dict = {}
+        for anchor in fixed:
+            at = anchor - (anchor > p)
+            row[slots[at]] = row.get(slots[at], 0) + 1
+            row[slots[at + 1]] = row.get(slots[at + 1], 0) - 1
+        rows.append(tuple(sorted((i, c) for i, c in row.items() if c and i >= 0)))
+    return rows
+
+
+def _four_term_rows(matchings, index: dict, spanning: bool = False) -> list:
     """Distinct nonzero 4T rows {class index: int} over degree-n matchings.
 
     matchings holds one matching of each rotation class, and index is
@@ -132,25 +161,24 @@ def _four_term_rows(matchings, index: dict) -> list:
     fixed one: one slot table per isolated chord.  Configurations with
     rotational symmetry still repeat, so rows are deduplicated on their
     sorted items, in order of first appearance.  Columns -1 are left out.
+
+    With ``spanning``, the rows are only a spanning set of those, for rank
+    (see ``_relation_matrix``): each configuration's longest row, the last
+    of equals, is left out, and rows are deduplicated up to sign, each kept
+    with its least column positive.
     """
     rows: dict = {}
     for matching in matchings:
         m = len(matching)
         for q in range(m):
-            p = (q + 1) % m
-            if matching[q] != p:
+            if matching[q] != (q + 1) % m:
                 continue
-            # each 4T term is one entry of the slot table
-            slots = _slot_table(matching, p, index)
-            for fixed in enumerate(matching):
-                if fixed[0] > fixed[1] or q in fixed:
-                    continue
-                row: dict = {}
-                for anchor in fixed:
-                    at = anchor - (anchor > p)
-                    row[slots[at]] = row.get(slots[at], 0) + 1
-                    row[slots[at + 1]] = row.get(slots[at + 1], 0) - 1
-                key = tuple(sorted((i, c) for i, c in row.items() if c and i >= 0))
+            config = _configuration_rows(matching, q, index)
+            if spanning and config:
+                del config[max(range(len(config)), key=lambda k: (len(config[k]), k))]
+                config = [key if not key or key[0][1] > 0
+                          else tuple([(i, -c) for i, c in key]) for key in config]
+            for key in config:
                 if key:
                     rows[key] = None
     return [dict(key) for key in rows]
@@ -183,19 +211,46 @@ def _check_kind(kind: str) -> None:
 def _relation_matrix(n: int, kind: str) -> tuple:
     """(4T rows, index, column count) over the degree-n rotation classes.
 
-    Framed columns are the canonical basis; unframed ones are the classes as
-    generated, with no diagram built, and index maps those with an isolated
-    chord (a gap of 1) to -1, which the rows drop.
+    Framed columns are the canonical basis.  Unframed columns are the
+    classes as generated with no isolated chord (no gap of 1), with no
+    diagram built; index holds every rotation of those alone, and a key
+    missing from it is a column that 1T deletes, which the rows drop.
+
+    The rows are a spanning set of the 4T rows, by three facts.
+
+    (a) Unframed generators need exactly one isolated chord.  Let the
+    moving chord (q, p) and another chord (u, u + 1) be isolated.  p is put
+    just before or after an endpoint of the fixed chord, so it lands
+    between u and u + 1 only when the fixed chord is (u, u + 1) itself,
+    and then its two terms there cancel.  Every term left has (u, u + 1)
+    isolated, a deleted column, so every row of such a generator is empty.
+
+    (b) One row per configuration is spanned by the others.  A
+    configuration is one generator with its moving endpoint p, over every
+    fixed chord.  The fixed chords' endpoints are every x on the circle
+    without p except q, so the rows sum to the sum over those x of "p just
+    before x" less "p just after x".  Each place on that circle is just
+    before one endpoint and just after another, so the sum over all x is
+    zero and the sum without q is "p just after q" less "p just before q".
+    Those two are the same matching, the chord (p, q) sitting between the
+    same two neighbours, so the rows sum to zero, also after deleting
+    columns.  Leaving out one row of every configuration (its longest)
+    keeps the span, since each left out row is minus the sum of the
+    configuration's other rows, which stay.
+
+    (c) A row and its negative span the same line, so rows are kept once
+    up to sign.
     """
     classes = ([_gaps(diagram.matching) for diagram in enumerate_diagrams(n)]
                if kind == "framed" else _least_gap_rotations(n))
-    index = _class_index(classes)
+    generators = classes
     if kind == "unframed":
-        index = {key: -1 if 1 in key else i for key, i in index.items()}
+        generators = [gaps for gaps in classes if gaps.count(1) == 1]
+        classes = [gaps for gaps in classes if 1 not in gaps]
+    index = _class_index(classes)
     matchings = [tuple([(p + g) % (2 * n) for p, g in enumerate(gaps)])
-                 for gaps in classes]
-    columns = sum(kind == "framed" or 1 not in gaps for gaps in classes)
-    return _four_term_rows(matchings, index), index, columns
+                 for gaps in generators]
+    return _four_term_rows(matchings, index, spanning=True), index, len(classes)
 
 
 def quotient_dimension(n: int, kind: str = "framed") -> int:
@@ -214,6 +269,7 @@ def in_relation_span(vector: FormalSum, kind: str = "framed") -> bool:
     if len(degrees) != 1:
         raise ValueError(f"vector mixes degrees {sorted(degrees)}")
     rows, index, _ = _relation_matrix(degrees.pop(), kind)
-    target = {index[bytes(_gaps(d.matching))]: coeff for d, coeff in vector.items()}
+    target = {index.get(bytes(_gaps(d.matching)), -1): coeff
+              for d, coeff in vector.items()}
     target.pop(-1, None)  # a column that 1T deletes
     return in_row_span(rows, target)

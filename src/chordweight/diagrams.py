@@ -156,7 +156,10 @@ def charge_enumeration(n: int) -> None:
     """Charge the predicted cost of degree n against the work bound.
 
     The cost is classes x (2n)^2, with about (2n-1)!!/(2n) rotation
-    classes, each canonicalized and given 4T slot tables of length 2n.
+    classes, each canonicalized.  It bounds the 4T rows too: a class that
+    generates rows gets one slot table of length 2n per isolated chord,
+    at most n * 2n steps.  Framed rank takes every class as a generator,
+    unframed rank only those with exactly one isolated chord.
     """
     work = 2 * n
     for k in range(1, 2 * n, 2):

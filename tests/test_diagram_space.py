@@ -19,10 +19,13 @@ from chordweight import (
 )
 import chordweight.diagram_space
 from chordweight.diagram_space import (
+    KINDS,
     _class_index,
+    _configuration_rows,
     _four_term_rows,
     _gaps,
     _reinsert,
+    _relation_matrix,
     _slot_table,
 )
 from chordweight.diagrams import _least_gap_rotations
@@ -161,6 +164,137 @@ def test_four_term_rows_do_not_depend_on_which_rotation_represents_a_class(n):
         wrapped += sum(mat[m - 1] == 0 for mat in rotated)
         assert row_set(_four_term_rows(rotated, index)) == expected
     assert wrapped > 0
+
+
+def isolated_starts(matching):
+    """Every q whose chord (q, q + 1 mod 2n) is isolated."""
+    m = len(matching)
+    return [q for q in range(m) if matching[q] == (q + 1) % m]
+
+
+def configurations(n, index):
+    """(matching, q, rows) of every configuration, over one matching per class."""
+    for gaps in _least_gap_rotations(n):
+        matching = gap_matching(gaps)
+        for q in isolated_starts(matching):
+            yield matching, q, _configuration_rows(matching, q, index)
+
+
+def negated(key):
+    return tuple((i, -c) for i, c in key)
+
+
+def oracle_rows(n, kind):
+    """The oracle's distinct 4T rows over basis positions, 1T columns deleted
+    for unframed, as a set of sorted item tuples."""
+    basis = enumerate_diagrams(n)
+    deleted = {i for i, d in enumerate(basis) if d.has_isolated_chord}
+    rows = set()
+    for row in oracles.four_term_rows_all(basis):
+        key = tuple(sorted((i, c) for i, c in row.items()
+                           if kind == "framed" or i not in deleted))
+        if key:
+            rows.add(key)
+    return rows
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(2, 7))
+def test_rows_of_each_configuration_sum_to_zero(n, kind):
+    """Fact (b): over every fixed chord, a configuration's full rows cancel.
+
+    The unframed index leaves out the 1T columns, so there the sum is taken
+    after deleting them.
+    """
+    _, index, _ = _relation_matrix(n, kind)
+    count = 0
+    for matching, q, rows in configurations(n, index):
+        total = {}
+        for key in rows:
+            for i, c in key:
+                total[i] = total.get(i, 0) + c
+        assert not any(total.values()), (matching, q)
+        count += 1
+    assert count > 0
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_four_term_vectors_over_every_fixed_chord_sum_to_zero(n):
+    """Fact (b) from ``four_term_vector``: it holds for any moving endpoint."""
+    for diagram in enumerate_diagrams(n):
+        for moving in range(n):
+            for endpoint in (0, 1):
+                total = FormalSum()
+                for fixed in range(n):
+                    if fixed != moving:
+                        total = total + four_term_vector(diagram, moving, fixed, endpoint)
+                assert not total, (diagram, moving, endpoint)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_unframed_generators_with_two_isolated_chords_give_empty_rows(n):
+    """Fact (a): another isolated chord stays isolated in every term."""
+    _, index, _ = _relation_matrix(n, "unframed")
+    generators = 0
+    for matching, q, rows in configurations(n, index):
+        if len(isolated_starts(matching)) >= 2:
+            assert rows == [()] * (n - 1), (matching, q)
+            generators += 1
+    assert generators > 0
+    for diagram in enumerate_diagrams(n):
+        starts = isolated_starts(diagram.matching)
+        if len(starts) < 2:
+            continue
+        for q in starts:
+            (moving,) = [k for k, chord in enumerate(diagram.chords) if q in chord]
+            for endpoint in (0, 1):
+                for fixed in range(n):
+                    if fixed != moving:
+                        vector = four_term_vector(diagram, moving, fixed, endpoint)
+                        assert all(d.has_isolated_chord for d, _ in vector.items())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(7))
+def test_rank_rows_are_distinct_four_term_rows_up_to_sign(n, kind):
+    """Fact (c), and every row ranked is +- a 4T row of the oracle.
+
+    With the dimension tests, which give both row sets the same rank, the
+    ranked rows span the 4T relations of each kind.
+    """
+    basis = enumerate_diagrams(n)
+    position = {d: i for i, d in enumerate(basis)}
+    rows, index, columns = _relation_matrix(n, kind)
+    relabel = {i: position[ChordDiagram(gap_matching(list(key)))]
+               for key, i in index.items()}
+    assert len(set(relabel.values())) == len(set(relabel)) == columns
+    expected = oracle_rows(n, kind)
+    signed = set()
+    for row in rows:
+        key = tuple(sorted(row.items()))
+        relabelled = tuple(sorted((relabel[i], c) for i, c in key))
+        assert relabelled in expected or negated(relabelled) in expected, relabelled
+        signed |= {key, negated(key)}
+    assert len(signed) == 2 * len(rows)  # no row repeated, up to sign
+    for matching, q, config in configurations(n, index):
+        left_out = [key for key in config if key and key not in signed]
+        assert len(left_out) <= 1, (matching, q)  # only one row per configuration
+
+
+def test_unframed_rank_rows_need_one_slot_table_per_generator(monkeypatch):
+    """At degree 6, 329 of the 980 isolated chords have no other beside them."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _slot_table(*args)
+
+    monkeypatch.setattr(chordweight.diagram_space, "_slot_table", counting)
+    _relation_matrix(6, "unframed")
+    assert len(calls) == 329
+    calls.clear()
+    _relation_matrix(6, "framed")
+    assert len(calls) == 980
 
 
 @pytest.mark.parametrize("n", range(7))

@@ -226,60 +226,55 @@ def enumerate_diagrams(n: int) -> tuple:
     ))
 
 
-def _smoothing_tables(diagram: ChordDiagram):
-    """Partner tables of the half-edges in(p) = 2p and out(p) = 2p+1.
+def _arc_paths(diagram: ChordDiagram) -> tuple:
+    """The circle arcs as paths between half-edges, numbered chord by chord.
 
-    ``arc[h]`` is h's partner along the circle, fixed for every smoothing:
-    out(p) and in(p+1 mod 2n).  ``joins[k][s]`` is the two pairs of
-    half-edges that chord k joins under sign s.
+    Chord k of ``chords``, (p, q), has half-edges in(p) = 4k, out(p) =
+    4k+1, in(q) = 4k+2 and out(q) = 4k+3.  The arc from endpoint r to r+1
+    mod 2n joins out(r) to in(r+1), and entry h is the other end of the
+    path that ends at h.
     """
+    half = {}
+    for k, (p, q) in enumerate(diagram.chords):
+        half[p], half[q] = 4 * k, 4 * k + 2
     m = len(diagram.matching)
-    arc = [0] * (2 * m)
-    for p in range(m):
-        out, nxt = 2 * p + 1, 2 * ((p + 1) % m)
-        arc[out], arc[nxt] = nxt, out
-    joins = [{1: ((2 * p, 2 * q + 1), (2 * q, 2 * p + 1)),
-              -1: ((2 * p, 2 * q), (2 * p + 1, 2 * q + 1))}
-             for p, q in diagram.chords]
-    return arc, joins
+    ends = [0] * (2 * m)
+    for r in range(m):
+        out, nxt = half[r] + 1, half[(r + 1) % m]
+        ends[out], ends[nxt] = nxt, out
+    return tuple(ends)
 
 
-def _join(chord: list, pairs) -> None:
-    for x, y in pairs:
-        chord[x], chord[y] = y, x
+# The joins of a chord's half-edges 0..3 under each sign: +1 (pass-through)
+# joins in(p)-out(q) and in(q)-out(p), -1 (cap-cup) in(p)-in(q) and out(p)-out(q).
+_JOINS = {1: ((0, 3), (2, 1)), -1: ((0, 2), (1, 3))}
 
 
-def _count_cycles(arc: list, chord: list) -> int:
-    """Cycles of the graph whose edges are the arc and chord partners.
+def _smooth_first(ends: tuple, sign: int) -> tuple:
+    """Smooth the chord of half-edges 0..3 of ``ends``: (cycles closed, ends left).
 
-    Every half-edge has exactly one partner of each kind, so the graph is
-    a disjoint union of cycles alternating the two; every cycle meets an
-    in half-edge.  The bare circle has no half-edges and is one cycle.
+    A join of the two ends of one path closes a cycle; any other join
+    links two paths into one.  The chord's half-edges are then
+    no longer path ends, so they are dropped and the rest renumbered from 0.
     """
-    if not arc:
-        return 1
-    seen = bytearray(len(arc))
-    cycles = 0
-    for start in range(0, len(arc), 2):
-        if not seen[start]:
-            cycles += 1
-            h = start
-            while not seen[h]:
-                seen[h] = 1
-                h = arc[h]
-                seen[h] = 1
-                h = chord[h]
-    return cycles
+    ends = list(ends)
+    closed = 0
+    for x, y in _JOINS[sign]:
+        a, b = ends[x], ends[y]
+        if a == y:
+            closed += 1
+        else:
+            ends[a], ends[b] = b, a
+    return closed, tuple(h - 4 for h in ends[4:])
 
 
 def smooth_components(diagram: ChordDiagram, signs: Sequence[int]) -> int:
     """Number of circles after replacing every chord by its smoothing.
 
-    ``signs`` holds +1 (pass-through) or -1 (cap-cup) for each chord.
-
-    Each endpoint p splits into half-edges in(p) and out(p); circle arcs
-    join out(k) to in(k+1 mod 2n).  A +1 chord (p,q) joins in(p)-out(q) and
-    in(q)-out(p); a -1 chord joins in(p)-in(q) and out(p)-out(q).
+    ``signs`` holds +1 (pass-through) or -1 (cap-cup) for each chord, in
+    the order of ``chords``; each is smoothed by ``_smooth_first``.  Every
+    cycle closes exactly once, at its last join.  The bare circle has no
+    half-edges and is one circle.
     """
     signs = tuple(signs)
     for k, s in enumerate(signs):
@@ -287,35 +282,44 @@ def smooth_components(diagram: ChordDiagram, signs: Sequence[int]) -> int:
             raise ValueError(f"sign for chord {k} must be +1 or -1, got {s!r}")
     if len(signs) != diagram.n:
         raise ValueError(f"got {len(signs)} signs for a {diagram.n}-chord diagram")
-    arc, joins = _smoothing_tables(diagram)
-    chord = [0] * len(arc)
-    for pairs, sign in zip(joins, signs):
-        _join(chord, pairs[sign])
-    return _count_cycles(arc, chord)
+    if not signs:
+        return 1
+    ends = _arc_paths(diagram)
+    circles = 0
+    for sign in signs:
+        closed, ends = _smooth_first(ends, sign)
+        circles += closed
+    return circles
 
 
 def smoothing_tally(diagram: ChordDiagram) -> dict:
     """{c: signed number of smoothings with c circles} over all 2^n sign choices.
 
     A smoothing counts -1 when it has an odd number of -1 chords.  The
-    smoothings are visited in Gray-code order, so each one differs from
-    the last in one chord: its two joins change and the sign flips.
+    chords are smoothed one at a time, in order of first endpoint, into a
+    frontier: a dict from the pairing of the half-edges still open (path
+    ends) to the tally {cycles closed so far: signed count} of the partial
+    smoothings that leave that pairing.  Merging them is exact: the later
+    joins touch only open half-edges, so which of them close cycles
+    depends on the pairing alone, and every smoothing in one entry gains
+    the same cycles from each later choice of signs.  The work follows the
+    number of distinct pairings, at most 2^k after k chords, so the 2^n
+    charge of ``yamada_weight`` is an upper bound on the states formed.
+    When every chord is smoothed, only the empty pairing is left.
     """
-    arc, joins = _smoothing_tables(diagram)
-    chord = [0] * len(arc)
-    for pairs in joins:
-        _join(chord, pairs[1])
-    signs = [1] * len(joins)
-    tally = {_count_cycles(arc, chord): 1}
-    parity = 1
-    for g in range(1, 1 << len(joins)):
-        k = (g & -g).bit_length() - 1
-        signs[k] = -signs[k]
-        parity = -parity
-        _join(chord, joins[k][signs[k]])
-        c = _count_cycles(arc, chord)
-        tally[c] = tally.get(c, 0) + parity
-    return tally
+    if not diagram.n:
+        return {1: 1}
+    frontier = {_arc_paths(diagram): {0: 1}}
+    for _ in range(diagram.n):
+        merged = {}
+        for ends, tally in frontier.items():
+            for sign in (1, -1):
+                closed, after = _smooth_first(ends, sign)
+                into = merged.setdefault(after, {})
+                for c, k in tally.items():
+                    into[c + closed] = into.get(c + closed, 0) + sign * k
+        frontier = merged
+    return frontier[()]
 
 
 def product(d1: ChordDiagram, d2: ChordDiagram, cut1: int, cut2: int) -> ChordDiagram:

@@ -14,8 +14,10 @@ fraction-free elimination), quotient dimensions of each kind by a sparse
 rank of the relations spelled out over the canonical basis (the package
 sums unframed dimensions and deletes 1T columns), span membership by two
 dense ranks, smoothing components by walking an adjacency
-list built afresh for each smoothing (the package walks fixed partner tables
-in Gray-code order), weight systems by sweeping the circle with every open
+list built afresh for each smoothing, and smoothing tallies by a Gray-code
+walk over all 2^n smoothings that recounts every cycle at each step (the
+package smooths one chord at a time into path ends and merges the partial
+smoothings that leave the same open ends), weight systems by sweeping the circle with every open
 chord held at once (the package contracts a tensor network pairwise), and
 the identity checks and the curvature-model symmetries by dense loops over
 every index tuple in lexicographic order (the package works on nonzero
@@ -32,6 +34,7 @@ form).
 from __future__ import annotations
 
 import functools
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -247,6 +250,72 @@ def walk_components(matching, signs):
             prev, cur = cur, nxt
     return comps
 
+
+def random_matching(n, seed):
+    """A uniformly random perfect matching of {0, ..., 2n-1}, seeded."""
+    ends = list(range(2 * n))
+    random.Random(seed).shuffle(ends)
+    matching = [0] * (2 * n)
+    for a, b in zip(ends[::2], ends[1::2]):
+        matching[a], matching[b] = b, a
+    return tuple(matching)
+
+
+def gray_tally(matching):
+    """{c: signed number of smoothings with c circles}, every smoothing visited.
+
+    Half-edges are in(p) = 2p and out(p) = 2p+1.  ``arc[h]`` is h's
+    partner along the circle: out(p) and in(p+1 mod 2n).  ``chord[h]`` is
+    its partner across the smoothed chords, ordered by first endpoint; a
+    +1 chord (p, q) joins in(p)-out(q) and in(q)-out(p), a -1 chord
+    in(p)-in(q) and out(p)-out(q).  The smoothings are visited in
+    Gray-code order, so each differs from the last in one chord, whose two
+    joins change, and its sign flips; the cycles alternating the two kinds
+    of partner are recounted over every half-edge at each step.
+    """
+    m = len(matching)
+    if m == 0:
+        return {1: 1}
+    arc = [0] * (2 * m)
+    for p in range(m):
+        out, nxt = 2 * p + 1, 2 * ((p + 1) % m)
+        arc[out], arc[nxt] = nxt, out
+    joins = [{1: ((2 * p, 2 * q + 1), (2 * q, 2 * p + 1)),
+              -1: ((2 * p, 2 * q), (2 * p + 1, 2 * q + 1))}
+             for p, q in enumerate(matching) if p < q]
+    chord = [0] * (2 * m)
+
+    def join(pairs):
+        for x, y in pairs:
+            chord[x], chord[y] = y, x
+
+    def cycles():
+        seen = bytearray(2 * m)
+        count = 0
+        for start in range(0, 2 * m, 2):
+            if not seen[start]:
+                count += 1
+                h = start
+                while not seen[h]:
+                    seen[h] = 1
+                    h = arc[h]
+                    seen[h] = 1
+                    h = chord[h]
+        return count
+
+    for pairs in joins:
+        join(pairs[1])
+    signs = [1] * len(joins)
+    tally = {cycles(): 1}
+    parity = 1
+    for g in range(1, 1 << len(joins)):
+        k = (g & -g).bit_length() - 1
+        signs[k] = -signs[k]
+        parity = -parity
+        join(joins[k][signs[k]])
+        c = cycles()
+        tally[c] = tally.get(c, 0) + parity
+    return tally
 
 def dense_tensor(tensor):
     """A weight tensor's components as a nested d^4 tuple, zeros included."""

@@ -411,6 +411,12 @@ PINNED = Path(__file__).parent / "pinned"
      ["yamada", "--diagram", "ABCABC", "--N", "5/2", "--format", fmt])
     for ext, fmt in (("txt", "text"), ("json", "json"), ("csv", "csv"))
 ] + [
+    (f"yamada-{name}-n-5.{ext}", ["yamada", "--N", "5", "--diagram", code, "--format", fmt])
+    for ext, fmt in (("txt", "text"), ("json", "json"), ("csv", "csv"))
+    for name, code in (("crossing14", "ABCDEFGHIJKLMN" * 2),
+                       ("ladder13", "ABACBDCEDFEGFHGIHJIKJLKMLM"),
+                       ("crossing20", "ABCDEFGHIJKLMNOPQRST" * 2))
+] + [
     # valid but not parallel: the model checks inside holonomy refuse it
     ("holonomy-fail-kn3-dense.stderr",
      ["holonomy", "--curvature", str(PINNED / "kn3-dense.json")]),

@@ -12,7 +12,11 @@ from chordweight import (
     restrict,
     smooth_components,
 )
-from chordweight.diagrams import _least_gap_rotations, charge_enumeration
+from chordweight.diagrams import (
+    _least_gap_rotations,
+    charge_enumeration,
+    smoothing_tally,
+)
 from chordweight.formal import FormalSum
 
 
@@ -166,6 +170,22 @@ def test_smoothing_matches_walking_oracle():
                 assert smooth_components(d, signs) == oracles.walk_components(
                     d.matching, signs
                 )
+
+
+def nonzero(tally):
+    return {c: k for c, k in tally.items() if k}
+
+
+def test_smoothing_tally_matches_gray_walk_on_every_class():
+    for n in range(7):
+        for d in enumerate_diagrams(n):
+            assert nonzero(smoothing_tally(d)) == nonzero(oracles.gray_tally(d.matching))
+
+
+def test_smoothing_tally_matches_gray_walk_on_seeded_diagrams():
+    for seed in range(20):
+        d = ChordDiagram(oracles.random_matching(8 + seed % 5, seed))
+        assert nonzero(smoothing_tally(d)) == nonzero(oracles.gray_tally(d.matching))
 
 
 def test_smoothing_of_bare_circle():

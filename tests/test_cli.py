@@ -411,15 +411,15 @@ PINNED = Path(__file__).parent / "pinned"
      ["yamada", "--diagram", "ABCABC", "--N", "5/2", "--format", fmt])
     for ext, fmt in (("txt", "text"), ("json", "json"), ("csv", "csv"))
 ] + [
+    # valid but not parallel: the model checks inside holonomy refuse it
+    ("holonomy-fail-kn3-dense.stderr",
+     ["holonomy", "--curvature", str(PINNED / "kn3-dense.json")]),
+] + [
     (f"yamada-{name}-n-5.{ext}", ["yamada", "--N", "5", "--diagram", code, "--format", fmt])
     for ext, fmt in (("txt", "text"), ("json", "json"), ("csv", "csv"))
     for name, code in (("crossing14", "ABCDEFGHIJKLMN" * 2),
                        ("ladder13", "ABACBDCEDFEGFHGIHJIKJLKMLM"),
                        ("crossing20", "ABCDEFGHIJKLMNOPQRST" * 2))
-] + [
-    # valid but not parallel: the model checks inside holonomy refuse it
-    ("holonomy-fail-kn3-dense.stderr",
-     ["holonomy", "--curvature", str(PINNED / "kn3-dense.json")]),
 ])
 def test_output_matches_pinned_text(capsys, name, argv):
     """A failing verdict, named -fail- in its file, exits 1; a .stderr file

@@ -18,7 +18,8 @@ from .jsonio import (
     parse_rational,
 )
 from .linalg import full_rank, is_symmetric, mat_inv
-from .sparse import UNIT, IntegerView, contract, dense_array, exact_entries, least_nonzero
+from .sparse import (UNIT, IntegerView, contract, dense_array, exact_entries, least_nonzero,
+                     products)
 from .tensors import WeightTensor
 from .work import charge_work
 
@@ -189,6 +190,59 @@ class Representation:
         return f"Representation(dim={self.algebra.dim}, dimV={self.dimV})"
 
 
+def _exchange_sums(rep: Representation):
+    """(lhs, rhs): two sides of the exchange identity, each less the third.
+
+    With T = rho(C), Y the structure tensor and
+
+        L = sum_x T(a,x,e,f) T(x,b,c,d) - T(a,x,c,d) T(x,b,e,f)
+        R = sum_x T(a,b,c,x) T(x,d,e,f) - T(a,b,x,d) T(c,x,e,f)
+        M = sum_{ijk} Y[i][j][k] rho_i[b][a] rho_j[d][c] rho_k[f][e],
+
+    ``lhs`` is L - M and ``rhs`` is R - M, keyed (a, b, c, d, e, f), as
+    ints over one positive common denominator; a key may hold a zero.
+
+    When T is leg-symmetric, T(p,q,r,s) = T(r,s,p,q), ``lhs`` - ``rhs`` =
+    L - R is the tensor four-term sum of ``check_four_term`` at the same
+    key, times that denominator.  Leg symmetry turns its four terms
+    T(e,f,a,x) T(x,b,c,d), -T(e,f,x,b) T(a,x,c,d), T(e,f,c,x) T(a,b,x,d)
+    and -T(e,f,x,d) T(a,b,c,x) into L's first and second terms and -1
+    times R's second and first; M cancels.  rho(C) is leg-symmetric
+    whenever the form is symmetric, as in every algebra that passes
+    ``validate``: swapping the legs swaps i and j in C[i][j].
+
+    Only products of nonzero entries are formed, and every product is
+    charged before it is formed.  The first charge counts the products of
+    the three T T sums and of M's first stage, all read off the inputs.  M
+    contracts one rho at a time, so an input in a dense basis costs about
+    m d^6 products for it rather than m^3 d^6; its second and third stages
+    are counted from the stage before, and each is charged with every
+    product counted so far before it is formed.
+    """
+    t = IntegerView(rep.weight_tensor().entries, 4)
+    y = IntegerView(rep.algebra.structure_tensor(), 3)
+    rho = IntegerView(rep.matrices, 3)
+    T = t.entries
+    work = (products("axpq", T, "xbsw", T, "apqbsw") + products("abcx", T, "xdef", T, "abcdef")
+            + products("abxd", T, "cxef", T, "abcdef"))
+    # -M over t.den^2 y.den rho.den^3: sum_k .. rho_k[f][e], then sum_j, then sum_i
+    mid = {key: -t.den ** 2 * v for key, v in y.entries.items()}
+    for labels, rho_labels, out in (("ijk", "kfe", "ijfe"), ("ijfe", "jdc", "ifedc"),
+                                    ("ifedc", "iba", "abcdef")):
+        work += products(labels, mid, rho_labels, rho.entries, out)
+        charge_work(work, f"the exchange identity needs {work} products of nonzero entries")
+        mid = contract(labels, mid, rho_labels, rho.entries, out)
+    lhs, rhs = mid, dict(mid)
+    scale = y.den * rho.den ** 3
+    # sum_x T(a,x,p,q) T(x,b,s,w) is both lhs terms, with (p,q) and (s,w) swapped
+    for (a, p, q, b, s, w), v in contract("axpq", T, "xbsw", T, "apqbsw", scale=scale).items():
+        lhs[a, b, s, w, p, q] = lhs.get((a, b, s, w, p, q), 0) + v
+        lhs[a, b, p, q, s, w] = lhs.get((a, b, p, q, s, w), 0) - v
+    contract("abcx", T, "xdef", T, "abcdef", rhs, scale)
+    contract("abxd", T, "cxef", T, "abcdef", rhs, -scale)
+    return lhs, rhs
+
+
 def check_exchange_identity(rep: Representation):
     """Verify the two-sided exchange identity for rho(C).
 
@@ -203,29 +257,10 @@ def check_exchange_identity(rep: Representation):
     with the lexicographically least witness (a, b, c, d, e, f).
 
     All three sums are built from products of nonzero entries only, in
-    exact integer arithmetic, so the cost scales with the number of those
-    products.  The Y-rho-rho-rho term contracts one rho at a time through
-    intermediates, so an input in a dense basis costs about m d^6 products
-    for that term rather than m^3 d^6.
+    exact integer arithmetic, by ``_exchange_sums``, which charges their
+    number before it forms them.
     """
-    t = IntegerView(rep.weight_tensor().entries, 4)
-    y = IntegerView(rep.algebra.structure_tensor(), 3)
-    rho = IntegerView(rep.matrices, 3)
-    # sum_k Y[i][j][k] rho_k[f][e], then sum_j .. rho_j[d][c]
-    mid = contract("ijk", y.entries, "kfe", rho.entries, "ijfe")
-    mid = contract("ijfe", mid, "jdc", rho.entries, "ifedc")
-    # lhs - mid and rhs - mid over the common denominator t.den^2 y.den rho.den^3
-    lhs = contract("ifedc", mid, "iba", rho.entries, "abcdef", scale=-t.den ** 2)
-    rhs = dict(lhs)
-    scale = y.den * rho.den ** 3
-    # sum_x T(a,x,p,q) T(x,b,s,w) is both lhs terms, with (p,q) and (s,w) swapped
-    for (a, p, q, b, s, w), v in contract("axpq", t.entries, "xbsw", t.entries,
-                                          "apqbsw", scale=scale).items():
-        lhs[a, b, s, w, p, q] = lhs.get((a, b, s, w, p, q), 0) + v
-        lhs[a, b, p, q, s, w] = lhs.get((a, b, p, q, s, w), 0) - v
-    contract("abcx", t.entries, "xdef", t.entries, "abcdef", rhs, scale)
-    contract("abxd", t.entries, "cxef", t.entries, "abcdef", rhs, -scale)
-    witness = least_nonzero(lhs, rhs)
+    witness = least_nonzero(*_exchange_sums(rep))
     return witness is None, witness
 
 

@@ -21,13 +21,17 @@ sums relabeled copies of one table: contracting with ``UNIT``, which has no
 slots, only moves each entry, so ``contract("abcd", T, "", UNIT, "cdab")``
 is T with its two pairs of slots swapped.
 
+``products`` counts the products a contraction forms without forming
+them, so a caller can charge them first, and ``least_nonzero_sum`` finds
+the least nonzero key of a sum of contractions one slice at a time.
+
 ``exact_entries`` makes the one storage of every rank-3 and rank-4 exact
 tensor: its nonzero entries only.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
@@ -103,12 +107,12 @@ class IntegerView:
         self._slots = {}
 
     def by_slot(self, slot: int) -> dict:
-        """Entries grouped by their index in ``slot``: {i: [(key, numerator)]}."""
+        """Entries grouped by their index in ``slot``: {i: {key: numerator}}."""
         index = self._slots.get(slot)
         if index is None:
             index = {}
             for key, value in self.entries.items():
-                index.setdefault(key[slot], []).append((key, value))
+                index.setdefault(key[slot], {})[key] = value
             self._slots[slot] = index
         return index
 
@@ -117,6 +121,51 @@ def least_nonzero(*sums):
     """The lexicographically least key with a nonzero value in any of ``sums``."""
     return min((key for s in sums for key, value in s.items() if value),
                default=None)
+
+
+def least_nonzero_sum(terms, out_labels):
+    """The least key with a nonzero value in a sum of contractions, or None.
+
+    Each of ``terms`` is (sign, left_labels, left, right_labels, right),
+    with ``left`` and ``right`` IntegerViews; the sum is that of sign *
+    ``contract`` of their entries, keyed by ``out_labels``, and it is formed
+    one value of the first output label at a time.  In each term, the table
+    that holds that label is restricted to its slice through ``by_slot``.
+    Keys compare lexicographically, and the slice for value v holds exactly
+    the keys whose first index is v, so every key of a later slice is
+    greater than every key of an earlier one: the first slice with a
+    nonzero key holds the least nonzero key of the whole sum, and no later
+    slice is formed.  The products formed are those of the full sum, or
+    fewer, and only one slice of the sum is held at a time.
+    """
+    first = out_labels[0]
+    cut = []  # (sign, labels and entries of one table, labels and slices of the other)
+    for sign, left_labels, left, right_labels, right in terms:
+        if first in left_labels:  # slice the right table: ``contract`` indexes only it
+            left_labels, left, right_labels, right = right_labels, right, left_labels, left
+        slices = right.by_slot(right_labels.index(first))
+        cut.append((sign, left_labels, left.entries, right_labels, slices))
+    for value in sorted({value for *_, slices in cut for value in slices}):
+        sums = {}
+        for sign, whole_labels, whole, labels, slices in cut:
+            part = slices.get(value)
+            if part:
+                contract(whole_labels, whole, labels, part, out_labels, sums, sign)
+        witness = least_nonzero(sums)
+        if witness is not None:
+            return witness
+    return None
+
+
+def products(left_labels, left: dict, right_labels, right: dict, out_labels) -> int:
+    """How many products ``contract`` forms from the same arguments, none formed.
+
+    For each value of the shared labels, the entries of ``left`` that have
+    it times the entries of ``right`` that have it.
+    """
+    on_left, on_right, *_ = _plan(left_labels, right_labels, out_labels)
+    counts = Counter(map(on_left, left))
+    return sum(counts[shared] for shared in map(on_right, right))
 
 
 def _picker(positions):

@@ -25,7 +25,8 @@ from .diagrams import ChordDiagram
 from .formal import FormalSum
 from .frozen import Frozen
 from .jsonio import JSONFormatError, format_rational, parse_entries
-from .sparse import UNIT, IntegerView, contract, exact_entries, least_nonzero
+from .sparse import (UNIT, IntegerView, contract, exact_entries, least_nonzero,
+                     least_nonzero_sum, products)
 # DEFAULT_MAX_WORK and WorkLimitExceeded are re-exported from here
 from .work import DEFAULT_MAX_WORK, WorkLimitExceeded, charge_work  # noqa: F401
 
@@ -113,21 +114,16 @@ def four_term_witness(view: IntegerView, terms):
     With P the viewed tensor and Q = P[e][f] a matrix, each of ``terms`` is
     (sign, Q labels, P labels), the term sign * sum_x Q P over the one
     label x the two share; ``(1, "efax", "xbcd")`` is
-    sum_x P[e][f][a][x] P[x][b][c][d].  The full sum is built from products
-    of nonzero entries only, keyed by the witness tuple, so the cost scales
-    with the number of nonzero products.  That number, sum over terms and
-    x of |entries with x in Q's slot| * |entries with x in P's slot|, is
-    read off the slot indexes and charged first.  The lexicographically
-    least nonzero key is returned, or None.
+    sum_x P[e][f][a][x] P[x][b][c][d].  The sum is formed from products of
+    nonzero entries only, one value of a at a time, by
+    ``sparse.least_nonzero_sum``, which stops at the first value whose
+    slice has a nonzero key.  The number of products of the full sum, an
+    upper bound on those formed, is counted first without forming any and
+    charged.  The lexicographically least nonzero key is returned, or None.
     """
-    work = sum(len(moves) * len(view.by_slot(p.index("x")).get(x, ()))
-               for _, q, p in terms
-               for x, moves in view.by_slot(q.index("x")).items())
+    work = sum(products(q, view.entries, p, view.entries, "abcdef") for _, q, p in terms)
     charge_work(work, f"the four-term check needs {work} products of nonzero entries")
-    sums = {}
-    for sign, q, p in terms:
-        contract(q, view.entries, p, view.entries, "abcdef", sums, sign)
-    return least_nonzero(sums)
+    return least_nonzero_sum([(sign, q, view, p, view) for sign, q, p in terms], "abcdef")
 
 
 def check_four_term(tensor: WeightTensor):

@@ -14,8 +14,10 @@ import pytest
 
 import chordweight
 import models
+import oracles
 from chordweight import (
     ChordDiagram,
+    Representation,
     WeightTensor,
     constant_curvature,
     sl2_standard,
@@ -134,6 +136,27 @@ def test_check_refuses_the_four_term_sum_of_a_dense_12_sphere_at_once(tmp_path):
     assert proc.stderr == ("error: the four-term check needs 135527440 products of "
                            "nonzero entries, limit is 10000000\n")
     assert elapsed < 1
+
+
+def test_check_refuses_the_exchange_identity_of_a_dense_so12_at_once(tmp_path):
+    """so(12) on R^12 in a dense unimodular basis: check --lie refuses the
+    exchange identity's products before it forms any, once the algebra and
+    the representation have been checked."""
+    P = models.dense_unimodular(12, random.Random(3))
+    Pinv = oracles.dense_inverse(P)
+    rep = so_standard(12)
+    matrices = []
+    for M in rep.matrices:  # Pinv M P, over the two nonzero entries of M
+        nonzero = [(x, y, v) for x, row in enumerate(M) for y, v in enumerate(row) if v]
+        matrices.append([[sum(Pinv[r][x] * v * P[y][c] for x, y, v in nonzero)
+                          for c in range(12)] for r in range(12)])
+    path = write_json(tmp_path / "so12-dense.json",
+                      representation_to_json_dict(Representation(rep.algebra, matrices)))
+    proc, elapsed = run_cli("check", "--lie", path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: the exchange identity needs 101802220 products of "
+                           "nonzero entries, limit is 10000000\n")
+    assert elapsed < 4
 
 
 @pytest.mark.parametrize("doc, needs", [
@@ -420,6 +443,11 @@ PINNED = Path(__file__).parent / "pinned"
     for name, code in (("crossing14", "ABCDEFGHIJKLMN" * 2),
                        ("ladder13", "ABACBDCEDFEGFHGIHJIKJLKMLM"),
                        ("crossing20", "ABCDEFGHIJKLMNOPQRST" * 2))
+] + [
+    # so(3)'s rho(C) plus a failing block: the witness is past the first slices
+    (f"check-tensor-fail-block.{ext}",
+     ["check", "--tensor", str(PINNED / "block-fail-tensor.json"), "--format", fmt])
+    for ext, fmt in (("txt", "text"), ("json", "json"), ("csv", "csv"))
 ])
 def test_output_matches_pinned_text(capsys, name, argv):
     """A failing verdict, named -fail- in its file, exits 1; a .stderr file

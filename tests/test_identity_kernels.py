@@ -8,11 +8,14 @@ with mixed denominators, and dense changes of basis of the builtin
 algebras and space forms.
 """
 
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+import models
 import oracles
 from chordweight import (
     CurvatureModel,
@@ -26,6 +29,7 @@ from chordweight import (
     sl2_standard,
     so_standard,
 )
+from chordweight.cli import _lie_identity_rows
 from chordweight.linalg import mat_inv
 
 VALUES = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 3),
@@ -181,6 +185,54 @@ def test_parallel_four_term_matches_dense_oracle(seed):
     assert not verdicts[1]
 
 
+def block_tensor(seed):
+    """so(3)'s rho(C) on indices 0-2 and a seeded leg-symmetric block on 3-4.
+
+    A product in the four-term sum pairs entries of one block only, so the
+    so(3) block passes on its own: the first slices, a = 0, 1, 2, form
+    products that cancel, and every failure has a >= 3.
+    """
+    rng = random.Random(seed)
+    entries = dict(so_standard(3).weight_tensor().entries)
+    for a, b, c, d in itertools.product((3, 4), repeat=4):
+        if (a, b) <= (c, d):
+            entries[a, b, c, d] = entries[c, d, a, b] = rng.choice(VALUES)
+    return WeightTensor(5, entries.items())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_four_term_witness_in_a_later_slice(seed):
+    tensor = block_tensor(seed)
+    got = check_four_term(tensor)
+    assert got == oracles.four_term(oracles.dense_tensor(tensor), 5)
+    assert not got[0] and got[1][0] >= 3
+
+
+def test_parallel_four_term_witness_in_a_later_slice():
+    """A parallel space form on indices 0-1 times a valid Kulkarni-Nomizu model
+    on 2-4 that is not parallel: every failure of the product has a >= 2."""
+    h = [[1, 0, 0], [0, 2, 0], [0, 0, -1]]
+    model = models.product_model(models.space_form(2, Fraction(-1, 2)),
+                                 models.kulkarni_nomizu(models.signature_metric(3, 1), h))
+    assert model.validate() == (True, None)
+    got = check_parallel_four_term(model)
+    assert got == oracles.parallel_four_term(model.riemann, 5)
+    assert not got[0] and got[1][0] >= 2
+
+
+def test_parallel_four_term_holds_one_slice_at_a_time():
+    """The dense 8-dimensional space form passes with its 6-index sum never
+    held whole; a table of the whole sum peaked at 16 MiB."""
+    model = models.rebase(constant_curvature(8), models.dense_unimodular(8, random.Random(1)))
+    tracemalloc.start()
+    try:
+        assert check_parallel_four_term(model) == (True, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
+
+
 def bianchi_breaking(key):
     a, b, c, x = key
     return [(key, 1), ((b, a, c, x), -1)]
@@ -302,6 +354,20 @@ def test_exchange_identity_matches_dense_oracle(seed):
         assert got == expected
         verdicts.append(got[0])
     assert verdicts == [True, False, False, True, False, False]
+
+
+def test_check_reads_four_term_off_the_exchange_sums():
+    """check --lie takes its four-term row from the exchange identity's
+    lhs - rhs; on every input, failing ones too, it is check_four_term's."""
+    failing = 0
+    for seed in SEEDS:
+        for rep in representation_inputs(seed):
+            legs, four, exchange = _lie_identity_rows(rep)
+            assert legs == ("leg-symmetry", True, None)
+            assert four == ("four-term", *check_four_term(rep.weight_tensor()))
+            assert exchange == ("exchange-identity", *check_exchange_identity(rep))
+            failing += not four[1]
+    assert failing == 24
 
 
 def test_pinned_four_term_witness_with_mixed_denominators():

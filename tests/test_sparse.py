@@ -1,11 +1,12 @@
-"""The labeled contraction against a brute-force sum over every index assignment."""
+"""The labeled contraction, its product count and its sliced least nonzero key,
+against a brute-force sum over every index assignment."""
 
 import itertools
 import random
 
 import pytest
 
-from chordweight.sparse import contract
+from chordweight.sparse import IntegerView, contract, least_nonzero, least_nonzero_sum, products
 
 DIM = 3
 
@@ -72,6 +73,42 @@ def test_contract_adds_scaled_sums_into(left_labels, right_labels, out_labels):
     assert got is into
     assert {key: v for key, v in got.items() if v} == {
         key: v for key, v in expected.items() if v}
+
+
+@pytest.mark.parametrize("left_labels,right_labels,out_labels", CASES)
+@pytest.mark.parametrize("seed", range(4))
+def test_products_counts_the_products_contract_forms(seed, left_labels, right_labels,
+                                                     out_labels):
+    rng = random.Random(seed)
+    left = random_table(rng, len(left_labels))
+    right = random_table(rng, len(right_labels))
+    shared = [(left_labels.index(x), right_labels.index(x))
+              for x in left_labels if x in right_labels]
+    expected = sum(all(u[i] == v[j] for i, j in shared) for u in left for v in right)
+    assert products(left_labels, left, right_labels, right, out_labels) == expected
+
+
+@pytest.mark.parametrize("left_labels,right_labels,out_labels", CASES)
+@pytest.mark.parametrize("seed", range(6))
+def test_least_nonzero_sum_is_the_least_key_of_the_full_sum(seed, left_labels,
+                                                            right_labels, out_labels):
+    """Two terms that cancel but for one nudged entry (none at seed 0); the
+    second lists its tables the other way round, so the first output label
+    is sliced in the left table of one term and the right table of the other."""
+    rng = random.Random(seed)
+    left = random_table(rng, len(left_labels))
+    right = random_table(rng, len(right_labels))
+    nudged = dict(left)
+    if seed:
+        nudged[max(left) if seed % 2 else rng.choice(sorted(left))] += seed
+    full = brute_force(left_labels, left, right_labels, right, out_labels)
+    for key, v in brute_force(left_labels, nudged, right_labels, right, out_labels).items():
+        full[key] = full.get(key, 0) - v
+    terms = [(1, left_labels, IntegerView(left, len(left_labels)),
+              right_labels, IntegerView(right, len(right_labels))),
+             (-1, right_labels, IntegerView(right, len(right_labels)),
+              left_labels, IntegerView(nudged, len(left_labels)))]
+    assert least_nonzero_sum(terms, out_labels) == least_nonzero(full)
 
 
 def test_zero_sums_are_dropped():

@@ -2,13 +2,15 @@
 
 Exit codes: 0 on success, 1 when a requested check fails, 2 on bad
 arguments, unreadable files, malformed JSON, or work over the
-CHORDWEIGHT_MAX_WORK bound.  All numeric output is exact rational text.
+CHORDWEIGHT_MAX_WORK bound, and 141 (128 + SIGPIPE, as a shell reports a
+program killed by it) when standard output is closed before all of it is
+written.  All numeric output is exact rational text.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from fractions import Fraction
 from itertools import accumulate
@@ -49,6 +51,7 @@ from .yamada import yamada_weight
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141
 
 
 class CLIError(Exception):
@@ -56,6 +59,8 @@ class CLIError(Exception):
 
 
 def _load_json(path: str):
+    import json  # only runs that read a file pay for this import
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -85,6 +90,8 @@ def _write(args, out, payload, lines, header=(), rows=(), indent=2) -> None:
     writes ``lines``, which may be a generator that only a text run drives.
     """
     if args.format == "json":
+        import json
+
         json.dump(payload, out, indent=indent, default=_json_default)
         out.write("\n")
     elif args.format == "csv":
@@ -348,75 +355,112 @@ def _add_input_group(sub):
                        help="curvature model JSON file")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chordweight",
-        description="Framed weight systems on chord diagrams, exactly.",
-    )
-    subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    sub = subs.add_parser("enumerate", help="list canonical diagram codes")
+def _enumerate_args(sub):
     sub.add_argument("--n", type=int, required=True, help="number of chords")
     _add_format(sub)
-    sub.set_defaults(handler=_cmd_enumerate)
 
-    sub = subs.add_parser("dims", help="quotient dimension table")
+
+def _dims_args(sub):
     sub.add_argument("--max-n", type=int, required=True, dest="max_n")
     sub.add_argument("--unframed", action="store_true",
                      help="impose the one-term relations as well")
     _add_format(sub)
-    sub.set_defaults(handler=_cmd_dims)
 
-    sub = subs.add_parser("eval", help="evaluate a weight system on a diagram")
+
+def _eval_args(sub):
     _add_input_group(sub)
     sub.add_argument("--diagram", required=True, metavar="CODE",
                      help='diagram code such as "ABAB"')
     sub.add_argument("--naive", action="store_true",
                      help="use the exhaustive-sum evaluator")
     _add_format(sub)
-    sub.set_defaults(handler=_cmd_eval)
 
-    sub = subs.add_parser("check", help="run the identity checks for an input")
+
+def _check_args(sub):
     _add_input_group(sub)
     _add_format(sub)
-    sub.set_defaults(handler=_cmd_check)
 
-    sub = subs.add_parser("holonomy",
-                          help="holonomy algebra and symmetric triple")
+
+def _holonomy_args(sub):
     sub.add_argument("--curvature", required=True, metavar="FILE")
     _add_format(sub, choices=("text", "json"))
-    sub.set_defaults(handler=_cmd_holonomy)
 
-    sub = subs.add_parser("realize",
-                          help="curvature-symmetry verdict for a representation")
+
+def _realize_args(sub):
     sub.add_argument("--lie", required=True, metavar="FILE")
     sub.add_argument("--form", required=True, metavar="FILE",
                      help="JSON matrix for the form on the representation space")
     _add_format(sub, choices=("text", "json"))
-    sub.set_defaults(handler=_cmd_realize)
 
-    sub = subs.add_parser("yamada", help="combinatorial state-sum weight")
+
+def _yamada_args(sub):
     sub.add_argument("--diagram", required=True, metavar="CODE")
     sub.add_argument("--N", default="3",
                      help="loop value (rational, default 3)")
     _add_format(sub)
-    sub.set_defaults(handler=_cmd_yamada)
 
-    sub = subs.add_parser("verify", help="run the acceptance suite")
-    _add_format(sub)
-    sub.set_defaults(handler=_cmd_verify)
 
+# name: (help, adds its arguments, handler), in the order --help lists them
+_SUBCOMMANDS = {
+    "enumerate": ("list canonical diagram codes", _enumerate_args, _cmd_enumerate),
+    "dims": ("quotient dimension table", _dims_args, _cmd_dims),
+    "eval": ("evaluate a weight system on a diagram", _eval_args, _cmd_eval),
+    "check": ("run the identity checks for an input", _check_args, _cmd_check),
+    "holonomy": ("holonomy algebra and symmetric triple", _holonomy_args,
+                 _cmd_holonomy),
+    "realize": ("curvature-symmetry verdict for a representation", _realize_args,
+                _cmd_realize),
+    "yamada": ("combinatorial state-sum weight", _yamada_args, _cmd_yamada),
+    "verify": ("run the acceptance suite", _add_format, _cmd_verify),
+}
+
+
+def _build_parser(names=_SUBCOMMANDS) -> argparse.ArgumentParser:
+    """The parser with the subcommands ``names``, by default all of them."""
+    parser = argparse.ArgumentParser(
+        prog="chordweight",
+        description="Framed weight systems on chord diagrams, exactly.",
+    )
+    subs = parser.add_subparsers(dest="subcommand", required=True)
+    for name in names:
+        help_text, add_args, handler = _SUBCOMMANDS[name]
+        sub = subs.add_parser(name, help=help_text)
+        add_args(sub)
+        sub.set_defaults(handler=handler)
     return parser
 
 
+def _parse_args(argv):
+    """Parse ``argv``, building only the subcommand it names when it names one.
+
+    Help, usage and error text are those of the full parser: a subcommand's
+    own messages do not depend on the others, and the one error a lone
+    subcommand would word differently, unrecognized arguments (its usage
+    line lists every subcommand), is raised by parsing again in full.
+    """
+    if argv and argv[0] in _SUBCOMMANDS:
+        args, extras = _build_parser([argv[0]]).parse_known_args(argv)
+        if not extras:
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.handler(args, sys.stdout)
+        code = args.handler(args, sys.stdout)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except (CLIError, ValueError, WorkLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader stopped early (``| head``): send what is still buffered
+        # to /dev/null, so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ order come from the canonical form above.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, Sequence
 
 from .formal import FormalSum
 from .frozen import Frozen

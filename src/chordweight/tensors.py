@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import NamedTuple
 
 from .diagrams import ChordDiagram
 from .formal import FormalSum
@@ -143,7 +142,7 @@ def check_four_term(tensor: WeightTensor):
     return witness is None, witness
 
 
-class ContractionPlan(NamedTuple):
+class ContractionPlan(Frozen):
     """The order in which ``evaluate`` contracts a diagram's tensor network.
 
     Factors 0..n-1 are the chords of ``diagram.chords``; step s contracts
@@ -151,7 +150,11 @@ class ContractionPlan(NamedTuple):
     ``touched`` is the number of distinct arcs of the two factors.
     """
 
-    steps: tuple
+    __slots__ = ("steps",)
+    _fields = __slots__
+
+    def __init__(self, steps: tuple):
+        self._set(steps)
 
     def cost(self, dim: int) -> int:
         """Predicted work: sum over steps of dim ** (arcs touched)."""

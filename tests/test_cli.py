@@ -23,7 +23,7 @@ from chordweight import (
     sl2_standard,
     so_standard,
 )
-from chordweight import acceptance
+from chordweight import acceptance, cli
 from chordweight.cli import main
 from chordweight.curvature import model_to_json_dict
 from chordweight.lie import representation_to_json_dict
@@ -83,15 +83,90 @@ def run_cli(*argv):
 
 
 def test_importing_the_cli_skips_dataclasses_inspect_and_csv():
-    """Nor does it load the acceptance suite, which only verify runs."""
+    """Nor json, typing or the acceptance suite, which only verify runs.
+
+    The child runs with -S, so a site hook that preloads modules cannot
+    hide an import.
+    """
     env = dict(os.environ, PYTHONPATH=str(Path(chordweight.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, chordweight.cli; print(sorted("
-         "{'dataclasses', 'inspect', 'csv', 'chordweight.acceptance'}"
+        [sys.executable, "-S", "-c", "import sys, chordweight.cli; print(sorted("
+         "{'dataclasses', 'inspect', 'csv', 'json', 'typing', 'chordweight.acceptance'}"
          " & set(sys.modules)))"],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
+# each subcommand's required options, with file names that are never read
+REQUIRED = {
+    "enumerate": ["--n", "1"],
+    "dims": ["--max-n", "1"],
+    "eval": ["--tensor", "t.json", "--diagram", "AA"],
+    "check": ["--lie", "l.json"],
+    "holonomy": ["--curvature", "c.json"],
+    "realize": ["--lie", "l.json", "--form", "f.json"],
+    "yamada": ["--diagram", "AA"],
+    "verify": [],
+}
+USAGE_ARGVS = [
+    [], ["--help"], ["-h"], ["bogus"], ["enum"], ["--version"],
+    *([name, *argv] for name, required in REQUIRED.items() for argv in (
+        ["--help"], [*required, "--format", "xml"], [*required, "--bogus"],
+        [*required, "extra"], [*required, "--", "extra"],
+        *([[], ["--bogus"]] if required else []))),  # a required option missing
+]
+
+
+def outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr) of a parse that must exit."""
+    with pytest.raises(SystemExit) as exit_info:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exit_info.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGVS, ids=lambda argv: " ".join(argv) or "-")
+def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
+    """Help, usage and error text are those of the parser of all subcommands."""
+    expected = outcome(capsys, cli._build_parser().parse_args, argv)
+    assert outcome(capsys, main, argv) == expected
+
+
+def test_a_subcommand_builds_only_its_own_parser(capsys, monkeypatch):
+    built = []
+
+    def build(names=tuple(cli._SUBCOMMANDS)):
+        built.append(list(names))
+        return build_parser(names)
+
+    build_parser = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", build)
+    assert run(capsys, "enumerate", "--n", "2") == (0, "AABB\nABAB\n", "")
+    assert built == [["enumerate"]]
+    # leftover arguments parse again in full, for the full usage line
+    assert outcome(capsys, main, ["enumerate", "--n", "2", "x"])[0] == 2
+    assert built[1:] == [["enumerate"], list(cli._SUBCOMMANDS)]
+
+
+def test_a_reader_that_stops_early_ends_the_run_quietly():
+    """Output closed after one line: exit 141 (128 + SIGPIPE), no traceback.
+
+    The 146 kB of codes cannot all wait in the pipe, so the write fails.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(chordweight.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chordweight.cli", "enumerate", "--n", "7"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b"AABBCCDDEEFFGG\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert (proc.wait(timeout=60), stderr) == (cli.EXIT_BROKEN_PIPE, b"")
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 def test_eval_refuses_a_wide_contraction_at_once(tmp_path):

@@ -5,15 +5,22 @@ arguments, unreadable files, malformed JSON, or work over the
 CHORDWEIGHT_MAX_WORK bound, and 141 (128 + SIGPIPE, as a shell reports a
 program killed by it) when standard output is closed before all of it is
 written.  All numeric output is exact rational text.
+
+Every subcommand's options are declared once, in ``_SUBCOMMANDS``, as their
+argparse keywords.  A well-formed command line is parsed by a quick walk
+over that table, which imports no argparse; anything else (help, errors,
+abbreviations, --opt=value, --, negative numbers, a repeated option) goes
+to the argparse parser built from the same table, so its help, usage and
+error text are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from fractions import Fraction
 from itertools import accumulate
+from types import SimpleNamespace
 
 from .curvature import (
     ModelCheckFailure,
@@ -340,109 +347,127 @@ def _cmd_verify(args, out) -> int:
     return EXIT_OK if all(ok for _, _, ok, _ in results) else EXIT_CHECK_FAILED
 
 
-def _add_format(sub, choices=("text", "json", "csv")):
-    sub.add_argument("--format", choices=choices, default="text",
-                     help="output format (default text)")
+def _format(*choices):
+    return "--format", {"choices": choices or ("text", "json", "csv"),
+                        "default": "text", "help": "output format (default text)"}
 
 
-def _add_input_group(sub):
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--tensor", metavar="FILE",
-                       help="weight tensor JSON file")
-    group.add_argument("--lie", metavar="FILE",
-                       help="metrized Lie algebra representation JSON file")
-    group.add_argument("--curvature", metavar="FILE",
-                       help="curvature model JSON file")
+# A one-of group: a tuple of options where a subcommand lists one option.
+_INPUT = (
+    ("--tensor", {"metavar": "FILE", "help": "weight tensor JSON file"}),
+    ("--lie", {"metavar": "FILE", "help": "metrized Lie algebra representation JSON file"}),
+    ("--curvature", {"metavar": "FILE", "help": "curvature model JSON file"}),
+)
 
-
-def _enumerate_args(sub):
-    sub.add_argument("--n", type=int, required=True, help="number of chords")
-    _add_format(sub)
-
-
-def _dims_args(sub):
-    sub.add_argument("--max-n", type=int, required=True, dest="max_n")
-    sub.add_argument("--unframed", action="store_true",
-                     help="impose the one-term relations as well")
-    _add_format(sub)
-
-
-def _eval_args(sub):
-    _add_input_group(sub)
-    sub.add_argument("--diagram", required=True, metavar="CODE",
-                     help='diagram code such as "ABAB"')
-    sub.add_argument("--naive", action="store_true",
-                     help="use the exhaustive-sum evaluator")
-    _add_format(sub)
-
-
-def _check_args(sub):
-    _add_input_group(sub)
-    _add_format(sub)
-
-
-def _holonomy_args(sub):
-    sub.add_argument("--curvature", required=True, metavar="FILE")
-    _add_format(sub, choices=("text", "json"))
-
-
-def _realize_args(sub):
-    sub.add_argument("--lie", required=True, metavar="FILE")
-    sub.add_argument("--form", required=True, metavar="FILE",
-                     help="JSON matrix for the form on the representation space")
-    _add_format(sub, choices=("text", "json"))
-
-
-def _yamada_args(sub):
-    sub.add_argument("--diagram", required=True, metavar="CODE")
-    sub.add_argument("--N", default="3",
-                     help="loop value (rational, default 3)")
-    _add_format(sub)
-
-
-# name: (help, adds its arguments, handler), in the order --help lists them
+# name: (help, handler, options), in the order --help lists them.  Each
+# option is its flag and its add_argument keywords, in the order help lists
+# them; the quick walk and the full parser both read this table.
 _SUBCOMMANDS = {
-    "enumerate": ("list canonical diagram codes", _enumerate_args, _cmd_enumerate),
-    "dims": ("quotient dimension table", _dims_args, _cmd_dims),
-    "eval": ("evaluate a weight system on a diagram", _eval_args, _cmd_eval),
-    "check": ("run the identity checks for an input", _check_args, _cmd_check),
-    "holonomy": ("holonomy algebra and symmetric triple", _holonomy_args,
-                 _cmd_holonomy),
-    "realize": ("curvature-symmetry verdict for a representation", _realize_args,
-                _cmd_realize),
-    "yamada": ("combinatorial state-sum weight", _yamada_args, _cmd_yamada),
-    "verify": ("run the acceptance suite", _add_format, _cmd_verify),
+    "enumerate": ("list canonical diagram codes", _cmd_enumerate, [
+        ("--n", {"type": int, "required": True, "help": "number of chords"}), _format()]),
+    "dims": ("quotient dimension table", _cmd_dims, [
+        ("--max-n", {"type": int, "required": True, "dest": "max_n"}),
+        ("--unframed", {"action": "store_true", "default": False,
+                        "help": "impose the one-term relations as well"}), _format()]),
+    "eval": ("evaluate a weight system on a diagram", _cmd_eval, [
+        _INPUT,
+        ("--diagram", {"required": True, "metavar": "CODE",
+                       "help": 'diagram code such as "ABAB"'}),
+        ("--naive", {"action": "store_true", "default": False,
+                     "help": "use the exhaustive-sum evaluator"}), _format()]),
+    "check": ("run the identity checks for an input", _cmd_check, [_INPUT, _format()]),
+    "holonomy": ("holonomy algebra and symmetric triple", _cmd_holonomy, [
+        ("--curvature", {"required": True, "metavar": "FILE"}), _format("text", "json")]),
+    "realize": ("curvature-symmetry verdict for a representation", _cmd_realize, [
+        ("--lie", {"required": True, "metavar": "FILE"}),
+        ("--form", {"required": True, "metavar": "FILE",
+                    "help": "JSON matrix for the form on the representation space"}),
+        _format("text", "json")]),
+    "yamada": ("combinatorial state-sum weight", _cmd_yamada, [
+        ("--diagram", {"required": True, "metavar": "CODE"}),
+        ("--N", {"default": "3", "help": "loop value (rational, default 3)"}), _format()]),
+    "verify": ("run the acceptance suite", _cmd_verify, [_format()]),
 }
 
 
-def _build_parser(names=_SUBCOMMANDS) -> argparse.ArgumentParser:
-    """The parser with the subcommands ``names``, by default all of them."""
+def _members(option):
+    """The options of a one-of group, or the option alone."""
+    return option if isinstance(option[0], tuple) else (option,)
+
+
+def _build_parser():
+    """The argparse parser of all subcommands, built from ``_SUBCOMMANDS``."""
+    import argparse  # only runs that the quick walk refuses pay for this import
+
     parser = argparse.ArgumentParser(
         prog="chordweight",
         description="Framed weight systems on chord diagrams, exactly.",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    for name in names:
-        help_text, add_args, handler = _SUBCOMMANDS[name]
+    for name, (help_text, handler, options) in _SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
-        add_args(sub)
+        for option in options:
+            members = _members(option)
+            group = (sub.add_mutually_exclusive_group(required=True)
+                     if len(members) > 1 else sub)
+            for flag, keywords in members:
+                group.add_argument(flag, **keywords)
         sub.set_defaults(handler=handler)
     return parser
 
 
-def _parse_args(argv):
-    """Parse ``argv``, building only the subcommand it names when it names one.
+def _quick_walk(argv):
+    """The namespace argparse gives a well-formed ``argv``, without argparse.
 
-    Help, usage and error text are those of the full parser: a subcommand's
-    own messages do not depend on the others, and the one error a lone
-    subcommand would word differently, unrecognized arguments (its usage
-    line lists every subcommand), is raised by parsing again in full.
+    Well formed is an exact subcommand name, then its exact flags, none
+    twice, each value not starting with "-" and passing its type and
+    choices, with every required option and one option of a one-of group.
+    Anything else returns None: help, errors, abbreviations, --opt=value,
+    --, negative numbers and repeats are left to the full parser.
     """
-    if argv and argv[0] in _SUBCOMMANDS:
-        args, extras = _build_parser([argv[0]]).parse_known_args(argv)
-        if not extras:
-            return args
-    return _build_parser().parse_args(argv)
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    _, handler, options = _SUBCOMMANDS[argv[0]]
+    table = dict(member for option in options for member in _members(option))
+    given = {}
+    words = iter(argv[1:])
+    for flag in words:
+        keywords = table.get(flag)
+        if keywords is None or flag in given:
+            return None
+        if keywords.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(words, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            given[flag] = value = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+    args = SimpleNamespace(subcommand=argv[0], handler=handler)
+    for option in options:
+        members = _members(option)
+        if len(members) > 1 and sum(flag in given for flag, _ in members) != 1:
+            return None
+        for flag, keywords in members:
+            if keywords.get("required") and flag not in given:
+                return None
+            setattr(args, keywords.get("dest", flag[2:].replace("-", "_")),
+                    given.get(flag, keywords.get("default")))
+    return args
+
+
+def _parse_args(argv):
+    """Parse ``argv`` by the quick walk, or else by the full argparse parser.
+
+    Both read ``_SUBCOMMANDS``.  The walk takes the well-formed runs and
+    never imports argparse; what it refuses, the full parser parses or
+    rejects, so help, usage and error text are argparse's own.
+    """
+    return _quick_walk(argv) or _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

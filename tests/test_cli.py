@@ -98,6 +98,18 @@ def test_importing_the_cli_skips_dataclasses_inspect_and_csv():
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
+def test_a_well_formed_run_loads_no_argparse_gettext_or_locale():
+    """The quick walk parses it; the child runs with -S, as above."""
+    env = dict(os.environ, PYTHONPATH=str(Path(chordweight.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys; from chordweight.cli import main; "
+         "main(['yamada', '--N', '5', '--diagram', 'ABAB']); "
+         "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "20\n[]\n")
+
+
 # each subcommand's required options, with file names that are never read
 REQUIRED = {
     "enumerate": ["--n", "1"],
@@ -133,20 +145,152 @@ def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
     assert outcome(capsys, main, argv) == expected
 
 
-def test_a_subcommand_builds_only_its_own_parser(capsys, monkeypatch):
+def test_a_well_formed_run_builds_no_parser(capsys, monkeypatch):
     built = []
-
-    def build(names=tuple(cli._SUBCOMMANDS)):
-        built.append(list(names))
-        return build_parser(names)
-
     build_parser = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", build)
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build_parser())
     assert run(capsys, "enumerate", "--n", "2") == (0, "AABB\nABAB\n", "")
-    assert built == [["enumerate"]]
-    # leftover arguments parse again in full, for the full usage line
+    assert built == []
+    # a stray argument and help each build the full parser once
     assert outcome(capsys, main, ["enumerate", "--n", "2", "x"])[0] == 2
-    assert built[1:] == [["enumerate"], list(cli._SUBCOMMANDS)]
+    assert built == [1]
+    assert outcome(capsys, main, ["--help"])[0] == 0
+    assert built == [1, 1]
+
+
+# Every argv of CI's "Pinned CLI output" step and of the bench job lists
+# (bench paths stand for its generated inputs); each must take the quick walk.
+PINNED_RUNS = [
+    "dims --max-n 6", "dims --max-n 6 --unframed", "dims --max-n 7",
+    "dims --max-n 7 --unframed", "enumerate --n 5", "verify",
+    *(f"dims --max-n 7{unframed} --format {fmt}"
+      for unframed in ("", " --unframed") for fmt in ("json", "csv")),
+    *(f"holonomy --curvature tests/pinned/{model}.json{fmt}"
+      for model in ("cp2", "sphere5", "lorentz4-dense", "sphere12", "kn3-dense")
+      for fmt in ("", " --format json")),
+    *(f"{run} --format {fmt}" for fmt in ("text", "json", "csv") for run in (
+        "check --lie tests/pinned/so4-dense.json",
+        "check --curvature tests/pinned/lorentz4-dense.json",
+        "check --curvature tests/pinned/kn3-dense.json",
+        "check --tensor tests/pinned/so4-dense-tensor.json",
+        "check --tensor tests/pinned/mixed-fail-tensor.json",
+        "check --tensor tests/pinned/block-fail-tensor.json",
+        "eval --tensor tests/pinned/so4-dense-tensor.json --diagram ABCDEFABCDEF",
+        "eval --lie tests/pinned/so4-dense.json --diagram ABCDEFGHABCDEFGH",
+        "eval --curvature tests/pinned/lorentz4-dense.json"
+        " --diagram ABACBDCEDFEGFHGIHJIKJLKMLM",
+        "yamada --N 5 --diagram ABCDEFGHIJKLMNABCDEFGHIJKLMN",
+        "yamada --N 5 --diagram ABACBDCEDFEGFHGIHJIKJLKMLM",
+        "yamada --N 5 --diagram ABCDEFGHIJKLMNOPQRSTABCDEFGHIJKLMNOPQRST",
+        "check --curvature tests/pinned/bianchi-violating.json",
+        "check --curvature tests/pinned/degenerate-metric.json")),
+    *(f"realize --lie tests/pinned/{lie}.json --form tests/pinned/{form}.json"
+      f" --format {fmt}" for fmt in ("text", "json") for lie, form in (
+        ("so3", "eye3"), ("so4-dense", "so4-dense-form"), ("sl2", "omega"),
+        ("so3-doubled", "eye6"), ("abelian2", "nonsymmetric-form"))),
+    *(f"{sub} --curvature tests/pinned/{model}.json{diagram}"
+      for model in ("bianchi-violating", "degenerate-metric")
+      for sub, diagram in (("holonomy", ""), ("eval", " --diagram ABAB"))),
+]
+BENCH_RUNS = [
+    "enumerate --n 0", "dims --max-n 6", "dims --max-n 5 --unframed",
+    *(f"check --lie w/{name}.json" for name in ("so4", "so5", "so4_dense")),
+    *(f"check --curvature w/{name}.json" for name in ("sphere5", "lorentz4_dense")),
+    *(f"holonomy --curvature w/{name}.json" for name in ("sphere4", "lorentz4_dense")),
+    *(f"check --tensor w/{name}.json" for name in ("zero6", "random4")),
+    "realize --lie w/so3.json --form w/eye3.json",
+    "realize --lie w/sl2.json --form w/omega.json",
+    "eval --tensor w/so4_dense_tensor.json --diagram ABCDEFABCDEF",
+    "eval --tensor w/so4_tensor.json --diagram ABCDEFGHABCDEFGH",
+    "yamada --N 4 --diagram ABCDEFGHABCDEFGH",
+    "yamada --N 5 --diagram ABCDEFGHIJKLMNABCDEFGHIJKLMN",
+    *(run.format(diagram) for diagram in (
+        "ABCDEFGABCDEFG", "ABACBDCEDFEGFHGIHJIKJLKMLM",
+        "ABCCDDAEBFGGFE", "ABCCDEFGEDFBGA", "ABCDBEFCGGDFAE") for run in (
+        "eval --tensor w/so5_tensor.json --diagram {}",
+        "eval --curvature w/sphere5.json --diagram {}", "yamada --N 5 --diagram {}")),
+]
+# each subcommand's flags; the switches take no value
+FLAGS = {
+    "enumerate": ["--n", "--format"],
+    "dims": ["--max-n", "--unframed", "--format"],
+    "eval": ["--tensor", "--lie", "--curvature", "--diagram", "--naive", "--format"],
+    "check": ["--tensor", "--lie", "--curvature", "--format"],
+    "holonomy": ["--curvature", "--format"],
+    "realize": ["--lie", "--form", "--format"],
+    "yamada": ["--diagram", "--N", "--format"],
+    "verify": ["--format"],
+}
+SWITCHES = ("--unframed", "--naive")
+ODD_VALUES = ["-1", "-", "", " 3", "1_0", "-1/2", "xml", "json", "csv", "--naive"]
+
+
+def generated_argvs(rng, count):
+    """Edits of REQUIRED: repeats, --opt=value, abbreviations, odd values, --,
+    a dropped or doubled option (the input group among them), a bad --format."""
+    argvs = []
+    for _ in range(count):
+        name = rng.choice(list(REQUIRED))
+        words = list(REQUIRED[name])
+        for _ in range(rng.randrange(3)):
+            flag = rng.choice(FLAGS[name])
+            value = [] if flag in SWITCHES else [rng.choice(["4", *ODD_VALUES])]
+            at = rng.randrange(len(words) + 1)
+            edit = rng.randrange(7)
+            if edit == 0:  # add (or repeat) an option
+                words[at:at] = [flag, *value]
+            elif edit == 1 and value:
+                words[at:at] = [f"{flag}={value[0]}"]
+            elif edit == 2:  # an abbreviation, which may be ambiguous
+                words[at:at] = [flag[:rng.randrange(3, len(flag) + 1)], *value]
+            elif edit == 3 and words:  # a value or a flag replaced
+                words[at - 1] = rng.choice(ODD_VALUES)
+            elif edit == 4:
+                words[at:at] = ["--"]
+            elif edit == 5 and words:  # a dropped option, or its value
+                del words[at - 1:at + rng.randrange(2)]
+            else:
+                words[at:at] = ["--format", rng.choice(["text", "json", "csv", "xml", ""])]
+        argvs.append([rng.choice([name, name, name, name[:3]]), *words])
+    return argvs
+
+
+def test_the_quick_walk_takes_every_pinned_and_bench_run():
+    parser = cli._build_parser()
+    for argv in map(str.split, PINNED_RUNS + BENCH_RUNS):
+        walked = cli._quick_walk(argv)
+        assert walked is not None, argv
+        assert vars(walked) == vars(parser.parse_args(argv)), argv
+
+
+def test_the_quick_walk_agrees_with_the_full_parser():
+    """On a seeded corpus the walk gives None or argparse's own namespace."""
+    parser = cli._build_parser()
+    corpus = (USAGE_ARGVS + [run.split() for run in PINNED_RUNS + BENCH_RUNS]
+              + generated_argvs(random.Random(27), 4000))
+    taken = 0
+    for argv in corpus:
+        walked = cli._quick_walk(argv)
+        if walked is None:
+            continue
+        taken += 1
+        try:
+            parsed = vars(parser.parse_args(argv))
+        except SystemExit:
+            parsed = None
+        assert vars(walked) == parsed, argv
+    assert 1000 < taken < 3000  # both well-formed and malformed argvs abound
+
+
+@pytest.mark.parametrize("argv", [
+    "enumerate --n 2 --n 3", "dims --max-n 2 --unframed --unframed",
+    "eval --lie a --lie b --diagram AA", "yamada --diagram AA --format json --format json",
+    "enumerate --n=2", "yamada --diag AA", "yamada --diagram AA --", "-- enumerate --n 2",
+    "enumerate --n -1", "yamada --N -1 --diagram AA", "yamada --diagram -", "enum --n 2",
+    "eval --diagram AA", "check --lie a --tensor b", "verify --format xml",
+])
+def test_the_quick_walk_leaves_repeats_and_odd_spellings_to_argparse(argv):
+    assert cli._quick_walk(argv.split()) is None
 
 
 def test_a_reader_that_stops_early_ends_the_run_quietly():

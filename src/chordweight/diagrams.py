@@ -26,7 +26,8 @@ from .frozen import Frozen
 from .work import charge_work
 
 ENUMERATION_CAP = 8
-_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"  # chord labels of a code
+# chord labels of a code, in increasing order so that codes sort as label sequences
+_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 
 
 def _check_involution(matching: tuple) -> None:
@@ -127,6 +128,9 @@ class ChordDiagram(Frozen):
     @cached_property
     def code(self) -> str:
         """The canonical label code; empty string for the bare circle."""
+        if self.n > len(_LETTERS):
+            raise ValueError(f"a code labels at most {len(_LETTERS)} chords, "
+                             f"this diagram has {self.n}")
         seq = _label_sequence(self.matching, 0)
         return "".join(_LETTERS[k] for k in seq)
 

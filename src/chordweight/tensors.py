@@ -26,8 +26,7 @@ from .frozen import Frozen
 from .jsonio import JSONFormatError, format_rational, parse_entries
 from .sparse import (UNIT, IntegerView, contract, exact_entries, least_nonzero,
                      least_nonzero_sum, products)
-# DEFAULT_MAX_WORK and WorkLimitExceeded are re-exported from here
-from .work import DEFAULT_MAX_WORK, WorkLimitExceeded, charge_work  # noqa: F401
+from .work import charge_work
 
 _ZERO = Fraction(0)
 

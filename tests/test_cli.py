@@ -27,7 +27,16 @@ from chordweight import acceptance, cli
 from chordweight.cli import main
 from chordweight.curvature import model_to_json_dict
 from chordweight.lie import representation_to_json_dict
-from chordweight.tensors import DEFAULT_MAX_WORK, contraction_plan
+from chordweight.tensors import contraction_plan
+from chordweight.work import DEFAULT_MAX_WORK
+
+ROOT = Path(__file__).parents[1]
+PINNED = ROOT / "tests" / "pinned"
+# Every pinned CLI run, one a line: <pin file> <exit code> <argv...>, with
+# paths from ROOT.  CI's "Pinned CLI output" step runs the same rows.
+ROWS = [line.split() for line in
+        (PINNED / "runs.txt").read_text(encoding="utf-8").splitlines()]
+RUNS = {pin: (int(code), argv) for pin, code, *argv in ROWS}
 
 
 def write_json(path, payload):
@@ -158,41 +167,10 @@ def test_a_well_formed_run_builds_no_parser(capsys, monkeypatch):
     assert built == [1, 1]
 
 
-# Every argv of CI's "Pinned CLI output" step and of the bench job lists
-# (bench paths stand for its generated inputs); each must take the quick walk.
-PINNED_RUNS = [
-    "dims --max-n 6", "dims --max-n 6 --unframed", "dims --max-n 7",
-    "dims --max-n 7 --unframed", "enumerate --n 5", "verify",
-    *(f"dims --max-n 7{unframed} --format {fmt}"
-      for unframed in ("", " --unframed") for fmt in ("json", "csv")),
-    *(f"holonomy --curvature tests/pinned/{model}.json{fmt}"
-      for model in ("cp2", "sphere5", "lorentz4-dense", "sphere12", "kn3-dense")
-      for fmt in ("", " --format json")),
-    *(f"{run} --format {fmt}" for fmt in ("text", "json", "csv") for run in (
-        "check --lie tests/pinned/so4-dense.json",
-        "check --curvature tests/pinned/lorentz4-dense.json",
-        "check --curvature tests/pinned/kn3-dense.json",
-        "check --tensor tests/pinned/so4-dense-tensor.json",
-        "check --tensor tests/pinned/mixed-fail-tensor.json",
-        "check --tensor tests/pinned/block-fail-tensor.json",
-        "eval --tensor tests/pinned/so4-dense-tensor.json --diagram ABCDEFABCDEF",
-        "eval --lie tests/pinned/so4-dense.json --diagram ABCDEFGHABCDEFGH",
-        "eval --curvature tests/pinned/lorentz4-dense.json"
-        " --diagram ABACBDCEDFEGFHGIHJIKJLKMLM",
-        "yamada --N 5 --diagram ABCDEFGHIJKLMNABCDEFGHIJKLMN",
-        "yamada --N 5 --diagram ABACBDCEDFEGFHGIHJIKJLKMLM",
-        "yamada --N 5 --diagram ABCDEFGHIJKLMNOPQRSTABCDEFGHIJKLMNOPQRST",
-        "check --curvature tests/pinned/bianchi-violating.json",
-        "check --curvature tests/pinned/degenerate-metric.json")),
-    *(f"realize --lie tests/pinned/{lie}.json --form tests/pinned/{form}.json"
-      f" --format {fmt}" for fmt in ("text", "json") for lie, form in (
-        ("so3", "eye3"), ("so4-dense", "so4-dense-form"), ("sl2", "omega"),
-        ("so3-doubled", "eye6"), ("abelian2", "nonsymmetric-form"))),
-    *(f"{sub} --curvature tests/pinned/{model}.json{diagram}"
-      for model in ("bianchi-violating", "degenerate-metric")
-      for sub, diagram in (("holonomy", ""), ("eval", " --diagram ABAB"))),
-]
-BENCH_RUNS = [
+# Every pinned run and every argv of the bench job lists (bench paths stand
+# for its generated inputs); each must take the quick walk.
+PINNED_RUNS = [argv for _, argv in RUNS.values()]
+BENCH_RUNS = [run.split() for run in [
     "enumerate --n 0", "dims --max-n 6", "dims --max-n 5 --unframed",
     *(f"check --lie w/{name}.json" for name in ("so4", "so5", "so4_dense")),
     *(f"check --curvature w/{name}.json" for name in ("sphere5", "lorentz4_dense")),
@@ -209,7 +187,7 @@ BENCH_RUNS = [
         "ABCCDDAEBFGGFE", "ABCCDEFGEDFBGA", "ABCDBEFCGGDFAE") for run in (
         "eval --tensor w/so5_tensor.json --diagram {}",
         "eval --curvature w/sphere5.json --diagram {}", "yamada --N 5 --diagram {}")),
-]
+]]
 # each subcommand's flags; the switches take no value
 FLAGS = {
     "enumerate": ["--n", "--format"],
@@ -257,7 +235,7 @@ def generated_argvs(rng, count):
 
 def test_the_quick_walk_takes_every_pinned_and_bench_run():
     parser = cli._build_parser()
-    for argv in map(str.split, PINNED_RUNS + BENCH_RUNS):
+    for argv in PINNED_RUNS + BENCH_RUNS:
         walked = cli._quick_walk(argv)
         assert walked is not None, argv
         assert vars(walked) == vars(parser.parse_args(argv)), argv
@@ -266,7 +244,7 @@ def test_the_quick_walk_takes_every_pinned_and_bench_run():
 def test_the_quick_walk_agrees_with_the_full_parser():
     """On a seeded corpus the walk gives None or argparse's own namespace."""
     parser = cli._build_parser()
-    corpus = (USAGE_ARGVS + [run.split() for run in PINNED_RUNS + BENCH_RUNS]
+    corpus = (USAGE_ARGVS + PINNED_RUNS + BENCH_RUNS
               + generated_argvs(random.Random(27), 4000))
     taken = 0
     for argv in corpus:
@@ -544,150 +522,38 @@ def test_degree_8_is_refused_at_once(argv):
     assert elapsed < 1
 
 
-PINNED = Path(__file__).parent / "pinned"
+def assert_matches_pin(pin, result):
+    """The exit code is the row's.  A .stderr pin is stderr, with stdout
+    empty; a .sha256 pin is the hash of stdout, and any other pin stdout,
+    with stderr empty."""
+    code, out, err = result
+    if pin.endswith(".sha256"):
+        out = hashlib.sha256(out.encode()).hexdigest() + "\n"
+    expected = (ROOT / pin).read_text(encoding="utf-8")
+    streams = ("", expected) if pin.endswith(".stderr") else (expected, "")
+    assert (code, out, err) == (RUNS[pin][0], *streams)
 
 
-@pytest.mark.parametrize("name,argv", [
-    ("enumerate-n-5.txt", ["enumerate", "--n", "5"]),
-    ("dims-max-n-6.txt", ["dims", "--max-n", "6"]),
-    ("dims-max-n-6-unframed.txt", ["dims", "--max-n", "6", "--unframed"]),
-    ("holonomy-cp2.txt", ["holonomy", "--curvature", str(PINNED / "cp2.json")]),
-    ("holonomy-cp2.json", ["holonomy", "--curvature", str(PINNED / "cp2.json"),
-                           "--format", "json"]),
-    ("holonomy-sphere5.txt", ["holonomy", "--curvature", str(PINNED / "sphere5.json")]),
-    ("holonomy-sphere5.json", ["holonomy", "--curvature", str(PINNED / "sphere5.json"),
-                               "--format", "json"]),
-] + [
-    (f"{name}.{ext}", [*argv, "--format", fmt])
-    for ext, fmt in (("txt", "text"), ("json", "json"))
-    for name, argv in (
-        ("check-lie-so4-dense", ["check", "--lie", str(PINNED / "so4-dense.json")]),
-        ("check-curvature-lorentz4-dense",
-         ["check", "--curvature", str(PINNED / "lorentz4-dense.json")]),
-        ("realize-so3", ["realize", "--lie", str(PINNED / "so3.json"),
-                         "--form", str(PINNED / "eye3.json")]),
-        ("realize-so4-dense", ["realize", "--lie", str(PINNED / "so4-dense.json"),
-                               "--form", str(PINNED / "so4-dense-form.json")]),
-        ("realize-sl2-fail-skew", ["realize", "--lie", str(PINNED / "sl2.json"),
-                                   "--form", str(PINNED / "omega.json")]),
-        ("realize-so3-doubled-fail-bianchi",
-         ["realize", "--lie", str(PINNED / "so3-doubled.json"),
-          "--form", str(PINNED / "eye6.json")]),
-    )
-] + [
-    (f"{name}.{ext}", [*argv, "--format", fmt])
-    for ext, fmt in (("txt", "text"), ("json", "json"))
-    for name, argv in (
-        ("check-tensor-so4-dense",
-         ["check", "--tensor", str(PINNED / "so4-dense-tensor.json")]),
-        ("check-tensor-fail-mixed",
-         ["check", "--tensor", str(PINNED / "mixed-fail-tensor.json")]),
-        ("eval-so4-dense-crossing6",
-         ["eval", "--tensor", str(PINNED / "so4-dense-tensor.json"),
-          "--diagram", "ABCDEFABCDEF"]),
-    )
-] + [
-    (f"holonomy-lorentz4-dense.{ext}",
-     ["holonomy", "--curvature", str(PINNED / "lorentz4-dense.json"), "--format", fmt])
-    for ext, fmt in (("txt", "text"), ("json", "json"))
-] + [
-    ("holonomy-sphere12.txt", ["holonomy", "--curvature", str(PINNED / "sphere12.json")]),
-] + [
-    (f"check-curvature-fail-kn3-dense.{ext}",
-     ["check", "--curvature", str(PINNED / "kn3-dense.json"), "--format", fmt])
-    for ext, fmt in (("txt", "text"), ("json", "json"))
-] + [
-    (f"{name}.{ext}", [*argv, "--format", fmt])
-    for ext, fmt in (("txt", "text"), ("json", "json"))
-    for name, argv in (
-        ("eval-lie-so4-dense-crossing8",
-         ["eval", "--lie", str(PINNED / "so4-dense.json"),
-          "--diagram", "ABCDEFGHABCDEFGH"]),
-        ("eval-curvature-lorentz4-dense-ladder13",
-         ["eval", "--curvature", str(PINNED / "lorentz4-dense.json"),
-          "--diagram", "ABACBDCEDFEGFHGIHJIKJLKMLM"]),
-    )
-] + [
-    (f"check-curvature-fail-{name}.{ext}",
-     ["check", "--curvature", str(PINNED / f"{model}.json"), "--format", fmt])
-    for ext, fmt in (("txt", "text"), ("json", "json"), ("csv", "csv"))
-    for name, model in (("bianchi", "bianchi-violating"),
-                        ("degenerate", "degenerate-metric"))
-] + [
-    (f"realize-abelian2-note.{ext}",
-     ["realize", "--lie", str(PINNED / "abelian2.json"),
-      "--form", str(PINNED / "nonsymmetric-form.json"), "--format", fmt])
-    for ext, fmt in (("txt", "text"), ("json", "json"))
-] + [
-    (f"{name}.{fmt}", [*argv, "--format", fmt])
-    for fmt in ("json", "csv")
-    for name, argv in (
-        ("enumerate-n-4", ["enumerate", "--n", "4"]),
-        ("dims-max-n-6", ["dims", "--max-n", "6"]),
-        ("dims-max-n-6-unframed", ["dims", "--max-n", "6", "--unframed"]),
-    )
-] + [
-    (f"{name}.csv", [*argv, "--format", "csv"])
-    for name, argv in (
-        ("eval-so4-dense-crossing6",
-         ["eval", "--tensor", str(PINNED / "so4-dense-tensor.json"),
-          "--diagram", "ABCDEFABCDEF"]),
-        ("eval-lie-so4-dense-crossing8",
-         ["eval", "--lie", str(PINNED / "so4-dense.json"),
-          "--diagram", "ABCDEFGHABCDEFGH"]),
-        ("eval-curvature-lorentz4-dense-ladder13",
-         ["eval", "--curvature", str(PINNED / "lorentz4-dense.json"),
-          "--diagram", "ABACBDCEDFEGFHGIHJIKJLKMLM"]),
-        ("check-tensor-so4-dense",
-         ["check", "--tensor", str(PINNED / "so4-dense-tensor.json")]),
-        ("check-tensor-fail-mixed",
-         ["check", "--tensor", str(PINNED / "mixed-fail-tensor.json")]),
-        ("check-lie-so4-dense", ["check", "--lie", str(PINNED / "so4-dense.json")]),
-        ("check-curvature-lorentz4-dense",
-         ["check", "--curvature", str(PINNED / "lorentz4-dense.json")]),
-        ("check-curvature-fail-kn3-dense",
-         ["check", "--curvature", str(PINNED / "kn3-dense.json")]),
-    )
-] + [
-    (f"yamada-abcabc-n-5-2.{ext}",
-     ["yamada", "--diagram", "ABCABC", "--N", "5/2", "--format", fmt])
-    for ext, fmt in (("txt", "text"), ("json", "json"), ("csv", "csv"))
-] + [
-    # valid but not parallel: the model checks inside holonomy refuse it
-    ("holonomy-fail-kn3-dense.stderr",
-     ["holonomy", "--curvature", str(PINNED / "kn3-dense.json")]),
-] + [
-    (f"yamada-{name}-n-5.{ext}", ["yamada", "--N", "5", "--diagram", code, "--format", fmt])
-    for ext, fmt in (("txt", "text"), ("json", "json"), ("csv", "csv"))
-    for name, code in (("crossing14", "ABCDEFGHIJKLMN" * 2),
-                       ("ladder13", "ABACBDCEDFEGFHGIHJIKJLKMLM"),
-                       ("crossing20", "ABCDEFGHIJKLMNOPQRST" * 2))
-] + [
-    # so(3)'s rho(C) plus a failing block: the witness is past the first slices
-    (f"check-tensor-fail-block.{ext}",
-     ["check", "--tensor", str(PINNED / "block-fail-tensor.json"), "--format", fmt])
-    for ext, fmt in (("txt", "text"), ("json", "json"), ("csv", "csv"))
-])
-def test_output_matches_pinned_text(capsys, name, argv):
-    """A failing verdict, named -fail- in its file, exits 1; a .stderr file
-    pins stderr, with nothing on stdout."""
-    code, out, err = run(capsys, *argv)
-    expected = (PINNED / name).read_text(encoding="utf-8")
-    streams = ("", expected) if name.endswith(".stderr") else (expected, "")
-    assert (code, out, err) == (int("-fail-" in name), *streams)
+@pytest.mark.parametrize("pin", RUNS, ids=[
+    f"{Path(pin).name}-argv{i}" for i, pin in enumerate(RUNS)])
+def test_output_matches_pinned_text(capsys, monkeypatch, pin):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("CHORDWEIGHT_MAX_WORK", raising=False)
+    assert_matches_pin(pin, run(capsys, *RUNS[pin][1]))
 
 
-@pytest.mark.parametrize("name,model", [("bianchi", "bianchi-violating"),
-                                        ("degenerate", "degenerate-metric")])
-def test_invalid_curvature_models_are_named_on_stderr(capsys, monkeypatch, name, model):
-    """holonomy exits 1 and eval exits 2, naming the failed check and its witness."""
-    monkeypatch.chdir(PINNED.parents[1])
-    path = f"tests/pinned/{model}.json"
-    for command, argv, code in (("holonomy", ["holonomy", "--curvature", path], 1),
-                                ("eval", ["eval", "--curvature", path,
-                                          "--diagram", "ABAB"], 2)):
-        expected = (PINNED / f"{command}-fail-{name}.stderr").read_text(encoding="utf-8")
-        assert run(capsys, *argv) == (code, "", expected)
+def test_every_pinned_file_belongs_to_one_row():
+    """Each row's pin and input files exist, no pin has two rows, and every
+    file under tests/pinned/ is a row's pin or input, so a deleted row
+    leaves its pin behind.  test_verify_matches_pinned_formats reads the
+    two verify-criterion-5 files."""
+    assert len(RUNS) == len(ROWS)
+    named = set(RUNS) | {word for _, argv in RUNS.values()
+                         for word in argv if word.startswith("tests/")}
+    assert sorted(path for path in named if not (ROOT / path).is_file()) == []
+    unnamed = {path.relative_to(ROOT).as_posix() for path in PINNED.iterdir()} - named
+    assert unnamed == {"tests/pinned/runs.txt", "tests/pinned/verify-criterion-5.json",
+                       "tests/pinned/verify-criterion-5.csv"}
 
 
 # Runs the CLI as its only child: RUSAGE_CHILDREN gives its CPU seconds and peak.
@@ -703,16 +569,13 @@ print(json.dumps([proc.returncode, proc.stdout, proc.stderr,
 
 def test_holonomy_of_a_12_sphere_is_fast_and_small():
     """66 generators, a 78-dimensional triple: only nonzero brackets are stored."""
+    pin = "tests/pinned/holonomy-sphere12.json.sha256"
     env = dict(os.environ, PYTHONPATH=str(Path(chordweight.__file__).parents[1]))
     env.pop("CHORDWEIGHT_MAX_WORK", None)
-    proc = subprocess.run(
-        [sys.executable, "-c", MEASURE_USAGE, "holonomy", "--curvature",
-         str(PINNED / "sphere12.json"), "--format", "json"],
-        capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", MEASURE_USAGE, *RUNS[pin][1]],
+                          capture_output=True, text=True, env=env, cwd=ROOT, timeout=60)
     code, out, err, cpu_s, peak_mb = json.loads(proc.stdout)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        PINNED / "holonomy-sphere12.json.sha256").read_text().strip()
+    assert_matches_pin(pin, (code, out, err))
     assert cpu_s < 0.7
     assert peak_mb < 30
 
@@ -911,9 +774,9 @@ def test_holonomy_json_formats_no_text_line(capsys, monkeypatch):
 
     monkeypatch.setattr(chordweight.cli, "_bracket_lines", refuse)
     monkeypatch.setattr(chordweight.cli, "_matrix_lines", refuse)
-    expected = (PINNED / "holonomy-cp2.json").read_text(encoding="utf-8")
-    assert run(capsys, "holonomy", "--curvature", str(PINNED / "cp2.json"),
-               "--format", "json") == (0, expected, "")
+    monkeypatch.chdir(ROOT)
+    pin = "tests/pinned/holonomy-cp2.json"
+    assert_matches_pin(pin, run(capsys, *RUNS[pin][1]))
 
 
 def test_realize_verdicts(tmp_path, capsys):

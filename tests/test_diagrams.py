@@ -1,5 +1,7 @@
 """Canonical forms, enumeration, smoothing counts, and Hopf operations."""
 
+import string
+
 import pytest
 
 import oracles
@@ -20,9 +22,21 @@ from chordweight.diagrams import (
 from chordweight.formal import FormalSum
 
 
-@pytest.mark.parametrize("code", ["", "AA", "ABAB", "AABB", "ABCABC", "AABBCC"])
+LABELS = string.ascii_uppercase + string.ascii_lowercase
+
+
+@pytest.mark.parametrize("code", [
+    "", "AA", "ABAB", "AABB", "ABCABC", "AABBCC",
+    pytest.param(LABELS[:27] * 2, id="crossing27"), pytest.param(LABELS * 2, id="crossing52"),
+])
 def test_code_round_trip(code):
     assert ChordDiagram.from_code(code).code == code
+
+
+def test_a_code_of_53_chords_is_refused():
+    crossing = ChordDiagram(tuple((p + 53) % 106 for p in range(106)))
+    with pytest.raises(ValueError, match="at most 52 chords, this diagram has 53"):
+        crossing.code
 
 
 def test_construction_canonicalizes_rotations():

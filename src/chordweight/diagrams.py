@@ -153,6 +153,8 @@ class ChordDiagram(Frozen):
         return (self.n, self.code) < (other.n, other.code)
 
     def __repr__(self):
+        if self.n > len(_LETTERS):  # no code: the field repr of Frozen
+            return super().__repr__()
         return f"ChordDiagram({self.code!r})"
 
 

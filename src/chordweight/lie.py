@@ -384,8 +384,8 @@ def representation_to_json_dict(rep: Representation) -> dict:
 def representation_from_json_dict(data) -> Representation:
     algebra = algebra_from_json_dict(data)
     dimV = data.get("dimV")
-    if not isinstance(dimV, int) or isinstance(dimV, bool) or dimV < 0:
-        raise JSONFormatError("dimV", "expected a non-negative integer")
+    if not isinstance(dimV, int) or isinstance(dimV, bool) or dimV < 1:
+        raise JSONFormatError("dimV", "expected a positive integer")
     charge_work(dimV ** 4, f"the dense weight tensor of a module of dimension "
                 f"{dimV} needs dimV^4 = {dimV ** 4} entries")
     raw = data.get("matrices")

@@ -50,45 +50,49 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env():
+    """This process's environment, with the package on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=str(Path(chordweight.__file__).parents[1]))
+
+
+# Runs the CLI as its only child, so RUSAGE_CHILDREN reads that process alone.
+MEASURE = """
+import json, resource, subprocess, sys, time
+start = time.perf_counter()
+proc = subprocess.run([sys.executable, "-m", "chordweight.cli", *sys.argv[1:]],
+                      stdin=subprocess.DEVNULL, capture_output=True, text=True)
+wall_s = time.perf_counter() - start
+usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(json.dumps([proc.returncode, proc.stdout, proc.stderr, wall_s,
+                  usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024]))
+"""
+
+
+def run_process(*argv):
+    """The CLI in a fresh process at ROOT:
+    (exit code, stdout, stderr, wall s, CPU s, peak MB)."""
+    proc = subprocess.run([sys.executable, "-c", MEASURE, *argv], capture_output=True,
+                          text=True, env=child_env(), cwd=ROOT, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
 def test_check_on_a_zero_tensor_of_dimension_12_is_fast(tmp_path):
     """A 26-byte input must not cost d^7: one fresh process, under 1 s."""
     path = write_json(tmp_path / "zero12.json", {"dim": 12, "entries": []})
-    env = dict(os.environ, PYTHONPATH=str(Path(chordweight.__file__).parents[1]))
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "chordweight.cli", "check", "--tensor", path],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    elapsed = time.perf_counter() - start
-    assert (proc.returncode, proc.stdout) == (
-        0, "leg-symmetry: pass\nfour-term: pass\n")
-    assert elapsed < 1
+    code, out, _, wall_s, *_ = run_process("check", "--tensor", path)
+    assert (code, out) == (0, "leg-symmetry: pass\nfour-term: pass\n")
+    assert wall_s < 1
 
 
 def test_eval_of_the_8_chord_crossing_on_a_5_sphere_is_fast(tmp_path):
     """Contraction width, not chord count, sets the cost: one process, under 1 s."""
     path = write_json(tmp_path / "sphere5.json",
                       model_to_json_dict(constant_curvature(5)))
-    env = dict(os.environ, PYTHONPATH=str(Path(chordweight.__file__).parents[1]))
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "chordweight.cli", "eval", "--curvature", path,
-         "--diagram", "ABCDEFGHABCDEFGH"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    elapsed = time.perf_counter() - start
-    assert (proc.returncode, proc.stdout) == (0, "65540\n")
-    assert elapsed < 1
-
-
-def run_cli(*argv):
-    """The CLI in a fresh process: (completed process, wall seconds)."""
-    env = dict(os.environ, PYTHONPATH=str(Path(chordweight.__file__).parents[1]))
-    env.pop("CHORDWEIGHT_MAX_WORK", None)
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "chordweight.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
-    return proc, time.perf_counter() - start
+    code, out, _, wall_s, *_ = run_process("eval", "--curvature", path,
+                                           "--diagram", "ABCDEFGHABCDEFGH")
+    assert (code, out) == (0, "65540\n")
+    assert wall_s < 1
 
 
 def test_importing_the_cli_skips_dataclasses_inspect_and_csv():
@@ -97,24 +101,22 @@ def test_importing_the_cli_skips_dataclasses_inspect_and_csv():
     The child runs with -S, so a site hook that preloads modules cannot
     hide an import.
     """
-    env = dict(os.environ, PYTHONPATH=str(Path(chordweight.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", "import sys, chordweight.cli; print(sorted("
          "{'dataclasses', 'inspect', 'csv', 'json', 'typing', 'chordweight.acceptance'}"
          " & set(sys.modules)))"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=child_env(), timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
 def test_a_well_formed_run_loads_no_argparse_gettext_or_locale():
     """The quick walk parses it; the child runs with -S, as above."""
-    env = dict(os.environ, PYTHONPATH=str(Path(chordweight.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", "import sys; from chordweight.cli import main; "
          "main(['yamada', '--N', '5', '--diagram', 'ABAB']); "
          "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=child_env(), timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (0, "20\n[]\n")
 
@@ -276,10 +278,9 @@ def test_a_reader_that_stops_early_ends_the_run_quietly():
 
     The 146 kB of codes cannot all wait in the pipe, so the write fails.
     """
-    env = dict(os.environ, PYTHONPATH=str(Path(chordweight.__file__).parents[1]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "chordweight.cli", "enumerate", "--n", "7"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
     try:
         assert proc.stdout.readline() == b"AABBCCDDEEFFGG\n"
         proc.stdout.close()
@@ -294,17 +295,17 @@ def test_a_reader_that_stops_early_ends_the_run_quietly():
 def test_eval_refuses_a_wide_contraction_at_once(tmp_path):
     labels = list(string.ascii_uppercase[:20]) * 2
     random.Random(20).shuffle(labels)
-    code = "".join(labels)
-    cost = contraction_plan(ChordDiagram.from_code(code)).cost(4)
+    diagram = "".join(labels)
+    cost = contraction_plan(ChordDiagram.from_code(diagram)).cost(4)
     assert cost > DEFAULT_MAX_WORK
     so4 = write_json(tmp_path / "so4.json",
                      so_standard(4).weight_tensor().to_json_dict())
-    proc, elapsed = run_cli("eval", "--tensor", so4, "--diagram", code)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == (
+    code, out, err, wall_s, *_ = run_process("eval", "--tensor", so4, "--diagram", diagram)
+    assert (code, out) == (2, "")
+    assert err == (
         f"error: contraction needs sum over steps of d^(arcs touched) = {cost} "
         "products, limit is 10000000\n")
-    assert elapsed < 1
+    assert wall_s < 1
 
 
 @pytest.mark.parametrize("kind", ["tensor", "curvature"])
@@ -312,11 +313,11 @@ def test_check_refuses_a_dense_load_of_dimension_200_at_once(tmp_path, kind):
     doc = ({"dim": 200, "entries": []} if kind == "tensor"
            else {"dim": 200, "metric": [], "R": []})
     path = write_json(tmp_path / "wide.json", doc)
-    proc, elapsed = run_cli("check", f"--{kind}", path)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.endswith(
+    code, out, err, wall_s, *_ = run_process("check", f"--{kind}", path)
+    assert (code, out) == (2, "")
+    assert err.endswith(
         "dimension 200 needs dim^4 = 1600000000 entries, limit is 10000000\n")
-    assert elapsed < 1
+    assert wall_s < 1
 
 
 def test_check_refuses_the_four_term_sum_of_a_dense_12_sphere_at_once(tmp_path):
@@ -328,11 +329,11 @@ def test_check_refuses_the_four_term_sum_of_a_dense_12_sphere_at_once(tmp_path):
     tensor = constant_curvature(12, metric).weight_tensor()
     assert len(tensor.entries) == 20164
     path = write_json(tmp_path / "sphere12-dense.json", tensor.to_json_dict())
-    proc, elapsed = run_cli("check", "--tensor", path)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == ("error: the four-term check needs 135527440 products of "
-                           "nonzero entries, limit is 10000000\n")
-    assert elapsed < 1
+    code, out, err, wall_s, *_ = run_process("check", "--tensor", path)
+    assert (code, out) == (2, "")
+    assert err == ("error: the four-term check needs 135527440 products of "
+                   "nonzero entries, limit is 10000000\n")
+    assert wall_s < 1
 
 
 def test_check_refuses_the_exchange_identity_of_a_dense_so12_at_once(tmp_path):
@@ -349,11 +350,11 @@ def test_check_refuses_the_exchange_identity_of_a_dense_so12_at_once(tmp_path):
                           for c in range(12)] for r in range(12)])
     path = write_json(tmp_path / "so12-dense.json",
                       representation_to_json_dict(Representation(rep.algebra, matrices)))
-    proc, elapsed = run_cli("check", "--lie", path)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == ("error: the exchange identity needs 101802220 products of "
-                           "nonzero entries, limit is 10000000\n")
-    assert elapsed < 4
+    code, out, err, wall_s, *_ = run_process("check", "--lie", path)
+    assert (code, out) == (2, "")
+    assert err == ("error: the exchange identity needs 101802220 products of "
+                   "nonzero entries, limit is 10000000\n")
+    assert wall_s < 4
 
 
 @pytest.mark.parametrize("doc, needs", [
@@ -369,37 +370,14 @@ def test_check_refuses_the_exchange_identity_of_a_dense_so12_at_once(tmp_path):
 def test_check_refuses_a_large_lie_load_at_once(tmp_path, doc, needs):
     """Abelian inputs, valid but for their size: refused before any allocation."""
     path = write_json(tmp_path / "wide.json", doc)
-    proc, elapsed = run_cli("check", "--lie", path)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == f"error: {needs}, limit is 10000000\n"
-    assert elapsed < 1
-
-
-# Runs the CLI as its only child, so RUSAGE_CHILDREN reads that process alone.
-MEASURE = """
-import json, resource, subprocess, sys, time
-start = time.perf_counter()
-proc = subprocess.run([sys.executable, "-m", "chordweight.cli", *sys.argv[1:]],
-                      capture_output=True, text=True)
-print(json.dumps([proc.returncode, proc.stdout, proc.stderr,
-                  time.perf_counter() - start,
-                  resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024]))
-"""
+    code, out, err, wall_s, *_ = run_process("check", "--lie", path)
+    assert (code, out, err) == (2, "", f"error: {needs}, limit is 10000000\n")
+    assert wall_s < 1
 
 
 CHECK_CURVATURE_PASS = "curvature-model: pass\nparallel-four-term: pass\nfour-term: pass\n"
 CHECK_LIE_PASS = ("metrized-algebra: pass\nrepresentation: pass\nleg-symmetry: pass\n"
                   "four-term: pass\nexchange-identity: pass\n")
-
-
-def run_cli_measured(*argv):
-    """The CLI in a fresh process: (exit code, stdout, stderr, wall s, peak MB)."""
-    env = dict(os.environ, PYTHONPATH=str(Path(chordweight.__file__).parents[1]))
-    env.pop("CHORDWEIGHT_MAX_WORK", None)
-    proc = subprocess.run([sys.executable, "-c", MEASURE, *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return tuple(json.loads(proc.stdout))
 
 
 @pytest.mark.parametrize("kind, doc, passes", [
@@ -413,9 +391,9 @@ def test_check_of_an_all_zero_input_of_dimension_40_is_small(tmp_path, kind, doc
                                                              passes):
     """Nothing the size of d^4 is built for a tensor with no nonzero entries."""
     path = write_json(tmp_path / "zero40.json", doc)
-    code, out, err, elapsed, peak_mb = run_cli_measured("check", f"--{kind}", path)
+    code, out, err, wall_s, _, peak_mb = run_process("check", f"--{kind}", path)
     assert (code, out, err) == (0, "".join(f"{name}: pass\n" for name in passes), "")
-    assert elapsed < 1
+    assert wall_s < 1
     assert peak_mb < 100
 
 
@@ -427,20 +405,20 @@ def flat_model_40(tmp_path):
 
 def test_check_of_a_flat_model_of_dimension_40_is_small(tmp_path):
     """Only the nonzero curvature entries are stored: no d^4 array is built."""
-    code, out, err, elapsed, peak_mb = run_cli_measured(
+    code, out, err, wall_s, _, peak_mb = run_process(
         "check", "--curvature", flat_model_40(tmp_path))
     assert (code, out, err) == (0, CHECK_CURVATURE_PASS, "")
-    assert elapsed < 1
+    assert wall_s < 1
     assert peak_mb < 64
 
 
 def test_holonomy_of_a_flat_model_of_dimension_40_is_refused_at_once(tmp_path):
-    code, out, err, elapsed, _ = run_cli_measured(
+    code, out, err, wall_s, *_ = run_process(
         "holonomy", "--curvature", flat_model_40(tmp_path))
     assert (code, out) == (2, "")
     assert err == ("error: the holonomy algebra of a curvature model of dimension 40 "
                    "needs pairs^2 * d^3 = 38937600000 steps, limit is 10000000\n")
-    assert elapsed < 1
+    assert wall_s < 1
 
 
 def test_check_of_an_abelian_algebra_of_dimension_200_is_small(tmp_path):
@@ -449,9 +427,9 @@ def test_check_of_an_abelian_algebra_of_dimension_200_is_small(tmp_path):
         "dim": 200, "brackets": [],
         "form": [[int(i == j) for j in range(200)] for i in range(200)],
         "dimV": 1, "matrices": [[[0]]] * 200})
-    code, out, err, elapsed, peak_mb = run_cli_measured("check", "--lie", path)
+    code, out, err, wall_s, _, peak_mb = run_process("check", "--lie", path)
     assert (code, out, err) == (0, CHECK_LIE_PASS, "")
-    assert elapsed < 3
+    assert wall_s < 3
     assert peak_mb < 64
 
 
@@ -515,11 +493,11 @@ def test_dims_rejects_degrees_outside_the_enumeration_cap(capsys):
                                   ["enumerate", "--n", "8"]])
 def test_degree_8_is_refused_at_once(argv):
     """Degree 8 is over the default budget; `dims` refuses before degree 0."""
-    proc, elapsed = run_cli(*argv)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == ("error: degree 8 needs about (2n-1)!!/(2n) classes x "
-                           "(2n)^2 = 32432400 steps, limit is 10000000\n")
-    assert elapsed < 1
+    code, out, err, wall_s, *_ = run_process(*argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: degree 8 needs about (2n-1)!!/(2n) classes x "
+                   "(2n)^2 = 32432400 steps, limit is 10000000\n")
+    assert wall_s < 1
 
 
 def assert_matches_pin(pin, result):
@@ -538,7 +516,6 @@ def assert_matches_pin(pin, result):
     f"{Path(pin).name}-argv{i}" for i, pin in enumerate(RUNS)])
 def test_output_matches_pinned_text(capsys, monkeypatch, pin):
     monkeypatch.chdir(ROOT)
-    monkeypatch.delenv("CHORDWEIGHT_MAX_WORK", raising=False)
     assert_matches_pin(pin, run(capsys, *RUNS[pin][1]))
 
 
@@ -556,25 +533,10 @@ def test_every_pinned_file_belongs_to_one_row():
                        "tests/pinned/verify-criterion-5.csv"}
 
 
-# Runs the CLI as its only child: RUSAGE_CHILDREN gives its CPU seconds and peak.
-MEASURE_USAGE = """
-import json, resource, subprocess, sys
-proc = subprocess.run([sys.executable, "-m", "chordweight.cli", *sys.argv[1:]],
-                      capture_output=True, text=True)
-usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-print(json.dumps([proc.returncode, proc.stdout, proc.stderr,
-                  usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024]))
-"""
-
-
 def test_holonomy_of_a_12_sphere_is_fast_and_small():
     """66 generators, a 78-dimensional triple: only nonzero brackets are stored."""
     pin = "tests/pinned/holonomy-sphere12.json.sha256"
-    env = dict(os.environ, PYTHONPATH=str(Path(chordweight.__file__).parents[1]))
-    env.pop("CHORDWEIGHT_MAX_WORK", None)
-    proc = subprocess.run([sys.executable, "-c", MEASURE_USAGE, *RUNS[pin][1]],
-                          capture_output=True, text=True, env=env, cwd=ROOT, timeout=60)
-    code, out, err, cpu_s, peak_mb = json.loads(proc.stdout)
+    code, out, err, _, cpu_s, peak_mb = run_process(*RUNS[pin][1])
     assert_matches_pin(pin, (code, out, err))
     assert cpu_s < 0.7
     assert peak_mb < 30
@@ -616,26 +578,26 @@ def test_holonomy_of_a_7_sphere_is_fast(tmp_path):
     """21 generator pairs, 441 pairs of pairs: one process, under 1 s."""
     path = write_json(tmp_path / "sphere7.json",
                       model_to_json_dict(constant_curvature(7)))
-    proc, elapsed = run_cli("holonomy", "--curvature", path)
-    assert proc.returncode == 0
-    assert proc.stdout.splitlines()[-3:] == [
+    code, out, _, wall_s, *_ = run_process("holonomy", "--curvature", path)
+    assert code == 0
+    assert out.splitlines()[-3:] == [
         "triple: dim 28 = 21 + 7, valid: yes",
         "isomorphic to so7: yes",
         "rho(C_h) == Hhat: yes",
     ]
-    assert elapsed < 1
+    assert wall_s < 1
 
 
 def test_holonomy_refuses_a_16_dimensional_space_form_at_once(tmp_path):
     """The loader admits dim^4 = 65536; holonomy's pairs^2 * d^3 is over the bound."""
     path = write_json(tmp_path / "sphere16.json",
                       model_to_json_dict(constant_curvature(16)))
-    proc, elapsed = run_cli("holonomy", "--curvature", path)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == (
+    code, out, err, wall_s, *_ = run_process("holonomy", "--curvature", path)
+    assert (code, out) == (2, "")
+    assert err == (
         "error: the holonomy algebra of a curvature model of dimension 16 needs "
         "pairs^2 * d^3 = 58982400 steps, limit is 10000000\n")
-    assert elapsed < 1
+    assert wall_s < 1
 
 
 def test_dims_json(capsys):
@@ -665,36 +627,21 @@ def test_yamada_bad_arguments(capsys):
     assert code == 2
 
 
-def run_yamada(code, max_work=None):
-    """`yamada` in a fresh process; CHORDWEIGHT_MAX_WORK unset unless given."""
-    env = dict(os.environ, PYTHONPATH=str(Path(chordweight.__file__).parents[1]))
-    env.pop("CHORDWEIGHT_MAX_WORK", None)
-    if max_work is not None:
-        env["CHORDWEIGHT_MAX_WORK"] = str(max_work)
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "chordweight.cli", "yamada", "--diagram", code],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    return proc, time.perf_counter() - start
-
-
 def test_yamada_refuses_a_30_chord_state_sum_at_once():
     labels = string.ascii_uppercase + string.ascii_lowercase[:4]
-    proc, elapsed = run_yamada(labels + labels)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == ("error: state sum needs 2^n = 1073741824 smoothings, "
-                           "limit is 10000000\n")
-    assert elapsed < 1
+    code, out, err, wall_s, *_ = run_process("yamada", "--diagram", labels + labels)
+    assert (code, out) == (2, "")
+    assert err == ("error: state sum needs 2^n = 1073741824 smoothings, "
+                   "limit is 10000000\n")
+    assert wall_s < 1
 
 
-def test_yamada_budget_follows_the_work_variable():
-    proc, _ = run_yamada("ABCDEFGABCDEFG", max_work=100)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert "2^n = 128 smoothings, limit is 100" in proc.stderr
-    proc, _ = run_yamada("ABCDEFABCDEF", max_work=100)
-    assert (proc.returncode, proc.stdout) == (0, "66\n")
+def test_yamada_budget_follows_the_work_variable(monkeypatch):
+    monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", "100")
+    code, out, err, *_ = run_process("yamada", "--diagram", "ABCDEFGABCDEFG")
+    assert (code, out) == (2, "")
+    assert "2^n = 128 smoothings, limit is 100" in err
+    assert run_process("yamada", "--diagram", "ABCDEFABCDEF")[:2] == (0, "66\n")
 
 
 def test_eval_tensor_file(tmp_path, capsys):
@@ -844,6 +791,15 @@ def test_missing_and_malformed_files(tmp_path, capsys):
     code, _, err = run(capsys, "eval", "--tensor", str(broken), "--diagram", "AA")
     assert code == 2
     assert "not valid JSON" in err
+
+
+@pytest.mark.parametrize("argv", [["check"], ["eval", "--diagram", "AA"]],
+                         ids=["check", "eval"])
+def test_a_module_of_dimension_0_is_refused_by_its_field(tmp_path, capsys, argv):
+    path = write_json(tmp_path / "dimV0.json", {
+        "dim": 1, "brackets": [], "form": [[1]], "dimV": 0, "matrices": [[]]})
+    assert run(capsys, argv[0], "--lie", path, *argv[1:]) == (
+        2, "", "error: dimV: expected a positive integer\n")
 
 
 def test_json_field_path_in_errors(tmp_path, capsys):

@@ -44,31 +44,21 @@ from chordweight.acceptance import form_signature
 PINNED = Path(__file__).parent / "pinned"
 
 
-def indefinite_metric(d):
-    return [[Fraction(-1 if i == j == 0 else (1 if i == j else 0))
-             for j in range(d)] for i in range(d)]
-
-
 def bianchi_violating_model():
     """Antisymmetric and pair-symmetric, but the cyclic sum does not vanish."""
-    d = 4
-    riemann = [[[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-               for _ in range(d)]
-    for (a, b, c, x), v in {
+    return models.sparse_model(4, {
         (0, 1, 2, 3): 1, (1, 0, 2, 3): -1,
         (2, 3, 0, 1): 1, (3, 2, 0, 1): -1,
         (2, 3, 1, 0): -1, (3, 2, 1, 0): 1,
         (0, 1, 3, 2): -1, (1, 0, 3, 2): 1,
-    }.items():
-        riemann[a][b][c][x] = Fraction(v)
-    return CurvatureModel(signature_metric(d, 0), riemann)
+    })
 
 
 def test_constant_curvature_validates():
     for d in (1, 2, 3, 4):
         assert constant_curvature(d).validate() == (True, None)
     assert constant_curvature(3, kappa=0).validate() == (True, None)
-    assert constant_curvature(3, indefinite_metric(3), -2).validate() == (True, None)
+    assert constant_curvature(3, signature_metric(3, 1), -2).validate() == (True, None)
 
 
 def test_constant_curvature_matches_the_raised_dense_oracle():
@@ -129,7 +119,7 @@ def test_bianchi_violation_is_pinpointed():
 
 def test_parallel_four_term_on_space_forms():
     for model in (constant_curvature(2), constant_curvature(3, kappa=-1),
-                  constant_curvature(3, indefinite_metric(3), 2)):
+                  constant_curvature(3, signature_metric(3, 1), 2)):
         assert check_parallel_four_term(model) == (True, None)
 
 
@@ -233,7 +223,7 @@ def test_flat_model_has_trivial_holonomy():
 
 
 def test_indefinite_model_is_not_plainly_orthogonal():
-    hol = holonomy_algebra(constant_curvature(3, indefinite_metric(3)))
+    hol = holonomy_algebra(constant_curvature(3, signature_metric(3, 1)))
     assert hol.dim_h == 3
     assert so_isomorphism(hol) is None
 
@@ -254,7 +244,7 @@ def test_sphere_triple():
 def test_verify_lie_type_on_space_forms():
     for model in (constant_curvature(2), constant_curvature(3),
                   constant_curvature(4), constant_curvature(3, kappa=-1),
-                  constant_curvature(3, indefinite_metric(3))):
+                  constant_curvature(3, signature_metric(3, 1))):
         triple = symmetric_triple(model)
         assert triple.validate() == (True, None)
         assert verify_lie_type(triple) == (True, None)
@@ -338,7 +328,7 @@ def test_curvature_indices_outside_the_dimension_are_refused():
 
 
 def test_curvature_mapping_and_nested_array_give_one_model():
-    model = constant_curvature(3, indefinite_metric(3), kappa=Fraction(-1, 2))
+    model = constant_curvature(3, signature_metric(3, 1), kappa=Fraction(-1, 2))
     assert len(model.entries) == 6 * 2  # per a != b: (c, x) = (b, a) and (a, b)
     nested = CurvatureModel(model.metric, model.riemann)
     assert nested.entries == model.entries

@@ -7,9 +7,11 @@ import pytest
 import oracles
 from chordweight import (
     ChordDiagram,
+    WeightTensor,
     WorkLimitExceeded,
     coproduct,
     enumerate_diagrams,
+    evaluate_sum,
     product,
     restrict,
     smooth_components,
@@ -37,6 +39,15 @@ def test_a_code_of_53_chords_is_refused():
     crossing = ChordDiagram(tuple((p + 53) % 106 for p in range(106)))
     with pytest.raises(ValueError, match="at most 52 chords, this diagram has 53"):
         crossing.code
+
+
+def test_a_diagram_of_53_chords_is_shown_and_summed_without_a_code():
+    """repr falls back to the matching, so formal sums still order their terms."""
+    crossing = ChordDiagram(tuple((p + 53) % 106 for p in range(106)))
+    assert repr(crossing) == f"ChordDiagram(matching={crossing.matching!r})"
+    single = FormalSum.single(crossing)
+    assert single.items() == [(crossing, 1)]
+    assert evaluate_sum(WeightTensor.identity(1), single) == 1
 
 
 def test_construction_canonicalizes_rotations():
@@ -99,8 +110,7 @@ def test_generator_emits_one_matching_per_rotation_orbit(n):
     assert all(oracles.class_key(mat) == gaps for mat, gaps in zip(matchings, emitted))
 
 
-def test_enumeration_budget_admits_degree_7_and_refuses_degree_8(monkeypatch):
-    monkeypatch.delenv("CHORDWEIGHT_MAX_WORK", raising=False)
+def test_enumeration_budget_admits_degree_7_and_refuses_degree_8():
     charge_enumeration(7)  # 13!! * 14 = 1,891,890 steps
     with pytest.raises(WorkLimitExceeded,
                        match=r"degree 8 needs .* = 32432400 steps, limit is 10000000"):

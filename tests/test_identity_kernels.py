@@ -75,26 +75,6 @@ def rebase_representation(rep, rng):
     return Representation(MetrizedLieAlgebra(brackets, form), matrices)
 
 
-def rebase_model(model, rng):
-    """The same curvature model in the basis e'_i = sum_a P[a][i] e_a."""
-    d = model.dim
-    P, Pinv = dense_basis(rng, d)
-    g, R = model.metric, model.riemann
-    rng_d = range(d)
-    metric = [[sum(P[a][i] * g[a][b] * P[b][j] for a in rng_d for b in rng_d)
-               for j in rng_d] for i in rng_d]
-    # contract one slot at a time
-    R1 = [[[[sum(P[a0][a] * R[a0][b][c][x] for a0 in rng_d) for x in rng_d]
-            for c in rng_d] for b in rng_d] for a in rng_d]
-    R2 = [[[[sum(P[b0][b] * R1[a][b0][c][x] for b0 in rng_d) for x in rng_d]
-            for c in rng_d] for b in rng_d] for a in rng_d]
-    R3 = [[[[sum(P[c0][c] * R2[a][b][c0][x] for c0 in rng_d) for x in rng_d]
-            for c in rng_d] for b in rng_d] for a in rng_d]
-    R4 = [[[[sum(Pinv[x][x0] * R3[a][b][c][x0] for x0 in rng_d) for x in rng_d]
-            for c in rng_d] for b in rng_d] for a in rng_d]
-    return CurvatureModel(metric, R4)
-
-
 def to_lists(array):
     if isinstance(array, (list, tuple)):
         return [to_lists(sub) for sub in array]
@@ -142,7 +122,8 @@ def tensor_inputs(seed):
     passing = [
         rebase_representation(so_standard(3), rng).weight_tensor(),
         rebase_representation(sl2_standard(), rng).weight_tensor(),
-        rebase_model(constant_curvature(3, kappa=Fraction(1, 3)), rng).weight_tensor(),
+        models.rebase(constant_curvature(3, kappa=Fraction(1, 3)),
+                      dense_basis(rng, 3)[0]).weight_tensor(),
     ]
     out = [WeightTensor(d, oracles.array_items(raw)),
            WeightTensor(d, oracles.array_items(perturbed(raw, rng, leg_swap)))]
@@ -168,16 +149,17 @@ def test_four_term_matches_dense_oracle(seed):
 def test_parallel_four_term_matches_dense_oracle(seed):
     rng = random.Random(seed)
     metric = [[Fraction(1), 0, 0], [0, Fraction(-1, 2), 0], [0, 0, Fraction(3)]]
-    space_form = rebase_model(constant_curvature(3, metric, Fraction(-2, 3)), rng)
-    models = [
+    space_form = models.rebase(constant_curvature(3, metric, Fraction(-2, 3)),
+                               dense_basis(rng, 3)[0])
+    inputs = [
         space_form,
         CurvatureModel(space_form.metric,
                        perturbed(space_form.riemann, rng)),
         CurvatureModel(metric, random_array(rng, [3] * 4, rng.choice((0.05, 0.3)))),
-        rebase_model(constant_curvature(2), rng),
+        models.rebase(constant_curvature(2), dense_basis(rng, 2)[0]),
     ]
     verdicts = []
-    for model in models:
+    for model in inputs:
         got = check_parallel_four_term(model)
         assert got == oracles.parallel_four_term(model.riemann, model.dim)
         verdicts.append(got[0])
@@ -250,8 +232,8 @@ def model_inputs(seed):
     d = rng.randrange(1, 6)
     metric = [[rng.choice(VALUES) if i == j else 0 for j in range(d)]
               for i in range(d)]
-    space_form = rebase_model(
-        constant_curvature(d, metric, rng.choice(VALUES)), rng)
+    space_form = models.rebase(constant_curvature(d, metric, rng.choice(VALUES)),
+                               dense_basis(rng, d)[0])
     g, R = space_form.metric, space_form.riemann
     yield space_form
     yield CurvatureModel(g, perturbed(R, rng))

@@ -12,10 +12,18 @@ over that table, which imports no argparse; anything else (help, errors,
 abbreviations, --opt=value, --, negative numbers, a repeated option) goes
 to the argparse parser built from the same table, so its help, usage and
 error text are argparse's own.
+
+When ``main()`` is the process's entry point (called with no ``argv``: the
+console script, ``python -m chordweight.cli``), it first moves every object
+that start-up created to the permanent generation with ``gc.freeze()``, so
+the collections the interpreter makes at exit skip them.  ``main(argv)``
+runs inside a caller's process and does not freeze that program's heap.
+The process still exits normally, not by ``os._exit``; see ``main``.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from fractions import Fraction
@@ -471,7 +479,22 @@ def _parse_args(argv):
 
 
 def main(argv=None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    """Run one command line and return its exit code.
+
+    With ``argv`` None, ``main`` is the process's entry point and reads
+    ``sys.argv[1:]``, after freezing the heap: every object that ``site``
+    and the imports created moves to the permanent generation, so the
+    garbage collections at interpreter exit skip them (about a tenth of a
+    short run).  The objects the run creates are collected as usual.  A
+    caller that passes ``argv`` runs ``main`` inside its own program, whose
+    heap a freeze would move too, so then nothing is frozen.  Exit stays
+    ordinary rather than ``os._exit``, which would skip atexit handlers, the
+    flush of streams other than stdout, and ``main``'s return of the code.
+    """
+    if argv is None:
+        gc.freeze()
+        argv = sys.argv[1:]
+    args = _parse_args(argv)
     try:
         code = args.handler(args, sys.stdout)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

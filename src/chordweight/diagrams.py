@@ -150,7 +150,10 @@ class ChordDiagram(Frozen):
     def __lt__(self, other):
         if not isinstance(other, ChordDiagram):
             return NotImplemented
-        return (self.n, self.code) < (other.n, other.code)
+        # The label sequence orders as the code does (_LETTERS rises in code
+        # point) and exists past 52 chords, where the code does not.
+        return ((self.n, _label_sequence(self.matching, 0))
+                < (other.n, _label_sequence(other.matching, 0)))
 
     def __repr__(self):
         if self.n > len(_LETTERS):  # no code: the field repr of Frozen

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: output, formats, exit codes."""
 
+import gc
 import hashlib
 import json
 import os
@@ -119,6 +120,28 @@ def test_a_well_formed_run_loads_no_argparse_gettext_or_locale():
         capture_output=True, text=True, env=child_env(), timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (0, "20\n[]\n")
+
+
+def test_an_in_process_run_leaves_the_heap_unfrozen(capsys):
+    """main(argv) runs inside its caller's process, so it must not freeze it."""
+    before = gc.get_freeze_count()
+    assert run(capsys, "enumerate", "--n", "0") == (0, "(empty)\n", "")
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["enumerate", "--n", "0"], 0, "(empty)\n", ""),
+    (["eval", "--tensor", "missing.json", "--diagram", "AA"], 2, "", "error: cannot read"),
+], ids=["enumerate", "eval-of-a-missing-file"])
+def test_an_entry_run_freezes_the_start_up_heap(argv, code, out, err):
+    """main() as the process entry freezes the heap and returns its exit code."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import gc, sys; from chordweight.cli import main; "
+         "code = main(); print(gc.get_freeze_count()); sys.exit(code)", *argv],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout[:len(out)], proc.stderr[:len(err)]) == (code, out, err)
+    assert int(proc.stdout[len(out):]) > 0  # the count printed after main() returned
 
 
 # each subcommand's required options, with file names that are never read

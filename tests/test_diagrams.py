@@ -50,6 +50,21 @@ def test_a_diagram_of_53_chords_is_shown_and_summed_without_a_code():
     assert evaluate_sum(WeightTensor.identity(1), single) == 1
 
 
+def test_diagrams_of_53_chords_sort_without_a_code():
+    crossing = ChordDiagram(tuple((p + 53) % 106 for p in range(106)))
+    isolated = ChordDiagram(tuple(p ^ 1 for p in range(106)))
+    small = ChordDiagram.from_code("AA")
+    assert sorted([crossing, isolated, small]) == [small, isolated, crossing]
+    assert sorted([small, crossing, isolated]) == [small, isolated, crossing]
+
+
+def test_diagrams_sort_by_chord_count_then_code():
+    by_code = [d for n in range(7) for d in enumerate_diagrams(n)]
+    assert by_code == sorted(by_code, key=lambda d: (d.n, d.code))
+    for a, b in zip(by_code, by_code[1:]):
+        assert a < b and not b < a
+
+
 def test_construction_canonicalizes_rotations():
     base = ChordDiagram.from_code("ABACBC")
     for r in range(6):

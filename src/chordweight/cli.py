@@ -50,7 +50,7 @@ from .diagrams import (
     charge_enumeration,
     enumerate_diagrams,
 )
-from .jsonio import parse_matrix
+from .jsonio import JSONFormatError, parse_matrix, parse_rational
 from .lie import _exchange_sums, representation_from_json_dict
 from .sparse import UNIT, contract, least_nonzero
 from .tensors import (
@@ -201,9 +201,9 @@ def _cmd_eval(args, out) -> int:
 def _cmd_yamada(args, out) -> int:
     diagram = _parse_diagram(args.diagram)
     try:
-        loop = Fraction(args.N)
-    except (ValueError, ZeroDivisionError):
-        raise CLIError(f"--N {args.N!r} is not a rational number") from None
+        loop = parse_rational(args.N, "--N")
+    except JSONFormatError as exc:
+        raise CLIError(f"--N {exc.message}") from None
     value = yamada_weight(diagram, loop)
     return _emit_value(args, out, args.diagram, value)
 

@@ -38,9 +38,9 @@ from .work import charge_work
 class CurvatureModel:
     """Metric g and curvature R on a single tangent space.
 
-    ``entries`` maps (a, b, c, x) to the nonzero e_x component of
-    R(e_a, e_b)e_c; the lowered tensor and the weight tensor are derived
-    from it on demand.
+    ``entries``, an IntegerView, maps (a, b, c, x) to the nonzero e_x
+    component of R(e_a, e_b)e_c; the lowered tensor and the weight tensor
+    are derived from it on demand.
     """
 
     def __init__(self, metric, riemann):
@@ -67,12 +67,9 @@ class CurvatureModel:
         except ValueError:
             raise ValueError("metric is degenerate") from None
         ginv = IntegerView(inverse, 2)
-        R = IntegerView(self.entries, 4)
-        den = ginv.den * R.den
-        return WeightTensor(self.dim, (
-            (key, Fraction(v, den))
-            for key, v in contract("axcd", R.entries, "bx", ginv.entries, "abcd").items()
-        ))
+        R = self.entries
+        return WeightTensor(self.dim, IntegerView.of(
+            contract("axcd", R.nums, "bx", ginv.nums, "abcd"), ginv.den * R.den))
 
     def endomorphism(self, a: int, b: int) -> tuple:
         """R(e_a, e_b) as a matrix on the tangent space (rows = output)."""
@@ -94,11 +91,11 @@ class CurvatureModel:
             return False, ("metric-symmetry", None)
         if not full_rank(self.metric):
             return False, ("metric-degenerate", None)
-        R = IntegerView(self.entries, 4).entries
+        R = self.entries.nums
         failure = _skew_or_bianchi_failure(R)
         if failure is not None:
             return False, failure
-        low = contract("abcx", R, "xd", IntegerView(self.metric, 2).entries, "abcd")
+        low = contract("abcx", R, "xd", IntegerView(self.metric, 2).nums, "abcd")
         witness = least_nonzero(contract("abcx", low, "", UNIT, "cxab", dict(low), -1))
         if witness is not None:
             return False, ("pair-symmetry", witness)
@@ -193,8 +190,7 @@ def check_parallel_four_term(model: CurvatureModel):
     everywhere exactly when the other does; their least witnesses can
     differ, since the raising mixes indices.
     """
-    witness = four_term_witness(IntegerView(model.entries, 4),
-                                _PARALLEL_FOUR_TERM)
+    witness = four_term_witness(model.entries, _PARALLEL_FOUR_TERM)
     return witness is None, witness
 
 
@@ -204,16 +200,17 @@ class HolonomyAlgebra(Frozen):
     ``labels[i]`` is the generator pair (a, b) whose endomorphism is
     ``basis[i]``, ``brackets`` maps (i, j, k) to the nonzero structure
     constants in this basis and ``form`` is the induced invariant form.
-    ``pair_coordinates``, when given, maps every generator pair to the
-    coordinates of its endomorphism in ``basis``: a by-product of the
-    extraction, not a field, so it takes no part in ``==``, ``hash`` or ``repr``.
+    ``pair_coordinates``, when given, is an IntegerView mapping (a, b, k)
+    to the nonzero coordinate k, in ``basis``, of the endomorphism of the
+    generator pair (a, b): a by-product of the extraction, not a field, so
+    it takes no part in ``==``, ``hash`` or ``repr``.
     """
 
     _fields = ("model", "labels", "basis", "brackets", "form", "nondegenerate")
 
     def __init__(self, model: CurvatureModel, labels: tuple, basis: tuple,
                  brackets, form: tuple, nondegenerate: bool,
-                 pair_coordinates: dict | None = None):
+                 pair_coordinates: IntegerView | None = None):
         self._set(model, labels, basis, exact_entries(brackets, 3, len(labels)),
                   form, nondegenerate)
         object.__setattr__(self, "_pair_coordinates", pair_coordinates)
@@ -278,14 +275,13 @@ def _holonomy_algebra(model: CurvatureModel) -> HolonomyAlgebra:
     work = len(pairs) ** 2 * d ** 3
     charge_work(work, f"the holonomy algebra of a curvature model of dimension "
                 f"{d} needs pairs^2 * d^3 = {work} steps")
-    R = IntegerView(model.entries, 4)
+    R = model.entries
     endos = defaultdict(dict)  # R(e_a, e_b): {(row x, column c): int}
-    for (a, b, c, x), v in R.entries.items():
+    for (a, b, c, x), v in R.nums.items():
         endos[a, b][x, c] = v
     span = ReducedSpan()
     labels = [pair for pair in pairs if span.add(endos[pair])]
-    brackets = {}
-    den = span.den * R.den
+    brackets = {}  # numerators over span.den * R.den
     for i, p in enumerate(labels):
         for j, q in enumerate(labels[i + 1:], i + 1):
             comm = contract("xy", endos[p], "yc", endos[q], "xc")  # [R(p), R(q)]
@@ -295,22 +291,22 @@ def _holonomy_algebra(model: CurvatureModel) -> HolonomyAlgebra:
                 raise RuntimeError("holonomy commutator escapes the span")
             for k, v in enumerate(c):
                 if v:
-                    brackets[i, j, k] = Fraction(v, den)
-                    brackets[j, i, k] = Fraction(-v, den)
+                    brackets[i, j, k] = v
+                    brackets[j, i, k] = -v
     metric = IntegerView(model.metric, 2)
     # the lowered curvature, over R.den * metric.den
-    low = contract("abcx", R.entries, "xd", metric.entries, "abcd")
+    low = contract("abcx", R.nums, "xd", metric.nums, "abcd")
     form = tuple(tuple(Fraction(low.get(p + q, 0), R.den * metric.den) for q in labels)
                  for p in labels)
     return HolonomyAlgebra(
         model,
         tuple(labels),
         tuple(model.endomorphism(*pair) for pair in labels),
-        brackets,
+        IntegerView.of(brackets, span.den * R.den),
         form,
         full_rank(form),
-        {pair: tuple(Fraction(v, span.den) for v in span.coordinates(endos[pair]))
-         for pair in pairs},
+        IntegerView.of({(*pair, k): v for pair in pairs
+                        for k, v in enumerate(span.coordinates(endos[pair])) if v}, span.den),
     )
 
 
@@ -359,7 +355,7 @@ class SymmetricTriple(Frozen):
             if s[i] != s[j]:
                 return False, f"form mixes involution eigenspaces at ({i},{j})"
         rows = defaultdict(dict)  # [e_a, e_b] for tangent a < b, its holonomy part
-        for (a, b, k), v in self.brackets.items():
+        for (a, b, k), v in self.brackets.nums.items():  # the rank ignores den
             if m <= a < b and k < m:
                 rows[a, b][k] = v
         if sparse_rank(rows.values()) != m:
@@ -382,16 +378,12 @@ def _symmetric_triple(hol: HolonomyAlgebra) -> SymmetricTriple:
     m = hol.dim_h
     f = dict(hol.brackets)
     for i, mat in enumerate(hol.basis):
-        for a in range(d):
-            for x in range(d):
-                if mat[x][a] != 0:
-                    f[i, m + a, m + x] = mat[x][a]
-                    f[m + a, i, m + x] = -mat[x][a]
-    for (a, b), c in hol._pair_coordinates.items():
-        for k, v in enumerate(c):
-            if v:
-                f[m + a, m + b, k] = v
-                f[m + b, m + a, k] = -v
+        for (x, a), v in nonzero_entries(mat, 2):
+            f[i, m + a, m + x] = v
+            f[m + a, i, m + x] = -v
+    for (a, b, k), v in hol._pair_coordinates.items():
+        f[m + a, m + b, k] = v
+        f[m + b, m + a, k] = -v
     zero = Fraction(0)
     form = (tuple(row + (zero,) * d for row in hol.form)
             + tuple((zero,) * m + row for row in hol.model.metric))
@@ -444,12 +436,11 @@ def so_isomorphism(holonomy: HolonomyAlgebra):
         return None
     # sum_k f_h[i][j][k] P[k][l] against sum_{a,b} P[i][a] P[j][b] f_so[a][b][l],
     # one index at a time, keyed (i, j, l)
-    f_h = IntegerView(holonomy.brackets, 3)
-    f_so = IntegerView(so_algebra(d).entries, 3)
+    f_so = so_algebra(d).entries
     Pv = IntegerView(P, 2)
-    lhs = contract("ijk", f_h.entries, "kl", Pv.entries, "ijl", scale=Pv.den * f_so.den)
-    half = contract("jb", Pv.entries, "abl", f_so.entries, "jal")
-    if lhs != contract("ia", Pv.entries, "jal", half, "ijl", scale=f_h.den):
+    lhs = contract("ijk", holonomy.brackets.nums, "kl", Pv.nums, "ijl", scale=Pv.den * f_so.den)
+    half = contract("jb", Pv.nums, "abl", f_so.nums, "jal")
+    if lhs != contract("ia", Pv.nums, "jal", half, "ijl", scale=holonomy.brackets.den):
         return None
     return tuple(tuple(row) for row in P)
 
@@ -474,10 +465,10 @@ def _lowering(rep: Representation, form_v) -> tuple:
 
 def _lowered_casimir(rep: Representation, F) -> tuple:
     """({(a, b, c, d): int}, den): sum_{x,y} rho(C)(a,x,c,y) F[x][b] F[y][d]."""
-    T = IntegerView(rep.weight_tensor().entries, 4)
+    T = rep.weight_tensor().entries
     form = IntegerView(F, 2)
-    half = contract("axcy", T.entries, "xb", form.entries, "acyb")
-    return contract("acyb", half, "yd", form.entries, "abcd"), T.den * form.den ** 2
+    half = contract("axcy", T.nums, "xb", form.nums, "acyb")
+    return contract("acyb", half, "yd", form.nums, "abcd"), T.den * form.den ** 2
 
 
 def _symmetry_verdict(low: dict):
@@ -517,9 +508,8 @@ def triple_from_rep(rep: Representation, form_v) -> SymmetricTriple:
     if not is_symmetric(F):
         raise ValueError("realization requires a symmetric form")
     ginv = IntegerView(mat_inv(F), 2)
-    return symmetric_triple(CurvatureModel(F, {
-        key: Fraction(v, den * ginv.den)
-        for key, v in contract("abcx", low, "xd", ginv.entries, "abcd").items()}))
+    return symmetric_triple(CurvatureModel(F, IntegerView.of(
+        contract("abcx", low, "xd", ginv.nums, "abcd"), den * ginv.den)))
 
 
 def model_to_json_dict(model: CurvatureModel) -> dict:

@@ -1,7 +1,8 @@
 """Shared helpers for the JSON interchange formats.
 
-All numeric values travel as exact rational strings ("p/q" or "p"); parse
-errors carry the JSON field path that caused them.
+All numeric values travel as exact rational strings ("p/q" or "p", in
+ASCII digits with an optional leading "-"); parse errors carry the JSON
+field path that caused them.
 """
 
 from __future__ import annotations
@@ -19,18 +20,30 @@ class JSONFormatError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
+# the longest integer text that int() reads by default from Python 3.11 on
+MAX_DIGITS = 4300
+
+
 def parse_rational(value, path: str) -> Fraction:
-    """Accept "p/q" / "p" strings and plain integers."""
+    """A plain integer, or a string "-"? digits ("/" digits)?, digits ASCII.
+
+    Anything else is refused, and so are a zero denominator and an integer
+    of more than MAX_DIGITS digits: no other text reaches ``Fraction`` or
+    ``int``, so no input can make them run long.
+    """
     if isinstance(value, bool):
         raise JSONFormatError(path, f"expected a rational, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError):
-            raise JSONFormatError(path, f"invalid rational {value!r}") from None
-    raise JSONFormatError(path, f"expected a rational string, got {type(value).__name__}")
+    if not isinstance(value, str):
+        raise JSONFormatError(path, f"expected a rational string, got {type(value).__name__}")
+    num, slash, den = value.partition("/")
+    parts = [num.removeprefix("-"), den] if slash else [num.removeprefix("-")]
+    if slash and not den.strip("0") or not all(p.isascii() and p.isdigit() for p in parts):
+        raise JSONFormatError(path, f"{value!r} is not a rational number")
+    if max(map(len, parts)) > MAX_DIGITS:
+        raise JSONFormatError(path, f"has an integer of more than {MAX_DIGITS} digits")
+    return Fraction(int(num), int(den or 1))
 
 
 def parse_index(value, path: str, bound: int) -> int:

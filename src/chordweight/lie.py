@@ -27,8 +27,8 @@ from .work import charge_work
 class MetrizedLieAlgebra:
     """Structure constants plus an invariant nondegenerate symmetric form.
 
-    ``entries`` maps (i, j, k) to the nonzero coefficient of e_k in
-    [e_i, e_j], and ``form[i][j]`` is B(e_i, e_j).
+    ``entries``, an IntegerView, maps (i, j, k) to the nonzero coefficient
+    of e_k in [e_i, e_j], and ``form[i][j]`` is B(e_i, e_j).
     """
 
     def __init__(self, brackets, form):
@@ -65,19 +65,18 @@ class MetrizedLieAlgebra:
         only its sign.  The least nonzero (i, j, k, l) therefore has
         i < j < k.
         """
-        f = IntegerView(self.entries, 3)
+        f = self.entries.nums
         # f plus its copy with i and j swapped; zero wherever f is antisymmetric
-        witness = least_nonzero(contract("ijk", f.entries, "", UNIT, "jik",
-                                         dict(f.entries)))
+        witness = least_nonzero(contract("ijk", f, "", UNIT, "jik", dict(f)))
         if witness is not None:
             return False, "antisymmetry fails at (i,j,k)=({},{},{})".format(*witness)
         # J(i,j,k,l) = S(i,j,k) + S(j,k,i) + S(k,i,j) with
         # S(p,q,c) = sum_x f[p][q][x] f[x][c][l]; for p < q, the third index
         # c lands first, last, or (with sign -1 from f[k][i] = -f[i][k]) in
         # the middle of the sorted triple.
-        half = {(p, q, x): u for (p, q, x), u in f.entries.items() if p < q}
+        half = {(p, q, x): u for (p, q, x), u in f.items() if p < q}
         jacobi = defaultdict(int)
-        for (p, q, c, l), v in contract("pqx", half, "xcl", f.entries, "pqcl").items():
+        for (p, q, c, l), v in contract("pqx", half, "xcl", f, "pqcl").items():
             if c > q:
                 jacobi[p, q, c, l] += v
             elif c < p:
@@ -95,9 +94,9 @@ class MetrizedLieAlgebra:
         if not full_rank(B):
             return False, "form is degenerate"
         # sum_k f[z][x][k] B[k][y] + f[z][y][k] B[x][k], keyed by (z, x, y)
-        form = IntegerView(B, 2).entries
-        invariance = contract("zxk", f.entries, "ky", form, "zxy")
-        contract("zyk", f.entries, "xk", form, "zxy", invariance)
+        form = IntegerView(B, 2).nums
+        invariance = contract("zxk", f, "ky", form, "zxy")
+        contract("zyk", f, "xk", form, "zxy", invariance)
         witness = least_nonzero(invariance)
         if witness is not None:
             return False, (
@@ -109,14 +108,12 @@ class MetrizedLieAlgebra:
         """The inverse of the form, as a symmetric matrix C^{ij}."""
         return tuple(tuple(row) for row in mat_inv(self.form))
 
-    def structure_tensor(self) -> dict:
+    def structure_tensor(self) -> IntegerView:
         """Nonzero Y[i][j][k] = sum_{a,b} C[i][a] C[j][b] f[a][b][k], keyed (i, j, k)."""
         C = IntegerView(self.casimir(), 2)
-        f = IntegerView(self.entries, 3)
-        den = C.den ** 2 * f.den
-        half = contract("ia", C.entries, "abk", f.entries, "ibk")
-        return {key: Fraction(v, den)
-                for key, v in contract("ibk", half, "jb", C.entries, "ijk").items()}
+        f = self.entries
+        half = contract("ia", C.nums, "abk", f.nums, "ibk")
+        return IntegerView.of(contract("ibk", half, "jb", C.nums, "ijk"), C.den ** 2 * f.den)
 
     def __repr__(self):
         return f"MetrizedLieAlgebra(dim={self.dim})"
@@ -154,13 +151,12 @@ class Representation:
         Both sides are built from products of nonzero entries, as int
         numerators; the least failing (i, j) is reported.
         """
-        f = IntegerView(self.algebra.entries, 3)
+        f = self.algebra.entries
         rho = IntegerView(self.matrices, 3)
         # rho([e_i, e_j]) - [rho_i, rho_j] over f.den * rho.den^2, keyed (i, j, r, c)
-        half = {(i, j, k): v for (i, j, k), v in f.entries.items() if i < j}
-        diff = contract("ijk", half, "krc", rho.entries, "ijrc", scale=rho.den)
-        for (i, r, j, c), v in contract("irx", rho.entries, "jxc", rho.entries,
-                                        "irjc").items():
+        half = {(i, j, k): v for (i, j, k), v in f.nums.items() if i < j}
+        diff = contract("ijk", half, "krc", rho.nums, "ijrc", scale=rho.den)
+        for (i, r, j, c), v in contract("irx", rho.nums, "jxc", rho.nums, "irjc").items():
             if i < j:
                 diff[i, j, r, c] = diff.get((i, j, r, c), 0) - v * f.den
             elif j < i:
@@ -178,12 +174,9 @@ class Representation:
         if self._weight_tensor is None:
             C = IntegerView(self.algebra.casimir(), 2)
             rho = IntegerView(self.matrices, 3)
-            den = C.den * rho.den ** 2
-            inner = contract("ij", C.entries, "jdc", rho.entries, "idc")
-            self._weight_tensor = WeightTensor(self.dimV, (
-                (key, Fraction(v, den))
-                for key, v in contract("iba", rho.entries, "idc", inner, "abcd").items()
-            ))
+            inner = contract("ij", C.nums, "jdc", rho.nums, "idc")
+            self._weight_tensor = WeightTensor(self.dimV, IntegerView.of(
+                contract("iba", rho.nums, "idc", inner, "abcd"), C.den * rho.den ** 2))
         return self._weight_tensor
 
     def __repr__(self):
@@ -219,19 +212,19 @@ def _exchange_sums(rep: Representation):
     are counted from the stage before, and each is charged with every
     product counted so far before it is formed.
     """
-    t = IntegerView(rep.weight_tensor().entries, 4)
-    y = IntegerView(rep.algebra.structure_tensor(), 3)
+    t = rep.weight_tensor().entries
+    y = rep.algebra.structure_tensor()
     rho = IntegerView(rep.matrices, 3)
-    T = t.entries
+    T = t.nums
     work = (products("axpq", T, "xbsw", T, "apqbsw") + products("abcx", T, "xdef", T, "abcdef")
             + products("abxd", T, "cxef", T, "abcdef"))
     # -M over t.den^2 y.den rho.den^3: sum_k .. rho_k[f][e], then sum_j, then sum_i
-    mid = {key: -t.den ** 2 * v for key, v in y.entries.items()}
+    mid = {key: -t.den ** 2 * v for key, v in y.nums.items()}
     for labels, rho_labels, out in (("ijk", "kfe", "ijfe"), ("ijfe", "jdc", "ifedc"),
                                     ("ifedc", "iba", "abcdef")):
-        work += products(labels, mid, rho_labels, rho.entries, out)
+        work += products(labels, mid, rho_labels, rho.nums, out)
         charge_work(work, f"the exchange identity needs {work} products of nonzero entries")
-        mid = contract(labels, mid, rho_labels, rho.entries, out)
+        mid = contract(labels, mid, rho_labels, rho.nums, out)
     lhs, rhs = mid, dict(mid)
     scale = y.den * rho.den ** 3
     # sum_x T(a,x,p,q) T(x,b,s,w) is both lhs terms, with (p,q) and (s,w) swapped

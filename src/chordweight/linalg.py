@@ -139,10 +139,10 @@ def solve_in_span(vectors, target):
     span = ReducedSpan()
     views = [IntegerView(vec, 1) for vec in vectors]
     for view in views:
-        if not span.add(view.entries):
+        if not span.add(view.nums):
             raise ValueError("spanning vectors are linearly dependent")
     goal = IntegerView(target, 1)
-    coords = span.coordinates(goal.entries)
+    coords = span.coordinates(goal.nums)
     if coords is None:
         return None
     # the span holds numerators: vector k is view k's entries over its den
@@ -159,7 +159,7 @@ def mat_inv(a) -> list:
     views = [IntegerView(row, 1) for row in a]
     span = ReducedSpan()
     for view in views:
-        if not span.add(view.entries):
+        if not span.add(view.nums):
             raise ValueError("matrix is singular")
     inverse = [None] * len(views)
     # row k was added as view k's entries, which are a[k] times its den

@@ -1,10 +1,13 @@
-"""Sparse integer views of exact rational tensors.
+"""The one storage of exact tables, and the labeled contraction over it.
 
-The identity checks only ever need the nonzero entries of their inputs.  An
-``IntegerView`` keeps those entries as ``int`` numerators over one common
-denominator, so the inner loops multiply and add Python ints, and can
-group them by the index in one slot, to count the products that a sum over
-that slot forms before forming them.
+Every exact table of the package (a weight tensor, a curvature tensor, a
+bracket table, the structure tensor) is an ``IntegerView``: its nonzero
+entries only, in index order, as ``int`` numerators over their least
+common denominator.  The arithmetic of every check runs on those ints;
+a table is read as ``Fraction``s only at the edges (JSON and text output,
+``entry``, the dense arrays), each value built on access.  The view can
+also group its entries by the index in one slot, to count the products
+that a sum over that slot forms before forming them.
 
 Every identity the package checks, and every tensor it derives (a weight
 tensor, the structure tensor, the lowered curvature), is a sum of products
@@ -14,19 +17,20 @@ sum.  The slots of each table are named by labels: a string such as
 arc.  ``contract("efax", Q, "xbcd", P, "abcdef")`` is sum_x Q[e][f][a][x]
 P[x][b][c][d] keyed (a, b, c, d, e, f): every label the two tables share
 is summed, and ``out_labels`` orders the labels that are left, each once.
-A derived tensor is divided by the product of the denominators once, at
-the end.  A check never divides: a sum of products of entries vanishes
-exactly when the same sum of numerator products does.  A symmetry check
-sums relabeled copies of one table: contracting with ``UNIT``, which has no
-slots, only moves each entry, so ``contract("abcd", T, "", UNIT, "cdab")``
-is T with its two pairs of slots swapped.
+A derived tensor is the sum of numerator products over the product of the
+denominators, made a table by ``IntegerView.of``.  A check never divides:
+a sum of products of entries vanishes exactly when the same sum of
+numerator products does.  A symmetry check sums relabeled copies of one
+table: contracting with ``UNIT``, which has no slots, only moves each
+entry, so ``contract("abcd", T, "", UNIT, "cdab")`` is T with its two
+pairs of slots swapped.
 
 ``products`` counts the products a contraction forms without forming
 them, so a caller can charge them first, and ``least_nonzero_sum`` finds
 the least nonzero key of a sum of contractions one slice at a time.
 
-``exact_entries`` makes the one storage of every rank-3 and rank-4 exact
-tensor: its nonzero entries only.
+``exact_entries`` checks the indices of a table given to a record and
+returns its ``IntegerView``.
 """
 
 from __future__ import annotations
@@ -35,9 +39,8 @@ from collections import Counter, defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
-from types import MappingProxyType
 
 _ZERO = Fraction(0)
 UNIT = {(): 1}  # the one entry of a table with no slots
@@ -59,25 +62,23 @@ def _has_shape(array, rank: int, dim: int) -> bool:
         rank == 1 or all(_has_shape(sub, rank - 1, dim) for sub in array))
 
 
-def exact_entries(data, rank: int, dim: int, shape_error=None) -> MappingProxyType:
-    """Read-only {index tuple: Fraction} of the nonzero entries, in index order.
+def exact_entries(data, rank: int, dim: int, shape_error=None) -> "IntegerView":
+    """The IntegerView of a rank-``rank`` table with indices in 0..dim-1.
 
-    ``data`` is an {index tuple: value} mapping, each index in 0..dim-1, or
-    a nested array of shape dim^rank; anything else raises ValueError, with
-    the message ``shape_error`` for a nested array of another shape.
+    ``data`` is an {index tuple: value} mapping, an IntegerView among them,
+    which is returned as it is once its indices are checked, or a nested
+    array of shape dim^rank; anything else raises ValueError, with the
+    message ``shape_error`` for a nested array of another shape.
     """
     if isinstance(data, Mapping):
         for key in data:
             if not (isinstance(key, tuple) and len(key) == rank
                     and all(isinstance(i, int) and 0 <= i < dim for i in key)):
                 raise ValueError(f"index {key} is outside 0..{dim - 1}")
-        items = data.items()
-    elif _has_shape(data, rank, dim):
-        items = nonzero_entries(data, rank)
-    else:
+        return data if isinstance(data, IntegerView) else IntegerView(data, rank)
+    if not _has_shape(data, rank, dim):
         raise ValueError(shape_error or f"expected {dim}^{rank} entries")
-    values = ((key, Fraction(value)) for key, value in items)
-    return MappingProxyType(dict(sorted((key, v) for key, v in values if v)))
+    return IntegerView(data, rank)
 
 
 def dense_array(entries, rank: int, dim: int, prefix=()):
@@ -87,31 +88,66 @@ def dense_array(entries, rank: int, dim: int, prefix=()):
     return tuple(dense_array(entries, rank, dim, prefix + (i,)) for i in range(dim))
 
 
-class IntegerView:
-    """Nonzero entries of a rank-``rank`` tensor as ints over ``den``.
+class IntegerView(Mapping):
+    """The nonzero entries of a rank-``rank`` exact tensor, as ints over ``den``.
 
-    The tensor is an {index tuple: value} mapping or a nested array;
-    ``entries[key] / den`` is its entry at ``key``, and zero keys are absent.
+    The tensor is an {index tuple: value} mapping or a nested array.
+    ``nums`` maps the key of each nonzero entry, in index order, to an int
+    numerator, and ``den`` is the least common denominator, so equal
+    tables have equal ``nums`` and ``den``.  Read as a mapping, the view
+    is read-only and its value at ``key`` is Fraction(nums[key], den),
+    built on access; every key it lacks is zero.
     """
 
-    __slots__ = ("entries", "den", "_slots")
+    __slots__ = ("nums", "den", "_slots")
 
     def __init__(self, array, rank: int):
         items = (array.items() if isinstance(array, Mapping)
                  else nonzero_entries(array, rank))
-        values = [(key, Fraction(v)) for key, v in items if v]
-        den = lcm(*(v.denominator for _, v in values))
-        self.entries = {key: v.numerator * (den // v.denominator)
-                        for key, v in values}
-        self.den = den
+        values = sorted((key, v if isinstance(v, (int, Fraction)) else Fraction(v))
+                        for key, v in items)
+        self.den = lcm(*(v.denominator for _, v in values))  # a zero's is 1
+        self.nums = {key: v.numerator * (self.den // v.denominator) for key, v in values if v}
         self._slots = {}
+
+    @classmethod
+    def of(cls, nums: dict, den: int) -> "IntegerView":
+        """The table ``nums`` / ``den``: {index tuple: int} over a positive int.
+
+        Zero numerators are dropped and the rest divided by gcd(den, *nums),
+        so the view equals the one built from the same values as Fractions.
+        """
+        g = gcd(den, *nums.values())
+        view = cls.__new__(cls)
+        view.nums = {key: v // g for key, v in sorted(nums.items()) if v}
+        view.den = den // g
+        view._slots = {}
+        return view
+
+    def __getitem__(self, key) -> Fraction:
+        return Fraction(self.nums[key], self.den)
+
+    def items(self):
+        """The (key, Fraction) items, in index order, of a dict built on each call."""
+        return {key: Fraction(v, self.den) for key, v in self.nums.items()}.items()
+
+    def __iter__(self):
+        return iter(self.nums)
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __eq__(self, other):
+        if isinstance(other, IntegerView):
+            return self.den == other.den and self.nums == other.nums
+        return super().__eq__(other)
 
     def by_slot(self, slot: int) -> dict:
         """Entries grouped by their index in ``slot``: {i: {key: numerator}}."""
         index = self._slots.get(slot)
         if index is None:
             index = {}
-            for key, value in self.entries.items():
+            for key, value in self.nums.items():
                 index.setdefault(key[slot], {})[key] = value
             self._slots[slot] = index
         return index
@@ -128,7 +164,7 @@ def least_nonzero_sum(terms, out_labels):
 
     Each of ``terms`` is (sign, left_labels, left, right_labels, right),
     with ``left`` and ``right`` IntegerViews; the sum is that of sign *
-    ``contract`` of their entries, keyed by ``out_labels``, and it is formed
+    ``contract`` of their numerators, keyed by ``out_labels``, and it is formed
     one value of the first output label at a time.  In each term, the table
     that holds that label is restricted to its slice through ``by_slot``.
     Keys compare lexicographically, and the slice for value v holds exactly
@@ -144,7 +180,7 @@ def least_nonzero_sum(terms, out_labels):
         if first in left_labels:  # slice the right table: ``contract`` indexes only it
             left_labels, left, right_labels, right = right_labels, right, left_labels, left
         slices = right.by_slot(right_labels.index(first))
-        cut.append((sign, left_labels, left.entries, right_labels, slices))
+        cut.append((sign, left_labels, left.nums, right_labels, slices))
     for value in sorted({value for *_, slices in cut for value in slices}):
         sums = {}
         for sign, whole_labels, whole, labels, slices in cut:

@@ -35,8 +35,9 @@ class WeightTensor(Frozen):
     """Immutable sparse rank-4 rational tensor with two (in, out) legs.
 
     Built from ((a, b, c, d), value) pairs, a repeated key keeping its last
-    value; ``entries`` is a read-only {(a, b, c, d): Fraction} mapping of
-    the nonzero components, and every key it lacks is zero.
+    value, or from an IntegerView, kept as it is; ``entries`` is the
+    IntegerView of the nonzero components, a read-only {(a, b, c, d):
+    Fraction} mapping, and every key it lacks is zero.
     """
 
     __slots__ = ("dim", "entries")
@@ -45,8 +46,9 @@ class WeightTensor(Frozen):
     def __init__(self, dim: int, nonzero):
         if not isinstance(dim, int) or dim < 1:
             raise ValueError(f"dimension must be a positive integer, got {dim!r}")
-        self._set(dim, exact_entries({tuple(key): value for key, value in nonzero},
-                                     4, dim))
+        if not isinstance(nonzero, IntegerView):
+            nonzero = {tuple(key): value for key, value in nonzero}
+        self._set(dim, exact_entries(nonzero, 4, dim))
 
     def entry(self, a: int, b: int, c: int, d: int) -> Fraction:
         """Component with leg 1 = (in a, out b), leg 2 = (in c, out d)."""
@@ -96,7 +98,7 @@ def validate_symmetry(tensor: WeightTensor) -> bool:
     Only the nonzero components are read: the tensor less its copy with
     the legs swapped is a sum over them alone.
     """
-    ent = tensor.entries
+    ent = tensor.entries.nums
     return least_nonzero(contract("abcd", ent, "", UNIT, "cdab", dict(ent), -1)) is None
 
 
@@ -119,7 +121,7 @@ def four_term_witness(view: IntegerView, terms):
     upper bound on those formed, is counted first without forming any and
     charged.  The lexicographically least nonzero key is returned, or None.
     """
-    work = sum(products(q, view.entries, p, view.entries, "abcdef") for _, q, p in terms)
+    work = sum(products(q, view.nums, p, view.nums, "abcdef") for _, q, p in terms)
     charge_work(work, f"the four-term check needs {work} products of nonzero entries")
     return least_nonzero_sum([(sign, q, view, p, view) for sign, q, p in terms], "abcdef")
 
@@ -137,7 +139,7 @@ def check_four_term(tensor: WeightTensor):
     integer arithmetic, so the cost scales with their number rather than
     with d^7; an all-zero tensor costs one scan of its entries.
     """
-    witness = four_term_witness(IntegerView(tensor.entries, 4), _FOUR_TERM)
+    witness = four_term_witness(tensor.entries, _FOUR_TERM)
     return witness is None, witness
 
 
@@ -230,8 +232,8 @@ def evaluate(tensor: WeightTensor, diagram: ChordDiagram) -> Fraction:
     work = plan.cost(tensor.dim)
     charge_work(work, "contraction needs sum over steps of d^(arcs touched) = "
                 f"{work} products")
-    view = IntegerView(tensor.entries, 4)
-    factors = [_chord_factor(legs, view.entries) for legs in _chord_legs(diagram)]
+    view = tensor.entries
+    factors = [_chord_factor(legs, view.nums) for legs in _chord_legs(diagram)]
     for i, j, _ in plan.steps:
         (left_arcs, left), (right_arcs, right) = factors[i], factors[j]
         arcs = (tuple(x for x in left_arcs if x not in right_arcs)
@@ -246,9 +248,10 @@ def evaluate_naive(tensor: WeightTensor, diagram: ChordDiagram) -> Fraction:
     """Full-sum oracle: iterate over all arc-index assignments.
 
     Arc j is the arc entering endpoint j, so endpoint p reads (arcs[p],
-    arcs[p+1 mod 2n]) as its (in, out) pair.  Cost d^(2n), charged against
-    the work bound (the CHORDWEIGHT_MAX_WORK environment variable, else a
-    builtin default).
+    arcs[p+1 mod 2n]) as its (in, out) pair.  Each term multiplies the
+    tensor's int numerators, and the total is divided by den^n once.  Cost
+    d^(2n), charged against the work bound (the CHORDWEIGHT_MAX_WORK
+    environment variable, else a builtin default).
     """
     d = tensor.dim
     n = diagram.n
@@ -257,22 +260,20 @@ def evaluate_naive(tensor: WeightTensor, diagram: ChordDiagram) -> Fraction:
     if n == 0:
         return Fraction(d)
     m = 2 * n
-    entry = tensor.entry
+    nums = tensor.entries.nums
     chords = diagram.chords
-    total = Fraction(0)
+    total = 0
     for arcs in iter_product(range(d), repeat=m):
-        term = Fraction(1)
+        term = 1
         for p, q in chords:
-            term *= entry(arcs[p], arcs[(p + 1) % m], arcs[q], arcs[(q + 1) % m])
+            term *= nums.get((arcs[p], arcs[(p + 1) % m], arcs[q], arcs[(q + 1) % m]), 0)
             if term == 0:
                 break
         total += term
-    return total
+    return Fraction(total, tensor.entries.den ** n)
 
 
 def evaluate_sum(tensor: WeightTensor, combination: FormalSum) -> Fraction:
     """Linear extension of evaluate to formal sums of diagrams."""
-    total = Fraction(0)
-    for diagram, coeff in combination.items():
-        total += coeff * evaluate(tensor, diagram)
-    return total
+    return sum((coeff * evaluate(tensor, diagram) for diagram, coeff in combination.items()),
+               Fraction(0))

@@ -9,6 +9,7 @@ import string
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,10 +25,11 @@ from chordweight import (
     sl2_standard,
     so_standard,
 )
-from chordweight import acceptance, cli
+from chordweight import acceptance, cli, curvature
 from chordweight.cli import main
 from chordweight.curvature import model_to_json_dict
-from chordweight.lie import representation_to_json_dict
+from chordweight.jsonio import JSONFormatError, parse_rational
+from chordweight.lie import representation_from_json_dict, representation_to_json_dict
 from chordweight.tensors import contraction_plan
 from chordweight.work import DEFAULT_MAX_WORK
 
@@ -542,6 +544,54 @@ def test_output_matches_pinned_text(capsys, monkeypatch, pin):
     assert_matches_pin(pin, run(capsys, *RUNS[pin][1]))
 
 
+# Each row: <text pin of runs.txt> <a second argv whose stdout must equal it>,
+# paths from ROOT.  CI's "Pinned CLI output" step runs the same rows.
+ROUTES = [(pin, argv) for pin, *argv in (
+    line.split() for line in (PINNED / "routes.txt").read_text(encoding="utf-8").splitlines())]
+# the eval and yamada text pins with no second route, and why
+NO_SECOND_ROUTE = {
+    "tests/pinned/yamada-abcabc-n-5-2.txt": "no space form has dimension 5/2",
+}
+
+
+def test_every_eval_and_yamada_text_pin_has_a_second_route_or_a_reason():
+    """Why the routes agree.  The space form of curvature 1 on a metric g has
+    R[a][b][c][x] = d_ax g_bc - d_bx g_ac (``constant_curvature``, d the
+    Kronecker delta), so its weight tensor, the second slot raised by g^-1,
+    is T(a,b,c,d) = d_ad d_bc - g_ac g^bd.  On each chord T is the sum of
+    the two smoothings, the second with sign -1: the one ``yamada_weight``
+    sums.  A closed loop of a smoothing then contracts deltas and, when it
+    passes second smoothings, g_.. against g^.. in turn, so it contracts to
+    g^ab g_ab = tr(identity) = dim, whatever the signature of g.  The weight
+    system of every such model of dimension dim is therefore the state sum
+    with loop value N = dim.  The inputs of the second routes are such
+    models, as checked here: sphere5.json is the 5-dimensional unit sphere,
+    lorentz4-dense.json a Lorentzian space form of dimension 4 in a dense
+    basis, and so4-dense.json and so4-dense-tensor.json hold rho(C) of so(4),
+    which is the space form on (R^4, so4-dense-form.json).
+    """
+    text_pins = {pin for pin, (_, argv) in RUNS.items()
+                 if argv[0] in ("eval", "yamada") and pin.endswith(".txt")}
+    routed = [pin for pin, _ in ROUTES]
+    assert len(set(routed)) == len(routed) and not set(routed) & set(NO_SECOND_ROUTE)
+    assert set(routed) | set(NO_SECOND_ROUTE) == text_pins
+    load = {name: json.loads((PINNED / f"{name}.json").read_text(encoding="utf-8"))
+            for name in ("sphere5", "lorentz4-dense", "so4-dense", "so4-dense-tensor",
+                         "so4-dense-form")}
+    for name in ("sphere5", "lorentz4-dense"):
+        model = curvature.model_from_json_dict(load[name])
+        assert model.entries == constant_curvature(model.dim, model.metric).entries
+    so4 = constant_curvature(4, load["so4-dense-form"]).weight_tensor()
+    assert so4 == representation_from_json_dict(load["so4-dense"]).weight_tensor()
+    assert so4 == WeightTensor.from_json_dict(load["so4-dense-tensor"])
+
+
+@pytest.mark.parametrize("pin,argv", ROUTES, ids=[Path(pin).name for pin, _ in ROUTES])
+def test_a_second_route_prints_the_pinned_text(capsys, monkeypatch, pin, argv):
+    monkeypatch.chdir(ROOT)
+    assert_matches_pin(pin, run(capsys, *argv))
+
+
 def test_every_pinned_file_belongs_to_one_row():
     """Each row's pin and input files exist, no pin has two rows, and every
     file under tests/pinned/ is a row's pin or input, so a deleted row
@@ -552,7 +602,8 @@ def test_every_pinned_file_belongs_to_one_row():
                          for word in argv if word.startswith("tests/")}
     assert sorted(path for path in named if not (ROOT / path).is_file()) == []
     unnamed = {path.relative_to(ROOT).as_posix() for path in PINNED.iterdir()} - named
-    assert unnamed == {"tests/pinned/runs.txt", "tests/pinned/verify-criterion-5.json",
+    assert unnamed == {"tests/pinned/runs.txt", "tests/pinned/routes.txt",
+                       "tests/pinned/verify-criterion-5.json",
                        "tests/pinned/verify-criterion-5.csv"}
 
 
@@ -648,6 +699,49 @@ def test_yamada_bad_arguments(capsys):
     assert "error:" in err
     code, _, err = run(capsys, "yamada", "--diagram", "AA", "--N", "x")
     assert code == 2
+
+
+LONGEST = "9" * 4300  # the most digits an integer may have
+
+
+@pytest.mark.parametrize("text,value", [
+    ("-3/4", Fraction(-3, 4)), ("12", Fraction(12)), (LONGEST, Fraction(int(LONGEST))),
+    ("2e-3", None), ("1_0", None), (" 1", None), ("0.5", None), ("1/0", None),
+    ("\uff11", None),  # a full-width digit one
+    ("1" + LONGEST, None),
+], ids=["-3/4", "12", "4300-digits", "2e-3", "1_0", "space-1", "0.5", "1/0",
+        "full-width-1", "4301-digits"])
+def test_one_strict_rational_grammar_for_files_and_loop_values(capsys, text, value):
+    """Only "-"? digits ("/" digits)? in ASCII, no integer over 4300 digits,
+    in a file and in --N alike; the refusal of a long integer names the
+    bound and does not echo the integer."""
+    if value is not None:
+        assert parse_rational(text, "value") == value
+        if len(text) < 10:  # the square of 4300 digits has too many to print
+            assert run(capsys, "yamada", "--diagram", "AA", f"--N={text}") == (
+                0, f"{value * value - value}\n", "")
+        return
+    message = (f"{text!r} is not a rational number" if len(text) <= 4300
+               else "has an integer of more than 4300 digits")
+    with pytest.raises(JSONFormatError) as error:
+        parse_rational(text, "value")
+    assert error.value.message == message
+    assert run(capsys, "yamada", "--diagram", "AA", f"--N={text}") == (
+        2, "", f"error: --N {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--tensor", "{doc}"], ["yamada", "--diagram", "AA", "--N", "1e100000000"]])
+def test_a_huge_exponent_is_refused_at_once(tmp_path, argv):
+    """Fraction("1e100000000") would build a 10^8-digit integer."""
+    doc = tmp_path / "exponent.json"
+    doc.write_text('{"dim": 4, "entries": [{"a": 0, "b": 0, "c": 0, "d": 0, '
+                   '"value": "1e100000000"}]}', encoding="ascii")
+    assert doc.stat().st_size == 81
+    code, out, err, wall_s, *_ = run_process(*(arg.format(doc=doc) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.endswith("'1e100000000' is not a rational number\n")
+    assert wall_s < 1
 
 
 def test_yamada_refuses_a_30_chord_state_sum_at_once():

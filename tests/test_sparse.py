@@ -1,12 +1,16 @@
 """The labeled contraction, its product count and its sliced least nonzero key,
-against a brute-force sum over every index assignment."""
+against a brute-force sum over every index assignment; the one table storage."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from chordweight import ChordDiagram, check_four_term, constant_curvature, evaluate
+from chordweight.curvature import check_parallel_four_term
 from chordweight.sparse import IntegerView, contract, least_nonzero, least_nonzero_sum, products
+from chordweight.yamada import yamada_weight
 
 DIM = 3
 
@@ -129,3 +133,37 @@ def test_zero_sums_are_dropped():
 def test_out_labels_must_be_the_unshared_labels(left_labels, right_labels, out_labels):
     with pytest.raises(ValueError):
         contract(left_labels, {(0, 0): 1}, right_labels, {(0, 0): 1}, out_labels)
+
+
+def test_a_view_is_its_nonzero_entries_over_their_least_denominator():
+    values = {(1, 0): Fraction(2, 3), (0, 1): Fraction(-1, 6), (0, 0): 0, (1, 1): 4}
+    view = IntegerView(values, 2)
+    assert (view.nums, view.den) == ({(0, 1): -1, (1, 0): 4, (1, 1): 24}, 6)
+    assert list(view.nums) == sorted(view.nums)
+    assert dict(view) == {key: v for key, v in values.items() if v}
+    assert all(type(v) is Fraction for v in view.values())
+    assert view == IntegerView([[0, Fraction(-1, 6)], [Fraction(2, 3), 4]], 2)
+    assert view == {(0, 1): Fraction(-1, 6), (1, 0): Fraction(2, 3), (1, 1): 4}
+    assert view != IntegerView({(0, 1): 1}, 2)
+    assert (view.get((0, 0)), (0, 0) in view, (1, 1) in view) == (None, False, True)
+    with pytest.raises(TypeError):
+        view[0, 0] = 1
+    # a sum of numerator products over a product of denominators, as made
+    assert IntegerView.of({(0, 1): -3, (1, 0): 12, (1, 1): 72, (0, 0): 0}, 18) == view
+    assert (IntegerView.of({}, 7).nums, IntegerView.of({}, 7).den) == ({}, 1)
+
+
+def test_checks_and_evaluation_of_built_records_build_no_view(monkeypatch):
+    """A record's table is its view: the identity checks and the evaluator
+    read it as it is, and build no IntegerView from values."""
+    model = constant_curvature(4, [[1, 1, 0, 0], [1, 2, 0, 0], [0, 0, -1, 0], [0, 0, 0, 3]])
+    tensor = model.weight_tensor()
+    built = []
+    build = IntegerView.__init__
+    monkeypatch.setattr(IntegerView, "__init__",
+                        lambda view, *args: built.append(args) or build(view, *args))
+    assert check_four_term(tensor) == (True, None)
+    assert check_parallel_four_term(model) == (True, None)
+    assert evaluate(tensor, ChordDiagram.from_code("ABCABC")) == yamada_weight(
+        ChordDiagram.from_code("ABCABC"), 4)
+    assert built == []

@@ -50,9 +50,9 @@ from .diagrams import (
     charge_enumeration,
     enumerate_diagrams,
 )
-from .jsonio import JSONFormatError, parse_matrix, parse_rational
+from .jsonio import MAX_DIGITS, JSONFormatError, parse_matrix, parse_rational
 from .lie import _exchange_sums, representation_from_json_dict
-from .sparse import UNIT, contract, least_nonzero
+from .sparse import UNIT, IntegerView, contract, least_nonzero
 from .tensors import (
     WeightTensor,
     check_four_term,
@@ -182,6 +182,14 @@ def _cmd_dims(args, out) -> int:
 
 
 def _emit_value(args, out, diagram_code: str, value: Fraction) -> int:
+    """Write a value, refused with exit 2 if an integer in it has too many digits.
+
+    The bound is the loaders' MAX_DIGITS, which ``str`` of an int also
+    enforces from Python 3.11 on, with a message that names a setting the
+    user cannot reach; checking it here gives one outcome on every Python.
+    """
+    if max(abs(value.numerator), value.denominator) >= 10 ** MAX_DIGITS:
+        raise CLIError(f"the value has an integer of more than {MAX_DIGITS} digits")
     text = str(value)
     _write(args, out, {"diagram": diagram_code, "value": text}, [text],
            ["diagram", "value"], [[diagram_code, text]], indent=None)
@@ -226,18 +234,18 @@ def _emit_checks(args, out, rows) -> int:
 def _lie_identity_rows(rep) -> list:
     """The leg-symmetry, four-term and exchange-identity rows of rho(C).
 
-    With its legs symmetric, the four-term sum of rho(C) is the exchange
-    identity's lhs - rhs (proved in ``lie._exchange_sums``), so one sum
-    decides both rows.
+    These rows run only on an algebra that passed ``validate``, so its form
+    is symmetric, and so is the form's inverse C.  Swapping the legs of
+    rho(C) swaps i and j in C[i][j], so rho(C) is leg-symmetric, and its
+    four-term sum is the exchange identity's lhs - rhs (proved in
+    ``lie._exchange_sums``): one sum decides both rows.  The leg-symmetry
+    row is still computed, as a check of that argument.
     """
-    tensor = rep.weight_tensor()
-    legs_ok = validate_symmetry(tensor)
+    legs_ok = validate_symmetry(rep.weight_tensor())
     lhs, rhs = _exchange_sums(rep)
     exchange = least_nonzero(lhs, rhs)
-    if legs_ok:  # rhs is subtracted from lhs in place
-        four = least_nonzero(contract("abcdef", rhs, "", UNIT, "abcdef", lhs, -1))
-    else:
-        _, four = check_four_term(tensor)
+    # rhs is subtracted from lhs in place
+    four = least_nonzero(contract("abcdef", rhs, "", UNIT, "abcdef", lhs, -1))
     return [("leg-symmetry", legs_ok, None), ("four-term", four is None, four),
             ("exchange-identity", exchange is None, exchange)]
 
@@ -318,8 +326,9 @@ def _cmd_holonomy(args, out) -> int:
 
 def _cmd_realize(args, out) -> int:
     rep = _load_representation(args.lie)
-    form = parse_matrix(_load_json(args.form), "form",
-                        rows=rep.dimV, cols=rep.dimV)
+    # one view of the form, for curvature_symmetries and triple_from_rep both
+    form = IntegerView(parse_matrix(_load_json(args.form), "form",
+                                    rows=rep.dimV, cols=rep.dimV), 2)
     try:
         verdict, witness = curvature_symmetries(rep, form)
     except ValueError as exc:
@@ -393,7 +402,8 @@ _SUBCOMMANDS = {
         _format("text", "json")]),
     "yamada": ("combinatorial state-sum weight", _cmd_yamada, [
         ("--diagram", {"required": True, "metavar": "CODE"}),
-        ("--N", {"default": "3", "help": "loop value (rational, default 3)"}), _format()]),
+        ("--N", {"default": "3",
+                 "help": "loop value (rational, default 3; write -3/4 as --N=-3/4)"}), _format()]),
     "verify": ("run the acceptance suite", _cmd_verify, [_format()]),
 }
 

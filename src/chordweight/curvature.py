@@ -5,12 +5,21 @@ parallel curvature: enough data to validate the classical symmetries,
 produce a weight tensor, extract the holonomy algebra, assemble the
 associated symmetric triple, and decide whether a Lie-algebra weight
 tensor can be realized this way.
+
+The metric and the curvature are each one ``sparse.IntegerView``, built
+once at construction, as are the form on a representation space and its
+inverse in a realization.  The holonomy and triple records keep their
+bracket tables as views and their matrices as dense ``Fraction`` tuples,
+which they convert to views once, on first use, through the algebra and
+representation they build and keep.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Mapping
 from fractions import Fraction
+from functools import cached_property
 
 from .frozen import Frozen
 from .jsonio import (
@@ -21,7 +30,7 @@ from .jsonio import (
     parse_matrix,
 )
 from .lie import MetrizedLieAlgebra, Representation, algebra_to_json_dict, so_algebra
-from .linalg import ReducedSpan, full_rank, is_symmetric, mat_inv, sparse_rank
+from .linalg import ReducedSpan, full_rank, mat_inv, sparse_rank
 from .sparse import (
     UNIT,
     IntegerView,
@@ -39,18 +48,25 @@ class CurvatureModel:
     """Metric g and curvature R on a single tangent space.
 
     ``entries``, an IntegerView, maps (a, b, c, x) to the nonzero e_x
-    component of R(e_a, e_b)e_c; the lowered tensor and the weight tensor
-    are derived from it on demand.
+    component of R(e_a, e_b)e_c, and ``g``, another, maps (a, b) to the
+    nonzero g(e_a, e_b); the lowered tensor and the weight tensor are
+    derived from them on demand.  ``metric`` is a square matrix or, with
+    ``dim`` given, an {(a, b): value} mapping such as an IntegerView; a
+    view of either table is taken as it is.
     """
 
-    def __init__(self, metric, riemann):
-        metric = tuple(tuple(Fraction(x) for x in row) for row in metric)
-        d = len(metric)
-        if any(len(row) != d for row in metric):
-            raise ValueError("metric must be a square matrix")
+    def __init__(self, metric, riemann, dim=None):
+        if dim is None and isinstance(metric, Mapping):
+            raise ValueError("a metric given by its entries needs dim")
+        d = len(metric) if dim is None else dim
         self.dim = d
-        self.metric = metric
+        self.g = exact_entries(metric, 2, d, "metric must be a square matrix")
         self.entries = exact_entries(riemann, 4, d, f"curvature must have {d}^4 entries")
+
+    @property
+    def metric(self) -> tuple:
+        """``metric[a][b]`` = g(e_a, e_b) as a dense nested tuple, built on each access."""
+        return dense_array(self.g, 2, self.dim)
 
     @property
     def riemann(self) -> tuple:
@@ -63,10 +79,9 @@ class CurvatureModel:
     def weight_tensor(self) -> WeightTensor:
         """Raise the second slot: entry(a,b,c,d) = sum_x g_inv[b][x] R[a][x][c][d]."""
         try:
-            inverse = mat_inv(self.metric)
+            ginv = mat_inv(self.g, self.dim)
         except ValueError:
             raise ValueError("metric is degenerate") from None
-        ginv = IntegerView(inverse, 2)
         R = self.entries
         return WeightTensor(self.dim, IntegerView.of(
             contract("axcd", R.nums, "bx", ginv.nums, "abcd"), ginv.den * R.den))
@@ -87,15 +102,16 @@ class CurvatureModel:
         swap, a cyclic rotation of (a, b, c) or the pair swap of a nonzero
         key.  The lexicographically least failing tuple is the witness.
         """
-        if not is_symmetric(self.metric):
+        g = self.g.nums
+        if contract("ab", g, "", UNIT, "ba") != g:
             return False, ("metric-symmetry", None)
-        if not full_rank(self.metric):
+        if not full_rank(self.g, self.dim):
             return False, ("metric-degenerate", None)
         R = self.entries.nums
         failure = _skew_or_bianchi_failure(R)
         if failure is not None:
             return False, failure
-        low = contract("abcx", R, "xd", IntegerView(self.metric, 2).nums, "abcd")
+        low = contract("abcx", R, "xd", g, "abcd")
         witness = least_nonzero(contract("abcx", low, "", UNIT, "cxab", dict(low), -1))
         if witness is not None:
             return False, ("pair-symmetry", witness)
@@ -137,19 +153,18 @@ def constant_curvature(dim: int, metric=None, kappa=1) -> CurvatureModel:
     if dim < 0:
         raise ValueError("dimension must be non-negative")
     if metric is None:
-        metric = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    g = [[Fraction(x) for x in row] for row in metric]
-    if not full_rank(g):
+        metric = {(i, i): 1 for i in range(dim)}
+    g = exact_entries(metric, 2, dim, "metric must be a square matrix")
+    if not full_rank(g, dim):
         raise ValueError("metric is degenerate")
     kappa = Fraction(kappa)
     entries = {}  # R[a][a] = 0; for a != b only x = a and x = b are nonzero
-    for a in range(dim):
-        for b in range(dim):
+    for (b, c), v in g.items():  # R[a][b][c][a] = kappa g_bc = -R[b][a][c][a]
+        for a in range(dim):
             if a != b:
-                for c in range(dim):
-                    entries[a, b, c, a] = kappa * g[b][c]
-                    entries[a, b, c, b] = -kappa * g[a][c]
-    return CurvatureModel(g, entries)
+                entries[a, b, c, a] = kappa * v
+                entries[b, a, c, a] = -kappa * v
+    return CurvatureModel(g, entries, dim)
 
 
 # (sign, Q labels, P labels) of each term of the parallel four-term sum; see
@@ -203,7 +218,8 @@ class HolonomyAlgebra(Frozen):
     ``pair_coordinates``, when given, is an IntegerView mapping (a, b, k)
     to the nonzero coordinate k, in ``basis``, of the endomorphism of the
     generator pair (a, b): a by-product of the extraction, not a field, so
-    it takes no part in ``==``, ``hash`` or ``repr``.
+    it takes no part in ``==``, ``hash`` or ``repr``, and neither does the
+    representation, built and kept on the first call of ``representation``.
     """
 
     _fields = ("model", "labels", "basis", "brackets", "form", "nondegenerate")
@@ -219,12 +235,14 @@ class HolonomyAlgebra(Frozen):
     def dim_h(self) -> int:
         return len(self.labels)
 
-    def algebra(self) -> MetrizedLieAlgebra:
-        return MetrizedLieAlgebra(self.brackets, self.form)
-
     def representation(self) -> Representation:
-        """The holonomy algebra acting on the tangent space."""
-        return Representation(self.algebra(), self.basis, dimV=self.model.dim)
+        """The holonomy algebra acting on the tangent space, the same on every call."""
+        return self._representation
+
+    @cached_property
+    def _representation(self) -> Representation:
+        return Representation(MetrizedLieAlgebra(self.brackets, self.form), self.basis,
+                              dimV=self.model.dim)
 
 
 class ModelCheckFailure(ValueError):
@@ -293,18 +311,16 @@ def _holonomy_algebra(model: CurvatureModel) -> HolonomyAlgebra:
                 if v:
                     brackets[i, j, k] = v
                     brackets[j, i, k] = -v
-    metric = IntegerView(model.metric, 2)
-    # the lowered curvature, over R.den * metric.den
-    low = contract("abcx", R.nums, "xd", metric.nums, "abcd")
-    form = tuple(tuple(Fraction(low.get(p + q, 0), R.den * metric.den) for q in labels)
-                 for p in labels)
+    low = contract("abcx", R.nums, "xd", model.g.nums, "abcd")  # the lowered curvature
+    form = IntegerView.of({(i, j): low.get(p + q, 0) for i, p in enumerate(labels)
+                           for j, q in enumerate(labels)}, R.den * model.g.den)
     return HolonomyAlgebra(
         model,
         tuple(labels),
         tuple(model.endomorphism(*pair) for pair in labels),
         IntegerView.of(brackets, span.den * R.den),
-        form,
-        full_rank(form),
+        dense_array(form, 2, len(labels)),
+        full_rank(form, len(labels)),
         IntegerView.of({(*pair, k): v for pair in pairs
                         for k, v in enumerate(span.coordinates(endos[pair])) if v}, span.den),
     )
@@ -312,7 +328,11 @@ def _holonomy_algebra(model: CurvatureModel) -> HolonomyAlgebra:
 
 class SymmetricTriple(Frozen):
     """Lie algebra h + p with involution and block form, h basis first;
-    ``brackets`` maps (i, j, k) to the nonzero coefficient of e_k in [e_i, e_j]."""
+    ``brackets`` maps (i, j, k) to the nonzero coefficient of e_k in [e_i, e_j].
+
+    The metrized algebra, built and kept on the first call of ``algebra``,
+    is no field: it takes no part in ``==``, ``hash`` or ``repr``.
+    """
 
     _fields = ("holonomy", "brackets", "form", "involution")
 
@@ -333,6 +353,11 @@ class SymmetricTriple(Frozen):
         return self.dim_h + self.dim_p
 
     def algebra(self) -> MetrizedLieAlgebra:
+        """h + p as a metrized algebra, the same on every call."""
+        return self._algebra
+
+    @cached_property
+    def _algebra(self) -> MetrizedLieAlgebra:
         return MetrizedLieAlgebra(self.brackets, self.form)
 
     def validate(self):
@@ -351,7 +376,7 @@ class SymmetricTriple(Frozen):
         for i, j, k in self.brackets:
             if s[k] != s[i] * s[j]:
                 return False, f"involution parity fails at ({i},{j},{k})"
-        for (i, j), _ in nonzero_entries(self.form, 2):
+        for i, j in self.algebra().B:
             if s[i] != s[j]:
                 return False, f"form mixes involution eigenspaces at ({i},{j})"
         rows = defaultdict(dict)  # [e_a, e_b] for tangent a < b, its holonomy part
@@ -426,37 +451,35 @@ def so_isomorphism(holonomy: HolonomyAlgebra):
     m = len(pairs)
     if holonomy.dim_h != m:
         return None
-    P = []
-    for mat in holonomy.basis:
-        if any(v != -mat[j][i] for i, row in enumerate(mat)
-               for j, v in enumerate(row) if v):
-            return None
-        P.append([mat[i][j] for (i, j) in pairs])
-    if not full_rank(P):
+    rho = holonomy.representation().rho
+    if any(v != -rho.nums.get((k, c, r), 0) for (k, r, c), v in rho.nums.items()):
+        return None  # some rho_k is not plainly antisymmetric
+    column = {pair: l for l, pair in enumerate(pairs)}  # P[k][l] = rho_k[i][j], (i, j) = pairs[l]
+    P = IntegerView.of({(k, column[r, c]): v for (k, r, c), v in rho.nums.items() if r < c},
+                       rho.den)
+    if not full_rank(P, m):
         return None
     # sum_k f_h[i][j][k] P[k][l] against sum_{a,b} P[i][a] P[j][b] f_so[a][b][l],
     # one index at a time, keyed (i, j, l)
     f_so = so_algebra(d).entries
-    Pv = IntegerView(P, 2)
-    lhs = contract("ijk", holonomy.brackets.nums, "kl", Pv.nums, "ijl", scale=Pv.den * f_so.den)
-    half = contract("jb", Pv.nums, "abl", f_so.nums, "jal")
-    if lhs != contract("ia", Pv.nums, "jal", half, "ijl", scale=holonomy.brackets.den):
+    lhs = contract("ijk", holonomy.brackets.nums, "kl", P.nums, "ijl", scale=P.den * f_so.den)
+    half = contract("jb", P.nums, "abl", f_so.nums, "jal")
+    if lhs != contract("ia", P.nums, "jal", half, "ijl", scale=holonomy.brackets.den):
         return None
-    return tuple(tuple(row) for row in P)
+    return dense_array(P, 2, m)
 
 
 def _lowering(rep: Representation, form_v) -> tuple:
-    """(F, {(a, b, c, d): int}, den): form_v as Fractions, rho(C) lowered by it.
+    """(F, {(a, b, c, d): int}, den): form_v as an IntegerView, rho(C) lowered by it.
 
-    F must be square of the module dimension and nondegenerate.  The last
-    lowering is kept on ``rep``, so ``curvature_symmetries`` and then
-    ``triple_from_rep`` on one form lower rho(C) once.
+    form_v is a square matrix of the module dimension, or its IntegerView,
+    taken as it is, and must be nondegenerate.  The last lowering is kept
+    on ``rep``, so ``curvature_symmetries`` and then ``triple_from_rep`` on
+    one form lower rho(C) once.
     """
     d = rep.dimV
-    F = tuple(tuple(Fraction(v) for v in row) for row in form_v)
-    if len(F) != d or any(len(row) != d for row in F):
-        raise ValueError("form must be square of the module dimension")
-    if not full_rank(F):
+    F = exact_entries(form_v, 2, d, "form must be square of the module dimension")
+    if not full_rank(F, d):
         raise ValueError("form is degenerate")
     if rep._lowering is None or rep._lowering[0] != F:
         rep._lowering = (F, *_lowered_casimir(rep, F))
@@ -466,9 +489,8 @@ def _lowering(rep: Representation, form_v) -> tuple:
 def _lowered_casimir(rep: Representation, F) -> tuple:
     """({(a, b, c, d): int}, den): sum_{x,y} rho(C)(a,x,c,y) F[x][b] F[y][d]."""
     T = rep.weight_tensor().entries
-    form = IntegerView(F, 2)
-    half = contract("axcy", T.nums, "xb", form.nums, "acyb")
-    return contract("acyb", half, "yd", form.nums, "abcd"), T.den * form.den ** 2
+    half = contract("axcy", T.nums, "xb", F.nums, "acyb")
+    return contract("acyb", half, "yd", F.nums, "abcd"), T.den * F.den ** 2
 
 
 def _symmetry_verdict(low: dict):
@@ -505,11 +527,11 @@ def triple_from_rep(rep: Representation, form_v) -> SymmetricTriple:
         raise ValueError(
             f"representation lacks curvature symmetries: {verdict} at {witness}"
         )
-    if not is_symmetric(F):
+    if contract("ab", F.nums, "", UNIT, "ba") != F.nums:
         raise ValueError("realization requires a symmetric form")
-    ginv = IntegerView(mat_inv(F), 2)
+    ginv = mat_inv(F, rep.dimV)
     return symmetric_triple(CurvatureModel(F, IntegerView.of(
-        contract("abcx", low, "xd", ginv.nums, "abcd"), den * ginv.den)))
+        contract("abcx", low, "xd", ginv.nums, "abcd"), den * ginv.den), rep.dimV))
 
 
 def model_to_json_dict(model: CurvatureModel) -> dict:

@@ -1,13 +1,18 @@
 """Metrized Lie algebras, representations, and induced weight tensors.
 
-Everything is stored in a fixed basis: structure constants, the invariant
-form, and representation matrices, all with exact rational entries.
+Everything is stored in a fixed basis, with exact rational entries, each
+table as one ``sparse.IntegerView`` built at construction: the structure
+constants, the invariant form B, its inverse the Casimir C (computed on
+first use, once per algebra) and the representation matrices rho, one
+rank-3 view.  ``brackets``, ``form``, ``casimir()`` and ``matrices`` are
+dense copies for readers outside the checks, built on each access.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from functools import cached_property
 
 from .jsonio import (
     JSONFormatError,
@@ -17,7 +22,7 @@ from .jsonio import (
     parse_matrix,
     parse_rational,
 )
-from .linalg import full_rank, is_symmetric, mat_inv
+from .linalg import full_rank, mat_inv
 from .sparse import (UNIT, IntegerView, contract, dense_array, exact_entries, least_nonzero,
                      products)
 from .tensors import WeightTensor
@@ -28,18 +33,27 @@ class MetrizedLieAlgebra:
     """Structure constants plus an invariant nondegenerate symmetric form.
 
     ``entries``, an IntegerView, maps (i, j, k) to the nonzero coefficient
-    of e_k in [e_i, e_j], and ``form[i][j]`` is B(e_i, e_j).
+    of e_k in [e_i, e_j], and ``B``, another, maps (i, j) to the nonzero
+    B(e_i, e_j).  Both are built once, here, and a view given for the
+    brackets is taken as it is.
     """
 
     def __init__(self, brackets, form):
-        form = tuple(tuple(Fraction(x) for x in row) for row in form)
         dim = len(form)
-        if any(len(row) != dim for row in form):
-            raise ValueError("form must be a square matrix")
         self.dim = dim
+        self.B = exact_entries(form, 2, dim, "form must be a square matrix")
         self.entries = exact_entries(brackets, 3, dim,
                                      f"structure constants must be {dim}x{dim}x{dim}")
-        self.form = form
+
+    @property
+    def form(self) -> tuple:
+        """``form[i][j]`` = B(e_i, e_j) as a dense nested tuple, built on each access."""
+        return dense_array(self.B, 2, self.dim)
+
+    @cached_property
+    def C(self) -> IntegerView:
+        """The Casimir, the inverse of the form, C^{ij}: computed on the first read."""
+        return mat_inv(self.B, self.dim)
 
     @property
     def brackets(self) -> tuple:
@@ -88,13 +102,12 @@ class MetrizedLieAlgebra:
             return False, (
                 "Jacobi identity fails at (i,j,k,l)=({},{},{},{})".format(*witness)
             )
-        B = self.form
-        if not is_symmetric(B):
+        form = self.B.nums
+        if contract("xy", form, "", UNIT, "yx") != form:
             return False, "form is not symmetric"
-        if not full_rank(B):
+        if not full_rank(self.B, self.dim):
             return False, "form is degenerate"
         # sum_k f[z][x][k] B[k][y] + f[z][y][k] B[x][k], keyed by (z, x, y)
-        form = IntegerView(B, 2).nums
         invariance = contract("zxk", f, "ky", form, "zxy")
         contract("zyk", f, "xk", form, "zxy", invariance)
         witness = least_nonzero(invariance)
@@ -105,13 +118,12 @@ class MetrizedLieAlgebra:
         return True, None
 
     def casimir(self) -> tuple:
-        """The inverse of the form, as a symmetric matrix C^{ij}."""
-        return tuple(tuple(row) for row in mat_inv(self.form))
+        """The Casimir ``C`` as a dense nested tuple C^{ij}, built on each call."""
+        return dense_array(self.C, 2, self.dim)
 
     def structure_tensor(self) -> IntegerView:
         """Nonzero Y[i][j][k] = sum_{a,b} C[i][a] C[j][b] f[a][b][k], keyed (i, j, k)."""
-        C = IntegerView(self.casimir(), 2)
-        f = self.entries
+        C, f = self.C, self.entries
         half = contract("ia", C.nums, "abk", f.nums, "ibk")
         return IntegerView.of(contract("ibk", half, "jb", C.nums, "ijk"), C.den ** 2 * f.den)
 
@@ -120,12 +132,12 @@ class MetrizedLieAlgebra:
 
 
 class Representation:
-    """Matrices rho(e_i) acting on a dimV-dimensional module."""
+    """Matrices rho(e_i) acting on a dimV-dimensional module.
+
+    ``rho``, an IntegerView, maps (i, r, c) to the nonzero rho(e_i)[r][c].
+    """
 
     def __init__(self, algebra: MetrizedLieAlgebra, matrices, dimV=None):
-        matrices = tuple(
-            tuple(tuple(Fraction(x) for x in row) for row in mat) for mat in matrices
-        )
         if len(matrices) != algebra.dim:
             raise ValueError("need one matrix per basis element")
         if matrices:
@@ -140,10 +152,15 @@ class Representation:
                for mat in matrices):
             raise ValueError(f"matrices must all be {inferred}x{inferred}")
         self.algebra = algebra
-        self.matrices = matrices
+        self.rho = IntegerView(matrices, 3)
         self.dimV = inferred
         self._weight_tensor = None
         self._lowering = None  # (form, rho(C) lowered by it): see curvature._lowering
+
+    @property
+    def matrices(self) -> tuple:
+        """``matrices[i][r][c]`` = rho(e_i)[r][c] as dense nested tuples, built on each access."""
+        return tuple(dense_array(self.rho, 3, self.dimV, (i,)) for i in range(self.algebra.dim))
 
     def validate(self):
         """Check rho([e_i, e_j]) == rho_i rho_j - rho_j rho_i for all i < j.
@@ -151,8 +168,7 @@ class Representation:
         Both sides are built from products of nonzero entries, as int
         numerators; the least failing (i, j) is reported.
         """
-        f = self.algebra.entries
-        rho = IntegerView(self.matrices, 3)
+        f, rho = self.algebra.entries, self.rho
         # rho([e_i, e_j]) - [rho_i, rho_j] over f.den * rho.den^2, keyed (i, j, r, c)
         half = {(i, j, k): v for (i, j, k), v in f.nums.items() if i < j}
         diff = contract("ijk", half, "krc", rho.nums, "ijrc", scale=rho.den)
@@ -172,8 +188,7 @@ class Representation:
         Built on the first call and kept for the later ones.
         """
         if self._weight_tensor is None:
-            C = IntegerView(self.algebra.casimir(), 2)
-            rho = IntegerView(self.matrices, 3)
+            C, rho = self.algebra.C, self.rho
             inner = contract("ij", C.nums, "jdc", rho.nums, "idc")
             self._weight_tensor = WeightTensor(self.dimV, IntegerView.of(
                 contract("iba", rho.nums, "idc", inner, "abcd"), C.den * rho.den ** 2))
@@ -214,7 +229,7 @@ def _exchange_sums(rep: Representation):
     """
     t = rep.weight_tensor().entries
     y = rep.algebra.structure_tensor()
-    rho = IntegerView(rep.matrices, 3)
+    rho = rep.rho
     T = t.nums
     work = (products("axpq", T, "xbsw", T, "apqbsw") + products("abcx", T, "xdef", T, "abcdef")
             + products("abxd", T, "cxef", T, "abcdef"))

@@ -4,14 +4,18 @@ Two eliminations, both on sparse integer rows, do all the exact work.  The
 rank routine pivots on a shortest primitive row and updates only the rows
 that meet the pivot column, dividing each by its content to keep entries
 small.  Row-span membership (the rank is unchanged when the vector is
-appended) and nondegeneracy (full rank) are read off it.
-``ReducedSpan`` keeps a spanning set as echelon rows with the combinations
-that give them, so that many targets are solved against one elimination
-and a matrix is inverted by adding its rows.  ``solve_in_span`` and the
-dense Fraction helpers ``mat_mul``, ``mat_sub`` and ``commutator`` have no
-caller in the package; they stay because the benchmark's tracer
-(``bench/tracing.py``) resolves ``linalg.solve_in_span`` and
-``linalg.commutator`` by name.
+appended) is read off it.  ``ReducedSpan`` keeps a spanning set as echelon
+rows with the combinations that give them, so that many targets are solved
+against one elimination and a matrix is inverted by adding its rows.
+
+A square matrix is held, like every exact table, as a rank-2
+``IntegerView``: its rows are the view's numerators, grouped by row, so
+``full_rank`` (nondegeneracy) ranks them and ``mat_inv`` adds them to one
+span and returns the inverse as a view of the span's combinations, with no
+``Fraction`` formed.  ``solve_in_span`` and the dense Fraction helpers
+``mat_mul``, ``mat_sub`` and ``commutator`` have no caller in the package;
+they stay because the benchmark's tracer (``bench/tracing.py``) resolves
+``linalg.solve_in_span`` and ``linalg.commutator`` by name.
 """
 
 from __future__ import annotations
@@ -44,11 +48,6 @@ def mat_sub(a, b) -> list:
 
 def commutator(a, b) -> list:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def is_symmetric(a) -> bool:
-    n = len(a)
-    return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
 
 
 class ReducedSpan:
@@ -149,24 +148,28 @@ def solve_in_span(vectors, target):
     return [Fraction(c * view.den, span.den * goal.den) for c, view in zip(coords, views)]
 
 
-def mat_inv(a) -> list:
-    """Exact inverse; raises ValueError on a singular matrix.
+def _rows(matrix: IntegerView, n: int) -> list:
+    """The n rows of a square matrix's view, as new {column: numerator} dicts."""
+    rows = [{} for _ in range(n)]
+    for (i, j), v in matrix.nums.items():
+        rows[i][j] = v
+    return rows
+
+
+def mat_inv(matrix: IntegerView, n: int) -> IntegerView:
+    """The exact inverse of an n x n matrix; raises ValueError if it is singular.
 
     The rows are added to one span.  When they span, every column is a
     pivot, and the combination at pivot j, over ``den``, is row j of the
     inverse.
     """
-    views = [IntegerView(row, 1) for row in a]
     span = ReducedSpan()
-    for view in views:
-        if not span.add(view.nums):
+    for row in _rows(matrix, n):
+        if not span.add(row):
             raise ValueError("matrix is singular")
-    inverse = [None] * len(views)
-    # row k was added as view k's entries, which are a[k] times its den
-    for (j,), combo in zip(span.pivots, span.combos):
-        inverse[j] = [Fraction(combo.get(k, 0) * view.den, span.den)
-                      for k, view in enumerate(views)]
-    return inverse
+    # row k was added as its numerators, which are its entries times matrix.den
+    return IntegerView.of({(j, k): v * matrix.den for j, combo in zip(span.pivots, span.combos)
+                           for k, v in combo.items()}, span.den)
 
 
 def _integer_rows(rows):
@@ -250,9 +253,9 @@ def sparse_rank(rows) -> int:
     return rank
 
 
-def full_rank(matrix) -> bool:
-    """Whether a square matrix is nondegenerate."""
-    return sparse_rank([dict(enumerate(row)) for row in matrix]) == len(matrix)
+def full_rank(matrix: IntegerView, n: int) -> bool:
+    """Whether an n x n matrix, held as a view, is nondegenerate."""
+    return sparse_rank(_rows(matrix, n)) == n
 
 
 def in_row_span(rows: list, vector: dict) -> bool:

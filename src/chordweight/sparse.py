@@ -1,13 +1,15 @@
-"""The one storage of exact tables, and the labeled contraction over it.
+"""The one storage of exact tables and matrices, and the labeled contraction over it.
 
 Every exact table of the package (a weight tensor, a curvature tensor, a
-bracket table, the structure tensor) is an ``IntegerView``: its nonzero
-entries only, in index order, as ``int`` numerators over their least
-common denominator.  The arithmetic of every check runs on those ints;
-a table is read as ``Fraction``s only at the edges (JSON and text output,
-``entry``, the dense arrays), each value built on access.  The view can
-also group its entries by the index in one slot, to count the products
-that a sum over that slot forms before forming them.
+bracket table, the structure tensor) and every exact matrix (a metric, an
+invariant form, its inverse the Casimir, the representation matrices rho
+as one rank-3 table) is an ``IntegerView``: its nonzero entries only, in
+index order, as ``int`` numerators over their least common denominator.
+A record builds each of its views once, when it is built.  The arithmetic
+of every check runs on those ints; a table is read as ``Fraction``s only
+at the edges (JSON and text output, ``entry``, the dense arrays), each
+value built on access.  The view can also group its entries by the index
+in one slot, on each call, to slice a sum over that slot.
 
 Every identity the package checks, and every tensor it derives (a weight
 tensor, the structure tensor, the lowered curvature), is a sum of products
@@ -99,7 +101,7 @@ class IntegerView(Mapping):
     built on access; every key it lacks is zero.
     """
 
-    __slots__ = ("nums", "den", "_slots")
+    __slots__ = ("nums", "den")
 
     def __init__(self, array, rank: int):
         items = (array.items() if isinstance(array, Mapping)
@@ -108,7 +110,6 @@ class IntegerView(Mapping):
                         for key, v in items)
         self.den = lcm(*(v.denominator for _, v in values))  # a zero's is 1
         self.nums = {key: v.numerator * (self.den // v.denominator) for key, v in values if v}
-        self._slots = {}
 
     @classmethod
     def of(cls, nums: dict, den: int) -> "IntegerView":
@@ -121,7 +122,6 @@ class IntegerView(Mapping):
         view = cls.__new__(cls)
         view.nums = {key: v // g for key, v in sorted(nums.items()) if v}
         view.den = den // g
-        view._slots = {}
         return view
 
     def __getitem__(self, key) -> Fraction:
@@ -143,13 +143,13 @@ class IntegerView(Mapping):
         return super().__eq__(other)
 
     def by_slot(self, slot: int) -> dict:
-        """Entries grouped by their index in ``slot``: {i: {key: numerator}}."""
-        index = self._slots.get(slot)
-        if index is None:
-            index = {}
-            for key, value in self.nums.items():
-                index.setdefault(key[slot], {})[key] = value
-            self._slots[slot] = index
+        """Entries grouped by their index in ``slot``: {i: {key: numerator}}.
+
+        Built on each call and not kept, so a view holds its table once.
+        """
+        index = {}
+        for key, value in self.nums.items():
+            index.setdefault(key[slot], {})[key] = value
         return index
 
 

@@ -30,6 +30,7 @@ from chordweight.cli import main
 from chordweight.curvature import model_to_json_dict
 from chordweight.jsonio import JSONFormatError, parse_rational
 from chordweight.lie import representation_from_json_dict, representation_to_json_dict
+from chordweight.sparse import IntegerView
 from chordweight.tensors import contraction_plan
 from chordweight.work import DEFAULT_MAX_WORK
 
@@ -633,6 +634,34 @@ def test_rho_c_is_built_once_per_command(capsys, monkeypatch, argv):
     assert builds == [4]
 
 
+@pytest.mark.parametrize("argv,bound", [
+    (["check", "--lie", "{so4}"], 3),
+    (["eval", "--lie", "{so4}", "--diagram", "ABCDABCD"], 3),
+    (["realize", "--lie", "{so4}", "--form", "{form}"], 5),
+    (["holonomy", "--curvature", "{dense8}"], 6),
+], ids=["check-lie", "eval-lie", "realize", "holonomy-dense-8"])
+def test_each_exact_matrix_is_converted_once(capsys, monkeypatch, tmp_path, argv, bound):
+    """Every matrix and table is read into its IntegerView once: a loaded
+    one by its record's constructor, a holonomy or triple matrix on first
+    use.  The checks, the Casimir and every inverse build none from values,
+    and linalg builds none at all.  The parent built 19, 11, 20 and 44."""
+    paths = {"so4": PINNED / "so4-dense.json", "form": PINNED / "so4-dense-form.json"}
+    if "{dense8}" in argv:
+        model = models.rebase(constant_curvature(8), models.dense_unimodular(8, random.Random(1)))
+        paths["dense8"] = write_json(tmp_path / "dense8.json", model_to_json_dict(model))
+    callers = []
+    build = IntegerView.__init__
+
+    def counted(view, *args):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        build(view, *args)
+
+    monkeypatch.setattr(IntegerView, "__init__", counted)
+    assert run(capsys, *(arg.format(**paths) for arg in argv))[0] == 0
+    assert len(callers) <= bound
+    assert "chordweight.linalg" not in callers
+
+
 def test_rho_c_is_lowered_once_per_realize(capsys, monkeypatch):
     """curvature_symmetries and triple_from_rep share one lowering of rho(C)."""
     lowerings = []
@@ -728,6 +757,25 @@ def test_one_strict_rational_grammar_for_files_and_loop_values(capsys, text, val
     assert error.value.message == message
     assert run(capsys, "yamada", "--diagram", "AA", f"--N={text}") == (
         2, "", f"error: --N {message}\n")
+
+
+def test_a_printed_value_has_at_most_4300_digits(capsys):
+    """N^2 - N is printed when it has 4,300 digits (N of 2,150 nines) and
+    refused, naming the bound, when it has 4,302 (N of 2,151 nines), on
+    every Python: from 3.11 on, str() of the longer value would raise."""
+    n = int("9" * 2150)
+    assert len(str(n * n - n)) == 4300
+    assert run(capsys, "yamada", "--diagram", "AA", f"--N={n}") == (0, f"{n * n - n}\n", "")
+    assert run(capsys, "yamada", "--diagram", "AA", "--N=" + "9" * 2151) == (
+        2, "", "error: the value has an integer of more than 4300 digits\n")
+
+
+def test_a_negative_loop_value_is_written_with_an_equals_sign(capsys):
+    """argparse takes a separate "-3/4" for an option; the help says how to write it."""
+    assert run(capsys, "yamada", "--diagram", "AA", "--N=-3/4") == (0, "21/16\n", "")
+    with pytest.raises(SystemExit):
+        main(["yamada", "--help"])
+    assert "--N=-3/4" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("argv", [

@@ -228,6 +228,63 @@ def test_indefinite_model_is_not_plainly_orthogonal():
     assert so_isomorphism(hol) is None
 
 
+def test_so_isomorphism_needs_two_dimensions():
+    """A 1-dimensional model has no so(d) to compare: None, not so_algebra's error."""
+    hol = holonomy_algebra(constant_curvature(1))
+    assert (hol.dim_h, so_isomorphism(hol)) == (0, None)
+
+
+def test_so_isomorphism_refuses_a_singular_change_of_basis():
+    """Full dimension and antisymmetric matrices, but two of them are equal."""
+    hol = holonomy_algebra(constant_curvature(3))
+    basis = (hol.basis[0], hol.basis[1], hol.basis[0])
+    twice = HolonomyAlgebra(hol.model, hol.labels, basis, hol.brackets, hol.form, True)
+    assert so_isomorphism(twice) is None
+
+
+def test_triple_validate_pins_the_involution_parity():
+    """The 2-sphere's triple, with e_1 moved into the +1 eigenspace."""
+    triple = symmetric_triple(constant_curvature(2))
+    moved = SymmetricTriple(triple.holonomy, triple.brackets, triple.form, (1, -1, 1))
+    assert moved.validate() == (False, "involution parity fails at (0,1,2)")
+
+
+def test_triple_validate_pins_a_form_that_mixes_eigenspaces():
+    """A flat plane with a hyperbolic metric, its two axes in different eigenspaces."""
+    triple = symmetric_triple(constant_curvature(2, [[0, 1], [1, 0]], kappa=0))
+    split = SymmetricTriple(triple.holonomy, {}, triple.form, (1, -1))
+    assert split.validate() == (False, "form mixes involution eigenspaces at (0,1)")
+
+
+def test_triple_validate_pins_tangent_brackets_that_do_not_span():
+    """A one-dimensional holonomy part that no tangent bracket reaches."""
+    flat = constant_curvature(2, kappa=0)
+    lone = HolonomyAlgebra(flat, ((0, 1),), (((0, 0), (0, 0)),), {}, ((1,),), True)
+    triple = SymmetricTriple(lone, {}, signature_metric(3, 0), (1, -1, -1))
+    assert triple.validate() == (False, "tangent brackets do not span the holonomy part")
+
+
+def test_verify_lie_type_pins_a_degenerate_holonomy_form():
+    triple = symmetric_triple(constant_curvature(2))
+    hol = triple.holonomy
+    degenerate = HolonomyAlgebra(hol.model, hol.labels, hol.basis, hol.brackets,
+                                 ((0,),), False)
+    assert verify_lie_type(SymmetricTriple(degenerate, triple.brackets, triple.form,
+                                           triple.involution)) == (
+        False, "holonomy form is degenerate")
+
+
+def test_verify_lie_type_pins_the_least_entry_where_the_tensors_differ():
+    """The 2-sphere's holonomy form doubled: rho(C) is half the model's tensor."""
+    triple = symmetric_triple(constant_curvature(2))
+    hol = triple.holonomy
+    doubled = HolonomyAlgebra(hol.model, hol.labels, hol.basis, hol.brackets,
+                              ((-2,),), True)
+    assert verify_lie_type(SymmetricTriple(doubled, triple.brackets, triple.form,
+                                           triple.involution)) == (
+        False, "weight tensors differ at entry (0, 1, 0, 1)")
+
+
 def test_sphere_triple():
     triple = symmetric_triple(constant_curvature(3))
     assert (triple.dim_h, triple.dim_p, triple.dim) == (3, 3, 6)
@@ -325,6 +382,16 @@ def test_curvature_indices_outside_the_dimension_are_refused():
         CurvatureModel(metric, {(0, -1, 0, 1): 1})
     with pytest.raises(ValueError, match=r"curvature must have 2\^4 entries"):
         CurvatureModel(metric, [[[[0, 0]] * 2] * 2, [[[0]] * 2] * 2])
+
+
+def test_a_metric_given_by_its_entries_needs_its_dimension():
+    """A mapping has no size of its own: its entry count is not the dimension."""
+    entries = {(0, 0): 1, (0, 1): 1, (1, 0): 1}
+    with pytest.raises(ValueError, match="a metric given by its entries needs dim"):
+        CurvatureModel(entries, {})
+    model = CurvatureModel(entries, {}, 2)
+    assert (model.dim, model.metric) == (2, ((1, 1), (1, 0)))
+    assert model.g is CurvatureModel(model.g, {}, 2).g  # a view is kept as it is
 
 
 def test_curvature_mapping_and_nested_array_give_one_model():

@@ -30,7 +30,6 @@ from chordweight import (
     so_standard,
 )
 from chordweight.cli import _lie_identity_rows
-from chordweight.linalg import mat_inv
 
 VALUES = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 3),
           Fraction(2, 3), Fraction(3))
@@ -49,7 +48,7 @@ def dense_basis(rng, n):
     while True:
         P = [[rng.choice(VALUES) for _ in range(n)] for _ in range(n)]
         try:
-            return P, mat_inv([list(row) for row in P])
+            return P, oracles.dense_inverse(P)
         except ValueError:
             continue
 

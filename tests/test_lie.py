@@ -23,8 +23,9 @@ from chordweight.lie import (
     representation_from_json_dict,
     representation_to_json_dict,
 )
+import chordweight.lie
 from chordweight.jsonio import JSONFormatError
-from chordweight.linalg import mat_mul
+from chordweight.linalg import mat_inv, mat_mul
 
 THETA = ChordDiagram.from_code("AA")
 
@@ -100,6 +101,21 @@ def test_casimir_inverts_form():
         B = [list(row) for row in rep.algebra.form]
         C = [list(row) for row in rep.algebra.casimir()]
         assert mat_mul(B, C) == signature_metric(rep.algebra.dim, 0)
+
+
+def test_the_casimir_is_computed_once_per_algebra(monkeypatch):
+    """rho(C), the structure tensor, the dense casimir() and the exchange
+    identity all read the one Casimir view, inverted on the first read."""
+    inverted = []
+    monkeypatch.setattr(chordweight.lie, "mat_inv",
+                        lambda *args: inverted.append(args) or mat_inv(*args))
+    rep = so_standard(4)
+    assert inverted == []
+    rep.weight_tensor()
+    rep.algebra.structure_tensor()
+    assert rep.algebra.casimir() == tuple(tuple(-int(i == j) for j in range(6)) for i in range(6))
+    assert check_exchange_identity(rep) == (True, None)
+    assert inverted == [(rep.algebra.B, 6)]
 
 
 def test_theta_values():

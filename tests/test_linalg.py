@@ -18,6 +18,7 @@ from chordweight.linalg import (
     solve_in_span,
     sparse_rank,
 )
+from chordweight.sparse import IntegerView
 
 
 def test_sparse_rank_matches_dense_oracle_on_random_matrices():
@@ -156,11 +157,13 @@ def test_solve_in_span():
 
 
 def test_mat_inv():
+    """Matrices and inverses are held as rank-2 views."""
     m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-    assert mat_inv(m) == [[1, -1], [-1, 2]]
-    assert mat_inv([]) == [] and full_rank([])
+    assert mat_inv(IntegerView(m, 2), 2) == IntegerView([[1, -1], [-1, 2]], 2)
+    empty = IntegerView([], 2)
+    assert mat_inv(empty, 0) == empty and full_rank(empty, 0)
     with pytest.raises(ValueError):
-        mat_inv([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
+        mat_inv(IntegerView([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]], 2), 2)
     # seeded dense Fraction matrices; a third made singular by a planted
     # dependency or a zero row, against the dense inverse and rank oracles
     rng = random.Random(12)
@@ -175,16 +178,16 @@ def test_mat_inv():
             a[i] = _to_dense([_combine(rng, others, 2)], n)[0]
         full = oracles.dense_rank(a, n) == n
         seen.add(full)
-        assert full_rank(a) == full
+        assert full_rank(IntegerView(a, 2), n) == full
         if full:
-            assert mat_inv(a) == oracles.dense_inverse(a)
+            assert mat_inv(IntegerView(a, 2), n) == IntegerView(oracles.dense_inverse(a), 2)
         else:
             with pytest.raises(ValueError, match="singular"):
-                mat_inv(a)
+                mat_inv(IntegerView(a, 2), n)
     assert seen == {True, False}
     big = [[Fraction(rng.randint(-9, 9)) for _ in range(20)] for _ in range(20)]
-    assert full_rank(big)
-    assert mat_inv(big) == oracles.dense_inverse(big)
+    assert full_rank(IntegerView(big, 2), 20)
+    assert mat_inv(IntegerView(big, 2), 20) == IntegerView(oracles.dense_inverse(big), 2)
 
 
 def test_form_signature():

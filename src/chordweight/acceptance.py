@@ -293,9 +293,9 @@ def check_holonomy_pipeline():
         if euclidean and so_isomorphism(hol) is None:
             return False, f"{name}: no isomorphism onto so({d}) found"
     triple3 = triples["sphere3"]
-    if form_signature(triple3.holonomy.form) != (0, 3):
+    if form_signature(triple3.holonomy.representation.algebra.form) != (0, 3):
         return False, "unit three-sphere: induced form is not negative definite"
-    if form_signature(triple3.form) != (3, 3):
+    if form_signature(triple3.algebra.form) != (3, 3):
         return False, "unit three-sphere: triple form signature is not (3, 3)"
     return True, (
         f"{len(models)} models: full holonomy dimension, valid triples, "
@@ -361,7 +361,7 @@ def check_realizability():
     if verdict != "pass":
         return False, f"so3 with identity form: {verdict} at {witness}"
     triple = triple_from_rep(so3, eye)
-    reproduced = triple.holonomy.representation().weight_tensor()
+    reproduced = triple.holonomy.representation.weight_tensor()
     if reproduced != so3.weight_tensor():
         return False, "so3 round-trip does not reproduce the Casimir tensor"
 

@@ -301,7 +301,7 @@ def _cmd_holonomy(args, out) -> int:
             f"generator labels: {labels or '(none)'}",
             *_bracket_lines(hol.brackets, hol.dim_h),
             "B_h:",
-            *_matrix_lines(hol.form),
+            *_matrix_lines(hol.representation.algebra.form),
             f"B_h nondegenerate: {'yes' if hol.nondegenerate else 'no'}",
             f"triple: dim {triple.dim} = {triple.dim_h} + {triple.dim_p}, "
             f"valid: {'yes' if triple_ok else 'no'}",
@@ -314,7 +314,7 @@ def _cmd_holonomy(args, out) -> int:
     _write(args, out, {
         "dim_h": hol.dim_h,
         "labels": hol.labels,
-        "form": hol.form,  # its rationals are written by _json_default
+        "form": hol.representation.algebra.form,  # its rationals are written by _json_default
         "nondegenerate": hol.nondegenerate,
         "triple": triple,
         "triple_valid": triple_ok,

@@ -8,10 +8,12 @@ tensor can be realized this way.
 
 The metric and the curvature are each one ``sparse.IntegerView``, built
 once at construction, as are the form on a representation space and its
-inverse in a realization.  The holonomy and triple records keep their
-bracket tables as views and their matrices as dense ``Fraction`` tuples,
-which they convert to views once, on first use, through the algebra and
-representation they build and keep.
+inverse in a realization.  So is every table of the holonomy and triple
+records: the holonomy's rho, brackets and form come straight from the
+integers of the extraction, and the triple's brackets and block form are
+assembled from those.  Each record builds its representation or metrized
+algebra once, from its views, and keeps it; dense copies are read through
+that representation or algebra.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import cached_property
 
 from .frozen import Frozen
 from .jsonio import (
@@ -31,15 +32,7 @@ from .jsonio import (
 )
 from .lie import MetrizedLieAlgebra, Representation, algebra_to_json_dict, so_algebra
 from .linalg import ReducedSpan, full_rank, mat_inv, sparse_rank
-from .sparse import (
-    UNIT,
-    IntegerView,
-    contract,
-    dense_array,
-    exact_entries,
-    least_nonzero,
-    nonzero_entries,
-)
+from .sparse import UNIT, IntegerView, contract, dense_array, exact_entries, least_nonzero
 from .tensors import WeightTensor, four_term_witness
 from .work import charge_work
 
@@ -65,7 +58,11 @@ class CurvatureModel:
 
     @property
     def metric(self) -> tuple:
-        """``metric[a][b]`` = g(e_a, e_b) as a dense nested tuple, built on each access."""
+        """``metric[a][b]`` = g(e_a, e_b) as a dense nested tuple, built on each access.
+
+        In the package only ``model_to_json_dict`` reads it; ``bench/inputs.py``
+        does too.
+        """
         return dense_array(self.g, 2, self.dim)
 
     @property
@@ -85,11 +82,6 @@ class CurvatureModel:
         R = self.entries
         return WeightTensor(self.dim, IntegerView.of(
             contract("axcd", R.nums, "bx", ginv.nums, "abcd"), ginv.den * R.den))
-
-    def endomorphism(self, a: int, b: int) -> tuple:
-        """R(e_a, e_b) as a matrix on the tangent space (rows = output)."""
-        R, rng, zero = self.entries, range(self.dim), Fraction(0)
-        return tuple(tuple(R.get((a, b, c, x), zero) for c in rng) for x in rng)
 
     def validate(self):
         """(True, None) or (False, (identity, witness)) for the first failure.
@@ -212,37 +204,33 @@ def check_parallel_four_term(model: CurvatureModel):
 class HolonomyAlgebra(Frozen):
     """Span of the curvature endomorphisms with its induced form.
 
-    ``labels[i]`` is the generator pair (a, b) whose endomorphism is
-    ``basis[i]``, ``brackets`` maps (i, j, k) to the nonzero structure
-    constants in this basis and ``form`` is the induced invariant form.
+    ``labels[i]`` is the generator pair (a, b) whose endomorphism is the
+    basis element h_i.  ``rho`` maps (i, r, c) to the nonzero entry [r][c]
+    of h_i as a matrix on the tangent space (rows = output), ``brackets``
+    maps (i, j, k) to the nonzero structure constants in this basis and
+    ``B`` maps (i, j) to the nonzero entries of the induced invariant form.
+    Each is an IntegerView, and a nested array or a mapping is taken too.
+    ``representation``, the holonomy algebra acting on the tangent space,
+    is built here from those views and kept; ``representation.matrices``
+    and ``representation.algebra.form`` are its dense copies.
     ``pair_coordinates``, when given, is an IntegerView mapping (a, b, k)
-    to the nonzero coordinate k, in ``basis``, of the endomorphism of the
-    generator pair (a, b): a by-product of the extraction, not a field, so
-    it takes no part in ``==``, ``hash`` or ``repr``, and neither does the
-    representation, built and kept on the first call of ``representation``.
+    to the nonzero coordinate k, in this basis, of the endomorphism of the
+    generator pair (a, b): a by-product of the extraction.  Neither is a
+    field, so neither takes part in ``==``, ``hash`` or ``repr``.
     """
 
-    _fields = ("model", "labels", "basis", "brackets", "form", "nondegenerate")
+    _fields = ("model", "labels", "rho", "brackets", "B", "nondegenerate")
 
-    def __init__(self, model: CurvatureModel, labels: tuple, basis: tuple,
-                 brackets, form: tuple, nondegenerate: bool,
-                 pair_coordinates: IntegerView | None = None):
-        self._set(model, labels, basis, exact_entries(brackets, 3, len(labels)),
-                  form, nondegenerate)
+    def __init__(self, model: CurvatureModel, labels: tuple, rho, brackets, B,
+                 nondegenerate: bool, pair_coordinates: IntegerView | None = None):
+        rep = Representation(MetrizedLieAlgebra(brackets, B, len(labels)), rho, model.dim)
+        self._set(model, labels, rep.rho, rep.algebra.entries, rep.algebra.B, nondegenerate)
+        object.__setattr__(self, "representation", rep)
         object.__setattr__(self, "_pair_coordinates", pair_coordinates)
 
     @property
     def dim_h(self) -> int:
         return len(self.labels)
-
-    def representation(self) -> Representation:
-        """The holonomy algebra acting on the tangent space, the same on every call."""
-        return self._representation
-
-    @cached_property
-    def _representation(self) -> Representation:
-        return Representation(MetrizedLieAlgebra(self.brackets, self.form), self.basis,
-                              dimV=self.model.dim)
 
 
 class ModelCheckFailure(ValueError):
@@ -317,9 +305,10 @@ def _holonomy_algebra(model: CurvatureModel) -> HolonomyAlgebra:
     return HolonomyAlgebra(
         model,
         tuple(labels),
-        tuple(model.endomorphism(*pair) for pair in labels),
+        IntegerView.of({(i, x, c): v for i, pair in enumerate(labels)
+                        for (x, c), v in endos[pair].items()}, R.den),
         IntegerView.of(brackets, span.den * R.den),
-        dense_array(form, 2, len(labels)),
+        form,
         full_rank(form, len(labels)),
         IntegerView.of({(*pair, k): v for pair in pairs
                         for k, v in enumerate(span.coordinates(endos[pair])) if v}, span.den),
@@ -328,17 +317,21 @@ def _holonomy_algebra(model: CurvatureModel) -> HolonomyAlgebra:
 
 class SymmetricTriple(Frozen):
     """Lie algebra h + p with involution and block form, h basis first;
-    ``brackets`` maps (i, j, k) to the nonzero coefficient of e_k in [e_i, e_j].
+    ``brackets`` maps (i, j, k) to the nonzero coefficient of e_k in [e_i, e_j]
+    and ``B`` maps (i, j) to the nonzero entries of the form.
 
-    The metrized algebra, built and kept on the first call of ``algebra``,
-    is no field: it takes no part in ``==``, ``hash`` or ``repr``.
+    Each is an IntegerView, and a nested array or a mapping is taken too.
+    ``algebra``, h + p as a metrized algebra, is built here from those
+    views and kept; ``algebra.form`` is the form's dense copy.  It is no
+    field: it takes no part in ``==``, ``hash`` or ``repr``.
     """
 
-    _fields = ("holonomy", "brackets", "form", "involution")
+    _fields = ("holonomy", "brackets", "B", "involution")
 
-    def __init__(self, holonomy: HolonomyAlgebra, brackets, form: tuple,
-                 involution: tuple):
-        self._set(holonomy, exact_entries(brackets, 3, len(form)), form, involution)
+    def __init__(self, holonomy: HolonomyAlgebra, brackets, B, involution: tuple):
+        algebra = MetrizedLieAlgebra(brackets, B, holonomy.dim_h + holonomy.model.dim)
+        self._set(holonomy, algebra.entries, algebra.B, involution)
+        object.__setattr__(self, "algebra", algebra)
 
     @property
     def dim_h(self) -> int:
@@ -352,14 +345,6 @@ class SymmetricTriple(Frozen):
     def dim(self) -> int:
         return self.dim_h + self.dim_p
 
-    def algebra(self) -> MetrizedLieAlgebra:
-        """h + p as a metrized algebra, the same on every call."""
-        return self._algebra
-
-    @cached_property
-    def _algebra(self) -> MetrizedLieAlgebra:
-        return MetrizedLieAlgebra(self.brackets, self.form)
-
     def validate(self):
         """(True, None) or (False, message).
 
@@ -368,7 +353,7 @@ class SymmetricTriple(Frozen):
         identity), then the involution compatibilities and the requirement
         that tangent brackets span the holonomy part.
         """
-        ok, why = self.algebra().validate()
+        ok, why = self.algebra.validate()
         if not ok:
             return False, why
         m = self.dim_h
@@ -376,7 +361,7 @@ class SymmetricTriple(Frozen):
         for i, j, k in self.brackets:
             if s[k] != s[i] * s[j]:
                 return False, f"involution parity fails at ({i},{j},{k})"
-        for i, j in self.algebra().B:
+        for i, j in self.B:
             if s[i] != s[j]:
                 return False, f"form mixes involution eigenspaces at ({i},{j})"
         rows = defaultdict(dict)  # [e_a, e_b] for tangent a < b, its holonomy part
@@ -398,21 +383,28 @@ def symmetric_triple(model: CurvatureModel) -> SymmetricTriple:
 
 
 def _symmetric_triple(hol: HolonomyAlgebra) -> SymmetricTriple:
-    """The triple of an extracted holonomy algebra, with no model check."""
-    d = hol.model.dim
-    m = hol.dim_h
-    f = dict(hol.brackets)
-    for i, mat in enumerate(hol.basis):
-        for (x, a), v in nonzero_entries(mat, 2):
-            f[i, m + a, m + x] = v
-            f[m + a, i, m + x] = -v
-    for (a, b, k), v in hol._pair_coordinates.items():
-        f[m + a, m + b, k] = v
-        f[m + b, m + a, k] = -v
-    zero = Fraction(0)
-    form = (tuple(row + (zero,) * d for row in hol.form)
-            + tuple((zero,) * m + row for row in hol.model.metric))
-    return SymmetricTriple(hol, f, form, (1,) * m + (-1,) * d)
+    """The triple of an extracted holonomy algebra, with no model check.
+
+    Its brackets are [h_i, h_j] from the holonomy, [h_i, e_a] = h_i e_a from
+    rho and [e_a, e_b] = R(e_a, e_b) from the pair coordinates, and its form
+    is B_h + g.  Each block is built from the numerators of its view,
+    brought over the product of the denominators.
+    """
+    m, g, B = hol.dim_h, hol.model.g, hol.B
+    f, rho, pairs = hol.brackets, hol.rho, hol._pair_coordinates
+    den = f.den * rho.den * pairs.den
+    brackets = {key: v * (den // f.den) for key, v in f.nums.items()}
+    for (i, x, a), v in rho.nums.items():
+        brackets[i, m + a, m + x] = v * (den // rho.den)
+        brackets[m + a, i, m + x] = -v * (den // rho.den)
+    for (a, b, k), v in pairs.nums.items():
+        brackets[m + a, m + b, k] = v * (den // pairs.den)
+        brackets[m + b, m + a, k] = -v * (den // pairs.den)
+    form = {key: v * g.den for key, v in B.nums.items()}
+    form.update({(m + a, m + b): v * B.den for (a, b), v in g.nums.items()})
+    return SymmetricTriple(hol, IntegerView.of(brackets, den),
+                           IntegerView.of(form, B.den * g.den),
+                           (1,) * m + (-1,) * hol.model.dim)
 
 
 def verify_lie_type(triple: SymmetricTriple):
@@ -428,7 +420,7 @@ def verify_lie_type(triple: SymmetricTriple):
     hol = triple.holonomy
     if not hol.nondegenerate:
         return False, "holonomy form is degenerate"
-    candidate = hol.representation().weight_tensor()
+    candidate = hol.representation.weight_tensor()
     target = hol.model.weight_tensor()
     if candidate != target:
         witness = least_nonzero(contract("abcd", target.entries, "", UNIT, "abcd",
@@ -443,6 +435,11 @@ def so_isomorphism(holonomy: HolonomyAlgebra):
     Works when the holonomy has full dimension d(d-1)/2 and all basis
     endomorphisms are plainly antisymmetric matrices; the returned matrix P
     satisfies [P e_i, P e_j] = P [e_i, e_j] for the two bracket tables.
+    This is a sufficient test in the model's given basis, not a decision
+    of isomorphism: in a basis that is not orthonormal the endomorphisms
+    are skew for g but in general not antisymmetric as matrices, so None
+    is returned even where the holonomy is so(d), as for the round
+    8-sphere written in a dense basis.
     """
     d = holonomy.model.dim
     if d < 2:
@@ -451,7 +448,7 @@ def so_isomorphism(holonomy: HolonomyAlgebra):
     m = len(pairs)
     if holonomy.dim_h != m:
         return None
-    rho = holonomy.representation().rho
+    rho = holonomy.rho
     if any(v != -rho.nums.get((k, c, r), 0) for (k, r, c), v in rho.nums.items()):
         return None  # some rho_k is not plainly antisymmetric
     column = {pair: l for l, pair in enumerate(pairs)}  # P[k][l] = rho_k[i][j], (i, j) = pairs[l]
@@ -557,7 +554,7 @@ def model_from_json_dict(data) -> CurvatureModel:
 
 
 def triple_to_json_dict(triple: SymmetricTriple) -> dict:
-    out = algebra_to_json_dict(triple.algebra())
+    out = algebra_to_json_dict(triple.algebra)
     out["dim_h"] = triple.dim_h
     out["dim_p"] = triple.dim_p
     out["involution"] = list(triple.involution)

@@ -1,16 +1,19 @@
 """Metrized Lie algebras, representations, and induced weight tensors.
 
 Everything is stored in a fixed basis, with exact rational entries, each
-table as one ``sparse.IntegerView`` built at construction: the structure
-constants, the invariant form B, its inverse the Casimir C (computed on
-first use, once per algebra) and the representation matrices rho, one
-rank-3 view.  ``brackets``, ``form``, ``casimir()`` and ``matrices`` are
-dense copies for readers outside the checks, built on each access.
+table as one ``sparse.IntegerView`` built at construction, or taken as it
+is when a view is given: the structure constants, the invariant form B,
+its inverse the Casimir C (computed on first use, once per algebra) and
+the representation matrices rho, one rank-3 view.  The holonomy and triple
+records of ``curvature`` hand theirs over as views.  ``brackets``,
+``form``, ``casimir()`` and ``matrices`` are dense copies for readers
+outside the checks, built on each access.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
 
@@ -34,12 +37,15 @@ class MetrizedLieAlgebra:
 
     ``entries``, an IntegerView, maps (i, j, k) to the nonzero coefficient
     of e_k in [e_i, e_j], and ``B``, another, maps (i, j) to the nonzero
-    B(e_i, e_j).  Both are built once, here, and a view given for the
-    brackets is taken as it is.
+    B(e_i, e_j).  Both are built once, here.  ``form`` is a square matrix
+    or, with ``dim`` given, an {(i, j): value} mapping; a view of either
+    table is taken as it is.
     """
 
-    def __init__(self, brackets, form):
-        dim = len(form)
+    def __init__(self, brackets, form, dim=None):
+        if dim is None and isinstance(form, Mapping):
+            raise ValueError("a form given by its entries needs dim")
+        dim = len(form) if dim is None else dim
         self.dim = dim
         self.B = exact_entries(form, 2, dim, "form must be a square matrix")
         self.entries = exact_entries(brackets, 3, dim,
@@ -135,25 +141,31 @@ class Representation:
     """Matrices rho(e_i) acting on a dimV-dimensional module.
 
     ``rho``, an IntegerView, maps (i, r, c) to the nonzero rho(e_i)[r][c].
+    ``matrices`` is one square matrix per basis element or, with ``dimV``
+    given, an {(i, r, c): value} mapping; a view of it is taken as it is.
     """
 
     def __init__(self, algebra: MetrizedLieAlgebra, matrices, dimV=None):
-        if len(matrices) != algebra.dim:
-            raise ValueError("need one matrix per basis element")
-        if matrices:
-            inferred = len(matrices[0])
+        m = algebra.dim
+        if not isinstance(matrices, Mapping):
+            if len(matrices) != m:
+                raise ValueError("need one matrix per basis element")
+            size = len(matrices[0]) if matrices else dimV
+            if size is None:
+                raise ValueError("dimV is required when the algebra is zero-dimensional")
+            if dimV is not None and dimV != size:
+                raise ValueError(f"dimV={dimV} does not match matrix size {size}")
+            if any(len(mat) != size or any(len(row) != size for row in mat)
+                   for mat in matrices):
+                raise ValueError(f"matrices must all be {size}x{size}")
+            matrices, dimV = IntegerView(matrices, 3), size
         elif dimV is None:
-            raise ValueError("dimV is required when the algebra is zero-dimensional")
-        else:
-            inferred = dimV
-        if dimV is not None and dimV != inferred:
-            raise ValueError(f"dimV={dimV} does not match matrix size {inferred}")
-        if any(len(mat) != inferred or any(len(row) != inferred for row in mat)
-               for mat in matrices):
-            raise ValueError(f"matrices must all be {inferred}x{inferred}")
+            raise ValueError("matrices given by their entries need dimV")
+        self.rho = exact_entries(matrices, 3, max(m, dimV))
+        if any(i >= m or r >= dimV or c >= dimV for i, r, c in self.rho):
+            raise ValueError(f"an index is outside {m} matrices of size {dimV}x{dimV}")
         self.algebra = algebra
-        self.rho = IntegerView(matrices, 3)
-        self.dimV = inferred
+        self.dimV = dimV
         self._weight_tensor = None
         self._lowering = None  # (form, rho(C) lowered by it): see curvature._lowering
 

@@ -89,7 +89,7 @@ class WeightTensor(Frozen):
             raise JSONFormatError("dim", "must be a positive integer")
         charge_work(dim ** 4, f"a dense tensor of dimension {dim} needs dim^4 = "
                     f"{dim ** 4} entries")
-        return cls(dim, parse_entries(data.get("entries", []), "entries", dim).items())
+        return cls(dim, parse_entries(data.get("entries"), "entries", dim).items())
 
 
 def validate_symmetry(tensor: WeightTensor) -> bool:

@@ -429,13 +429,16 @@ def metrized_algebra(f, B):
     for i, j, k in product(rng, repeat=3):
         if f[i][j][k] != -f[j][i][k]:
             return False, f"antisymmetry fails at (i,j,k)=({i},{j},{k})"
-    for i, j, k, l in product(rng, repeat=4):
-        acc = Fraction(0)
-        for x in rng:
-            acc += (f[i][j][x] * f[x][k][l]
-                    + f[j][k][x] * f[x][i][l]
-                    + f[k][i][x] * f[x][j][l])
-        if acc != 0:
+    for i, j, k in product(rng, repeat=3):
+        # acc[l] = sum_x f[i][j][x] f[x][k][l] + f[j][k][x] f[x][i][l] + f[k][i][x] f[x][j][l],
+        # for every l at once; an x whose coefficient is zero adds nothing
+        acc = [Fraction(0)] * m
+        for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+            for x in rng:
+                if f[p][q][x]:
+                    acc = [a + f[p][q][x] * b for a, b in zip(acc, f[x][r])]
+        l = next((l for l in rng if acc[l]), None)
+        if l is not None:
             return False, f"Jacobi identity fails at (i,j,k,l)=({i},{j},{k},{l})"
     if any(B[i][j] != B[j][i] for i, j in product(rng, repeat=2)):
         return False, "form is not symmetric"

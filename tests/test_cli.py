@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -593,6 +594,72 @@ def test_a_second_route_prints_the_pinned_text(capsys, monkeypatch, pin, argv):
     assert_matches_pin(pin, run(capsys, *argv))
 
 
+# the holonomy text pins rebuilt from the dense oracles, and the one left out, with why
+HOLONOMY_FROM_ORACLES = ["cp2", "sphere5", "lorentz4-dense", "flat3"]
+HOLONOMY_NOT_FROM_ORACLES = {
+    "tests/pinned/holonomy-sphere12.txt": "oracles.holonomy alone took 71 s on its 66 "
+    "generators on a 2-vCPU box, against 0.1 s on the 10 of sphere5.json",
+}
+
+
+def oracle_holonomy_lines(model) -> list:
+    """The lines ``holonomy`` prints for ``model``, every value from tests/oracles.py.
+
+    The triple is valid when it passes ``oracles.metrized_algebra`` and the
+    checks of ``SymmetricTriple.validate`` after it, written densely here:
+    the involution is a parity of the brackets, the form does not mix its
+    eigenspaces, and the tangent brackets span the holonomy part.
+    """
+    d, R, g = model.dim, model.riemann, model.metric
+    hol = labels, basis, brackets, form, nondegenerate = oracles.holonomy(R, g, d)
+    m = len(labels)
+    f, B, s = oracles.symmetric_triple(R, g, d, hol)
+    n = len(B)
+    valid = (oracles.metrized_algebra(f, B) == (True, None)
+             and all(s[k] == s[i] * s[j]
+                     for i, j, k in itertools.product(range(n), repeat=3) if f[i][j][k])
+             and all(s[i] == s[j] for i, j in itertools.product(range(n), repeat=2) if B[i][j])
+             and oracles.dense_rank([f[a][b][:m] for a in range(m, n)
+                                     for b in range(a + 1, n)], m) == m)
+    lie_type = valid and nondegenerate and (oracles.lie_weight_tensor(form, basis, d)
+                                            == oracles.curvature_weight_tensor(g, R, d))
+    table = {(i, j, k): c for i, j, k in itertools.product(range(m), repeat=3)
+             if (c := brackets[i][j][k])}
+    yes = {True: "yes", False: "no"}
+    return [
+        f"dim_h={m}",
+        "generator labels: " + (" ".join(f"({a},{b})" for a, b in labels) or "(none)"),
+        *cli._bracket_lines(table, m),
+        "B_h:",
+        *cli._matrix_lines(form),
+        f"B_h nondegenerate: {yes[nondegenerate]}",
+        f"triple: dim {n} = {m} + {d}, valid: {yes[valid]}",
+        f"isomorphic to so{d}: {yes[oracles.so_isomorphism(basis, brackets, d) is not None]}",
+        f"rho(C_h) == Hhat: {yes[lie_type]}",
+    ]
+
+
+def test_every_holonomy_text_pin_is_derived_from_the_oracles_or_has_a_reason():
+    text_pins = {pin for pin, (_, argv) in RUNS.items()
+                 if argv[0] == "holonomy" and pin.endswith(".txt")}
+    derived = {f"tests/pinned/holonomy-{name}.txt" for name in HOLONOMY_FROM_ORACLES}
+    assert derived | set(HOLONOMY_NOT_FROM_ORACLES) == text_pins
+    assert not derived & set(HOLONOMY_NOT_FROM_ORACLES)
+
+
+@pytest.mark.parametrize("name", HOLONOMY_FROM_ORACLES)
+def test_a_holonomy_text_pin_is_what_the_oracles_derive(name):
+    """Each line of the pin, rebuilt from the dense oracles on the pin's input."""
+    pin = f"tests/pinned/holonomy-{name}.txt"
+    code, argv = RUNS[pin]
+    assert (code, argv[:3]) == (0, ["holonomy", "--curvature", f"tests/pinned/{name}.json"])
+    assert argv[3:] in ([], ["--format", "text"])
+    model = curvature.model_from_json_dict(
+        json.loads((PINNED / f"{name}.json").read_text(encoding="utf-8")))
+    expected = (ROOT / pin).read_text(encoding="utf-8").splitlines()
+    assert oracle_holonomy_lines(model) == expected
+
+
 def test_every_pinned_file_belongs_to_one_row():
     """Each row's pin and input files exist, no pin has two rows, and every
     file under tests/pinned/ is a row's pin or input, so a deleted row
@@ -637,14 +704,16 @@ def test_rho_c_is_built_once_per_command(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("argv,bound", [
     (["check", "--lie", "{so4}"], 3),
     (["eval", "--lie", "{so4}", "--diagram", "ABCDABCD"], 3),
-    (["realize", "--lie", "{so4}", "--form", "{form}"], 5),
-    (["holonomy", "--curvature", "{dense8}"], 6),
+    (["realize", "--lie", "{so4}", "--form", "{form}"], 4),
+    (["holonomy", "--curvature", "{dense8}"], 2),
 ], ids=["check-lie", "eval-lie", "realize", "holonomy-dense-8"])
 def test_each_exact_matrix_is_converted_once(capsys, monkeypatch, tmp_path, argv, bound):
-    """Every matrix and table is read into its IntegerView once: a loaded
-    one by its record's constructor, a holonomy or triple matrix on first
-    use.  The checks, the Casimir and every inverse build none from values,
-    and linalg builds none at all.  The parent built 19, 11, 20 and 44."""
+    """Every matrix and table is read into its IntegerView once, by the
+    constructor of the record that loads it.  The holonomy extraction and
+    the triple build theirs from integer numerators, as do the checks, the
+    Casimir and every inverse, and linalg builds none at all: the holonomy
+    run builds only the loader's metric and curvature.  A round trip of the
+    holonomy or triple matrices through dense Fractions shows as 4 more."""
     paths = {"so4": PINNED / "so4-dense.json", "form": PINNED / "so4-dense-form.json"}
     if "{dense8}" in argv:
         model = models.rebase(constant_curvature(8), models.dense_unimodular(8, random.Random(1)))
@@ -975,3 +1044,13 @@ def test_json_field_path_in_errors(tmp_path, capsys):
     code, _, err = run(capsys, "check", "--tensor", path)
     assert code == 2
     assert "entries[0].a" in err
+
+
+@pytest.mark.parametrize("argv", [["check"], ["eval", "--diagram", "AA"]],
+                         ids=["check", "eval"])
+def test_a_tensor_file_without_entries_is_refused_by_its_field(tmp_path, capsys, argv):
+    """A misspelled key is not the zero tensor: ``entries`` is required."""
+    path = write_json(tmp_path / "misspelled.json", {"dim": 2, "entires": [
+        {"a": 0, "b": 1, "c": 1, "d": 0, "value": "1"}]})
+    assert run(capsys, argv[0], "--tensor", path, *argv[1:]) == (
+        2, "", "error: entries: expected a list\n")

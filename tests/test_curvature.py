@@ -198,8 +198,8 @@ def test_sphere_holonomy_is_so3_on_the_nose():
     assert hol.labels == ((0, 1), (0, 2), (1, 2))
     assert hol.dim_h == 3
     assert hol.nondegenerate
-    assert hol.basis[0] == ((0, 1, 0), (-1, 0, 0), (0, 0, 0))
-    assert hol.form == ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
+    assert hol.representation.matrices[0] == ((0, 1, 0), (-1, 0, 0), (0, 0, 0))
+    assert hol.representation.algebra.form == ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
     assert hol.brackets == so_standard(3).algebra.entries
     P = so_isomorphism(hol)
     assert P == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -208,8 +208,9 @@ def test_sphere_holonomy_is_so3_on_the_nose():
 def test_hyperbolic_plane_holonomy():
     hol = holonomy_algebra(constant_curvature(2, kappa=-1))
     assert hol.dim_h == 1
-    assert hol.form == ((1,),)  # sign flips with kappa
-    assert form_signature(holonomy_algebra(constant_curvature(2)).form) == (0, 1)
+    assert hol.representation.algebra.form == ((1,),)  # sign flips with kappa
+    sphere = holonomy_algebra(constant_curvature(2))
+    assert form_signature(sphere.representation.algebra.form) == (0, 1)
 
 
 def test_flat_model_has_trivial_holonomy():
@@ -237,22 +238,23 @@ def test_so_isomorphism_needs_two_dimensions():
 def test_so_isomorphism_refuses_a_singular_change_of_basis():
     """Full dimension and antisymmetric matrices, but two of them are equal."""
     hol = holonomy_algebra(constant_curvature(3))
-    basis = (hol.basis[0], hol.basis[1], hol.basis[0])
-    twice = HolonomyAlgebra(hol.model, hol.labels, basis, hol.brackets, hol.form, True)
+    matrices = hol.representation.matrices
+    basis = (matrices[0], matrices[1], matrices[0])
+    twice = HolonomyAlgebra(hol.model, hol.labels, basis, hol.brackets, hol.B, True)
     assert so_isomorphism(twice) is None
 
 
 def test_triple_validate_pins_the_involution_parity():
     """The 2-sphere's triple, with e_1 moved into the +1 eigenspace."""
     triple = symmetric_triple(constant_curvature(2))
-    moved = SymmetricTriple(triple.holonomy, triple.brackets, triple.form, (1, -1, 1))
+    moved = SymmetricTriple(triple.holonomy, triple.brackets, triple.B, (1, -1, 1))
     assert moved.validate() == (False, "involution parity fails at (0,1,2)")
 
 
 def test_triple_validate_pins_a_form_that_mixes_eigenspaces():
     """A flat plane with a hyperbolic metric, its two axes in different eigenspaces."""
     triple = symmetric_triple(constant_curvature(2, [[0, 1], [1, 0]], kappa=0))
-    split = SymmetricTriple(triple.holonomy, {}, triple.form, (1, -1))
+    split = SymmetricTriple(triple.holonomy, {}, triple.B, (1, -1))
     assert split.validate() == (False, "form mixes involution eigenspaces at (0,1)")
 
 
@@ -267,9 +269,9 @@ def test_triple_validate_pins_tangent_brackets_that_do_not_span():
 def test_verify_lie_type_pins_a_degenerate_holonomy_form():
     triple = symmetric_triple(constant_curvature(2))
     hol = triple.holonomy
-    degenerate = HolonomyAlgebra(hol.model, hol.labels, hol.basis, hol.brackets,
+    degenerate = HolonomyAlgebra(hol.model, hol.labels, hol.rho, hol.brackets,
                                  ((0,),), False)
-    assert verify_lie_type(SymmetricTriple(degenerate, triple.brackets, triple.form,
+    assert verify_lie_type(SymmetricTriple(degenerate, triple.brackets, triple.B,
                                            triple.involution)) == (
         False, "holonomy form is degenerate")
 
@@ -278,9 +280,9 @@ def test_verify_lie_type_pins_the_least_entry_where_the_tensors_differ():
     """The 2-sphere's holonomy form doubled: rho(C) is half the model's tensor."""
     triple = symmetric_triple(constant_curvature(2))
     hol = triple.holonomy
-    doubled = HolonomyAlgebra(hol.model, hol.labels, hol.basis, hol.brackets,
+    doubled = HolonomyAlgebra(hol.model, hol.labels, hol.rho, hol.brackets,
                               ((-2,),), True)
-    assert verify_lie_type(SymmetricTriple(doubled, triple.brackets, triple.form,
+    assert verify_lie_type(SymmetricTriple(doubled, triple.brackets, triple.B,
                                            triple.involution)) == (
         False, "weight tensors differ at entry (0, 1, 0, 1)")
 
@@ -290,12 +292,13 @@ def test_sphere_triple():
     assert (triple.dim_h, triple.dim_p, triple.dim) == (3, 3, 6)
     assert triple.involution == (1, 1, 1, -1, -1, -1)
     assert triple.validate() == (True, None)
-    assert form_signature(triple.form) == (3, 3)
+    form = triple.algebra.form
+    assert form_signature(form) == (3, 3)
     for i in range(3):
         for j in range(3):
-            assert triple.form[i][j] == -(i == j)
-            assert triple.form[3 + i][3 + j] == (i == j)
-            assert triple.form[i][3 + j] == 0
+            assert form[i][j] == -(i == j)
+            assert form[3 + i][3 + j] == (i == j)
+            assert form[i][3 + j] == 0
 
 
 def test_verify_lie_type_on_space_forms():
@@ -311,7 +314,7 @@ def test_bianchi_violating_triple_fails_jacobi():
     """With checks off the pipeline still runs; validation catches the lie."""
     triple = _symmetric_triple(_holonomy_algebra(bianchi_violating_model()))
     assert triple.dim_h == 2
-    assert triple.holonomy.form == ((0, 1), (1, 0))
+    assert triple.holonomy.representation.algebra.form == ((0, 1), (1, 0))
     assert triple.holonomy.brackets == {}
     assert triple.validate() == (
         False, "Jacobi identity fails at (i,j,k,l)=(2,3,4,5)")
@@ -356,7 +359,7 @@ def test_curvature_symmetries_rejects_degenerate_form():
 def test_triple_from_rep_round_trip():
     rep = so_standard(3)
     triple = triple_from_rep(rep, signature_metric(3, 0))
-    assert triple.holonomy.representation().weight_tensor() == rep.weight_tensor()
+    assert triple.holonomy.representation.weight_tensor() == rep.weight_tensor()
     assert triple.validate() == (True, None)
     assert (triple.dim_h, triple.dim_p) == (3, 3)
 
@@ -444,7 +447,7 @@ def test_evaluation_through_the_triple():
     """Evaluating via holonomy rho(C) matches the curvature tensor values."""
     model = constant_curvature(3, kappa=2)
     direct = model.weight_tensor()
-    via_triple = symmetric_triple(model).holonomy.representation().weight_tensor()
+    via_triple = symmetric_triple(model).holonomy.representation.weight_tensor()
     for n in range(4):
         for diagram in enumerate_diagrams(n):
             assert evaluate(direct, diagram) == evaluate(via_triple, diagram)
@@ -456,18 +459,19 @@ def test_holonomy_algebra_and_triple_are_immutable_values():
     hol = triple.holonomy
     assert hol == holonomy_algebra(model)
     assert hol != holonomy_algebra(constant_curvature(2))  # models compare by identity
-    fields = dict(model=model, labels=hol.labels, basis=hol.basis,
-                  brackets=hol.brackets, form=hol.form, nondegenerate=True)
+    fields = dict(model=model, labels=hol.labels, rho=hol.rho,
+                  brackets=hol.brackets, B=hol.B, nondegenerate=True)
     assert HolonomyAlgebra(**fields) == hol
     assert hash(HolonomyAlgebra(*fields.values())) == hash(hol) == hash(
-        (model, hol.labels, hol.basis, frozenset(), hol.form, True))
+        (model, hol.labels, frozenset(hol.rho.items()), frozenset(),
+         frozenset(hol.B.items()), True))
     assert repr(hol) == "HolonomyAlgebra(" + ", ".join(
         f"{name}={value!r}" for name, value in fields.items()) + ")"
-    parts = dict(holonomy=hol, brackets=triple.brackets, form=triple.form,
+    parts = dict(holonomy=hol, brackets=triple.brackets, B=triple.B,
                  involution=(1, -1, -1))
     assert SymmetricTriple(**parts) == triple == symmetric_triple(model)
     assert hash(triple) == hash(
-        (hol, frozenset(triple.brackets.items()), triple.form, (1, -1, -1)))
+        (hol, frozenset(triple.brackets.items()), frozenset(triple.B.items()), (1, -1, -1)))
     assert repr(triple) == "SymmetricTriple(" + ", ".join(
         f"{name}={value!r}" for name, value in parts.items()) + ")"
     with pytest.raises(AttributeError):
@@ -492,6 +496,18 @@ def test_record_brackets_keep_only_their_nonzero_entries_read_only():
     assert len(triple.brackets) == 6 + 2 * 3 * 2 + 6
 
 
+def test_records_keep_the_representation_and_algebra_of_their_own_views():
+    """Each record builds its representation or algebra once, sharing its views."""
+    triple = symmetric_triple(constant_curvature(3))
+    hol, algebra = triple.holonomy, triple.algebra
+    rep = hol.representation
+    assert rep.rho is hol.rho and rep.dimV == 3
+    assert rep.algebra.entries is hol.brackets and rep.algebra.B is hol.B
+    assert algebra.entries is triple.brackets and algebra.B is triple.B
+    assert algebra.dim == triple.dim == 6
+    assert hol.representation is rep and triple.algebra is algebra
+
+
 def test_record_brackets_from_a_nested_array_or_a_mapping_agree():
     triple = symmetric_triple(constant_curvature(3))
     hol = triple.holonomy
@@ -503,10 +519,10 @@ def test_record_brackets_from_a_nested_array_or_a_mapping_agree():
                  for brackets in (dense, mapping)]
         assert built[0] == built[1] == record
         assert hash(built[0]) == hash(built[1]) == hash(record)
-    with pytest.raises(ValueError, match="expected 3\\^3 entries"):
-        HolonomyAlgebra(hol.model, hol.labels, hol.basis, ((0,),), hol.form, True)
+    with pytest.raises(ValueError, match="structure constants must be 3x3x3"):
+        HolonomyAlgebra(hol.model, hol.labels, hol.rho, ((0,),), hol.B, True)
     with pytest.raises(ValueError, match="index \\(0, 0, 6\\) is outside 0..5"):
-        SymmetricTriple(hol, {(0, 0, 6): 1}, triple.form, triple.involution)
+        SymmetricTriple(hol, {(0, 0, 6): 1}, triple.B, triple.involution)
 
 
 def test_model_load_is_charged_dim_to_the_4(monkeypatch):

@@ -52,16 +52,16 @@ def assert_matches_oracles(model):
     triple = symmetric_triple(model)
     hol = triple.holonomy
     brackets = oracles.dense_brackets(hol.brackets, hol.dim_h)
-    assert_same((hol.labels, hol.basis, brackets, hol.form, hol.nondegenerate),
-                expected)
-    assert_same((oracles.dense_brackets(triple.brackets, triple.dim), triple.form,
+    basis, form = hol.representation.matrices, hol.representation.algebra.form
+    assert_same((hol.labels, basis, brackets, form, hol.nondegenerate), expected)
+    assert_same((oracles.dense_brackets(triple.brackets, triple.dim), triple.algebra.form,
                  triple.involution),
                 oracles.symmetric_triple(R, g, d, expected))
-    assert_same(so_isomorphism(hol), oracles.so_isomorphism(hol.basis, brackets, d))
+    assert_same(so_isomorphism(hol), oracles.so_isomorphism(basis, brackets, d))
     assert oracles.dense_tensor(model.weight_tensor()) == nested(
         oracles.curvature_weight_tensor(g, R, d))
     if hol.nondegenerate:
-        assert_representation_matches(hol.representation())
+        assert_representation_matches(hol.representation)
     return hol
 
 
@@ -121,10 +121,10 @@ def test_so_isomorphism_rejects_brackets_that_are_not_so_d():
                 for plane in oracles.dense_brackets(hol.brackets, hol.dim_h)]
     k = next(k for k, v in enumerate(brackets[0][1]) if v)
     brackets[0][1][k], brackets[1][0][k] = -brackets[0][1][k], -brackets[1][0][k]
-    wrong = HolonomyAlgebra(model, hol.labels, hol.basis, nested(brackets), hol.form,
+    wrong = HolonomyAlgebra(model, hol.labels, hol.rho, nested(brackets), hol.B,
                             hol.nondegenerate)
-    assert oracles.so_isomorphism(
-        wrong.basis, oracles.dense_brackets(wrong.brackets, wrong.dim_h), 4) is None
+    assert oracles.so_isomorphism(wrong.representation.matrices,
+                                  oracles.dense_brackets(wrong.brackets, wrong.dim_h), 4) is None
     assert so_isomorphism(wrong) is None
 
 
@@ -176,7 +176,7 @@ def _realizations():
            (sl2, [[0, 1], [-1, 0]]), (sl2, [[1, 0], [0, 1]]),
            (doubled, models.signature_metric(6, 0))]
     for model in (cp2, lorentz):
-        out.append((symmetric_triple(model).holonomy.representation(), model.metric))
+        out.append((symmetric_triple(model).holonomy.representation, model.metric))
     return out
 
 
@@ -247,8 +247,9 @@ def test_random_sparse_curvature_matches_the_oracle_with_checks_off():
                 holonomy_algebra(model)
             continue
         hol = _holonomy_algebra(model)
-        got = (hol.labels, hol.basis, oracles.dense_brackets(hol.brackets, hol.dim_h),
-               hol.form, hol.nondegenerate)
+        got = (hol.labels, hol.representation.matrices,
+               oracles.dense_brackets(hol.brackets, hol.dim_h),
+               hol.representation.algebra.form, hol.nondegenerate)
         assert got == expected
         assert repr(got) == repr(expected)
         outcomes.add("ok")

@@ -197,6 +197,25 @@ def test_zero_dimensional_algebra_needs_dimv():
     assert evaluate(rep.weight_tensor(), THETA) == 0
 
 
+def test_tables_given_by_their_entries_are_taken_as_they_are():
+    """A view of the form or of rho is kept, not rebuilt; its size must be given."""
+    rep = so_standard(3)
+    algebra = MetrizedLieAlgebra(rep.algebra.entries, rep.algebra.B, 3)
+    same = Representation(algebra, rep.rho, 3)
+    assert (same.rho, algebra.B, algebra.entries) == (rep.rho, rep.algebra.B,
+                                                      rep.algebra.entries)
+    assert same.rho is rep.rho and algebra.B is rep.algebra.B
+    assert same.matrices == rep.matrices and same.weight_tensor() == rep.weight_tensor()
+    with pytest.raises(ValueError, match="^a form given by its entries needs dim$"):
+        MetrizedLieAlgebra(rep.algebra.entries, rep.algebra.B)
+    with pytest.raises(ValueError, match="^matrices given by their entries need dimV$"):
+        Representation(algebra, rep.rho)
+    with pytest.raises(ValueError, match="^an index is outside 3 matrices of size 2x2$"):
+        Representation(algebra, rep.rho, 2)
+    with pytest.raises(ValueError, match="^an index is outside 2 matrices of size 3x3$"):
+        Representation(MetrizedLieAlgebra({}, [[1, 0], [0, 1]]), rep.rho, 3)
+
+
 def test_representation_json_round_trip():
     for rep in (sl2_standard(), so_standard(3), abelian(2)):
         doc = representation_to_json_dict(rep)

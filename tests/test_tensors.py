@@ -174,7 +174,8 @@ def test_four_term_checks_are_charged_their_nonzero_products(monkeypatch):
 
 def test_tensor_load_is_charged_dim_to_the_4(monkeypatch):
     monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", "81")
-    assert WeightTensor.from_json_dict({"dim": 3}) == WeightTensor.from_entries(3, [])
+    doc = {"dim": 3, "entries": []}
+    assert WeightTensor.from_json_dict(doc) == WeightTensor.from_entries(3, [])
     with pytest.raises(WorkLimitExceeded, match="dim\\^4 = 256 entries, limit is 81"):
         WeightTensor.from_json_dict({"dim": 4, "entries": []})
 

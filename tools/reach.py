@@ -1,20 +1,32 @@
-"""List the functions of the package under src/ that no pinned CLI run enters.
-
-Every row of tests/pinned/runs.txt (<pin file> <exit code> <argv...>) is
-run in one process, from the repository root, through
-``chordweight.cli.main(argv)``, with its output discarded, under
-``sys.setprofile``.  The package is first imported under the profiler too,
-so a function that only the import calls counts as entered, as it is in a
-fresh process.  A function is every ``def`` and method of a module under
-src/, nested ones included; lambdas and comprehensions are left out.
+"""List what of the package under src/ the pinned CLI runs or the tests never reach.
 
     python tools/reach.py --runs
+    python tools/reach.py --tests
 
-prints one row per module, in the style of ``tools/code_lines.py``: the
-number of its functions that no row enters, the module, and their
-qualified names in source order; then the total.  It is a report, not a
-gate, and it always exits 0.  A row whose exit code differs from the pinned
-one is reported on stderr, since its reach would not be that of the pin.
+``--runs`` gives function reach.  Every row of tests/pinned/runs.txt
+(<pin file> <exit code> <argv...>) is run in one process, from the
+repository root, through ``chordweight.cli.main(argv)``, with its output
+discarded, under ``sys.setprofile``.  The package is first imported under
+the profiler too, so a function that only the import calls counts as
+entered, as it is in a fresh process.  A function is every ``def`` and
+method of a module under src/, nested ones included; lambdas and
+comprehensions are left out.  A row whose exit code differs from the
+pinned one is reported on stderr, since its reach would not be that of
+the pin.
+
+``--tests`` gives line reach.  The tier-1 suite under tests/ runs in this
+process through ``pytest.main``, under ``sys.settrace``, which traces the
+lines of src/ frames only, the import of the package included.  A line is
+every line that holds bytecode of a module under src/; a function's
+``def`` line counts as reached when the function is called.  Lines run only
+in child processes (the tests that start the CLI as a process) are not
+seen.  pytest's own output goes to stderr.
+
+Each prints one row per module, in the style of ``tools/code_lines.py``:
+the number of its functions (or lines) that nothing reaches, the module,
+and their qualified names (or line numbers, runs of them as ranges) in
+source order; then the total.  It is a report, not a gate, and it always
+exits 0.
 """
 
 from __future__ import annotations
@@ -71,18 +83,81 @@ def _entered_by_runs() -> set:
     return {_key(code) for code in called}
 
 
+def _own_lines(code) -> set:
+    """The line numbers that hold bytecode of ``code``, not of the code nested in it."""
+    return {line for *_, line in code.co_lines() if line is not None}
+
+
+def _lines(code) -> set:
+    """The line numbers that hold bytecode of ``code`` and of the code nested in it."""
+    lines = _own_lines(code)
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            lines |= _lines(const)
+    return lines
+
+
+def _reached_by_tests() -> set:
+    """(resolved file, line) of every src/ line that tier-1 runs in this process."""
+    import pytest
+
+    src = str(SRC)
+    reached = set()
+    pending = {}  # code object: its own lines not reached yet; none outside src/
+
+    def on_line(frame, event, arg):
+        lines = pending[frame.f_code]
+        if frame.f_lineno in lines:
+            lines.remove(frame.f_lineno)
+            reached.add((frame.f_code.co_filename, frame.f_lineno))
+        return on_line if lines else None  # None: no more line events in this frame
+
+    def on_call(frame, event, arg):
+        code = frame.f_code
+        if code not in pending:
+            pending[code] = _own_lines(code) if code.co_filename.startswith(src) else set()
+        return on_line(frame, event, arg) if pending[code] else None
+
+    sys.path.insert(0, src)
+    os.chdir(ROOT)
+    sys.settrace(on_call)
+    try:
+        with contextlib.redirect_stdout(sys.stderr):
+            pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+    finally:
+        sys.settrace(None)
+    return {(str(Path(name).resolve()), line) for name, line in reached}
+
+
+def _ranges(lines) -> str:
+    """Sorted line numbers as text, each run of consecutive ones as first-last."""
+    runs = []
+    for line in sorted(lines):
+        if runs and runs[-1][1] == line - 1:
+            runs[-1][1] = line
+        else:
+            runs.append([line, line])
+    return " ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv != ["--runs"]:
-        print("usage: python tools/reach.py --runs", file=sys.stderr)
+    if argv not in (["--runs"], ["--tests"]):
+        print("usage: python tools/reach.py --runs | --tests", file=sys.stderr)
         return 2
-    entered = _entered_by_runs()
+    reached = _entered_by_runs() if argv == ["--runs"] else _reached_by_tests()
     total = 0
     for path in sorted(SRC.rglob("*.py")):
-        code = compile(path.read_bytes(), str(path.resolve()), "exec")
-        missed = [name for fn, name in _functions(code) if _key(fn) not in entered]
+        name = str(path.resolve())
+        code = compile(path.read_bytes(), name, "exec")
+        if argv == ["--runs"]:
+            missed = [fn_name for fn, fn_name in _functions(code) if _key(fn) not in reached]
+            text = " ".join(missed)
+        else:
+            missed = [line for line in _lines(code) if (name, line) not in reached]
+            text = _ranges(missed)
         total += len(missed)
-        print(f"{len(missed):6,d}  {path.relative_to(SRC)}  {' '.join(missed)}".rstrip())
+        print(f"{len(missed):6,d}  {path.relative_to(SRC)}  {text}".rstrip())
     print(f"{total:6,d}  total")
     return 0
 

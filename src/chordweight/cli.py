@@ -338,7 +338,7 @@ def _cmd_realize(args, out) -> int:
     if verdict == "pass":
         try:
             triple = triple_from_rep(rep, form)
-        except ValueError as exc:
+        except (ValueError, WorkLimitExceeded) as exc:  # the verdict stands; a note says why
             payload["note"] = str(exc)
             lines.append(f"note: {exc}")
         else:

@@ -1,7 +1,8 @@
 """Acceptance gate: every check exact, tolerance zero.
 
-Each criterion prints one PASS/FAIL line (run with -s or -rA to see them
-all); the assertion carries the same detail.
+Each criterion prints one PASS line (run with -s or -rA to see them all).
+A criterion that fails raises, and the test fails with the mismatch it
+names.
 """
 
 import pytest
@@ -13,6 +14,4 @@ IDS = [f"{number}-{label.replace(' ', '-')}" for number, label, _ in acceptance.
 
 @pytest.mark.parametrize("number,label,func", acceptance.CRITERIA, ids=IDS)
 def test_criterion(number, label, func):
-    ok, detail = func()
-    print(f"criterion {number} ({label}): {'PASS' if ok else 'FAIL'} - {detail}")
-    assert ok, f"criterion {number} ({label}): {detail}"
+    print(f"criterion {number} ({label}): PASS - {func()}")

@@ -660,6 +660,46 @@ def test_a_holonomy_text_pin_is_what_the_oracles_derive(name):
     assert oracle_holonomy_lines(model) == expected
 
 
+DIAGRAMS_NOT_FROM_ORACLES = {
+    pin: "the oracles' basis and 4T rows of the 9,749 classes of degree 7 took 19 s on "
+    "a 2-vCPU box, and the whole derivation 27 s and 155 MB, against 1 s for degrees 0-6"
+    for pin in ("tests/pinned/dims-max-n-7.txt", "tests/pinned/dims-max-n-7-unframed.txt")
+}
+
+
+def oracle_code(matching) -> str:
+    """The chords of ``matching`` lettered in order of first occurrence."""
+    labels = {}
+    return "".join(labels.setdefault(min(p, q), string.ascii_uppercase[len(labels)])
+                   for p, q in enumerate(matching))
+
+
+def test_the_enumerate_and_dims_text_pins_are_what_the_oracles_derive():
+    """enumerate: per rotation orbit of the oracle, the least code of its
+    matchings, sorted.  dims: the dimension of each kind and degree over the
+    oracle's basis of one matching per orbit, by its 4T rows and one rank.
+    Every other text pin of the two commands is listed with its reason."""
+    framed, unframed = [], []
+    for n in range(7):
+        basis = [ChordDiagram(min(orbit)) for orbit in oracles.rotation_orbits(n)]
+        rows = oracles.four_term_rows_all(basis)
+        for kind, lines in (("framed", framed), ("unframed", unframed)):
+            lines.append(f"{n} {oracles.quotient_dimension_by_rows(basis, rows, kind)}")
+    derived = {
+        "tests/pinned/enumerate-n-5.txt": (["enumerate", "--n", "5"], sorted(
+            min(map(oracle_code, orbit)) for orbit in oracles.rotation_orbits(5))),
+        "tests/pinned/dims-max-n-6.txt": (["dims", "--max-n", "6"], framed),
+        "tests/pinned/dims-max-n-6-unframed.txt":
+            (["dims", "--max-n", "6", "--unframed"], unframed),
+    }
+    text_pins = {pin for pin, (_, argv) in RUNS.items()
+                 if argv[0] in ("enumerate", "dims") and "--format" not in argv}
+    assert set(derived) | set(DIAGRAMS_NOT_FROM_ORACLES) == text_pins
+    for pin, (argv, lines) in derived.items():
+        assert RUNS[pin] == (0, argv)
+        assert (ROOT / pin).read_text(encoding="utf-8").splitlines() == lines, pin
+
+
 def test_every_pinned_file_belongs_to_one_row():
     """Each row's pin and input files exist, no pin has two rows, and every
     file under tests/pinned/ is a row's pin or input, so a deleted row
@@ -997,6 +1037,65 @@ def test_verify_matches_pinned_formats(capsys, monkeypatch, fmt):
     monkeypatch.setattr(acceptance, "CRITERIA", criteria)
     expected = (PINNED / f"verify-criterion-5.{fmt}").read_text(encoding="utf-8")
     assert run(capsys, "verify", "--format", fmt) == (0, expected, "")
+
+
+def plus_one(original):
+    return lambda *args: original(*args) + 1
+
+
+# (criterion, the name in the acceptance module that is forced wrong, the
+# forcing as a function of the original, the FAIL detail that verify prints)
+FORCED_FAILURES = [
+    (1, "yamada_weight", plus_one, "state sum on empty: expected 3, got 4"),
+    (2, "evaluate_sum", plus_one,
+     "sl2 tensor on a degree-3 four-term vector: expected 0, got 1"),
+    (3, "check_exchange_identity", lambda _: lambda rep: (False, (0, 0, 0, 0)),
+     "sl2: exchange identity witness: expected None, got (0, 0, 0, 0)"),
+    (4, "verify_lie_type", lambda _: lambda triple: (False, "forced"),
+     "sphere2: Casimir recovery failure: expected None, got forced"),
+    (5, "curvature_symmetries", lambda _: lambda rep, form: ("fail(skew)", (0, 0, 0, 0)),
+     "so3 with the identity form: library verdict: expected pass, got fail(skew)"),
+    (6, "quotient_dimension", lambda _: lambda n, kind: 99,
+     "framed dimension at n=0 by the library: expected 1, got 99"),
+    (7, "evaluate_naive", plus_one, "sl2: exhaustive sum on empty: expected 2, got 3"),
+    (8, "in_relation_span", lambda _: lambda vector, kind: False,
+     "product of AA and ABAB at cut (0, 0) agrees modulo four-term vectors: "
+     "expected True, got False"),
+]
+
+
+@pytest.mark.parametrize("number,name,forced,detail", FORCED_FAILURES,
+                         ids=[f"{number}-{name}" for number, name, *_ in FORCED_FAILURES])
+def test_verify_prints_the_failure_of_each_criterion(capsys, monkeypatch, number, name,
+                                                     forced, detail):
+    """One library name in the acceptance module is made wrong per criterion."""
+    [(_, label, _)] = criteria = tuple(c for c in acceptance.CRITERIA if c[0] == number)
+    monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+    monkeypatch.setattr(acceptance, name, forced(getattr(acceptance, name)))
+    assert run(capsys, "verify") == (1, f"criterion {number} ({label}): FAIL - {detail}\n", "")
+
+
+def test_verify_reports_a_raising_library_call_as_a_failure_and_goes_on(capsys,
+                                                                        monkeypatch):
+    def refused(model):
+        raise ValueError("forced")
+
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        tuple(c for c in acceptance.CRITERIA if c[0] in (4, 5)))
+    monkeypatch.setattr(acceptance, "symmetric_triple", refused)
+    code, out, err = run(capsys, "verify")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "criterion 4 (holonomy and symmetric triple): FAIL - ValueError: forced",
+        (PINNED / "verify.txt").read_text(encoding="utf-8").splitlines()[4],
+    ]
+
+
+def test_verify_exits_2_when_the_work_bound_refuses_a_criterion(capsys, monkeypatch):
+    monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", "1")
+    code, out, err = run(capsys, "verify")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: degree 1 needs ")
 
 
 def test_holonomy_gives_both_reasons_when_the_triple_is_invalid(capsys, monkeypatch):

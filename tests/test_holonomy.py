@@ -274,18 +274,23 @@ def test_holonomy_is_charged_pairs_squared_times_d_cubed(monkeypatch):
         "pairs^2 * d^3 = 2304 steps, limit is 2303")
 
 
-def test_realize_exits_2_over_the_holonomy_budget(tmp_path, capsys, monkeypatch):
+def test_realize_keeps_a_passing_verdict_over_the_holonomy_budget(tmp_path, capsys,
+                                                                 monkeypatch):
+    """The refused triple becomes the verdict's note, in text and JSON, with exit 0."""
     lie = tmp_path / "so3.json"
     lie.write_text(json.dumps(representation_to_json_dict(so_standard(3))))
     form = tmp_path / "eye.json"
     form.write_text('[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]')
     argv = ["realize", "--lie", str(lie), "--form", str(form)]
+    note = ("the holonomy algebra of a curvature model of dimension 3 needs "
+            "pairs^2 * d^3 = 243 steps, limit is 242")
     monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", str(_holonomy_work(3) - 1))
-    assert main(argv) == 2
+    assert main(argv) == 0
+    assert capsys.readouterr() == (f"verdict: pass\nnote: {note}\n", "")
+    assert main([*argv, "--format", "json"]) == 0
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", (
-        "error: the holonomy algebra of a curvature model of dimension 3 needs "
-        "pairs^2 * d^3 = 243 steps, limit is 242\n"))
+    assert (json.loads(captured.out), captured.err) == (
+        {"verdict": "pass", "witness": None, "note": note}, "")
     monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", str(_holonomy_work(3)))
     assert main(argv) == 0
     assert capsys.readouterr().out.startswith("verdict: pass\ntriple: dim 6 = 3 + 3\n")

@@ -284,8 +284,7 @@ def check_holonomy_pipeline():
         _expect(f"{name}: induced form nondegenerate", hol.nondegenerate)
         _expect(f"{name}: triple validation failure", triple.validate()[1], None)
         _expect(f"{name}: Casimir recovery failure", verify_lie_type(triple)[1], None)
-        if euclidean:
-            _expect(f"{name}: isomorphism onto so({d}) found", so_isomorphism(hol) is not None)
+        _expect(f"{name}: isomorphic to so({d})", so_isomorphism(hol), euclidean)
     triple3 = triples["sphere3"]
     _expect("unit three-sphere: induced form signature",
             form_signature(triple3.holonomy.representation.algebra.form), (0, 3))

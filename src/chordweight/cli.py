@@ -306,7 +306,7 @@ def _cmd_holonomy(args, out) -> int:
             f"triple: dim {triple.dim} = {triple.dim_h} + {triple.dim_p}, "
             f"valid: {'yes' if triple_ok else 'no'}",
             *([] if triple_ok else [f"  reason: {triple_why}"]),
-            f"isomorphic to so{model.dim}: {'yes' if iso is not None else 'no'}",
+            f"isomorphic to so{model.dim}: {'yes' if iso else 'no'}",
             f"rho(C_h) == Hhat: {'yes' if lie_type_ok else 'no'}",
             *([] if lie_type_ok else [f"  reason: {lie_type_why}"]),
         ]
@@ -318,7 +318,7 @@ def _cmd_holonomy(args, out) -> int:
         "nondegenerate": hol.nondegenerate,
         "triple": triple,
         "triple_valid": triple_ok,
-        "so_isomorphic": iso is not None,
+        "so_isomorphic": iso,
         "casimir_matches": lie_type_ok,
     }, lines())
     return EXIT_OK if triple_ok and lie_type_ok else EXIT_CHECK_FAILED

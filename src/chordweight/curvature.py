@@ -30,8 +30,8 @@ from .jsonio import (
     parse_entries,
     parse_matrix,
 )
-from .lie import MetrizedLieAlgebra, Representation, algebra_to_json_dict, so_algebra
-from .linalg import ReducedSpan, full_rank, mat_inv, sparse_rank
+from .lie import MetrizedLieAlgebra, Representation, algebra_to_json_dict
+from .linalg import ReducedSpan, definite, full_rank, mat_inv, sparse_rank
 from .sparse import UNIT, IntegerView, contract, dense_array, exact_entries, least_nonzero
 from .tensors import WeightTensor, four_term_witness
 from .work import charge_work
@@ -429,41 +429,23 @@ def verify_lie_type(triple: SymmetricTriple):
     return True, None
 
 
-def so_isomorphism(holonomy: HolonomyAlgebra):
-    """Change of basis carrying the holonomy brackets onto so(d), or None.
+def so_isomorphism(holonomy: HolonomyAlgebra) -> bool:
+    """Whether the holonomy algebra h is isomorphic to so(d), d = the model's dimension.
 
-    Works when the holonomy has full dimension d(d-1)/2 and all basis
-    endomorphisms are plainly antisymmetric matrices; the returned matrix P
-    satisfies [P e_i, P e_j] = P [e_i, e_j] for the two bracket tables.
-    This is a sufficient test in the model's given basis, not a decision
-    of isomorphism: in a basis that is not orthonormal the endomorphisms
-    are skew for g but in general not antisymmetric as matrices, so None
-    is returned even where the holonomy is so(d), as for the round
-    8-sphere written in a dense basis.
+    Decides for records that ``holonomy_algebra`` extracted, whose model
+    passed ``validate``, in any basis.  There every R(e, f) is skew for g,
+    so h lies in so(V, g), of dimension d(d-1)/2.  Hence h = so(V, g),
+    which is so(p, q) for g of signature (p, q), exactly when
+    dim_h = d(d-1)/2.  Over R, so(p, q) is isomorphic to so(d) exactly when
+    pq = 0, that is when g is definite, or when d = 2, where both are
+    abelian of dimension 1; for d >= 3 and pq > 0, so(p, q) is noncompact
+    (Helgason, Differential Geometry, Lie Groups, and Symmetric Spaces,
+    1978, ch. X).  Below d = 2 there is nothing to compare, and the answer
+    is False.
     """
     d = holonomy.model.dim
-    if d < 2:
-        return None
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    m = len(pairs)
-    if holonomy.dim_h != m:
-        return None
-    rho = holonomy.rho
-    if any(v != -rho.nums.get((k, c, r), 0) for (k, r, c), v in rho.nums.items()):
-        return None  # some rho_k is not plainly antisymmetric
-    column = {pair: l for l, pair in enumerate(pairs)}  # P[k][l] = rho_k[i][j], (i, j) = pairs[l]
-    P = IntegerView.of({(k, column[r, c]): v for (k, r, c), v in rho.nums.items() if r < c},
-                       rho.den)
-    if not full_rank(P, m):
-        return None
-    # sum_k f_h[i][j][k] P[k][l] against sum_{a,b} P[i][a] P[j][b] f_so[a][b][l],
-    # one index at a time, keyed (i, j, l)
-    f_so = so_algebra(d).entries
-    lhs = contract("ijk", holonomy.brackets.nums, "kl", P.nums, "ijl", scale=P.den * f_so.den)
-    half = contract("jb", P.nums, "abl", f_so.nums, "jal")
-    if lhs != contract("ia", P.nums, "jal", half, "ijl", scale=holonomy.brackets.den):
-        return None
-    return dense_array(P, 2, m)
+    return (d >= 2 and holonomy.dim_h == d * (d - 1) // 2
+            and (d == 2 or definite(holonomy.model.g, d)))
 
 
 def _lowering(rep: Representation, form_v) -> tuple:

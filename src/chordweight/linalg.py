@@ -1,6 +1,6 @@
 """Exact linear algebra over the rationals.
 
-Two eliminations, both on sparse integer rows, do all the exact work.  The
+Two eliminations, both on sparse integer rows, do the rank and span work.  The
 rank routine pivots on a shortest primitive row and updates only the rows
 that meet the pivot column, dividing each by its content to keep entries
 small.  Row-span membership (the rank is unchanged when the vector is
@@ -12,7 +12,9 @@ A square matrix is held, like every exact table, as a rank-2
 ``IntegerView``: its rows are the view's numerators, grouped by row, so
 ``full_rank`` (nondegeneracy) ranks them and ``mat_inv`` adds them to one
 span and returns the inverse as a view of the span's combinations, with no
-``Fraction`` formed.  ``solve_in_span`` and the dense Fraction helpers
+``Fraction`` formed; ``definite`` reads a symmetric matrix's leading
+principal minors off a fraction-free elimination of the same numerators.
+``solve_in_span`` and the dense Fraction helpers
 ``mat_mul``, ``mat_sub`` and ``commutator`` have no caller in the package;
 they stay because the benchmark's tracer (``bench/tracing.py``) resolves
 ``linalg.solve_in_span`` and ``linalg.commutator`` by name.
@@ -256,6 +258,30 @@ def sparse_rank(rows) -> int:
 def full_rank(matrix: IntegerView, n: int) -> bool:
     """Whether an n x n matrix, held as a view, is nondegenerate."""
     return sparse_rank(_rows(matrix, n)) == n
+
+
+def definite(matrix: IntegerView, n: int) -> bool:
+    """Whether a symmetric n x n matrix, held as a view, is positive or negative definite.
+
+    By Sylvester's criterion its leading principal minors D_1, ..., D_n are
+    then all nonzero, and the ratios D_k / D_(k-1) (with D_0 = 1), the
+    pivots of a symmetric elimination, all have one sign.  Fraction-free
+    (Bareiss) elimination with no row exchange leaves D_k as its k-th
+    pivot, so the minors are read off the numerators; those are the
+    matrix's entries times ``den`` > 0, which scales D_k by den^k and keeps
+    every sign.
+    """
+    m = [[matrix.nums.get((i, j), 0) for j in range(n)] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot == 0 or (pivot * prev > 0) != (m[0][0] > 0):
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]) // prev
+        prev = pivot
+    return True
 
 
 def in_row_span(rows: list, vector: dict) -> bool:

@@ -64,9 +64,9 @@ def rebase(model: CurvatureModel, P) -> CurvatureModel:
         T = _transform_slot(T, slot, P, d)
     # the output slot transforms contravariantly: x' = sum_x Pinv[x'][x] x
     T = _transform_slot(T, 3, [list(col) for col in zip(*Pinv)], d)
-    metric = [[sum(P[i][a] * model.metric[i][j] * P[j][b]
-                   for i in range(d) for j in range(d)) for b in range(d)]
-              for a in range(d)]
+    g = model.metric
+    metric = [[sum(P[i][a] * g[i][j] * P[j][b] for i in range(d) for j in range(d))
+               for b in range(d)] for a in range(d)]
     riemann = [[[[T[a, b, c, x] for x in range(d)] for c in range(d)]
                 for b in range(d)] for a in range(d)]
     return CurvatureModel(metric, riemann)

@@ -38,6 +38,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+from chordweight.acceptance import form_signature
 from chordweight.linalg import sparse_rank
 
 
@@ -676,6 +677,13 @@ def so_isomorphism(basis, brackets, d):
     m = len(pairs)
     if d < 2 or len(basis) != m:
         return None
+    P = []
+    for mat in basis:
+        if any(mat[i][j] != -mat[j][i] for i, j in product(range(d), repeat=2)):
+            return None
+        P.append([mat[i][j] for i, j in pairs])
+    if dense_rank(P, m) < m:
+        return None
     standard = []
     for i, j in pairs:
         mat = [[Fraction(0)] * d for _ in range(d)]
@@ -684,13 +692,6 @@ def so_isomorphism(basis, brackets, d):
     f_so = [[[comm[i][j] for i, j in pairs]
              for comm in (dense_commutator(standard[a], standard[b]) for b in range(m))]
             for a in range(m)]
-    P = []
-    for mat in basis:
-        if any(mat[i][j] != -mat[j][i] for i, j in product(range(d), repeat=2)):
-            return None
-        P.append([mat[i][j] for i, j in pairs])
-    if dense_rank(P, m) < m:
-        return None
     # half[j][a][l] = sum_b P[j][b] f_so[a][b][l]
     half = [[[sum((P[j][b] * f_so[a][b][l] for b in range(m)), Fraction(0))
               for l in range(m)] for a in range(m)] for j in range(m)]
@@ -700,6 +701,17 @@ def so_isomorphism(basis, brackets, d):
         if lhs != rhs:
             return None
     return P
+
+
+def so_verdict(g, d, dim_h):
+    """Whether a holonomy algebra of dimension dim_h, on metric g, is so(d), by signature.
+
+    h lies in so(V, g), so it is so(V, g), that is so(p, q) for (p, q) the
+    signature of g by ``acceptance.form_signature``, exactly when
+    dim_h = d(d-1)/2; so(p, q) is so(d) exactly when pq = 0 or d = 2.
+    """
+    p, q = form_signature(g)
+    return d >= 2 and dim_h == d * (d - 1) // 2 and (p * q == 0 or d == 2)
 
 
 def structure_tensor(brackets, form):

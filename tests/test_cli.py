@@ -634,7 +634,7 @@ def oracle_holonomy_lines(model) -> list:
         *cli._matrix_lines(form),
         f"B_h nondegenerate: {yes[nondegenerate]}",
         f"triple: dim {n} = {m} + {d}, valid: {yes[valid]}",
-        f"isomorphic to so{d}: {yes[oracles.so_isomorphism(basis, brackets, d) is not None]}",
+        f"isomorphic to so{d}: {yes[oracles.so_verdict(g, d, m)]}",
         f"rho(C_h) == Hhat: {yes[lie_type]}",
     ]
 
@@ -1053,6 +1053,8 @@ FORCED_FAILURES = [
      "sl2: exchange identity witness: expected None, got (0, 0, 0, 0)"),
     (4, "verify_lie_type", lambda _: lambda triple: (False, "forced"),
      "sphere2: Casimir recovery failure: expected None, got forced"),
+    (4, "so_isomorphism", lambda original: lambda hol: not original(hol),
+     "sphere2: isomorphic to so(2): expected True, got False"),
     (5, "curvature_symmetries", lambda _: lambda rep, form: ("fail(skew)", (0, 0, 0, 0)),
      "so3 with the identity form: library verdict: expected pass, got fail(skew)"),
     (6, "quotient_dimension", lambda _: lambda n, kind: 99,

@@ -7,6 +7,7 @@ Every package result is compared with ``tests/oracles.py`` by value and by
 import json
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -45,7 +46,7 @@ def assert_same(got, expected):
 
 
 def assert_matches_oracles(model):
-    """Holonomy, triple, P, derived tensors and the representation check."""
+    """Holonomy, triple, the so(d) verdict, derived tensors and the representation check."""
     d = model.dim
     R, g = model.riemann, model.metric
     expected = oracles.holonomy(R, g, d)
@@ -57,12 +58,23 @@ def assert_matches_oracles(model):
     assert_same((oracles.dense_brackets(triple.brackets, triple.dim), triple.algebra.form,
                  triple.involution),
                 oracles.symmetric_triple(R, g, d, expected))
-    assert_same(so_isomorphism(hol), oracles.so_isomorphism(basis, brackets, d))
+    assert_so_verdict(model, hol)
     assert oracles.dense_tensor(model.weight_tensor()) == nested(
         oracles.curvature_weight_tensor(g, R, d))
     if hol.nondegenerate:
         assert_representation_matches(hol.representation)
     return hol
+
+
+def assert_so_verdict(model, hol):
+    """so_isomorphism is the signature rule's verdict, and yes wherever the search finds P."""
+    d = model.dim
+    verdict = so_isomorphism(hol)
+    assert verdict is oracles.so_verdict(model.metric, d, hol.dim_h)
+    if oracles.so_isomorphism(hol.representation.matrices,
+                              oracles.dense_brackets(hol.brackets, hol.dim_h), d) is not None:
+        assert verdict is True
+    return verdict
 
 
 def assert_representation_matches(rep):
@@ -112,11 +124,42 @@ def test_sphere_times_hyperbolic_plane_has_two_dimensional_holonomy(dense):
     assert assert_matches_oracles(model).dim_h == 2
 
 
+SO_VERDICT_MODELS = {
+    **{f"d{d}-k{kappa}-neg{negatives}": partial(models.space_form, d, kappa, negatives)
+       for d in range(2, 6) for kappa in (1, -1) for negatives in range(d + 1)},
+    "cp2": partial(models.complex_projective, 2),
+    "s2xh2": lambda: models.product_model(models.space_form(2, 1), models.space_form(2, -1)),
+}
+
+
+@pytest.mark.parametrize("name", SO_VERDICT_MODELS)
+def test_so_isomorphism_does_not_depend_on_the_basis(name):
+    """The verdict is the signature rule's, in the standard basis and a dense one.
+
+    Where the standard-basis search of the oracle finds a change of basis
+    onto so(d), the verdict is yes.  The models cover each case of the rule:
+    definite and indefinite metrics from d = 3 up, the Lorentzian plane at
+    d = 2, and CP^2, definite with holonomy u(2) of dimension 4 < 6.
+    """
+    model = SO_VERDICT_MODELS[name]()
+    twin = models.rebase(model, models.dense_unimodular(model.dim, random.Random(name)))
+    standard, dense = (assert_so_verdict(m, holonomy_algebra(m)) for m in (model, twin))
+    assert standard is dense
+
+
 def test_so_isomorphism_rejects_brackets_that_are_not_so_d():
-    """A hand-built holonomy whose bracket table is off by one sign."""
+    """A hand-built holonomy whose bracket table is off by one sign.
+
+    Its brackets are not the commutators of its matrices, so it is no
+    record that ``holonomy_algebra`` extracts, and the library's rule,
+    which reads only dim_h and the metric, does not apply: the
+    standard-basis search of the oracle refuses it.
+    """
     model = models.space_form(4, 1)
     hol = holonomy_algebra(model)
-    assert so_isomorphism(hol) is not None
+    assert so_isomorphism(hol) is True
+    assert oracles.so_isomorphism(hol.representation.matrices,
+                                  oracles.dense_brackets(hol.brackets, hol.dim_h), 4) is not None
     brackets = [[list(row) for row in plane]
                 for plane in oracles.dense_brackets(hol.brackets, hol.dim_h)]
     k = next(k for k, v in enumerate(brackets[0][1]) if v)
@@ -125,7 +168,6 @@ def test_so_isomorphism_rejects_brackets_that_are_not_so_d():
                             hol.nondegenerate)
     assert oracles.so_isomorphism(wrong.representation.matrices,
                                   oracles.dense_brackets(wrong.brackets, wrong.dim_h), 4) is None
-    assert so_isomorphism(wrong) is None
 
 
 def _broken_representations():

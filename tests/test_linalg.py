@@ -12,6 +12,7 @@ from models import signature_metric
 from chordweight.acceptance import form_signature
 from chordweight.linalg import (
     _integer_rows,
+    definite,
     full_rank,
     in_row_span,
     mat_inv,
@@ -200,3 +201,32 @@ def test_form_signature():
     big = [[2, 1, 0], [1, 2, 1], [0, 1, Fraction(1, 2)]]
     assert form_signature(big) == (2, 1)
     assert form_signature([[4, 2], [2, 0]]) == (1, 1)
+
+
+def test_definite_is_form_signature_with_one_sign():
+    """Random symmetric rational matrices, Gram matrices and their negatives among them."""
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        if rng.random() < 0.5:  # A^T A: positive definite when A is invertible
+            a = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+                 for _ in range(n)]
+            m = [[sum((a[k][i] * a[k][j] for k in range(n)), Fraction(0))
+                  for j in range(n)] for i in range(n)]
+            if rng.random() < 0.5:
+                m = [[-v for v in row] for row in m]
+        else:
+            m = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    m[i][j] = m[j][i] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        plus, minus = form_signature(m)
+        expected = plus == n or minus == n
+        seen.add(expected)
+        assert definite(IntegerView(m, 2), n) is expected, m
+    assert seen == {True, False}
+    assert definite(IntegerView([[0, 1], [1, 0]], 2), 2) is False  # D_1 = 0
+    assert definite(IntegerView([[1, 0], [0, 0]], 2), 2) is False  # degenerate
+    assert definite(IntegerView(signature_metric(4, 4), 2), 4) is True
+

@@ -293,6 +293,7 @@ def _cmd_holonomy(args, out) -> int:
     else:
         lie_type_ok, lie_type_why = False, f"symmetric triple invalid: {triple_why}"
     iso = so_isomorphism(hol)
+    form = hol.representation.algebra.form  # a dense copy, built on each read
 
     def lines():  # only a text run iterates this, so a JSON run formats no text
         labels = " ".join(f"({a},{b})" for a, b in hol.labels)
@@ -301,7 +302,7 @@ def _cmd_holonomy(args, out) -> int:
             f"generator labels: {labels or '(none)'}",
             *_bracket_lines(hol.brackets, hol.dim_h),
             "B_h:",
-            *_matrix_lines(hol.representation.algebra.form),
+            *_matrix_lines(form),
             f"B_h nondegenerate: {'yes' if hol.nondegenerate else 'no'}",
             f"triple: dim {triple.dim} = {triple.dim_h} + {triple.dim_p}, "
             f"valid: {'yes' if triple_ok else 'no'}",
@@ -314,7 +315,7 @@ def _cmd_holonomy(args, out) -> int:
     _write(args, out, {
         "dim_h": hol.dim_h,
         "labels": hol.labels,
-        "form": hol.representation.algebra.form,  # its rationals are written by _json_default
+        "form": form,  # its rationals are written by _json_default
         "nondegenerate": hol.nondegenerate,
         "triple": triple,
         "triple_valid": triple_ok,

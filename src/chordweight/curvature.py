@@ -74,7 +74,7 @@ class CurvatureModel:
         return dense_array(self.entries, 4, self.dim)
 
     def weight_tensor(self) -> WeightTensor:
-        """Raise the second slot: entry(a,b,c,d) = sum_x g_inv[b][x] R[a][x][c][d]."""
+        """Raise the second slot: T[a][b][c][d] = sum_x g_inv[b][x] R[a][x][c][d]."""
         try:
             ginv = mat_inv(self.g, self.dim)
         except ValueError:

@@ -31,15 +31,9 @@ class FormalSum:
     def single(cls, term, coeff=1) -> "FormalSum":
         return cls([(term, coeff)])
 
-    def coefficient(self, term) -> Fraction:
-        return self._terms.get(term, Fraction(0))
-
     def items(self):
         """Term/coefficient pairs in a deterministic order."""
         return sorted(self._terms.items(), key=lambda tc: repr(tc[0]))
-
-    def terms(self):
-        return dict(self._terms)
 
     def __add__(self, other):
         if not isinstance(other, FormalSum):

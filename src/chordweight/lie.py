@@ -32,6 +32,10 @@ from .tensors import WeightTensor
 from .work import charge_work
 
 
+def _charge(check: str, work: int) -> None:
+    charge_work(work, f"{check} needs {work} products of nonzero entries")
+
+
 class MetrizedLieAlgebra:
     """Structure constants plus an invariant nondegenerate symmetric form.
 
@@ -77,7 +81,9 @@ class MetrizedLieAlgebra:
         Each failure names the lexicographically least witness.  Every sum
         is built from products of nonzero structure constants (and form
         entries) only, in exact integer arithmetic, so the cost scales with
-        the number of those products rather than with m^5.
+        the number of those products rather than with m^5.  The products of
+        the Jacobi sum, and then those of the invariance sum, are counted
+        by ``sparse.products`` and charged before the sum is formed.
 
         Jacobi is summed over i < j < k only.  Antisymmetry is checked first,
         so the Jacobiator J(i,j,k,l) is totally antisymmetric in (i, j, k):
@@ -95,6 +101,7 @@ class MetrizedLieAlgebra:
         # c lands first, last, or (with sign -1 from f[k][i] = -f[i][k]) in
         # the middle of the sorted triple.
         half = {(p, q, x): u for (p, q, x), u in f.items() if p < q}
+        _charge("the Jacobi identity", products("pqx", half, "xcl", f, "pqcl"))
         jacobi = defaultdict(int)
         for (p, q, c, l), v in contract("pqx", half, "xcl", f, "pqcl").items():
             if c > q:
@@ -114,6 +121,8 @@ class MetrizedLieAlgebra:
         if not full_rank(self.B, self.dim):
             return False, "form is degenerate"
         # sum_k f[z][x][k] B[k][y] + f[z][y][k] B[x][k], keyed by (z, x, y)
+        _charge("form invariance", products("zxk", f, "ky", form, "zxy")
+                + products("zyk", f, "xk", form, "zxy"))
         invariance = contract("zxk", f, "ky", form, "zxy")
         contract("zyk", f, "xk", form, "zxy", invariance)
         witness = least_nonzero(invariance)
@@ -178,11 +187,14 @@ class Representation:
         """Check rho([e_i, e_j]) == rho_i rho_j - rho_j rho_i for all i < j.
 
         Both sides are built from products of nonzero entries, as int
-        numerators; the least failing (i, j) is reported.
+        numerators, counted by ``sparse.products`` and charged first; the
+        least failing (i, j) is reported.
         """
         f, rho = self.algebra.entries, self.rho
         # rho([e_i, e_j]) - [rho_i, rho_j] over f.den * rho.den^2, keyed (i, j, r, c)
         half = {(i, j, k): v for (i, j, k), v in f.nums.items() if i < j}
+        _charge("bracket compatibility", products("ijk", half, "krc", rho.nums, "ijrc")
+                + products("irx", rho.nums, "jxc", rho.nums, "irjc"))
         diff = contract("ijk", half, "krc", rho.nums, "ijrc", scale=rho.den)
         for (i, r, j, c), v in contract("irx", rho.nums, "jxc", rho.nums, "irjc").items():
             if i < j:
@@ -195,7 +207,7 @@ class Representation:
         return True, None
 
     def weight_tensor(self) -> WeightTensor:
-        """rho(C): entry(a,b,c,d) = sum_{ij} C[i][j] rho_i[b][a] rho_j[d][c].
+        """rho(C): T[a][b][c][d] = sum_{ij} C[i][j] rho_i[b][a] rho_j[d][c].
 
         Built on the first call and kept for the later ones.
         """

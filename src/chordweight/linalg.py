@@ -14,8 +14,8 @@ A square matrix is held, like every exact table, as a rank-2
 span and returns the inverse as a view of the span's combinations, with no
 ``Fraction`` formed; ``definite`` reads a symmetric matrix's leading
 principal minors off a fraction-free elimination of the same numerators.
-``solve_in_span`` and the dense Fraction helpers
-``mat_mul``, ``mat_sub`` and ``commutator`` have no caller in the package;
+``solve_in_span`` and ``commutator``, the dense commutator of two matrices
+formed by ``sparse.contract`` on their views, have no caller in the package;
 they stay because the benchmark's tracer (``bench/tracing.py``) resolves
 ``linalg.solve_in_span`` and ``linalg.commutator`` by name.
 """
@@ -25,31 +25,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .sparse import IntegerView
-
-
-def mat_mul(a, b) -> list:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            f = ai[k]
-            if f == 0:
-                continue
-            bk = b[k]
-            row = out[i]
-            for j in range(cols):
-                if bk[j] != 0:
-                    row[j] += f * bk[j]
-    return out
-
-def mat_sub(a, b) -> list:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+from .sparse import IntegerView, contract, dense_array
 
 
 def commutator(a, b) -> list:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+    """ab - ba of two n x n matrices, as n rows of Fractions."""
+    x, y = IntegerView(a, 2), IntegerView(b, 2)
+    comm = contract("rx", x.nums, "xc", y.nums, "rc")
+    contract("rx", y.nums, "xc", x.nums, "rc", comm, -1)
+    return [list(row) for row in dense_array(IntegerView.of(comm, x.den * y.den), 2, len(a))]
 
 
 class ReducedSpan:

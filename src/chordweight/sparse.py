@@ -7,9 +7,9 @@ as one rank-3 table) is an ``IntegerView``: its nonzero entries only, in
 index order, as ``int`` numerators over their least common denominator.
 A record builds each of its views once, when it is built.  The arithmetic
 of every check runs on those ints; a table is read as ``Fraction``s only
-at the edges (JSON and text output, ``entry``, the dense arrays), each
-value built on access.  The view can also group its entries by the index
-in one slot, on each call, to slice a sum over that slot.
+at the edges (JSON and text output, the dense arrays), each value built
+on access.  The view can also group its entries by the index in one slot,
+on each call, to slice a sum over that slot.
 
 Every identity the package checks, and every tensor it derives (a weight
 tensor, the structure tensor, the lowered curvature), is a sum of products

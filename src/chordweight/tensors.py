@@ -1,7 +1,7 @@
 """Rank-4 weight tensors and exact evaluation on chord diagrams.
 
 A weight tensor H on a d-dimensional space stores only its nonzero
-components entry(a, b, c, d), leg 1 mapping arc index a to b and leg 2
+components H(a, b, c, d), leg 1 mapping arc index a to b and leg 2
 mapping c to d.  Placing the tensor on every chord of a diagram and
 contracting the arc indices around the circle yields its weight system.
 
@@ -28,8 +28,6 @@ from .sparse import (UNIT, IntegerView, contract, exact_entries, least_nonzero,
                      least_nonzero_sum, products)
 from .work import charge_work
 
-_ZERO = Fraction(0)
-
 
 class WeightTensor(Frozen):
     """Immutable sparse rank-4 rational tensor with two (in, out) legs.
@@ -50,19 +48,10 @@ class WeightTensor(Frozen):
             nonzero = {tuple(key): value for key, value in nonzero}
         self._set(dim, exact_entries(nonzero, 4, dim))
 
-    def entry(self, a: int, b: int, c: int, d: int) -> Fraction:
-        """Component with leg 1 = (in a, out b), leg 2 = (in c, out d)."""
-        return self.entries.get((a, b, c, d), _ZERO)
-
     @classmethod
     def from_entries(cls, dim: int, nonzero) -> "WeightTensor":
         """The constructor, under the name older callers use."""
         return cls(dim, nonzero)
-
-    @classmethod
-    def identity(cls, dim: int) -> "WeightTensor":
-        """The pass-through tensor: both legs act as the identity."""
-        return cls(dim, (((a, a, c, c), 1) for a in range(dim) for c in range(dim)))
 
     def nonzero_items(self) -> list:
         """((a, b, c, d), value) for every nonzero component, in index order."""

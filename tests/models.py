@@ -12,10 +12,22 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
-from chordweight import CurvatureModel, constant_curvature
+from chordweight import (
+    CurvatureModel,
+    Representation,
+    WeightTensor,
+    constant_curvature,
+    sl2_standard,
+)
 
 import oracles
+
+
+def identity_tensor(d: int) -> WeightTensor:
+    """The pass-through tensor: both legs act as the identity."""
+    return WeightTensor(d, (((a, a, c, c), 1) for a in range(d) for c in range(d)))
 
 
 def signature_metric(d: int, negatives: int):
@@ -130,3 +142,21 @@ def sparse_model(d: int, entries: dict) -> CurvatureModel:
     for (a, b, c, x), v in entries.items():
         riemann[a][b][c][x] = v
     return CurvatureModel(signature_metric(d, 0), riemann)
+
+
+def sl2_module(k: int):
+    """(sl2 on V_k = Sym^k(Q^2), its invariant form), for k >= 1.
+
+    The algebra is ``sl2_standard``'s, with basis (H, E, F); the module has
+    basis v_i = x^(k-i) y^i, i = 0..k, on which H = x d/dx - y d/dy,
+    E = x d/dy and F = y d/dx act: H v_i = (k - 2i) v_i, E v_i = i v_(i-1)
+    and F v_i = (k - i) v_(i+1).  The form is <v_i, v_j> = (-1)^i / C(k, i)
+    when i + j = k and 0 otherwise: symmetric for even k, skew for odd k.
+    """
+    d = k + 1
+    H = [[k - 2 * c if r == c else 0 for c in range(d)] for r in range(d)]
+    E = [[c if r == c - 1 else 0 for c in range(d)] for r in range(d)]
+    F = [[k - c if r == c + 1 else 0 for c in range(d)] for r in range(d)]
+    form = [[Fraction((-1) ** i, comb(k, i)) if i + j == k else Fraction(0)
+             for j in range(d)] for i in range(d)]
+    return Representation(sl2_standard().algebra, [H, E, F]), form

@@ -758,11 +758,16 @@ def representation(brackets, matrices, d):
 
 
 def lowered_casimir(form_v, rep_form, matrices, d):
-    """low[a][b][c][d] = sum_{x,y} rho(C)(a,x,c,y) F[x][b] F[y][d], densely."""
+    """low[a][b][c][d] = sum_{x,y} rho(C)(a,x,c,y) F[x][b] F[y][d], densely.
+
+    The sum over x is formed first, as half[a][b][c][y], so the cost is
+    2 d^5 products rather than d^6.
+    """
     T = lie_weight_tensor(rep_form, matrices, d)
     rng = range(d)
-    return [[[[sum((T[a][x][c][y] * form_v[x][b] * form_v[y][dd]
-                    for x, y in product(rng, repeat=2)), Fraction(0))
+    half = [[[[sum((T[a][x][c][y] * form_v[x][b] for x in rng), Fraction(0))
+               for y in rng] for c in rng] for b in rng] for a in rng]
+    return [[[[sum((half[a][b][c][y] * form_v[y][dd] for y in rng), Fraction(0))
                for dd in rng] for c in rng] for b in rng] for a in rng]
 
 

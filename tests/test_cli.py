@@ -50,7 +50,10 @@ def write_json(path, payload):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's help and usage errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -196,9 +199,10 @@ def test_a_well_formed_run_builds_no_parser(capsys, monkeypatch):
     assert built == [1, 1]
 
 
-# Every pinned run and every argv of the bench job lists (bench paths stand
-# for its generated inputs); each must take the quick walk.
-PINNED_RUNS = [argv for _, argv in RUNS.values()]
+# Every pinned run but the usage errors (.error pins), which argparse refuses,
+# and every argv of the bench job lists (bench paths stand for its generated
+# inputs); each must take the quick walk.
+PINNED_RUNS = [argv for pin, (_, argv) in RUNS.items() if not pin.endswith(".error")]
 BENCH_RUNS = [run.split() for run in [
     "enumerate --n 0", "dims --max-n 6", "dims --max-n 5 --unframed",
     *(f"check --lie w/{name}.json" for name in ("so4", "so5", "so4_dense")),
@@ -384,6 +388,16 @@ def test_check_refuses_the_exchange_identity_of_a_dense_so12_at_once(tmp_path):
     assert wall_s < 4
 
 
+def test_check_refuses_the_validation_of_so4_dense_one_product_under_its_count(
+        capsys, monkeypatch):
+    """The Jacobi sum of so4-dense.json forms 1,352 products, the most of its
+    three validation sums (test_lie.py counts each by its index pairings)."""
+    monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", "1351")
+    assert run(capsys, "check", "--lie", str(PINNED / "so4-dense.json")) == (
+        2, "", "error: the Jacobi identity needs 1352 products of nonzero entries, "
+        "limit is 1351\n")
+
+
 @pytest.mark.parametrize("doc, needs", [
     ({"dim": 220, "brackets": [],
       "form": [[int(i == j) for j in range(220)] for i in range(220)],
@@ -528,14 +542,17 @@ def test_degree_8_is_refused_at_once(argv):
 
 
 def assert_matches_pin(pin, result):
-    """The exit code is the row's.  A .stderr pin is stderr, with stdout
-    empty; a .sha256 pin is the hash of stdout, and any other pin stdout,
-    with stderr empty."""
+    """The exit code is the row's.  A .stderr pin is stderr, and an .error pin
+    the last line of stderr, with stdout empty: argparse wraps the usage lines
+    above its error line to the terminal's width.  A .sha256 pin is the hash
+    of stdout, and any other pin stdout, with stderr empty."""
     code, out, err = result
     if pin.endswith(".sha256"):
         out = hashlib.sha256(out.encode()).hexdigest() + "\n"
+    if pin.endswith(".error"):
+        err = "".join(err.splitlines(keepends=True)[-1:])
     expected = (ROOT / pin).read_text(encoding="utf-8")
-    streams = ("", expected) if pin.endswith(".stderr") else (expected, "")
+    streams = ("", expected) if pin.endswith((".stderr", ".error")) else (expected, "")
     assert (code, out, err) == (RUNS[pin][0], *streams)
 
 
@@ -693,7 +710,7 @@ def test_the_enumerate_and_dims_text_pins_are_what_the_oracles_derive():
             (["dims", "--max-n", "6", "--unframed"], unframed),
     }
     text_pins = {pin for pin, (_, argv) in RUNS.items()
-                 if argv[0] in ("enumerate", "dims") and "--format" not in argv}
+                 if argv[0] in ("enumerate", "dims") and pin.endswith(".txt")}
     assert set(derived) | set(DIAGRAMS_NOT_FROM_ORACLES) == text_pins
     for pin, (argv, lines) in derived.items():
         assert RUNS[pin] == (0, argv)
@@ -919,7 +936,7 @@ def test_yamada_budget_follows_the_work_variable(monkeypatch):
 
 
 def test_eval_tensor_file(tmp_path, capsys):
-    path = write_json(tmp_path / "id2.json", WeightTensor.identity(2).to_json_dict())
+    path = write_json(tmp_path / "id2.json", models.identity_tensor(2).to_json_dict())
     code, out, _ = run(capsys, "eval", "--tensor", path, "--diagram", "ABAB")
     assert (code, out.strip()) == (0, "2")
     code, out, _ = run(capsys, "eval", "--tensor", path, "--diagram", "ABAB",
@@ -998,6 +1015,20 @@ def test_holonomy_json_formats_no_text_line(capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     pin = "tests/pinned/holonomy-cp2.json"
     assert_matches_pin(pin, run(capsys, *RUNS[pin][1]))
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+def test_holonomy_builds_the_dense_form_once(capsys, monkeypatch, fmt):
+    """``algebra.form`` builds a dense copy on each read; a run reads the
+    holonomy algebra's once, and a JSON run the triple's once more."""
+    reads = []
+    form = chordweight.lie.MetrizedLieAlgebra.form
+    monkeypatch.setattr(chordweight.lie.MetrizedLieAlgebra, "form",
+                        property(lambda algebra: reads.append(algebra) or form.fget(algebra)))
+    monkeypatch.chdir(ROOT)
+    pin = f"tests/pinned/holonomy-cp2.{fmt}"
+    assert_matches_pin(pin, run(capsys, *RUNS[pin][1]))
+    assert [algebra.dim for algebra in reads] == {"txt": [4], "json": [4, 8]}[fmt]
 
 
 def test_realize_verdicts(tmp_path, capsys):

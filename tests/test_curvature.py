@@ -95,7 +95,7 @@ def test_sphere_weight_tensor_is_so3_casimir():
                 for dd in range(3):
                     expected = Fraction(int(a == dd and b == c)
                                         - int(a == c and b == dd))
-                    assert sphere.entry(a, b, c, dd) == expected
+                    assert sphere.entries.get((a, b, c, dd), 0) == expected
 
 
 def test_validate_failure_order():

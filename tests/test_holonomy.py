@@ -25,6 +25,7 @@ from chordweight import (
     so_standard,
     symmetric_triple,
     triple_from_rep,
+    verify_lie_type,
 )
 import chordweight.cli
 from chordweight.cli import main
@@ -232,6 +233,48 @@ def test_curvature_symmetries_and_realization_match_the_oracles(index):
     if verdict[0] == "pass":  # every passing form here is symmetric
         model = triple_from_rep(rep, form).holonomy.model
         assert model.riemann == nested(oracles.raised(low, form, d))
+
+
+# The verdict of sl2 on V_k = Sym^k(Q^2), k = 1..8, that the classification predicts
+SL2_MODULE_VERDICTS = {
+    k: ("fail(skew)", (0, k - 1, 1, k)) if k % 2
+    else ("pass", None) if k in (2, 4) else ("fail(bianchi)", (0, 1, k - 1, k))
+    for k in range(1, 9)}
+
+
+@pytest.mark.parametrize("k", sorted(SL2_MODULE_VERDICTS))
+def test_sl2_modules_realize_where_the_classification_says(k):
+    """The paper's characterization on the irreducible sl2 modules V_k.
+
+    rho(C) of a module with an invariant form is the weight tensor of a
+    symmetric space exactly when, lowered by the form, it has the
+    symmetries of a curvature tensor.  By Cartan's classification
+    (Helgason, Differential Geometry, Lie Groups, and Symmetric Spaces,
+    1978, ch. X), an irreducible sl2 module is the isotropy module of a
+    symmetric space only for k = 2, the 3-dimensional space forms, and
+    k = 4, SU(3)/SO(3) and its noncompact and pseudo-Riemannian forms.  For
+    odd k the invariant form is skew, so the lowered tensor is symmetric in
+    its first two slots and fails skew-symmetry; for k = 6 and 8 it fails
+    Bianchi.  The witnesses come from the dense oracles; the package must
+    give the same verdict, and on a pass a valid triple of Lie type whose
+    holonomy is sl2 again and whose model reproduces rho(C).
+    """
+    rep, form = models.sl2_module(k)
+    d = k + 1
+    assert rep.validate() == (True, None)
+    for mat in rep.matrices:  # the form is invariant: M^T F + F M = 0
+        assert all(sum(mat[x][a] * form[x][b] + form[a][x] * mat[x][b] for x in range(d)) == 0
+                   for a in range(d) for b in range(d))
+    low = oracles.lowered_casimir(form, rep.algebra.form, rep.matrices, d)
+    verdict = oracles.curvature_symmetries(low, d)
+    assert verdict == SL2_MODULE_VERDICTS[k]
+    assert curvature_symmetries(rep, form) == verdict
+    if verdict[0] == "pass":
+        triple = triple_from_rep(rep, form)
+        assert triple.validate() == (True, None)
+        assert verify_lie_type(triple) == (True, None)
+        assert triple.dim_h == 3
+        assert triple.holonomy.model.weight_tensor() == rep.weight_tensor()
 
 
 # Non-parallel curvature, on which the dense oracle raises each of its

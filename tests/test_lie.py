@@ -1,7 +1,10 @@
 """Metrized Lie algebras, representations, and Casimir weight tensors."""
 
+import json
 import time
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +28,8 @@ from chordweight.lie import (
 )
 import chordweight.lie
 from chordweight.jsonio import JSONFormatError
-from chordweight.linalg import mat_inv, mat_mul
+from chordweight.linalg import mat_inv
+from chordweight.work import WorkLimitExceeded
 
 THETA = ChordDiagram.from_code("AA")
 
@@ -100,7 +104,7 @@ def test_casimir_inverts_form():
     for rep in (sl2_standard(), so_standard(3), so_standard(4)):
         B = [list(row) for row in rep.algebra.form]
         C = [list(row) for row in rep.algebra.casimir()]
-        assert mat_mul(B, C) == signature_metric(rep.algebra.dim, 0)
+        assert C == oracles.dense_inverse(B)
 
 
 def test_the_casimir_is_computed_once_per_algebra(monkeypatch):
@@ -173,6 +177,47 @@ def test_validate_flags_degenerate_form():
     ok, message = MetrizedLieAlgebra(zero, [[1, 0], [0, 0]]).validate()
     assert not ok
     assert "degenerate" in message
+
+
+def _pairings(left, right, left_slot, right_slot):
+    """How many (left key, right key) pairs agree at the two slots, counted by loops."""
+    on_right = Counter(key[right_slot] for key in right)
+    return sum(on_right[key[left_slot]] for key in left)
+
+
+def _so4_dense():
+    path = Path(__file__).parent / "pinned" / "so4-dense.json"
+    return representation_from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+
+
+def _validation_counts(rep):
+    """The products of the Jacobi, invariance and compatibility sums, by their index pairings."""
+    f, B, rho = rep.algebra.entries, rep.algebra.B, rep.rho
+    half = [(i, j, k) for i, j, k in f if i < j]
+    return {
+        "the Jacobi identity": _pairings(half, f, 2, 0),
+        "form invariance": _pairings(f, B, 2, 0) + _pairings(f, B, 2, 1),
+        "bracket compatibility": _pairings(half, rho, 2, 0) + _pairings(rho, rho, 2, 1),
+    }
+
+
+@pytest.mark.parametrize("rep, check", [
+    (_so4_dense, "the Jacobi identity"),
+    (sl2_standard, "form invariance"),  # its Jacobi sum forms fewer products
+    (_so4_dense, "bracket compatibility"),
+])
+def test_each_validation_sum_is_charged_before_it_is_formed(monkeypatch, rep, check):
+    """A bound one below the sum's products refuses it; at its products it runs."""
+    rep = rep()
+    count = _validation_counts(rep)[check]
+    validate = rep.validate if check == "bracket compatibility" else rep.algebra.validate
+    monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", str(count - 1))
+    with pytest.raises(WorkLimitExceeded) as refused:
+        validate()
+    assert str(refused.value) == (f"{check} needs {count} products of nonzero entries, "
+                                  f"limit is {count - 1}")
+    monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", str(count))
+    assert validate() == (True, None)
 
 
 def test_representation_validation():

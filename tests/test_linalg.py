@@ -12,6 +12,7 @@ from models import signature_metric
 from chordweight.acceptance import form_signature
 from chordweight.linalg import (
     _integer_rows,
+    commutator,
     definite,
     full_rank,
     in_row_span,
@@ -145,6 +146,23 @@ def test_sparse_rank_rejects_what_fraction_rejects(row):
         _fraction_rows([row])
     with pytest.raises(expected.type):
         sparse_rank([row])
+
+
+@pytest.mark.parametrize("kind", ["integer", "rational"])
+def test_commutator_matches_the_dense_oracle(kind):
+    """No pinned run calls ``commutator``, so this is what covers it."""
+    rng = random.Random(11)
+
+    def entry():
+        value = rng.randint(-3, 3) if rng.random() < 0.6 else 0
+        return Fraction(value, rng.randint(1, 4)) if kind == "rational" else value
+
+    for n in range(6):
+        for _ in range(8):
+            a, b = ([[entry() for _ in range(n)] for _ in range(n)] for _ in range(2))
+            got = commutator(a, b)
+            assert got == oracles.dense_commutator(a, b)
+            assert all(type(v) is Fraction for row in got for v in row)
 
 
 def test_solve_in_span():

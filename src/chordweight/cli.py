@@ -328,8 +328,7 @@ def _cmd_holonomy(args, out) -> int:
 def _cmd_realize(args, out) -> int:
     rep = _load_representation(args.lie)
     # one view of the form, for curvature_symmetries and triple_from_rep both
-    form = IntegerView(parse_matrix(_load_json(args.form), "form",
-                                    rows=rep.dimV, cols=rep.dimV), 2)
+    form = IntegerView(parse_matrix(_load_json(args.form), "form", rep.dimV), 2)
     try:
         verdict, witness = curvature_symmetries(rep, form)
     except ValueError as exc:

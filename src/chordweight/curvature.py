@@ -449,7 +449,8 @@ def so_isomorphism(holonomy: HolonomyAlgebra) -> bool:
 
 
 def _lowering(rep: Representation, form_v) -> tuple:
-    """(F, {(a, b, c, d): int}, den): form_v as an IntegerView, rho(C) lowered by it.
+    """(F, half, low, den): form_v as an IntegerView and rho(C) lowered by it,
+    in its second slot (half, over den) and in its second and fourth (low).
 
     form_v is a square matrix of the module dimension, or its IntegerView,
     taken as it is, and must be nondegenerate.  The last lowering is kept
@@ -466,10 +467,12 @@ def _lowering(rep: Representation, form_v) -> tuple:
 
 
 def _lowered_casimir(rep: Representation, F) -> tuple:
-    """({(a, b, c, d): int}, den): sum_{x,y} rho(C)(a,x,c,y) F[x][b] F[y][d]."""
+    """(half, low, den) as {(a, b, c, d): int} tables: half(a,b,c,d) = sum_x
+    rho(C)(a,x,c,d) F[x][b], over den, and low(a,b,c,d) = sum_y half(a,b,c,y)
+    F[y][d], whose denominator is left out: only its symmetries are read."""
     T = rep.weight_tensor().entries
-    half = contract("axcy", T.nums, "xb", F.nums, "acyb")
-    return contract("acyb", half, "yd", F.nums, "abcd"), T.den * F.den ** 2
+    half = contract("axcy", T.nums, "xb", F.nums, "abcy")
+    return half, contract("abcy", half, "yd", F.nums, "abcd"), T.den * F.den
 
 
 def _symmetry_verdict(low: dict):
@@ -489,7 +492,7 @@ def curvature_symmetries(rep: Representation, form_v):
     with the lexicographically least witness.  Returns ("pass", None),
     ("fail(skew)", witness) or ("fail(bianchi)", witness).
     """
-    return _symmetry_verdict(_lowering(rep, form_v)[1])
+    return _symmetry_verdict(_lowering(rep, form_v)[2])
 
 
 def triple_from_rep(rep: Representation, form_v) -> SymmetricTriple:
@@ -497,10 +500,11 @@ def triple_from_rep(rep: Representation, form_v) -> SymmetricTriple:
 
     Requires curvature_symmetries to pass and form_v to be symmetric (the
     symmetry test itself accepts non-symmetric forms; a metric cannot be).
-    The resulting model's weight tensor is rho(C) again, so the triple's
-    holonomy representation reproduces it.
+    The model's curvature is rho(C) with its second slot lowered by form_v,
+    so its weight tensor is rho(C) again, and the triple's holonomy
+    representation reproduces it.
     """
-    F, low, den = _lowering(rep, form_v)
+    F, half, low, den = _lowering(rep, form_v)
     verdict, witness = _symmetry_verdict(low)
     if verdict != "pass":
         raise ValueError(
@@ -508,9 +512,7 @@ def triple_from_rep(rep: Representation, form_v) -> SymmetricTriple:
         )
     if contract("ab", F.nums, "", UNIT, "ba") != F.nums:
         raise ValueError("realization requires a symmetric form")
-    ginv = mat_inv(F, rep.dimV)
-    return symmetric_triple(CurvatureModel(F, IntegerView.of(
-        contract("abcx", low, "xd", ginv.nums, "abcd"), den * ginv.den), rep.dimV))
+    return symmetric_triple(CurvatureModel(F, IntegerView.of(half, den), rep.dimV))
 
 
 def model_to_json_dict(model: CurvatureModel) -> dict:
@@ -531,7 +533,7 @@ def model_from_json_dict(data) -> CurvatureModel:
         raise JSONFormatError("dim", "expected a positive integer")
     charge_work(dim ** 4, f"a dense curvature tensor of dimension {dim} needs "
                 f"dim^4 = {dim ** 4} entries")
-    metric = parse_matrix(data.get("metric"), "metric", rows=dim, cols=dim)
+    metric = parse_matrix(data.get("metric"), "metric", dim)
     return CurvatureModel(metric, parse_entries(data.get("R"), "R", dim))
 
 

@@ -230,8 +230,9 @@ def enumerate_diagrams(n: int) -> tuple:
     """
     m = 2 * n
     return tuple(sorted(
-        ChordDiagram(tuple([(p + v) % m for p, v in enumerate(gaps)]))
-        for gaps in _least_gap_rotations(n)
+        (ChordDiagram(tuple([(p + v) % m for p, v in enumerate(gaps)]))
+         for gaps in _least_gap_rotations(n)),
+        key=lambda diagram: _label_sequence(diagram.matching, 0),  # the order of __lt__
     ))
 
 

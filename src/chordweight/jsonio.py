@@ -73,22 +73,17 @@ def format_rational(value) -> str:
     return str(Fraction(value))
 
 
-def parse_matrix(data, path: str, rows=None, cols=None) -> list:
-    """Rectangular matrix of rationals from a list of lists."""
+def parse_matrix(data, path: str, n: int) -> list:
+    """n x n matrix of rationals from a list of lists."""
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise JSONFormatError(path, "expected a list of rows")
-    if rows is not None and len(data) != rows:
-        raise JSONFormatError(path, f"expected {rows} rows, got {len(data)}")
+    if len(data) != n:
+        raise JSONFormatError(path, f"expected {n} rows, got {len(data)}")
     matrix = []
-    width = cols
     for i, row in enumerate(data):
-        if width is None:
-            width = len(row)
-        if len(row) != width:
-            raise JSONFormatError(f"{path}[{i}]", f"expected {width} columns, got {len(row)}")
+        if len(row) != n:
+            raise JSONFormatError(f"{path}[{i}]", f"expected {n} columns, got {len(row)}")
         matrix.append([parse_rational(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)])
-    if rows is not None and rows > 0 and not matrix:
-        raise JSONFormatError(path, "matrix is empty")
     return matrix
 
 

@@ -402,7 +402,7 @@ def algebra_from_json_dict(data) -> MetrizedLieAlgebra:
             value = parse_rational(pair[1], f"{cpath}[1]")
             f[i, j, k] = value
             f[j, i, k] = -value
-    form = parse_matrix(data.get("form"), "form", rows=dim, cols=dim)
+    form = parse_matrix(data.get("form"), "form", dim)
     return MetrizedLieAlgebra(f, form)
 
 
@@ -428,7 +428,7 @@ def representation_from_json_dict(data) -> Representation:
             "matrices", f"expected {algebra.dim} matrices, got {len(raw)}"
         )
     matrices = [
-        parse_matrix(mat, f"matrices[{idx}]", rows=dimV, cols=dimV)
+        parse_matrix(mat, f"matrices[{idx}]", dimV)
         for idx, mat in enumerate(raw)
     ]
     return Representation(algebra, matrices, dimV=dimV)

@@ -4,7 +4,6 @@ import gc
 import hashlib
 import itertools
 import json
-import os
 import random
 import string
 import subprocess
@@ -18,6 +17,7 @@ import pytest
 import chordweight
 import models
 import oracles
+from pins import PINNED, ROOT, ROUTES, ROWS, RUNS, child_env, fresh, mismatch, run
 from chordweight import (
     ChordDiagram,
     Representation,
@@ -27,7 +27,6 @@ from chordweight import (
     so_standard,
 )
 from chordweight import acceptance, cli, curvature
-from chordweight.cli import main
 from chordweight.curvature import model_to_json_dict
 from chordweight.jsonio import JSONFormatError, parse_rational
 from chordweight.lie import representation_from_json_dict, representation_to_json_dict
@@ -35,60 +34,16 @@ from chordweight.sparse import IntegerView
 from chordweight.tensors import contraction_plan
 from chordweight.work import DEFAULT_MAX_WORK
 
-ROOT = Path(__file__).parents[1]
-PINNED = ROOT / "tests" / "pinned"
-# Every pinned CLI run, one a line: <pin file> <exit code> <argv...>, with
-# paths from ROOT.  CI's "Pinned CLI output" step runs the same rows.
-ROWS = [line.split() for line in
-        (PINNED / "runs.txt").read_text(encoding="utf-8").splitlines()]
-RUNS = {pin: (int(code), argv) for pin, code, *argv in ROWS}
-
 
 def write_json(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
 
 
-def run(capsys, *argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse's help and usage errors
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def child_env():
-    """This process's environment, with the package on PYTHONPATH."""
-    return dict(os.environ, PYTHONPATH=str(Path(chordweight.__file__).parents[1]))
-
-
-# Runs the CLI as its only child, so RUSAGE_CHILDREN reads that process alone.
-MEASURE = """
-import json, resource, subprocess, sys, time
-start = time.perf_counter()
-proc = subprocess.run([sys.executable, "-m", "chordweight.cli", *sys.argv[1:]],
-                      stdin=subprocess.DEVNULL, capture_output=True, text=True)
-wall_s = time.perf_counter() - start
-usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-print(json.dumps([proc.returncode, proc.stdout, proc.stderr, wall_s,
-                  usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024]))
-"""
-
-
-def run_process(*argv):
-    """The CLI in a fresh process at ROOT:
-    (exit code, stdout, stderr, wall s, CPU s, peak MB)."""
-    proc = subprocess.run([sys.executable, "-c", MEASURE, *argv], capture_output=True,
-                          text=True, env=child_env(), cwd=ROOT, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return tuple(json.loads(proc.stdout))
-
-
 def test_check_on_a_zero_tensor_of_dimension_12_is_fast(tmp_path):
     """A 26-byte input must not cost d^7: one fresh process, under 1 s."""
     path = write_json(tmp_path / "zero12.json", {"dim": 12, "entries": []})
-    code, out, _, wall_s, *_ = run_process("check", "--tensor", path)
+    code, out, _, wall_s, *_ = fresh("check", "--tensor", path)
     assert (code, out) == (0, "leg-symmetry: pass\nfour-term: pass\n")
     assert wall_s < 1
 
@@ -97,8 +52,7 @@ def test_eval_of_the_8_chord_crossing_on_a_5_sphere_is_fast(tmp_path):
     """Contraction width, not chord count, sets the cost: one process, under 1 s."""
     path = write_json(tmp_path / "sphere5.json",
                       model_to_json_dict(constant_curvature(5)))
-    code, out, _, wall_s, *_ = run_process("eval", "--curvature", path,
-                                           "--diagram", "ABCDEFGHABCDEFGH")
+    code, out, _, wall_s, *_ = fresh("eval", "--curvature", path, "--diagram", "ABCDEFGHABCDEFGH")
     assert (code, out) == (0, "65540\n")
     assert wall_s < 1
 
@@ -129,10 +83,10 @@ def test_a_well_formed_run_loads_no_argparse_gettext_or_locale():
     assert (proc.returncode, proc.stdout) == (0, "20\n[]\n")
 
 
-def test_an_in_process_run_leaves_the_heap_unfrozen(capsys):
+def test_an_in_process_run_leaves_the_heap_unfrozen():
     """main(argv) runs inside its caller's process, so it must not freeze it."""
     before = gc.get_freeze_count()
-    assert run(capsys, "enumerate", "--n", "0") == (0, "(empty)\n", "")
+    assert run("enumerate", "--n", "0") == (0, "(empty)\n", "")
     assert gc.get_freeze_count() == before
 
 
@@ -171,31 +125,25 @@ USAGE_ARGVS = [
 ]
 
 
-def outcome(capsys, parse, argv):
-    """(exit code, stdout, stderr) of a parse that must exit."""
-    with pytest.raises(SystemExit) as exit_info:
-        parse(argv)
-    captured = capsys.readouterr()
-    return exit_info.value.code, captured.out, captured.err
-
-
 @pytest.mark.parametrize("argv", USAGE_ARGVS, ids=lambda argv: " ".join(argv) or "-")
 def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
     """Help, usage and error text are those of the parser of all subcommands."""
-    expected = outcome(capsys, cli._build_parser().parse_args, argv)
-    assert outcome(capsys, main, argv) == expected
+    with pytest.raises(SystemExit) as exit_info:
+        cli._build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    assert run(*argv) == (exit_info.value.code, captured.out, captured.err)
 
 
-def test_a_well_formed_run_builds_no_parser(capsys, monkeypatch):
+def test_a_well_formed_run_builds_no_parser(monkeypatch):
     built = []
     build_parser = cli._build_parser
     monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build_parser())
-    assert run(capsys, "enumerate", "--n", "2") == (0, "AABB\nABAB\n", "")
+    assert run("enumerate", "--n", "2") == (0, "AABB\nABAB\n", "")
     assert built == []
     # a stray argument and help each build the full parser once
-    assert outcome(capsys, main, ["enumerate", "--n", "2", "x"])[0] == 2
+    assert run("enumerate", "--n", "2", "x")[0] == 2
     assert built == [1]
-    assert outcome(capsys, main, ["--help"])[0] == 0
+    assert run("--help")[0] == 0
     assert built == [1, 1]
 
 
@@ -331,7 +279,7 @@ def test_eval_refuses_a_wide_contraction_at_once(tmp_path):
     assert cost > DEFAULT_MAX_WORK
     so4 = write_json(tmp_path / "so4.json",
                      so_standard(4).weight_tensor().to_json_dict())
-    code, out, err, wall_s, *_ = run_process("eval", "--tensor", so4, "--diagram", diagram)
+    code, out, err, wall_s, *_ = fresh("eval", "--tensor", so4, "--diagram", diagram)
     assert (code, out) == (2, "")
     assert err == (
         f"error: contraction needs sum over steps of d^(arcs touched) = {cost} "
@@ -344,7 +292,7 @@ def test_check_refuses_a_dense_load_of_dimension_200_at_once(tmp_path, kind):
     doc = ({"dim": 200, "entries": []} if kind == "tensor"
            else {"dim": 200, "metric": [], "R": []})
     path = write_json(tmp_path / "wide.json", doc)
-    code, out, err, wall_s, *_ = run_process("check", f"--{kind}", path)
+    code, out, err, wall_s, *_ = fresh("check", f"--{kind}", path)
     assert (code, out) == (2, "")
     assert err.endswith(
         "dimension 200 needs dim^4 = 1600000000 entries, limit is 10000000\n")
@@ -360,7 +308,7 @@ def test_check_refuses_the_four_term_sum_of_a_dense_12_sphere_at_once(tmp_path):
     tensor = constant_curvature(12, metric).weight_tensor()
     assert len(tensor.entries) == 20164
     path = write_json(tmp_path / "sphere12-dense.json", tensor.to_json_dict())
-    code, out, err, wall_s, *_ = run_process("check", "--tensor", path)
+    code, out, err, wall_s, *_ = fresh("check", "--tensor", path)
     assert (code, out) == (2, "")
     assert err == ("error: the four-term check needs 135527440 products of "
                    "nonzero entries, limit is 10000000\n")
@@ -381,19 +329,18 @@ def test_check_refuses_the_exchange_identity_of_a_dense_so12_at_once(tmp_path):
                           for c in range(12)] for r in range(12)])
     path = write_json(tmp_path / "so12-dense.json",
                       representation_to_json_dict(Representation(rep.algebra, matrices)))
-    code, out, err, wall_s, *_ = run_process("check", "--lie", path)
+    code, out, err, wall_s, *_ = fresh("check", "--lie", path)
     assert (code, out) == (2, "")
     assert err == ("error: the exchange identity needs 101802220 products of "
                    "nonzero entries, limit is 10000000\n")
     assert wall_s < 4
 
 
-def test_check_refuses_the_validation_of_so4_dense_one_product_under_its_count(
-        capsys, monkeypatch):
+def test_check_refuses_the_validation_of_so4_dense_one_product_under_its_count(monkeypatch):
     """The Jacobi sum of so4-dense.json forms 1,352 products, the most of its
     three validation sums (test_lie.py counts each by its index pairings)."""
     monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", "1351")
-    assert run(capsys, "check", "--lie", str(PINNED / "so4-dense.json")) == (
+    assert run("check", "--lie", str(PINNED / "so4-dense.json")) == (
         2, "", "error: the Jacobi identity needs 1352 products of nonzero entries, "
         "limit is 1351\n")
 
@@ -411,7 +358,7 @@ def test_check_refuses_the_validation_of_so4_dense_one_product_under_its_count(
 def test_check_refuses_a_large_lie_load_at_once(tmp_path, doc, needs):
     """Abelian inputs, valid but for their size: refused before any allocation."""
     path = write_json(tmp_path / "wide.json", doc)
-    code, out, err, wall_s, *_ = run_process("check", "--lie", path)
+    code, out, err, wall_s, *_ = fresh("check", "--lie", path)
     assert (code, out, err) == (2, "", f"error: {needs}, limit is 10000000\n")
     assert wall_s < 1
 
@@ -432,7 +379,7 @@ def test_check_of_an_all_zero_input_of_dimension_40_is_small(tmp_path, kind, doc
                                                              passes):
     """Nothing the size of d^4 is built for a tensor with no nonzero entries."""
     path = write_json(tmp_path / "zero40.json", doc)
-    code, out, err, wall_s, _, peak_mb = run_process("check", f"--{kind}", path)
+    code, out, err, wall_s, _, peak_mb = fresh("check", f"--{kind}", path)
     assert (code, out, err) == (0, "".join(f"{name}: pass\n" for name in passes), "")
     assert wall_s < 1
     assert peak_mb < 100
@@ -446,16 +393,14 @@ def flat_model_40(tmp_path):
 
 def test_check_of_a_flat_model_of_dimension_40_is_small(tmp_path):
     """Only the nonzero curvature entries are stored: no d^4 array is built."""
-    code, out, err, wall_s, _, peak_mb = run_process(
-        "check", "--curvature", flat_model_40(tmp_path))
+    code, out, err, wall_s, _, peak_mb = fresh("check", "--curvature", flat_model_40(tmp_path))
     assert (code, out, err) == (0, CHECK_CURVATURE_PASS, "")
     assert wall_s < 1
     assert peak_mb < 64
 
 
 def test_holonomy_of_a_flat_model_of_dimension_40_is_refused_at_once(tmp_path):
-    code, out, err, wall_s, *_ = run_process(
-        "holonomy", "--curvature", flat_model_40(tmp_path))
+    code, out, err, wall_s, *_ = fresh("holonomy", "--curvature", flat_model_40(tmp_path))
     assert (code, out) == (2, "")
     assert err == ("error: the holonomy algebra of a curvature model of dimension 40 "
                    "needs pairs^2 * d^3 = 38937600000 steps, limit is 10000000\n")
@@ -468,62 +413,52 @@ def test_check_of_an_abelian_algebra_of_dimension_200_is_small(tmp_path):
         "dim": 200, "brackets": [],
         "form": [[int(i == j) for j in range(200)] for i in range(200)],
         "dimV": 1, "matrices": [[[0]]] * 200})
-    code, out, err, wall_s, _, peak_mb = run_process("check", "--lie", path)
+    code, out, err, wall_s, _, peak_mb = fresh("check", "--lie", path)
     assert (code, out, err) == (0, CHECK_LIE_PASS, "")
     assert wall_s < 3
     assert peak_mb < 64
 
 
 @pytest.mark.parametrize("field", ["dim", "a", "b", "c", "d"])
-def test_tensor_files_reject_booleans(tmp_path, capsys, field):
+def test_tensor_files_reject_booleans(tmp_path, field):
     item = {"a": 0, "b": 0, "c": 0, "d": 0, "value": "1"}
     doc = {"dim": 1, "entries": [item]}
     path = write_json(tmp_path / "ok.json", doc)
-    assert run(capsys, "check", "--tensor", path)[0] == 0
+    assert run("check", "--tensor", path)[0] == 0
     if field == "dim":
         doc["dim"] = True
     else:
         item[field] = False
     path = write_json(tmp_path / "bool.json", doc)
-    code, out, err = run(capsys, "check", "--tensor", path)
+    code, out, err = run("check", "--tensor", path)
     where = "dim" if field == "dim" else f"entries[0].{field}"
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {where}: ")
 
 
-def test_enumerate_text(capsys):
-    code, out, _ = run(capsys, "enumerate", "--n", "2")
-    assert code == 0
-    assert out.splitlines() == ["AABB", "ABAB"]
-    code, out, _ = run(capsys, "enumerate", "--n", "0")
-    assert code == 0
-    assert out.splitlines() == ["(empty)"]
+def test_enumerate_text():
+    assert run("enumerate", "--n", "2") == (0, "AABB\nABAB\n", "")
+    assert run("enumerate", "--n", "0") == (0, "(empty)\n", "")
 
 
-def test_enumerate_json_and_csv(capsys):
-    code, out, _ = run(capsys, "enumerate", "--n", "3", "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["n"] == 3
-    assert len(payload["codes"]) == 5
-    code, out, _ = run(capsys, "enumerate", "--n", "1", "--format", "csv")
-    assert out.splitlines() == ["code", "AA"]
+def test_enumerate_json_and_csv():
+    code, out, _ = run("enumerate", "--n", "3", "--format", "json")
+    assert (code, json.loads(out)) == (
+        0, {"n": 3, "codes": ["AABBCC", "AABCBC", "AABCCB", "ABACBC", "ABCABC"]})
+    assert run("enumerate", "--n", "1", "--format", "csv") == (0, "code\nAA\n", "")
 
 
-def test_dims_table(capsys):
-    code, out, _ = run(capsys, "dims", "--max-n", "4")
-    assert code == 0
-    assert out.splitlines() == ["0 1", "1 1", "2 2", "3 3", "4 6"]
-    code, out, _ = run(capsys, "dims", "--max-n", "4", "--unframed")
-    assert out.splitlines() == ["0 1", "1 0", "2 1", "3 1", "4 3"]
+def test_dims_table():
+    assert run("dims", "--max-n", "4") == (0, "0 1\n1 1\n2 2\n3 3\n4 6\n", "")
+    assert run("dims", "--max-n", "4", "--unframed") == (0, "0 1\n1 0\n2 1\n3 1\n4 3\n", "")
 
 
-def test_dims_rejects_degrees_outside_the_enumeration_cap(capsys):
-    code, out, err = run(capsys, "dims", "--max-n", "-1")
+def test_dims_rejects_degrees_outside_the_enumeration_cap():
+    code, out, err = run("dims", "--max-n", "-1")
     assert (code, out) == (2, "")
     assert "--max-n" in err
     start = time.perf_counter()
-    code, out, err = run(capsys, "dims", "--max-n", "9")
+    code, out, err = run("dims", "--max-n", "9")
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert "0..8" in err
@@ -534,39 +469,39 @@ def test_dims_rejects_degrees_outside_the_enumeration_cap(capsys):
                                   ["enumerate", "--n", "8"]])
 def test_degree_8_is_refused_at_once(argv):
     """Degree 8 is over the default budget; `dims` refuses before degree 0."""
-    code, out, err, wall_s, *_ = run_process(*argv)
+    code, out, err, wall_s, *_ = fresh(*argv)
     assert (code, out) == (2, "")
     assert err == ("error: degree 8 needs about (2n-1)!!/(2n) classes x "
                    "(2n)^2 = 32432400 steps, limit is 10000000\n")
     assert wall_s < 1
 
 
-def assert_matches_pin(pin, result):
-    """The exit code is the row's.  A .stderr pin is stderr, and an .error pin
-    the last line of stderr, with stdout empty: argparse wraps the usage lines
-    above its error line to the terminal's width.  A .sha256 pin is the hash
-    of stdout, and any other pin stdout, with stderr empty."""
-    code, out, err = result
-    if pin.endswith(".sha256"):
-        out = hashlib.sha256(out.encode()).hexdigest() + "\n"
-    if pin.endswith(".error"):
-        err = "".join(err.splitlines(keepends=True)[-1:])
-    expected = (ROOT / pin).read_text(encoding="utf-8")
-    streams = ("", expected) if pin.endswith((".stderr", ".error")) else (expected, "")
-    assert (code, out, err) == (RUNS[pin][0], *streams)
-
-
 @pytest.mark.parametrize("pin", RUNS, ids=[
     f"{Path(pin).name}-argv{i}" for i, pin in enumerate(RUNS)])
-def test_output_matches_pinned_text(capsys, monkeypatch, pin):
+def test_output_matches_pinned_text(monkeypatch, pin):
     monkeypatch.chdir(ROOT)
-    assert_matches_pin(pin, run(capsys, *RUNS[pin][1]))
+    assert mismatch(pin, *run(*RUNS[pin][1])) is None
 
 
-# Each row: <text pin of runs.txt> <a second argv whose stdout must equal it>,
-# paths from ROOT.  CI's "Pinned CLI output" step runs the same rows.
-ROUTES = [(pin, argv) for pin, *argv in (
-    line.split() for line in (PINNED / "routes.txt").read_text(encoding="utf-8").splitlines())]
+def test_mismatch_names_each_corruption_of_each_pin_kind():
+    """A wrong stdout, stray output, a wrong last stderr line, a wrong hash
+    and a wrong exit code, each against a pin kind it breaks; no CLI runs.
+    The pinned runs above check that a matching run gives None."""
+    plain, error, stderr, sha = (f"tests/pinned/{name}" for name in (
+        "enumerate-n-5.txt", "dims-no-max-n.error", "holonomy-fail-bianchi.stderr",
+        "holonomy-sphere12.json.sha256"))
+    text = {pin: (ROOT / pin).read_text(encoding="utf-8") for pin in (plain, error, stderr)}
+    for pin, result, report in [
+        (plain, (0, text[plain] + "AB\n", ""), "\n+AB\n"),
+        (plain, (0, text[plain], "note\n"), "stderr is not empty:\nnote\n"),
+        (stderr, (1, "note\n", text[stderr]), "stdout is not empty:\nnote\n"),
+        (error, (2, "", text[error] + "dims: error: other\n"), "\n+dims: error: other\n"),
+        (sha, (0, "", ""), f"\n+{hashlib.sha256(b'').hexdigest()}\n"),
+        (stderr, (0, "", text[stderr]), "exit code 0, pinned 1"),
+    ]:
+        assert report in mismatch(pin, *result), (pin, result)
+
+
 # the eval and yamada text pins with no second route, and why
 NO_SECOND_ROUTE = {
     "tests/pinned/yamada-abcabc-n-5-2.txt": "no space form has dimension 5/2",
@@ -606,9 +541,9 @@ def test_every_eval_and_yamada_text_pin_has_a_second_route_or_a_reason():
 
 
 @pytest.mark.parametrize("pin,argv", ROUTES, ids=[Path(pin).name for pin, _ in ROUTES])
-def test_a_second_route_prints_the_pinned_text(capsys, monkeypatch, pin, argv):
+def test_a_second_route_prints_the_pinned_text(monkeypatch, pin, argv):
     monkeypatch.chdir(ROOT)
-    assert_matches_pin(pin, run(capsys, *argv))
+    assert mismatch(pin, *run(*argv)) is None
 
 
 # the holonomy text pins rebuilt from the dense oracles, and the one left out, with why
@@ -735,8 +670,8 @@ def test_every_pinned_file_belongs_to_one_row():
 def test_holonomy_of_a_12_sphere_is_fast_and_small():
     """66 generators, a 78-dimensional triple: only nonzero brackets are stored."""
     pin = "tests/pinned/holonomy-sphere12.json.sha256"
-    code, out, err, _, cpu_s, peak_mb = run_process(*RUNS[pin][1])
-    assert_matches_pin(pin, (code, out, err))
+    code, out, err, _, cpu_s, peak_mb = fresh(*RUNS[pin][1])
+    assert mismatch(pin, code, out, err) is None
     assert cpu_s < 0.7
     assert peak_mb < 30
 
@@ -746,7 +681,7 @@ def test_holonomy_of_a_12_sphere_is_fast_and_small():
     ["realize", "--lie", str(PINNED / "so4-dense.json"),
      "--form", str(PINNED / "so4-dense-form.json")],
 ], ids=["check-lie", "realize"])
-def test_rho_c_is_built_once_per_command(capsys, monkeypatch, argv):
+def test_rho_c_is_built_once_per_command(monkeypatch, argv):
     builds = []
 
     def counted(dim, nonzero):
@@ -754,7 +689,7 @@ def test_rho_c_is_built_once_per_command(capsys, monkeypatch, argv):
         return WeightTensor(dim, nonzero)
 
     monkeypatch.setattr(chordweight.lie, "WeightTensor", counted)
-    assert run(capsys, *argv)[0] == 0
+    assert run(*argv)[0] == 0
     assert builds == [4]
 
 
@@ -764,7 +699,7 @@ def test_rho_c_is_built_once_per_command(capsys, monkeypatch, argv):
     (["realize", "--lie", "{so4}", "--form", "{form}"], 4),
     (["holonomy", "--curvature", "{dense8}"], 2),
 ], ids=["check-lie", "eval-lie", "realize", "holonomy-dense-8"])
-def test_each_exact_matrix_is_converted_once(capsys, monkeypatch, tmp_path, argv, bound):
+def test_each_exact_matrix_is_converted_once(monkeypatch, tmp_path, argv, bound):
     """Every matrix and table is read into its IntegerView once, by the
     constructor of the record that loads it.  The holonomy extraction and
     the triple build theirs from integer numerators, as do the checks, the
@@ -783,12 +718,12 @@ def test_each_exact_matrix_is_converted_once(capsys, monkeypatch, tmp_path, argv
         build(view, *args)
 
     monkeypatch.setattr(IntegerView, "__init__", counted)
-    assert run(capsys, *(arg.format(**paths) for arg in argv))[0] == 0
+    assert run(*(arg.format(**paths) for arg in argv))[0] == 0
     assert len(callers) <= bound
     assert "chordweight.linalg" not in callers
 
 
-def test_rho_c_is_lowered_once_per_realize(capsys, monkeypatch):
+def test_rho_c_is_lowered_once_per_realize(monkeypatch):
     """curvature_symmetries and triple_from_rep share one lowering of rho(C)."""
     lowerings = []
     lower = chordweight.curvature._lowered_casimir
@@ -798,7 +733,7 @@ def test_rho_c_is_lowered_once_per_realize(capsys, monkeypatch):
         return lower(rep, form)
 
     monkeypatch.setattr(chordweight.curvature, "_lowered_casimir", counted)
-    assert run(capsys, "realize", "--lie", str(PINNED / "so4-dense.json"),
+    assert run("realize", "--lie", str(PINNED / "so4-dense.json"),
                "--form", str(PINNED / "so4-dense-form.json"))[0] == 0
     assert lowerings == [4]
 
@@ -807,7 +742,7 @@ def test_holonomy_of_a_7_sphere_is_fast(tmp_path):
     """21 generator pairs, 441 pairs of pairs: one process, under 1 s."""
     path = write_json(tmp_path / "sphere7.json",
                       model_to_json_dict(constant_curvature(7)))
-    code, out, _, wall_s, *_ = run_process("holonomy", "--curvature", path)
+    code, out, _, wall_s, *_ = fresh("holonomy", "--curvature", path)
     assert code == 0
     assert out.splitlines()[-3:] == [
         "triple: dim 28 = 21 + 7, valid: yes",
@@ -821,7 +756,7 @@ def test_holonomy_refuses_a_16_dimensional_space_form_at_once(tmp_path):
     """The loader admits dim^4 = 65536; holonomy's pairs^2 * d^3 is over the bound."""
     path = write_json(tmp_path / "sphere16.json",
                       model_to_json_dict(constant_curvature(16)))
-    code, out, err, wall_s, *_ = run_process("holonomy", "--curvature", path)
+    code, out, err, wall_s, *_ = fresh("holonomy", "--curvature", path)
     assert (code, out) == (2, "")
     assert err == (
         "error: the holonomy algebra of a curvature model of dimension 16 needs "
@@ -829,31 +764,27 @@ def test_holonomy_refuses_a_16_dimensional_space_form_at_once(tmp_path):
     assert wall_s < 1
 
 
-def test_dims_json(capsys):
-    code, out, _ = run(capsys, "dims", "--max-n", "1", "--format", "json")
+def test_dims_json():
+    code, out, _ = run("dims", "--max-n", "1", "--format", "json")
     assert json.loads(out) == [
         {"n": 0, "kind": "framed", "dimension": 1},
         {"n": 1, "kind": "framed", "dimension": 1},
     ]
 
 
-def test_yamada_values(capsys):
-    code, out, _ = run(capsys, "yamada", "--diagram", "AA")
-    assert (code, out.strip()) == (0, "6")
-    code, out, _ = run(capsys, "yamada", "--diagram", "AABB", "--N", "3")
-    assert out.strip() == "12"
-    code, out, _ = run(capsys, "yamada", "--diagram", "AA", "--N", "7/2")
-    assert out.strip() == "35/4"
-    code, out, _ = run(capsys, "yamada", "--diagram", "AA", "--format", "json")
+def test_yamada_values():
+    assert run("yamada", "--diagram", "AA") == (0, "6\n", "")
+    assert run("yamada", "--diagram", "AABB", "--N", "3") == (0, "12\n", "")
+    assert run("yamada", "--diagram", "AA", "--N", "7/2") == (0, "35/4\n", "")
+    code, out, _ = run("yamada", "--diagram", "AA", "--format", "json")
     assert json.loads(out) == {"diagram": "AA", "value": "6"}
 
 
-def test_yamada_bad_arguments(capsys):
-    code, _, err = run(capsys, "yamada", "--diagram", "ABA")
+def test_yamada_bad_arguments():
+    code, _, err = run("yamada", "--diagram", "ABA")
     assert code == 2
     assert "error:" in err
-    code, _, err = run(capsys, "yamada", "--diagram", "AA", "--N", "x")
-    assert code == 2
+    assert run("yamada", "--diagram", "AA", "--N", "x")[0] == 2
 
 
 LONGEST = "9" * 4300  # the most digits an integer may have
@@ -866,14 +797,14 @@ LONGEST = "9" * 4300  # the most digits an integer may have
     ("1" + LONGEST, None),
 ], ids=["-3/4", "12", "4300-digits", "2e-3", "1_0", "space-1", "0.5", "1/0",
         "full-width-1", "4301-digits"])
-def test_one_strict_rational_grammar_for_files_and_loop_values(capsys, text, value):
+def test_one_strict_rational_grammar_for_files_and_loop_values(text, value):
     """Only "-"? digits ("/" digits)? in ASCII, no integer over 4300 digits,
     in a file and in --N alike; the refusal of a long integer names the
     bound and does not echo the integer."""
     if value is not None:
         assert parse_rational(text, "value") == value
         if len(text) < 10:  # the square of 4300 digits has too many to print
-            assert run(capsys, "yamada", "--diagram", "AA", f"--N={text}") == (
+            assert run("yamada", "--diagram", "AA", f"--N={text}") == (
                 0, f"{value * value - value}\n", "")
         return
     message = (f"{text!r} is not a rational number" if len(text) <= 4300
@@ -881,27 +812,25 @@ def test_one_strict_rational_grammar_for_files_and_loop_values(capsys, text, val
     with pytest.raises(JSONFormatError) as error:
         parse_rational(text, "value")
     assert error.value.message == message
-    assert run(capsys, "yamada", "--diagram", "AA", f"--N={text}") == (
-        2, "", f"error: --N {message}\n")
+    assert run("yamada", "--diagram", "AA", f"--N={text}") == (2, "", f"error: --N {message}\n")
 
 
-def test_a_printed_value_has_at_most_4300_digits(capsys):
+def test_a_printed_value_has_at_most_4300_digits():
     """N^2 - N is printed when it has 4,300 digits (N of 2,150 nines) and
     refused, naming the bound, when it has 4,302 (N of 2,151 nines), on
     every Python: from 3.11 on, str() of the longer value would raise."""
     n = int("9" * 2150)
     assert len(str(n * n - n)) == 4300
-    assert run(capsys, "yamada", "--diagram", "AA", f"--N={n}") == (0, f"{n * n - n}\n", "")
-    assert run(capsys, "yamada", "--diagram", "AA", "--N=" + "9" * 2151) == (
+    assert run("yamada", "--diagram", "AA", f"--N={n}") == (0, f"{n * n - n}\n", "")
+    assert run("yamada", "--diagram", "AA", "--N=" + "9" * 2151) == (
         2, "", "error: the value has an integer of more than 4300 digits\n")
 
 
-def test_a_negative_loop_value_is_written_with_an_equals_sign(capsys):
+def test_a_negative_loop_value_is_written_with_an_equals_sign():
     """argparse takes a separate "-3/4" for an option; the help says how to write it."""
-    assert run(capsys, "yamada", "--diagram", "AA", "--N=-3/4") == (0, "21/16\n", "")
-    with pytest.raises(SystemExit):
-        main(["yamada", "--help"])
-    assert "--N=-3/4" in " ".join(capsys.readouterr().out.split())
+    assert run("yamada", "--diagram", "AA", "--N=-3/4") == (0, "21/16\n", "")
+    code, out, _ = run("yamada", "--help")
+    assert code == 0 and "--N=-3/4" in " ".join(out.split())
 
 
 @pytest.mark.parametrize("argv", [
@@ -912,7 +841,7 @@ def test_a_huge_exponent_is_refused_at_once(tmp_path, argv):
     doc.write_text('{"dim": 4, "entries": [{"a": 0, "b": 0, "c": 0, "d": 0, '
                    '"value": "1e100000000"}]}', encoding="ascii")
     assert doc.stat().st_size == 81
-    code, out, err, wall_s, *_ = run_process(*(arg.format(doc=doc) for arg in argv))
+    code, out, err, wall_s, *_ = fresh(*(arg.format(doc=doc) for arg in argv))
     assert (code, out) == (2, "")
     assert err.endswith("'1e100000000' is not a rational number\n")
     assert wall_s < 1
@@ -920,7 +849,7 @@ def test_a_huge_exponent_is_refused_at_once(tmp_path, argv):
 
 def test_yamada_refuses_a_30_chord_state_sum_at_once():
     labels = string.ascii_uppercase + string.ascii_lowercase[:4]
-    code, out, err, wall_s, *_ = run_process("yamada", "--diagram", labels + labels)
+    code, out, err, wall_s, *_ = fresh("yamada", "--diagram", labels + labels)
     assert (code, out) == (2, "")
     assert err == ("error: state sum needs 2^n = 1073741824 smoothings, "
                    "limit is 10000000\n")
@@ -929,75 +858,65 @@ def test_yamada_refuses_a_30_chord_state_sum_at_once():
 
 def test_yamada_budget_follows_the_work_variable(monkeypatch):
     monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", "100")
-    code, out, err, *_ = run_process("yamada", "--diagram", "ABCDEFGABCDEFG")
+    code, out, err, *_ = fresh("yamada", "--diagram", "ABCDEFGABCDEFG")
     assert (code, out) == (2, "")
     assert "2^n = 128 smoothings, limit is 100" in err
-    assert run_process("yamada", "--diagram", "ABCDEFABCDEF")[:2] == (0, "66\n")
+    assert fresh("yamada", "--diagram", "ABCDEFABCDEF")[:2] == (0, "66\n")
 
 
-def test_eval_tensor_file(tmp_path, capsys):
+def test_eval_tensor_file(tmp_path):
     path = write_json(tmp_path / "id2.json", models.identity_tensor(2).to_json_dict())
-    code, out, _ = run(capsys, "eval", "--tensor", path, "--diagram", "ABAB")
-    assert (code, out.strip()) == (0, "2")
-    code, out, _ = run(capsys, "eval", "--tensor", path, "--diagram", "ABAB",
-                       "--naive")
-    assert (code, out.strip()) == (0, "2")
+    assert run("eval", "--tensor", path, "--diagram", "ABAB") == (0, "2\n", "")
+    assert run("eval", "--tensor", path, "--diagram", "ABAB", "--naive") == (0, "2\n", "")
 
 
-def test_eval_lie_and_curvature(tmp_path, capsys):
+def test_eval_lie_and_curvature(tmp_path):
     lie = write_json(tmp_path / "sl2.json",
                      representation_to_json_dict(sl2_standard()))
-    code, out, _ = run(capsys, "eval", "--lie", lie, "--diagram", "AA")
-    assert (code, out.strip()) == (0, "3")
+    assert run("eval", "--lie", lie, "--diagram", "AA") == (0, "3\n", "")
     sphere = write_json(tmp_path / "s3.json",
                         model_to_json_dict(constant_curvature(3)))
-    code, out, _ = run(capsys, "eval", "--curvature", sphere, "--diagram", "AA")
-    assert (code, out.strip()) == (0, "6")
+    assert run("eval", "--curvature", sphere, "--diagram", "AA") == (0, "6\n", "")
 
 
-def test_check_passing_inputs(tmp_path, capsys):
+def test_check_passing_inputs(tmp_path):
     lie = write_json(tmp_path / "so3.json",
                      representation_to_json_dict(so_standard(3)))
-    code, out, _ = run(capsys, "check", "--lie", lie)
-    assert code == 0
-    lines = out.splitlines()
-    assert "metrized-algebra: pass" in lines
-    assert "exchange-identity: pass" in lines
+    assert run("check", "--lie", lie) == (0, CHECK_LIE_PASS, "")
 
 
-def test_check_failing_tensor(tmp_path, capsys):
+def test_check_failing_tensor(tmp_path):
     doc = {"dim": 2, "entries": [
         {"a": 0, "b": 0, "c": 0, "d": 1, "value": "1"},
     ]}
     path = write_json(tmp_path / "bad.json", doc)
-    code, out, _ = run(capsys, "check", "--tensor", path)
+    code, out, _ = run("check", "--tensor", path)
     assert code == 1
     assert "four-term: fail at (0, 1, 0, 1, 0, 0)" in out
-    code, out, _ = run(capsys, "check", "--tensor", path, "--format", "json")
+    code, out, _ = run("check", "--tensor", path, "--format", "json")
     assert code == 1
     payload = json.loads(out)
     assert payload["ok"] is False
 
 
-def test_check_invalid_curvature_model(tmp_path, capsys):
+def test_check_invalid_curvature_model(tmp_path):
     doc = model_to_json_dict(constant_curvature(2))
     doc["metric"] = [["1", "1"], ["0", "1"]]
     path = write_json(tmp_path / "lopsided.json", doc)
-    code, out, _ = run(capsys, "check", "--curvature", path)
+    code, out, _ = run("check", "--curvature", path)
     assert code == 1
     assert "curvature-model: fail" in out
 
 
-def test_holonomy_report(tmp_path, capsys):
+def test_holonomy_report(tmp_path):
     sphere = write_json(tmp_path / "s3.json",
                         model_to_json_dict(constant_curvature(3)))
-    code, out, _ = run(capsys, "holonomy", "--curvature", sphere)
+    code, out, _ = run("holonomy", "--curvature", sphere)
     assert code == 0
     assert "dim_h=3" in out
     assert "isomorphic to so3: yes" in out
     assert "rho(C_h) == Hhat: yes" in out
-    code, out, _ = run(capsys, "holonomy", "--curvature", sphere,
-                       "--format", "json")
+    code, out, _ = run("holonomy", "--curvature", sphere, "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["dim_h"] == 3
@@ -1006,7 +925,7 @@ def test_holonomy_report(tmp_path, capsys):
     assert payload["triple"]["involution"] == [1, 1, 1, -1, -1, -1]
 
 
-def test_holonomy_json_formats_no_text_line(capsys, monkeypatch):
+def test_holonomy_json_formats_no_text_line(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a JSON run formatted text")
 
@@ -1014,11 +933,11 @@ def test_holonomy_json_formats_no_text_line(capsys, monkeypatch):
     monkeypatch.setattr(chordweight.cli, "_matrix_lines", refuse)
     monkeypatch.chdir(ROOT)
     pin = "tests/pinned/holonomy-cp2.json"
-    assert_matches_pin(pin, run(capsys, *RUNS[pin][1]))
+    assert mismatch(pin, *run(*RUNS[pin][1])) is None
 
 
 @pytest.mark.parametrize("fmt", ["txt", "json"])
-def test_holonomy_builds_the_dense_form_once(capsys, monkeypatch, fmt):
+def test_holonomy_builds_the_dense_form_once(monkeypatch, fmt):
     """``algebra.form`` builds a dense copy on each read; a run reads the
     holonomy algebra's once, and a JSON run the triple's once more."""
     reads = []
@@ -1027,31 +946,31 @@ def test_holonomy_builds_the_dense_form_once(capsys, monkeypatch, fmt):
                         property(lambda algebra: reads.append(algebra) or form.fget(algebra)))
     monkeypatch.chdir(ROOT)
     pin = f"tests/pinned/holonomy-cp2.{fmt}"
-    assert_matches_pin(pin, run(capsys, *RUNS[pin][1]))
+    assert mismatch(pin, *run(*RUNS[pin][1])) is None
     assert [algebra.dim for algebra in reads] == {"txt": [4], "json": [4, 8]}[fmt]
 
 
-def test_realize_verdicts(tmp_path, capsys):
+def test_realize_verdicts(tmp_path):
     so3 = write_json(tmp_path / "so3.json",
                      representation_to_json_dict(so_standard(3)))
     eye = write_json(tmp_path / "eye.json",
                      [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
-    code, out, _ = run(capsys, "realize", "--lie", so3, "--form", eye)
+    code, out, _ = run("realize", "--lie", so3, "--form", eye)
     assert code == 0
     assert "verdict: pass" in out
     assert "triple: dim 6 = 3 + 3" in out
     sl2 = write_json(tmp_path / "sl2.json",
                      representation_to_json_dict(sl2_standard()))
     omega = write_json(tmp_path / "omega.json", [["0", "1"], ["-1", "0"]])
-    code, out, _ = run(capsys, "realize", "--lie", sl2, "--form", omega)
+    code, out, _ = run("realize", "--lie", sl2, "--form", omega)
     assert code == 1
     assert "verdict: fail(skew) at (0, 0, 1, 1)" in out
 
 
-def test_verify_passes_criterion_5(capsys, monkeypatch):
+def test_verify_passes_criterion_5(monkeypatch):
     criteria = tuple(c for c in acceptance.CRITERIA if c[0] == 5)
     monkeypatch.setattr(acceptance, "CRITERIA", criteria)
-    code, out, _ = run(capsys, "verify")
+    code, out, _ = run("verify")
     assert code == 0
     assert out.splitlines() == [
         "criterion 5 (realizability of representations): PASS - so3 passes "
@@ -1062,12 +981,12 @@ def test_verify_passes_criterion_5(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_verify_matches_pinned_formats(capsys, monkeypatch, fmt):
+def test_verify_matches_pinned_formats(monkeypatch, fmt):
     """One criterion, so the suite is not rerun; the text is checked above."""
     criteria = tuple(c for c in acceptance.CRITERIA if c[0] == 5)
     monkeypatch.setattr(acceptance, "CRITERIA", criteria)
     expected = (PINNED / f"verify-criterion-5.{fmt}").read_text(encoding="utf-8")
-    assert run(capsys, "verify", "--format", fmt) == (0, expected, "")
+    assert run("verify", "--format", fmt) == (0, expected, "")
 
 
 def plus_one(original):
@@ -1099,24 +1018,22 @@ FORCED_FAILURES = [
 
 @pytest.mark.parametrize("number,name,forced,detail", FORCED_FAILURES,
                          ids=[f"{number}-{name}" for number, name, *_ in FORCED_FAILURES])
-def test_verify_prints_the_failure_of_each_criterion(capsys, monkeypatch, number, name,
-                                                     forced, detail):
+def test_verify_prints_the_failure_of_each_criterion(monkeypatch, number, name, forced, detail):
     """One library name in the acceptance module is made wrong per criterion."""
     [(_, label, _)] = criteria = tuple(c for c in acceptance.CRITERIA if c[0] == number)
     monkeypatch.setattr(acceptance, "CRITERIA", criteria)
     monkeypatch.setattr(acceptance, name, forced(getattr(acceptance, name)))
-    assert run(capsys, "verify") == (1, f"criterion {number} ({label}): FAIL - {detail}\n", "")
+    assert run("verify") == (1, f"criterion {number} ({label}): FAIL - {detail}\n", "")
 
 
-def test_verify_reports_a_raising_library_call_as_a_failure_and_goes_on(capsys,
-                                                                        monkeypatch):
+def test_verify_reports_a_raising_library_call_as_a_failure_and_goes_on(monkeypatch):
     def refused(model):
         raise ValueError("forced")
 
     monkeypatch.setattr(acceptance, "CRITERIA",
                         tuple(c for c in acceptance.CRITERIA if c[0] in (4, 5)))
     monkeypatch.setattr(acceptance, "symmetric_triple", refused)
-    code, out, err = run(capsys, "verify")
+    code, out, err = run("verify")
     assert (code, err) == (1, "")
     assert out.splitlines() == [
         "criterion 4 (holonomy and symmetric triple): FAIL - ValueError: forced",
@@ -1124,18 +1041,18 @@ def test_verify_reports_a_raising_library_call_as_a_failure_and_goes_on(capsys,
     ]
 
 
-def test_verify_exits_2_when_the_work_bound_refuses_a_criterion(capsys, monkeypatch):
+def test_verify_exits_2_when_the_work_bound_refuses_a_criterion(monkeypatch):
     monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", "1")
-    code, out, err = run(capsys, "verify")
+    code, out, err = run("verify")
     assert (code, out) == (2, "")
     assert err.startswith("error: degree 1 needs ")
 
 
-def test_holonomy_gives_both_reasons_when_the_triple_is_invalid(capsys, monkeypatch):
+def test_holonomy_gives_both_reasons_when_the_triple_is_invalid(monkeypatch):
     """No known parallel model fails its triple, so the failure is forced."""
     monkeypatch.setattr(chordweight.curvature.SymmetricTriple, "validate",
                         lambda self: (False, "forced failure"))
-    code, out, err = run(capsys, "holonomy", "--curvature", str(PINNED / "cp2.json"))
+    code, out, err = run("holonomy", "--curvature", str(PINNED / "cp2.json"))
     assert (code, err) == (1, "")
     lines = out.splitlines()
     assert lines[-5:] == [
@@ -1147,42 +1064,41 @@ def test_holonomy_gives_both_reasons_when_the_triple_is_invalid(capsys, monkeypa
     ]
 
 
-def test_missing_and_malformed_files(tmp_path, capsys):
-    code, _, err = run(capsys, "eval", "--tensor", str(tmp_path / "nope.json"),
-                       "--diagram", "AA")
+def test_missing_and_malformed_files(tmp_path):
+    code, _, err = run("eval", "--tensor", str(tmp_path / "nope.json"), "--diagram", "AA")
     assert code == 2
     assert "error:" in err
     broken = tmp_path / "broken.json"
     broken.write_text("{", encoding="utf-8")
-    code, _, err = run(capsys, "eval", "--tensor", str(broken), "--diagram", "AA")
+    code, _, err = run("eval", "--tensor", str(broken), "--diagram", "AA")
     assert code == 2
     assert "not valid JSON" in err
 
 
 @pytest.mark.parametrize("argv", [["check"], ["eval", "--diagram", "AA"]],
                          ids=["check", "eval"])
-def test_a_module_of_dimension_0_is_refused_by_its_field(tmp_path, capsys, argv):
+def test_a_module_of_dimension_0_is_refused_by_its_field(tmp_path, argv):
     path = write_json(tmp_path / "dimV0.json", {
         "dim": 1, "brackets": [], "form": [[1]], "dimV": 0, "matrices": [[]]})
-    assert run(capsys, argv[0], "--lie", path, *argv[1:]) == (
+    assert run(argv[0], "--lie", path, *argv[1:]) == (
         2, "", "error: dimV: expected a positive integer\n")
 
 
-def test_json_field_path_in_errors(tmp_path, capsys):
+def test_json_field_path_in_errors(tmp_path):
     doc = {"dim": 2, "entries": [
         {"a": 5, "b": 0, "c": 0, "d": 0, "value": "1"},
     ]}
     path = write_json(tmp_path / "bad.json", doc)
-    code, _, err = run(capsys, "check", "--tensor", path)
+    code, _, err = run("check", "--tensor", path)
     assert code == 2
     assert "entries[0].a" in err
 
 
 @pytest.mark.parametrize("argv", [["check"], ["eval", "--diagram", "AA"]],
                          ids=["check", "eval"])
-def test_a_tensor_file_without_entries_is_refused_by_its_field(tmp_path, capsys, argv):
+def test_a_tensor_file_without_entries_is_refused_by_its_field(tmp_path, argv):
     """A misspelled key is not the zero tensor: ``entries`` is required."""
     path = write_json(tmp_path / "misspelled.json", {"dim": 2, "entires": [
         {"a": 0, "b": 1, "c": 1, "d": 0, "value": "1"}]})
-    assert run(capsys, argv[0], "--tensor", path, *argv[1:]) == (
+    assert run(argv[0], "--tensor", path, *argv[1:]) == (
         2, "", "error: entries: expected a list\n")

@@ -14,19 +14,14 @@ sends the same mutants.
 import copy
 import json
 import random
-from pathlib import Path
 
-from chordweight.cli import main
+from pins import ROOT, ROWS, run
 
-PINNED = Path(__file__).resolve().parent / "pinned"
-ROOT = PINNED.parent.parent
 MUTANTS = 1000
 SEED = 20141023
 
 # (argv, index of a JSON input in it), for every row of runs.txt that reads one
-SEEDS = [(argv, i) for _, _, *argv in (
-    line.split() for line in (PINNED / "runs.txt").read_text(encoding="utf-8").splitlines())
-    for i, arg in enumerate(argv) if arg.endswith(".json")]
+SEEDS = [(argv, i) for _, _, argv in ROWS for i, arg in enumerate(argv) if arg.endswith(".json")]
 
 TOO_LONG = "1" + "0" * 4300  # 4,301 digits, one more than a rational may have
 # number tokens written into the JSON text as they are, not as Python values
@@ -108,7 +103,7 @@ def to_json(doc) -> str:
     return text
 
 
-def test_every_mutant_of_a_pinned_input_exits_0_1_or_2(tmp_path, capsys, monkeypatch):
+def test_every_mutant_of_a_pinned_input_exits_0_1_or_2(tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
     rng = random.Random(SEED)
     originals = {}
@@ -121,8 +116,7 @@ def test_every_mutant_of_a_pinned_input_exits_0_1_or_2(tmp_path, capsys, monkeyp
         path.write_text(to_json(doc), encoding="utf-8")
         mutant_argv = argv[:i] + [str(path)] + argv[i + 1:]
         try:
-            code = main(mutant_argv)
+            code = run(*mutant_argv)[0]
         except Exception as exc:
             raise AssertionError(f"mutant {k} ({change} of {argv[i]}) raised {exc!r}") from exc
-        capsys.readouterr()
         assert code in (0, 1, 2), f"mutant {k} ({change} of {argv[i]}) exited {code}"

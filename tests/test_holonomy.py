@@ -13,6 +13,7 @@ import pytest
 
 import models
 import oracles
+from pins import run
 from chordweight import (
     HolonomyAlgebra,
     Representation,
@@ -28,7 +29,6 @@ from chordweight import (
     verify_lie_type,
 )
 import chordweight.cli
-from chordweight.cli import main
 from chordweight.curvature import ModelCheckFailure, _holonomy_algebra, model_to_json_dict
 from chordweight.lie import representation_to_json_dict
 
@@ -359,8 +359,7 @@ def test_holonomy_is_charged_pairs_squared_times_d_cubed(monkeypatch):
         "pairs^2 * d^3 = 2304 steps, limit is 2303")
 
 
-def test_realize_keeps_a_passing_verdict_over_the_holonomy_budget(tmp_path, capsys,
-                                                                 monkeypatch):
+def test_realize_keeps_a_passing_verdict_over_the_holonomy_budget(tmp_path, monkeypatch):
     """The refused triple becomes the verdict's note, in text and JSON, with exit 0."""
     lie = tmp_path / "so3.json"
     lie.write_text(json.dumps(representation_to_json_dict(so_standard(3))))
@@ -370,15 +369,14 @@ def test_realize_keeps_a_passing_verdict_over_the_holonomy_budget(tmp_path, caps
     note = ("the holonomy algebra of a curvature model of dimension 3 needs "
             "pairs^2 * d^3 = 243 steps, limit is 242")
     monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", str(_holonomy_work(3) - 1))
-    assert main(argv) == 0
-    assert capsys.readouterr() == (f"verdict: pass\nnote: {note}\n", "")
-    assert main([*argv, "--format", "json"]) == 0
-    captured = capsys.readouterr()
-    assert (json.loads(captured.out), captured.err) == (
-        {"verdict": "pass", "witness": None, "note": note}, "")
+    assert run(*argv) == (0, f"verdict: pass\nnote: {note}\n", "")
+    code, out, err = run(*argv, "--format", "json")
+    assert (code, json.loads(out), err) == (
+        0, {"verdict": "pass", "witness": None, "note": note}, "")
     monkeypatch.setenv("CHORDWEIGHT_MAX_WORK", str(_holonomy_work(3)))
-    assert main(argv) == 0
-    assert capsys.readouterr().out.startswith("verdict: pass\ntriple: dim 6 = 3 + 3\n")
+    code, out, _ = run(*argv)
+    assert code == 0
+    assert out.startswith("verdict: pass\ntriple: dim 6 = 3 + 3\n")
 
 
 def test_model_checks_run_before_the_holonomy_charge(monkeypatch):
@@ -393,7 +391,7 @@ def test_model_checks_run_before_the_holonomy_charge(monkeypatch):
     assert str(err.value).startswith("parallel four-term identity fails at ")
 
 
-def test_holonomy_exits_2_on_any_other_value_error(tmp_path, capsys, monkeypatch):
+def test_holonomy_exits_2_on_any_other_value_error(tmp_path, monkeypatch):
     """Only ModelCheckFailure is a failed check; other ValueErrors are errors."""
     path = tmp_path / "sphere.json"
     path.write_text(json.dumps(model_to_json_dict(models.space_form(3, 1))))
@@ -402,6 +400,4 @@ def test_holonomy_exits_2_on_any_other_value_error(tmp_path, capsys, monkeypatch
         raise ValueError("not a check failure")
 
     monkeypatch.setattr(chordweight.cli, "symmetric_triple", refuse)
-    assert main(["holonomy", "--curvature", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: not a check failure\n")
+    assert run("holonomy", "--curvature", str(path)) == (2, "", "error: not a check failure\n")

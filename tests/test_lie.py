@@ -296,6 +296,7 @@ def test_algebra_json_fills_antisymmetric_half():
     (lambda d: d["brackets"][0]["coeffs"].append([0, "5"]),
      "brackets[0].coeffs[1]"),
     (lambda d: d.__setitem__("form", [["1", "0"]]), "form"),
+    (lambda d: d["matrices"][1].__setitem__(0, ["0"]), "matrices[1][0]"),
     (lambda d: d.__setitem__("dimV", "two"), "dimV"),
     (lambda d: d.__setitem__("matrices", []), "matrices"),
 ])

@@ -3,16 +3,16 @@
     python tools/reach.py --runs
     python tools/reach.py --tests
 
-``--runs`` gives function reach.  Every row of tests/pinned/runs.txt
-(<pin file> <exit code> <argv...>) is run in one process, from the
-repository root, through ``chordweight.cli.main(argv)``, with its output
-discarded, under ``sys.setprofile``.  The package is first imported under
+``--runs`` gives function reach.  Every row of tests/pinned/runs.txt is
+run in one process, from the repository root, through ``run`` of
+tests/pins.py (``chordweight.cli.main(argv)``, its output captured and
+discarded), under ``sys.setprofile``.  The package is first imported under
 the profiler too, so a function that only the import calls counts as
 entered, as it is in a fresh process.  A function is every ``def`` and
 method of a module under src/, nested ones included; lambdas and
 comprehensions are left out.  A row whose exit code differs from the
-pinned one is reported on stderr, since its reach would not be that of
-the pin.
+pinned one is named on stderr and fails the gate, since its reach would
+not be that of the pin.
 
 ``--tests`` gives line reach.  The tier-1 suite under tests/ runs in this
 process through ``pytest.main``, under ``sys.settrace``, which traces the
@@ -28,14 +28,14 @@ and their qualified names (or line numbers, runs of them as ranges) in
 source order; then the total.  ``--runs`` leaves out dunders, which only
 tracebacks, debuggers and the interpreter call, and it is a gate: it exits
 1, naming them on stderr, when a function outside ``ALLOWED`` is
-unreached.  ``--tests`` is a report and exits 0.
+unreached or a row exits with a code other than its pin's.  ``--tests`` is
+a report and exits 0.
 """
 
 from __future__ import annotations
 
 import contextlib
 import inspect
-import io
 import os
 import sys
 from pathlib import Path
@@ -84,29 +84,23 @@ def _key(code) -> tuple:
     return Path(code.co_filename).resolve(), code.co_firstlineno, code.co_name
 
 
-def _entered_by_runs() -> set:
-    """The keys of the code objects that the import and the runs call."""
-    rows = [line.split() for line in
-            (ROOT / "tests" / "pinned" / "runs.txt").read_text(encoding="utf-8").splitlines()]
-    called = set()
-    sys.path.insert(0, str(SRC))
+def _entered_by_runs() -> tuple:
+    """The keys of the code objects that the import and the runs call, and
+    the rows whose exit code is not the pinned one."""
+    sys.path[:0] = [str(SRC), str(ROOT / "tests")]
+    import pins
+
+    called, wrong = set(), []
     os.chdir(ROOT)  # the rows name their files from the root
     sys.setprofile(lambda frame, event, arg: event == "call" and called.add(frame.f_code))
     try:
-        from chordweight.cli import main
-
-        for pin, want, *argv in rows:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:  # argparse's help and usage errors
-                    code = exc.code
-            if code != int(want):
-                print(f"{pin}: exit code {code}, pinned {want}", file=sys.stderr)
+        for pin, want, argv in pins.ROWS:
+            code = pins.run(*argv)[0]  # imports the package on the first row
+            if code != want:
+                wrong.append(f"{pin}: exit code {code}, pinned {want}")
     finally:
         sys.setprofile(None)
-    return {_key(code) for code in called}
+    return {_key(code) for code in called}, wrong
 
 
 def _own_lines(code) -> set:
@@ -171,7 +165,10 @@ def main(argv=None) -> int:
     if argv not in (["--runs"], ["--tests"]):
         print("usage: python tools/reach.py --runs | --tests", file=sys.stderr)
         return 2
-    reached = _entered_by_runs() if argv == ["--runs"] else _reached_by_tests()
+    if argv == ["--runs"]:
+        reached, wrong = _entered_by_runs()
+    else:
+        reached, wrong = _reached_by_tests(), []
     total = 0
     refused = []  # unreached functions outside ALLOWED, as module.qualname
     for path in sorted(SRC.rglob("*.py")):
@@ -189,11 +186,12 @@ def main(argv=None) -> int:
         total += len(missed)
         print(f"{len(missed):6,d}  {path.relative_to(SRC)}  {text}".rstrip())
     print(f"{total:6,d}  total")
+    for line in wrong:
+        print(line, file=sys.stderr)
     if refused:
         print(f"no pinned run enters {len(refused)} function(s) outside the allowlist: "
               + " ".join(refused), file=sys.stderr)
-        return 1
-    return 0
+    return 1 if wrong or refused else 0
 
 
 if __name__ == "__main__":
